@@ -13,7 +13,8 @@ testable operation. Submodules:
 - localsolve: local solubility, ball classification, densities
 - counting:  constrained lattice counts and their predicted main terms
 - census:    hypersurface-family statistics (first moment, local census)
-- cli:       reproducible experiment runner
+- cli:       reproducible experiment runner (planned; not written yet, although
+             pyproject.toml already declares its entry point)
 """
 
 __version__ = "0.1.0"

@@ -21,38 +21,30 @@ reported as intervals, never silently resolved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .counting import VolumeEstimate, veronese_reciprocal_volume
+from .counting import Prediction, VolumeEstimate, veronese_reciprocal_volume
 from .errors import EnumerationBudgetExceeded
 from .geom import unit_ball_volume
-from .intlinalg import (
-    bareiss_det,
-    canonical_sign_mask,
-    fincke_pohst,
-    integer_ball,
-    lll_reduce,
-    norm2,
-)
+from .intlinalg import bareiss_det, canonical_sign_mask, fincke_pohst, integer_ball, lll_reduce
 from .lattice import hyperplane_lattice
 from .localsolve import (
+    DEFAULT_TAIL_CONSTANT,
     AdelicTarget,
     CongruenceCone,
     DensityInterval,
     TriState,
-    classify_balls,
     decide_padic_solubility,
     decide_real_solubility,
     density_sandwich,
     local_density,
     translate_local_conditions,
 )
-from .numtheory import euler_phi, jordan_totient, primes_up_to, zeta
-from .padic import PadicApproxVector
+from .numtheory import euler_phi, factorize, jordan_totient, primes_up_to, unit_class_mask, zeta
 from .veronese import (
     Form,
     dimension,
@@ -76,15 +68,19 @@ def height_threshold_exponent(n: int, d: int) -> Fraction:
 # enumerating the family
 
 
+def _primitive_ball(dim: int, bound: int, budget: int) -> np.ndarray:
+    """Primitive x in Z^dim with |x|^2 <= bound, one per +- pair (first
+    nonzero entry positive)."""
+    pts = integer_ball(dim, bound, include_zero=False)
+    if len(pts) > budget:
+        raise EnumerationBudgetExceeded("ball too large", len(pts))
+    pts = pts[np.gcd.reduce(np.abs(pts), axis=1) == 1]
+    return pts[canonical_sign_mask(pts)]
+
+
 def enumerate_hypersurfaces(d: int, n: int, A, budget: int = 10**7):
     """One primitive coefficient vector per hypersurface (canonical sign)."""
-    N = dimension(d, n)
-    A2 = int(Fraction(A) ** 2)
-    pts = integer_ball(N, A2, include_zero=False)
-    if len(pts) > budget:
-        raise EnumerationBudgetExceeded("coefficient ball too large", len(pts))
-    pts = pts[np.gcd.reduce(np.abs(pts), axis=1) == 1]
-    pts = pts[canonical_sign_mask(pts)]
+    pts = _primitive_ball(dimension(d, n), int(Fraction(A) ** 2), budget)
     basis = monomial_basis(d, n)
     return [Form(basis, tuple(int(c) for c in row)) for row in pts]
 
@@ -102,17 +98,9 @@ def _candidate_points(d: int, n: int, B, cone: CongruenceCone, budget: int = 10*
     bound = int(height_bound_norm2(d, n, B))
     if bound < 1:
         return np.empty((0, n + 1), dtype=np.int64)
-    pts = integer_ball(n + 1, bound, include_zero=False)
-    if len(pts) > budget:
-        raise EnumerationBudgetExceeded("point ball too large", len(pts))
-    pts = pts[np.gcd.reduce(np.abs(pts), axis=1) == 1]
-    pts = pts[canonical_sign_mask(pts)]
-    keep = []
-    for row in pts:
-        x = tuple(int(v) for v in row)
-        if cone.congruence_ok(x) and cone.cone_ok(x):
-            keep.append(x)
-    return np.array(keep, dtype=np.int64) if keep else np.empty((0, n + 1), dtype=np.int64)
+    pts = _primitive_ball(n + 1, bound, budget)
+    pts = pts[unit_class_mask(pts, cone.c, cone.q)]
+    return pts[np.array([cone.cone_ok(tuple(int(v) for v in row)) for row in pts], dtype=bool)]
 
 
 def count_rational_points(form: Form, B, target: AdelicTarget, budget: int = 10**7) -> int:
@@ -208,8 +196,6 @@ def predicted_first_moment(
     Af, Bf = float(Fraction(A)), float(Fraction(B))
     sigma = float(Fraction(target.sigma_inf))
     magnitude_scale = sigma**n * euler_phi(q) / jordan_totient(n + 1, q)
-    from .counting import Prediction
-
     # the coefficient's 1/4 cancels the two +- symmetries, so coeff A^{N-1} B
     # directly predicts the canonical-pairs count computed by first_moment
     return Prediction(
@@ -276,8 +262,6 @@ def quadric_bad_primes(form: Form) -> list:
     det = bareiss_det(quadric_matrix(form))
     if det == 0:
         return []
-    from .numtheory import factorize
-
     bad = sorted({2} | {p for p, _ in factorize(abs(det)) if p != 2})
     return bad
 
@@ -378,6 +362,7 @@ def local_census(
             m_possible.append(i)
     # E: members (and possibles) failing at some prime beyond P
     e_yes = e_unk = 0
+    beyond = {}  # form index -> "yes-all" | "fails" | "unknown"
     for i in m_members + m_possible:
         form = forms[i]
         if d == 2:
@@ -401,7 +386,7 @@ def local_census(
                 e_unk += 1
         elif verdict == "unknown":
             e_unk += 1
-        states[i]["beyond_P"] = verdict
+        beyond[i] = verdict
     # intervals over both-sign counts
     m_lo, m_hi = 2 * m_yes, 2 * (m_yes + m_unk)
     e_lo, e_hi = 2 * e_yes, 2 * (e_yes + e_unk)
@@ -411,20 +396,9 @@ def local_census(
     direct = None
     all_resolved = m_unk == 0 and e_unk == 0 and arch_tally["unknown"] == 0
     if d == 2:
-        dv_lo = dv_hi = 0
-        for i, st in enumerate(states):
-            verdicts = [v.verdict for v in st.values() if isinstance(v, TriState)]
-            beyond = st.get("beyond_P")
-            if any(v == "no" for v in verdicts) or beyond == "fails":
-                continue
-            if all(v == "yes" for v in verdicts) and (beyond in ("yes-all", None)):
-                if beyond is None:
-                    # form never reached the beyond-P stage: it failed earlier
-                    continue
-                dv_lo += 1
-                dv_hi += 1
-            else:
-                dv_hi += 1
+        # beyond holds exactly the forms with no "no" up to P
+        dv_lo = sum(1 for i in m_members if beyond[i] == "yes-all")
+        dv_hi = sum(1 for verdict in beyond.values() if verdict != "fails")
         direct = (dv_lo, dv_hi)
     return CensusReport(
         params={"d": d, "n": n, "A": str(A), "P": P, "q": target.q, "depth_budget": depth_budget},
@@ -450,28 +424,15 @@ def real_density_interval(
     """MC interval for the spherical density of real-soluble-near-target forms."""
     rng = rng or np.random.default_rng(0)
     N = dimension(d, n)
-    yes = no = unk = 0
-    fast_quadric = d == 2 and Fraction(target.sigma_inf) == 1
+    tally = {"yes": 0, "no": 0, "unknown": 0}
     for _ in range(samples):
         a = rng.standard_normal(N)
         coeffs = [int(round(c * 10**6)) for c in a]
         if all(c == 0 for c in coeffs):
             continue
-        form = make_form(d, n, coeffs, primitive=False)
-        if fast_quadric:
-            if quadric_real_soluble(form):
-                yes += 1
-            else:
-                no += 1
-            continue
-        res = decide_real_solubility(form, target.xi_inf, target.sigma_inf, subdivision_budget=budget)
-        if res.verdict == "yes":
-            yes += 1
-        elif res.verdict == "no":
-            no += 1
-        else:
-            unk += 1
-    m = yes + no + unk
+        tally[_arch_verdict(make_form(d, n, coeffs, primitive=False), target, budget).verdict] += 1
+    yes, unk = tally["yes"], tally["unknown"]
+    m = sum(tally.values())
     if m == 0:
         return DensityInterval(Fraction(0), Fraction(1), "monte-carlo")
     se = math.sqrt(0.25 / m)
@@ -491,7 +452,7 @@ def predicted_census(
     mc_samples: int = 400,
     rng=None,
     budget: int = 10**7,
-    tail_constant: Fraction = Fraction(4),
+    tail_constant: Fraction = DEFAULT_TAIL_CONSTANT,
 ) -> dict:
     """Interval-valued main term for #V^loc(A).
 
@@ -499,7 +460,9 @@ def predicted_census(
     interval [prod_{p > P_trunc}(1 - C/p^2), 1], the archimedean MC interval,
     and the volume factor. Two volume factors are reported: the asymptotic
     V_N A^N/(2 zeta(N)) and the exact primitive-vector count divided by 2,
-    which is what the density product actually multiplies at finite A.
+    which is what the density product actually multiplies at finite A. The
+    tail constant C (default `localsolve.DEFAULT_TAIL_CONSTANT`) is a measured
+    value, not a proven bound, so it is reported as "tail_constant".
     """
     N = dimension(d, n)
     intervals = {}
@@ -526,11 +489,12 @@ def predicted_census(
         hi *= float(iv.upper)
     Af = float(Fraction(A))
     asympt = unit_ball_volume(N) * Af**N / (2 * zeta(N))
-    prim_half = _primitive_count(N, A, budget) / 2
+    prim_half = len(_primitive_ball(N, int(Fraction(A) ** 2), budget))
     sigma = float(Fraction(target.sigma_inf))
     return {
         "finite_intervals": intervals,
         "tail_lower": tail_lo,
+        "tail_constant": tail_constant,
         "rho_inf": rho_inf,
         "density_product": (lo, hi),
         "asymptotic_factor": asympt,
@@ -539,13 +503,6 @@ def predicted_census(
         "finite_size_interval": (lo * prim_half, hi * prim_half),
         "magnitude_scale": sigma * Af**N / target.q,
     }
-
-
-def _primitive_count(N: int, A, budget: int) -> int:
-    pts = integer_ball(N, int(Fraction(A) ** 2), include_zero=False)
-    if len(pts) > budget:
-        raise EnumerationBudgetExceeded("coefficient ball too large", len(pts))
-    return int((np.gcd.reduce(np.abs(pts), axis=1) == 1).sum())
 
 
 # ---------------------------------------------------------------------------

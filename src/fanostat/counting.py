@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import EnumerationBudgetExceeded
 from .geom import Cone, cap_volume, cone_intersection_params, cone_member, unit_ball_volume
-from .intlinalg import canonical_sign_mask, fincke_pohst, integer_ball, lll_reduce
+from .intlinalg import fincke_pohst, integer_ball, lll_reduce
 from .lattice import IntegralLattice, solve_coset_representative, standard_lattice
-from .numtheory import euler_phi, jordan_totient, reduced_residues, zeta
+from .numtheory import euler_phi, jordan_totient, unit_class_mask, unit_classes, zeta
 from .veronese import monomial_basis, veronese_batch
 
 
@@ -85,19 +85,17 @@ def count_lattice_points(spec: CountSpec, budget: int = 10**8) -> int:
     ambient = spec.ambient
     if not _is_standard(ambient):
         raise NotImplementedError("coset counting over non-standard ambient lattices")
-    allowed = {tuple((u * int(v)) % spec.q for v in spec.c) for u in reduced_residues(spec.q)}
     if _is_standard(spec.lattice):
         pts = integer_ball(N, int(X2), include_zero=True)
         if len(pts) > budget:
             raise EnumerationBudgetExceeded("ball too large", len(pts))
-        return _count_numpy(pts, spec, allowed, sigma)
+        return _count_numpy(pts, spec, sigma)
+    allowed = unit_classes(spec.c, spec.q)
     count = 0
-    nodes = 0
     cone = Cone(tuple(spec.xi), sigma)
     for vec, _sq in fincke_pohst(
         lll_reduce(spec.lattice.basis), X2, budget=budget, include_zero=True, canonical_sign=False
     ):
-        nodes += 1
         x = tuple(int(v) for v in vec)
         if spec.q > 1 and tuple(v % spec.q for v in x) not in allowed:
             continue
@@ -134,14 +132,8 @@ def _cone_mask_exact(pts: np.ndarray, xi, sigma: Fraction) -> np.ndarray:
     )
 
 
-def _count_numpy(pts: np.ndarray, spec: CountSpec, allowed: set, sigma: Fraction) -> int:
-    keep = np.ones(len(pts), dtype=bool)
-    if spec.q > 1:
-        res = pts % spec.q
-        mask = np.zeros(len(pts), dtype=bool)
-        for a in allowed:
-            mask |= (res == np.array(a, dtype=np.int64)).all(axis=1)
-        keep &= mask
+def _count_numpy(pts: np.ndarray, spec: CountSpec, sigma: Fraction) -> int:
+    keep = unit_class_mask(pts, spec.c, spec.q)
     if spec.primitive_in_ambient:
         keep &= np.gcd.reduce(np.abs(pts), axis=1) == 1
     pts = pts[keep]
@@ -285,15 +277,7 @@ def veronese_reciprocal_sum(d: int, n: int, c, q: int, xi, sigma, X, budget: int
     pts = integer_ball(n + 1, X2, include_zero=False)
     if len(pts) > budget:
         raise EnumerationBudgetExceeded("ball too large", len(pts))
-    keep = np.gcd.reduce(np.abs(pts), axis=1) == 1
-    pts = pts[keep]
-    if q > 1:
-        allowed = {tuple((u * int(v)) % q for v in c) for u in reduced_residues(q)}
-        res = pts % q
-        mask = np.zeros(len(pts), dtype=bool)
-        for a in allowed:
-            mask |= (res == np.array(a, dtype=np.int64)).all(axis=1)
-        pts = pts[mask]
+    pts = pts[(np.gcd.reduce(np.abs(pts), axis=1) == 1) & unit_class_mask(pts, c, q)]
     if len(pts) == 0:
         return 0.0
     pts = pts[_cone_mask_exact(pts, xi, Fraction(sigma))]
@@ -367,22 +351,6 @@ def predicted_reciprocal_sum(
         "W phi(q)/J_{n+1}(q) X^(n+1-d)/zeta(n+1)",
         {"volume": volume, "phi_q": euler_phi(q), "J": jordan_totient(n + 1, q), "X": X},
     )
-
-
-def convergence_table(exacts, predictions):
-    """Rows (X, exact, predicted, ratio, mc_err) for a doubling-X run."""
-    rows = []
-    for (X, exact), pred in zip(exacts, predictions):
-        rows.append(
-            {
-                "X": float(X),
-                "exact": exact,
-                "predicted": pred.value,
-                "ratio": exact / pred.value if pred.value else math.inf,
-                "mc_err": pred.err,
-            }
-        )
-    return rows
 
 
 def trend_improves(ratios, need: int | None = None) -> bool:

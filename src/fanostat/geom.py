@@ -12,6 +12,8 @@ so nothing quadratic in the ambient dimension is ever materialized.
 
 Membership tests stay exact (integer/Fraction arithmetic) whenever the
 inputs allow it; that is what makes the downstream lattice counts exact.
+Exact projection onto a subspace is `intlinalg.orthogonal_projection`; this
+module only adds the float least-squares path for float inputs.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
+
+from .intlinalg import orthogonal_projection
 
 
 def _is_exact(v) -> bool:
@@ -227,37 +233,10 @@ def _project_onto_span(u, basis, exact: bool):
     if not basis:
         raise ValueError("subspace basis must be nonempty")
     if exact:
-        coeffs = _least_squares_exact(basis, u)
-        proj = [Fraction(0)] * len(u)
-        for c, row in zip(coeffs, basis):
-            for t in range(len(u)):
-                proj[t] += c * Fraction(row[t])
-        return proj
-    import numpy as np  # local import keeps the exact path dependency-free
-
+        return orthogonal_projection(basis, u)
     B = np.array(basis, dtype=float).T
     coeffs, *_ = np.linalg.lstsq(B, np.array(u, dtype=float), rcond=None)
     return list(B @ coeffs)
-
-
-def _least_squares_exact(basis, u):
-    rows = [[Fraction(c) for c in r] for r in basis]
-    g = [[sum(a * b for a, b in zip(r1, r2)) for r2 in rows] for r1 in rows]
-    rhs = [sum(a * Fraction(c) for a, c in zip(r, u)) for r in rows]
-    n = len(rows)
-    aug = [g[i] + [rhs[i]] for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("degenerate subspace basis")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        inv = 1 / aug[k][k]
-        aug[k] = [x * inv for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    return [aug[i][n] for i in range(n)]
 
 
 def span_distance(lattice_basis, xi) -> float:
@@ -279,11 +258,7 @@ def span_distance(lattice_basis, xi) -> float:
 
 def span_distance_squared_exact(lattice_basis, xi) -> Fraction:
     """Exact |xi_2|^2 / |xi|^2 for rational xi and integer lattice basis."""
-    coeffs = _least_squares_exact(lattice_basis, xi)
-    proj = [Fraction(0)] * len(xi)
-    for c, row in zip(coeffs, lattice_basis):
-        for t in range(len(xi)):
-            proj[t] += c * Fraction(row[t])
+    proj = orthogonal_projection(lattice_basis, xi)
     nxi = sum(Fraction(c) ** 2 for c in xi)
     off = sum((Fraction(a) - b) ** 2 for a, b in zip(xi, proj))
     return off / nxi

@@ -1,9 +1,11 @@
 """Exact integer/rational linear algebra and lattice enumeration primitives.
 
 All routines are exact: integer matrices use Bareiss elimination and
-Hermite forms, rational work uses Fraction. Lattice vector enumeration is
-Fincke-Pohst with exact rational Gram-Schmidt pruning, so no short vector
-is ever missed. Big axis-aligned enumerations (Z^m balls) go through a
+Hermite forms, rational work uses Fraction. Exact rational solving
+(`solve_fraction`) and orthogonal projection onto a span
+(`orthogonal_projection`) live here, on one normal-equations solver. Lattice
+vector enumeration is Fincke-Pohst with exact rational Gram-Schmidt pruning,
+so no short vector is ever missed. Big axis-aligned enumerations (Z^m balls) go through a
 meet-in-the-middle numpy path instead.
 """
 
@@ -188,17 +190,17 @@ def saturate_rows(rows):
     return integer_kernel(k)
 
 
-def solve_fraction(mat_rows, rhs):
-    """Solve (mat^T) a = rhs in the least-squares-free exact sense:
-    find rational coefficients a with sum a_i * mat_rows[i] == rhs,
-    assuming mat_rows are independent; returns None if inconsistent."""
-    rows = [[Fraction(x) for x in r] for r in mat_rows]
-    b = [Fraction(x) for x in rhs]
-    # normal equations are exact and safe for independent rows
-    g = [[sum(u[t] * v[t] for t in range(len(b))) for v in rows] for u in rows]
-    rhs2 = [sum(u[t] * b[t] for t in range(len(b))) for u in rows]
+def _span_coefficients(rows, v):
+    """Coefficients c with sum c_i rows[i] the orthogonal projection of v onto
+    span(rows): Gauss-Jordan on the exact normal equations; None when the
+    rows are dependent."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    b = [Fraction(x) for x in v]
     n = len(rows)
-    aug = [g[i] + [rhs2[i]] for i in range(n)]
+    aug = [
+        [sum(x * y for x, y in zip(u, w)) for w in rows] + [sum(x * y for x, y in zip(u, b))]
+        for u in rows
+    ]
     for k in range(n):
         piv = next((i for i in range(k, n) if aug[i][k] != 0), None)
         if piv is None:
@@ -210,12 +212,29 @@ def solve_fraction(mat_rows, rhs):
             if i != k and aug[i][k]:
                 f = aug[i][k]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    coeffs = [aug[i][n] for i in range(n)]
-    # verify (guards against rhs outside the span)
-    for t in range(len(b)):
-        if sum(coeffs[i] * rows[i][t] for i in range(n)) != b[t]:
-            return None
+    return [aug[i][n] for i in range(n)]
+
+
+def _combination(coeffs, rows, m: int):
+    """sum_i coeffs[i] * rows[i] in Q^m, exactly."""
+    return [sum((c * Fraction(r[t]) for c, r in zip(coeffs, rows)), Fraction(0)) for t in range(m)]
+
+
+def solve_fraction(mat_rows, rhs):
+    """Rational a with sum a_i * mat_rows[i] == rhs for independent rows;
+    None when rhs lies off their span or the rows are dependent."""
+    coeffs = _span_coefficients(mat_rows, rhs)
+    if coeffs is None or _combination(coeffs, mat_rows, len(rhs)) != [Fraction(x) for x in rhs]:
+        return None
     return coeffs
+
+
+def orthogonal_projection(rows, v):
+    """Exact orthogonal projection of v onto the span of independent rows."""
+    coeffs = _span_coefficients(rows, v)
+    if coeffs is None:
+        raise ValueError("degenerate subspace basis")
+    return _combination(coeffs, rows, len(v))
 
 
 def lattice_coordinates(rows, x):

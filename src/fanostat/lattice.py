@@ -18,9 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EnumerationBudgetExceeded
-from .geom import cone_intersection_params, cone_member, Cone, unit_ball_volume
+from .geom import Cone, cone_intersection_params, cone_member, span_distance_squared_exact, unit_ball_volume
 from .intlinalg import (
-    bareiss_det,
+    _gso,
+    canonical_sign_mask,
     fincke_pohst,
     fraction_gram_det,
     gram,
@@ -33,11 +34,11 @@ from .intlinalg import (
     lll_reduce,
     minors_gcd,
     norm2,
+    orthogonal_projection,
     saturate_rows,
-    short_vectors,
     solve_fraction,
 )
-from .numtheory import reduced_residues
+from .numtheory import unit_class_mask, unit_classes
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,10 @@ def balanced_basis(lat: IntegralLattice, budget: int = 10**8):
         # quotient coordinate: primitive functional vanishing on prev
         phi = _quotient_functional(prev, sat)
         ts = [sum(p * c for p, c in zip(phi, _coords_in(sat, row))) for row in sat]
-        v = _xgcd_combination(sat, ts)
+        w = _gcd_witness(ts)
+        if sum(t * c for t, c in zip(ts, w)) != 1:
+            raise ValueError("quotient coordinates are not coprime")
+        v = [sum(c * row[t] for c, row in zip(w, sat)) for t in range(len(sat[0]))]
         v = _size_reduce(v, prev, lat)
         v = _shortest_unit_quotient(v, sat, phi, prev, lat, budget)
         basis_coords.append(v)
@@ -235,26 +239,6 @@ def _quotient_functional(prev_coords, sat_coords):
     if len(ker) != 1:
         raise ValueError("quotient is not rank 1")
     return ker[0]
-
-
-def _xgcd_combination(sat_coords, ts):
-    """Integer combination of sat rows whose quotient coordinate is 1."""
-    g, coeffs = 0, [0] * len(ts)
-    for i, t in enumerate(ts):
-        if t == 0:
-            continue
-        if g == 0:
-            g, coeffs = abs(t), [0] * len(ts)
-            coeffs[i] = 1 if t > 0 else -1
-            continue
-        gg, a, b = _xgcd(g, t)
-        coeffs = [a * c for c in coeffs]
-        coeffs[i] += b
-        g = gg
-    if g != 1:
-        raise ValueError("quotient coordinates are not coprime")
-    n = len(sat_coords[0])
-    return [sum(coeffs[i] * sat_coords[i][t] for i in range(len(ts))) for t in range(n)]
 
 
 def _xgcd(a, b):
@@ -322,7 +306,7 @@ def _balance_certificate(lat, basis_rows, minima2):
     proj_ratios = []
     for nu in range(1, r):
         for i in range(nu, r):
-            proj2 = _off_span_norm2(basis_rows[i], basis_rows[:nu])
+            proj2 = span_distance_squared_exact(basis_rows[:nu], basis_rows[i]) * norm2(basis_rows[i])
             proj_ratios.append(math.sqrt(float(proj2)) / lam[i])
     rng = np.random.default_rng(0)
     quasi = 1.0
@@ -339,20 +323,6 @@ def _balance_certificate(lat, basis_rows, minima2):
         "projection_over_minima": proj_ratios,
         "quasi_orthogonality_lower": quasi,
     }
-
-
-def _off_span_norm2(v, span_rows) -> Fraction:
-    coeffs = solve_fraction(span_rows, [Fraction(c) for c in v])
-    if coeffs is None:
-        # v not in the span: project explicitly via least squares
-        from .geom import _least_squares_exact
-
-        coeffs = _least_squares_exact(span_rows, v)
-    proj = [Fraction(0)] * len(v)
-    for c, row in zip(coeffs, span_rows):
-        for t in range(len(v)):
-            proj[t] += c * Fraction(row[t])
-    return sum((Fraction(a) - b) ** 2 for a, b in zip(v, proj))
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +398,8 @@ def quotient_lattice(lat: IntegralLattice, sub: IntegralLattice) -> RationalLatt
         return RationalLattice(lat.ambient, tuple())
     projected = []
     for row in lat.basis:
-        coeffs = _ls_exact(sub.basis, row)
-        proj = [Fraction(row[t]) for t in range(lat.ambient)]
-        for cf, srow in zip(coeffs, sub.basis):
-            for t in range(lat.ambient):
-                proj[t] -= cf * Fraction(srow[t])
-        projected.append(proj)
+        along = orthogonal_projection(sub.basis, row)
+        projected.append([Fraction(x) - y for x, y in zip(row, along)])
     # generators -> basis: clear denominators, HNF, rescale
     den = 1
     for row in projected:
@@ -443,12 +409,6 @@ def quotient_lattice(lat: IntegralLattice, sub: IntegralLattice) -> RationalLatt
     basis = hnf_rows(int_rows)
     rows = tuple(tuple(Fraction(x, den) for x in row) for row in basis)
     return RationalLattice(lat.ambient, rows)
-
-
-def _ls_exact(rows, target):
-    from .geom import _least_squares_exact
-
-    return _least_squares_exact(rows, target)
 
 
 def saturation_det_squared(vectors) -> int:
@@ -527,8 +487,6 @@ def min_containing_det(x, r: int, budget: int = 10**8):
     radius = max(r, 2**r / unit_ball_volume(r))
     bound2 = int(math.floor(radius**2 * nx2)) + 1
     pts = integer_ball(m, bound2, include_zero=False)
-    from .intlinalg import canonical_sign_mask
-
     pts = pts[canonical_sign_mask(pts)]
     if r == 2:
         best_sq, best_y = _best_companion_r2(x, pts)
@@ -659,8 +617,7 @@ def coset_meets_cone(lat: IntegralLattice, c, q: int, xi, sigma) -> bool:
     if inter.kind == "trivial":
         return False
     big_cone = Cone(tuple(xi), sigma)
-    for u in reduced_residues(q):
-        target = tuple((u * int(ci)) % q for ci in c) if q > 1 else tuple(0 for _ in c)
+    for target in sorted(unit_classes(c, q)):
         x0 = solve_coset_representative(lat, target, q)
         if x0 is None:
             continue
@@ -674,8 +631,6 @@ def coset_meets_cone(lat: IntegralLattice, c, q: int, xi, sigma) -> bool:
                 return True
             continue
         qbasis = lll_reduce([tuple(q * v for v in row) for row in lat.basis])
-        from .intlinalg import _gso
-
         _, bnorms = _gso(qbasis)
         mu2 = sum(bnorms, Fraction(0)) / 4  # squared covering radius bound
         radius2 = mu2 * (2 + 2 / Fraction(ap2))
@@ -693,8 +648,7 @@ def _progression_intersect(s1, m1, s2, m2):
     if (s2 - s1) % g != 0:
         return None
     lcm = m1 // g * m2
-    _, a, _ = _xgcd(m1 // g, m2 // g)
-    t = ((s2 - s1) // g * a) % (m2 // g)
+    t = ((s2 - s1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
     return (s1 + m1 * t) % lcm, lcm
 
 
@@ -757,8 +711,6 @@ def shell_sublattice_census(
     for s in shells:
         cap = int(s * s)  # |w|^2 <= s^2, integer norms
         pts = integer_ball(m, cap, include_zero=False)
-        from .intlinalg import canonical_sign_mask
-
         balls.append([tuple(int(v) for v in p) for p in pts[canonical_sign_mask(pts)]])
     total_tuples = math.prod(len(b) for b in balls)
     if total_tuples > budget:
@@ -808,14 +760,11 @@ def small_det_point_census(
     pts = integer_ball(m, int(X * X), include_zero=False)
     if len(pts) > budget:
         raise EnumerationBudgetExceeded("point census too large", len(pts))
-    allowed = {tuple((u * int(ci)) % q for ci in c) for u in reduced_residues(q)}
     cone = Cone(tuple(xi), Fraction(sigma))
     delta2 = Delta * Delta
     count = 0
-    for p in pts:
+    for p in pts[unit_class_mask(pts, c, q)]:
         x = tuple(int(v) for v in p)
-        if q > 1 and tuple(v % q for v in x) not in allowed:
-            continue
         if not cone_member(cone, x):
             continue
         _, sq, _ = min_containing_det(x, r, budget)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -33,24 +33,21 @@ import numpy as np
 
 from .errors import EnumerationBudgetExceeded, HypothesisFailed, PreconditionFailed
 from .geom import Cone, cone_member, proj_distance_arch
-from .numtheory import crt_combine, reduced_residues
+from .numtheory import crt_combine, unit_classes
 from .padic import (
     ExactZeroCertificate,
     PadicApproxVector,
     lift_hypersurface_point,
-    newton_margin,
     newton_real_root,
-    poly_derivative,
-    poly_eval,
     valuation,
 )
 from .veronese import (
     Form,
+    _line_restriction,
     dimension,
     evaluate_form,
     gradient_form,
     monomial_basis,
-    veronese,
     veronese_batch,
     veronese_jet,
 )
@@ -130,19 +127,13 @@ class CongruenceCone:
             raise ValueError("c must have content coprime to q")
 
     def congruence_ok(self, x) -> bool:
-        if self.q == 1:
-            return True
-        xm = tuple(int(v) % self.q for v in x)
-        for u in reduced_residues(self.q):
-            if all((a - u * b) % self.q == 0 for a, b in zip(xm, self.c)):
-                return True
-        return False
+        return tuple(int(v) % self.q for v in x) in self.admissible_residues()
 
     def cone_ok(self, x) -> bool:
         return cone_member(Cone(self.xi_inf, self.sigma_inf), x)
 
     def admissible_residues(self) -> set:
-        return {tuple((u * int(v)) % self.q for v in self.c) for u in reduced_residues(self.q)}
+        return unit_classes(self.c, self.q)
 
 
 def translate_local_conditions(target: AdelicTarget) -> CongruenceCone:
@@ -228,31 +219,31 @@ def canonical_projective_residues(m: int, p: int, v: int):
 
     Canonical: entries before the pivot divisible by p, pivot entry 1.
     """
+    return list(_iter_canonical_residues(m, p, v))
+
+
+def _iter_canonical_residues(m: int, p: int, v: int):
+    """canonical_projective_residues(m, p, v), one at a time and in order."""
     mod = p**v
-    nonunits = [c for c in range(mod) if c % p == 0]
-    out = []
+    nonunits = range(0, mod, p)
     for pivot in range(m):
-        heads = itertools.product(nonunits, repeat=pivot)
-        tails = itertools.product(range(mod), repeat=m - pivot - 1)
-        tails = list(tails)
-        for h in heads:
+        tails = list(itertools.product(range(mod), repeat=m - pivot - 1))
+        for h in itertools.product(nonunits, repeat=pivot):
             for t in tails:
-                out.append(h + (1,) + t)
-    return out
+                yield h + (1,) + t
 
 
 def _proximity_class(xi: PadicApproxVector, e_p: int):
     return canonical_residue(xi.entries, xi.p, e_p)
 
 
-def _lift_children(x, p: int, v: int):
-    """Canonical representatives mod p^(v+1) reducing to canonical x mod p^v."""
-    m = len(x)
-    children = set()
-    for t in itertools.product(range(p), repeat=m):
-        child = tuple((x[i] + p**v * t[i]) for i in range(m))
-        children.add(canonical_residue(child, p, v + 1))
-    return children
+def _residue_fibre(x, p: int, e: int, v: int) -> set:
+    """Canonical residues mod p^v reducing to the canonical x mod p^e."""
+    step = p**e
+    return {
+        canonical_residue(tuple(c + step * s for c, s in zip(x, t)), p, v)
+        for t in itertools.product(range(p ** (v - e)), repeat=len(x))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +300,7 @@ def decide_padic_solubility(
         nxt = set()
         modnext = p ** (v + 1)
         for x in frontier:
-            for child in _lift_children(x, p, v):
+            for child in _residue_fibre(x, p, v, v + 1):
                 nodes += 1
                 if nodes > node_budget:
                     raise EnumerationBudgetExceeded("residue search too large", nodes)
@@ -544,24 +535,6 @@ def _newton_in_cap(form: Form, v, xi_inf, sigma: float):
     return None
 
 
-def _line_restriction(form: Form, v, j: int):
-    """Integer coefficients of t -> f(v + t e_j)."""
-    d = form.basis.d
-    out = [0] * (d + 1)
-    for a, exps in zip(form.coeffs, form.basis.monomials):
-        if a == 0:
-            continue
-        ej = exps[j]
-        # expand (v_j + t)^ej times the frozen part
-        frozen = a
-        for i, e in enumerate(exps):
-            if i != j and e:
-                frozen *= v[i] ** e
-        for k in range(ej + 1):
-            out[k] += frozen * math.comb(ej, k) * v[j] ** (ej - k)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # coefficient-ball classification and densities
 
@@ -672,12 +645,7 @@ def classify_balls(
 
 def _admissible_residues(m: int, p: int, v: int, xi, e_p: int):
     if e_p >= 1:
-        base = _proximity_class(xi, e_p)
-        out = []
-        for t in itertools.product(range(p ** (v - e_p)), repeat=m):
-            cand = tuple(base[i] + p**e_p * t[i] for i in range(m))
-            out.append(canonical_residue(cand, p, v))
-        return sorted(set(out))
+        return sorted(_residue_fibre(_proximity_class(xi, e_p), p, e_p, v))
     return canonical_projective_residues(m, p, v)
 
 
@@ -747,13 +715,7 @@ def count_projective_points(form: Form, p: int, budget: int = 10**8) -> int:
     reps = (p ** (n + 1) - 1) // (p - 1)
     if reps > budget:
         raise EnumerationBudgetExceeded("too many projective points", reps)
-    count = 0
-    for pivot in range(n + 1):
-        for tail in itertools.product(range(p), repeat=n - pivot):
-            x = (0,) * pivot + (1,) + tail
-            if evaluate_form(form, x) % p == 0:
-                count += 1
-    return count
+    return sum(1 for x in _iter_canonical_residues(n + 1, p, 1) if evaluate_form(form, x) % p == 0)
 
 
 def lang_weil_check(form: Form, p: int, r: int, d: int, constant: float) -> bool:
@@ -817,20 +779,13 @@ def is_reducible_mod_p(form: Form, p: int, budget: int = 10**6) -> TriState:
         if candidates * N2 > budget:
             return TriState.unknown({"reason": "factor budget", "split": (d1, d2)})
         mul = _multiplication_matrix(d1, d2, n, p)
-        for f1 in _canonical_coeff_vectors(N1, p):
+        for f1 in _iter_canonical_residues(N1, p, 1):
             A = _specialize_multiplication(mul, f1, dimension(d, n), N2, p)
             g = _gauss_solve_mod_p(A, target, p)
             if g is not None and any(g):
                 if _product_matches(d1, d2, n, f1, g, target, p):
                     return TriState.yes({"factor": tuple(f1), "cofactor": tuple(g), "split": (d1, d2)})
     return TriState.no({"exhausted_splits": [(d1, d - d1) for d1 in range(1, d // 2 + 1)]})
-
-
-def _canonical_coeff_vectors(N: int, p: int):
-    """Nonzero vectors in F_p^N up to scalar: first nonzero entry 1."""
-    for lead in range(N):
-        for tail in itertools.product(range(p), repeat=N - lead - 1):
-            yield (0,) * lead + (1,) + tail
 
 
 def _multiplication_matrix(d1: int, d2: int, n: int, p: int):

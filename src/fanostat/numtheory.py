@@ -2,14 +2,18 @@
 
 Everything here is integer-exact except ``zeta``, which carries an explicit
 tolerance. Factorization is trial division against a sieved prime table
-(default bound 10**6), plenty for desk-scale moduli.
+(default bound 10**6), plenty for desk-scale moduli. The unit residue
+classes {u c mod q} behind every congruence condition x ≡ u c mod q are
+built here, as a set and as a numpy row mask.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 _SIEVE_BOUND = 10**6
 _primes: list[int] | None = None
@@ -32,9 +36,6 @@ def primes_up_to(bound: int) -> list[int]:
     if bound > _SIEVE_BOUND:
         raise ValueError(f"prime table only covers up to {_SIEVE_BOUND}")
     table = _prime_table()
-    # bisect would do; the table is only built once
-    import bisect
-
     return table[: bisect.bisect_right(table, bound)]
 
 
@@ -177,31 +178,25 @@ def crt_combine(pairs):
     return tuple(combined), modulus
 
 
-@dataclass(frozen=True)
-class ResidueSystem:
-    """A modulus together with a list of residue vectors reduced mod it."""
-
-    modulus: int
-    residues: tuple
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        for r in self.residues:
-            if any(not (0 <= x < self.modulus) for x in r):
-                raise ValueError("residues must be reduced into [0, modulus)")
-
-    @classmethod
-    def reduced_units(cls, q: int) -> "ResidueSystem":
-        """The reduced residues u mod q, as 1-vectors."""
-        units = tuple((u,) for u in range(q) if math.gcd(u, q) == 1)
-        if q == 1:
-            units = ((0,),)
-        return cls(q, units)
-
-
 def reduced_residues(q: int) -> list[int]:
     """Units mod q; for q = 1 the single residue 0."""
     if q == 1:
         return [0]
     return [u for u in range(1, q) if math.gcd(u, q) == 1]
+
+
+def unit_classes(c, q: int) -> set:
+    """The residue vectors u*c mod q over the units u mod q: x lies in one of
+    these classes iff x ≡ u c mod q for a unit u."""
+    return {tuple((u * int(v)) % q for v in c) for u in reduced_residues(q)}
+
+
+def unit_class_mask(pts: np.ndarray, c, q: int) -> np.ndarray:
+    """Row mask of an integer point array: x ≡ u c mod q for a unit u."""
+    if q == 1:
+        return np.ones(len(pts), dtype=bool)
+    res = pts % q
+    mask = np.zeros(len(pts), dtype=bool)
+    for a in unit_classes(c, q):
+        mask |= (res == np.array(a, dtype=np.int64)).all(axis=1)
+    return mask

@@ -15,7 +15,8 @@ procedures are:
 
 A p-adic `yes` is a LiftCertificate (a Hensel lift) or an ExactZeroCertificate
 (an integer point with f = 0 exactly); `verify_certificate` re-checks either
-from scratch against its target, at the radius p^-r the certificate records.
+from scratch against its target, at the radius p^-r the certificate records,
+or with no target when r = 0 (plain Q_p-solubility).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisFailed, NonConvergence, PreconditionFailed
-from .veronese import Form, evaluate_form, gradient_form
+from .veronese import Form, _line_restriction, evaluate_form, gradient_form
 
 
 def valuation(x, p: int):
@@ -307,8 +308,10 @@ def lift_hypersurface_point(
         raise HypothesisFailed("l-bound", f"stated l={l} below actual v(grad)={lstar}")
     if not e > 2 * l:
         raise HypothesisFailed("l-bound", f"need e > 2l; got e={e}, l={l}")
-    # freeze everything except the pivot coordinate
-    uni = _restrict_to_coordinate(form, x, pivot)
+    # freeze everything except the pivot coordinate: t -> f(x with x_pivot = t)
+    frozen = list(x)
+    frozen[pivot] = 0
+    uni = _line_restriction(form, frozen, pivot)
     root, _, _ = hensel_lift(uni, x[pivot], p, target_precision)
     lifted = list(x)
     lifted[pivot] = root
@@ -318,28 +321,14 @@ def lift_hypersurface_point(
     return cert
 
 
-def _restrict_to_coordinate(form: Form, x, pivot: int):
-    """Coefficients of t -> f(x with x[pivot] replaced by t)."""
-    d = form.basis.d
-    out = [0] * (d + 1)
-    for a, exps in zip(form.coeffs, form.basis.monomials):
-        if a == 0:
-            continue
-        coeff = a
-        for j, ej in enumerate(exps):
-            if j != pivot and ej:
-                coeff *= x[j] ** ej
-        out[exps[pivot]] += coeff
-    return out
-
-
-def verify_certificate(form: Form, xi: PadicApproxVector, cert):
+def verify_certificate(form: Form, xi: PadicApproxVector | None, cert):
     """Re-check a p-adic `yes` certificate from scratch; raises on any failure.
 
     A LiftCertificate must give a primitive root of f mod p^target_precision,
     an ExactZeroCertificate an exact integer zero of f primitive at p. Either
     point must lie projectively within p^-r of xi, with r the certificate's
-    radius capped by xi.precision. Any other object raises TypeError.
+    radius capped by xi.precision. xi may be None only for radius 0, a yes of
+    plain Q_p-solubility. Any other object raises TypeError.
     """
     if not isinstance(cert, (LiftCertificate, ExactZeroCertificate)):
         raise TypeError(f"not a p-adic certificate: {type(cert).__name__}")
@@ -351,10 +340,14 @@ def verify_certificate(form: Form, xi: PadicApproxVector, cert):
             raise HypothesisFailed("re-verify", "lifted point is not a root to target precision")
     elif val != 0:
         raise HypothesisFailed("re-verify", "point is not an exact zero of the form")
-    if xi.p != p or len(xi.entries) != len(point):
-        raise HypothesisFailed("re-verify", "certificate and target do not match")
     if all(c % p == 0 for c in point):
         raise HypothesisFailed("re-verify", "point is not primitive at p")
+    if xi is None:
+        if cert.radius != 0:
+            raise HypothesisFailed("re-verify", "a positive radius needs a target to check against")
+        return
+    if xi.p != p or len(xi.entries) != len(point):
+        raise HypothesisFailed("re-verify", "certificate and target do not match")
     # the point must stay within the certified radius of xi projectively
     k = min(cert.radius, xi.precision)
     if not _projective_congruent(point, [c % p**k for c in xi.entries], p, k):

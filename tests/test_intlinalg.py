@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanostat.intlinalg import (
     bareiss_det,
@@ -21,6 +23,8 @@ from fanostat.intlinalg import (
     short_vectors,
     solve_fraction,
 )
+from fanostat.padic import poly_eval
+from fanostat.veronese import _line_restriction, dimension, evaluate_form, make_form
 
 
 def test_bareiss_matches_numpy():
@@ -62,6 +66,39 @@ def test_solve_and_coordinates():
     assert solve_fraction(rows, (0, 0, 7)) is None  # outside the span? (0,0,7) = a(1,2,0)+b(0,1,1): a=0, b=7 -> (0,7,7) no
     half = solve_fraction(rows, (Fraction(1, 2), 1, 0))
     assert half == [Fraction(1, 2), 0]
+
+
+@st.composite
+def _merged_helper_cases(draw):
+    d, n = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    size = dimension(d, n)
+    form = make_form(d, n, draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size).filter(any)))
+    x = draw(st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1))
+    j = draw(st.integers(0, n))
+    m = draw(st.integers(2, 5))
+    k = draw(st.integers(1, m - 1))
+    row = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+    rows = draw(st.lists(row, min_size=k, max_size=k).filter(lambda r: gram_det(r) != 0))
+    coeffs = draw(st.lists(st.fractions(-5, 5, max_denominator=6), min_size=k, max_size=k))
+    return form, x, j, rows, coeffs
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_merged_helper_cases())
+def test_line_restriction_and_solve_fraction(case):
+    form, x, j, rows, coeffs = case
+    # t -> f(x + t e_j) has degree d, so d + 2 integer points pin it down
+    poly = _line_restriction(form, x, j)
+    d = form.basis.d
+    for t in range(-d - 1, d + 2):
+        shifted = list(x)
+        shifted[j] += t
+        assert poly_eval(poly, t) == evaluate_form(form, shifted)
+    # exact coefficients back from sum c_i rows[i]; None off the span
+    v = [sum(c * r[i] for c, r in zip(coeffs, rows)) for i in range(len(rows[0]))]
+    assert solve_fraction(rows, v) == coeffs
+    normal = integer_kernel(rows)[0]  # orthogonal to every row
+    assert solve_fraction(rows, [a + b for a, b in zip(v, normal)]) is None
 
 
 def test_minors_gcd():

@@ -208,7 +208,7 @@ def _padic_targets(draw):
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size).filter(any))
     p = draw(st.sampled_from([2, 3, 5]))
     precision = draw(st.integers(1, 3))
-    e_p = draw(st.integers(1, precision))
+    e_p = draw(st.integers(0, precision))  # 0: no target, plain Q_p-solubility
     entries = draw(
         st.lists(st.integers(0, p**precision - 1), min_size=n + 1, max_size=n + 1).filter(
             lambda x: any(c % p for c in x)
@@ -219,14 +219,20 @@ def _padic_targets(draw):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @example(_DEEP_TARGET)
+@example((mkform(2, 3, m_2000=1, m_0200=1, m_0020=-1, m_0002=-1), PadicApproxVector(3, 1, (1, 0, 0, 0)), 0))
 @given(_padic_targets())
 def test_decide_padic_yes_reverifies_against_target(case):
     f, xi, e_p = case
-    res = decide_padic_solubility(f, xi.p, xi, e_p)
+    target = xi if e_p else None
+    res = decide_padic_solubility(f, xi.p, target, e_p)
     if res.verdict == "yes":
         assert isinstance(res.certificate, (LiftCertificate, ExactZeroCertificate))
         assert res.certificate.radius == e_p
-        verify_certificate(f, xi, res.certificate)
+        verify_certificate(f, target, res.certificate)
+        if target is None:
+            # without a target only a radius-0 claim can be checked
+            with pytest.raises(HypothesisFailed):
+                verify_certificate(f, None, replace(res.certificate, radius=1))
 
 
 def test_decide_real_yes_exact_zero():
