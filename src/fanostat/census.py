@@ -121,10 +121,21 @@ def first_moment_direct(d: int, n: int, A, B, target: AdelicTarget, budget: int 
     pts = _candidate_points(d, n, B, cone, budget)
     if len(pts) == 0 or not forms:
         return 0
-    basis = monomial_basis(d, n)
-    NU = veronese_batch(basis, pts)  # safe in int64 at desk scale
-    Amat = coefficient_matrix(forms)
-    prods = Amat @ NU.T
+    NU = veronese_batch(monomial_basis(d, n), pts.astype(object))
+    return _zero_pairings(coefficient_matrix(forms), NU)
+
+
+def _zero_pairings(Amat: np.ndarray, NU: np.ndarray) -> int:
+    """Number of zero entries of Amat @ NU.T, exactly.
+
+    Each entry is bounded by max|a| max|nu| N; the product runs in int64 only
+    when that bound provably fits, otherwise in Python integers.
+    """
+    worst = int(np.abs(Amat).max(initial=0)) * int(np.abs(NU).max(initial=0)) * Amat.shape[1]
+    if worst < 2**63:
+        prods = Amat.astype(np.int64) @ NU.astype(np.int64).T
+    else:
+        prods = Amat.astype(object) @ NU.astype(object).T
     return int((prods == 0).sum())
 
 
@@ -149,7 +160,7 @@ def first_moment_dual(d: int, n: int, A, B, target: AdelicTarget, budget: int = 
         lat = hyperplane_lattice(nu)
         reduced = lll_reduce(lat.basis)
         for vec, _sq in fincke_pohst(reduced, A2, budget=budget, canonical_sign=True):
-            if math.gcd(*[abs(int(v)) for v in vec]) == 1:
+            if math.gcd(*vec) == 1:
                 total += 1
     return total
 
@@ -244,22 +255,30 @@ def _is_positive_definite(mat) -> bool:
 
 def quadric_real_soluble(form: Form) -> bool:
     """Exact: a real quadric has points iff its matrix is not definite."""
-    mat = quadric_matrix(form)
+    return _indefinite(quadric_matrix(form))
+
+
+def _indefinite(mat) -> bool:
     neg = [[-v for v in row] for row in mat]
     return not (_is_positive_definite(mat) or _is_positive_definite(neg))
 
 
 def quadric_bad_primes(form: Form) -> list:
-    """Finite places where plain Q_p-solubility can fail, certified.
+    """Finite places where plain Q_p-solubility can fail, certified."""
+    return _bad_primes(quadric_matrix(form))
+
+
+def _bad_primes(mat) -> list:
+    """quadric_bad_primes from the quadric's matrix 2M.
 
     Degenerate quadrics vanish on their rational kernel, so they are soluble
     everywhere. Nondegenerate quadrics in >= 3 variables are soluble at every
     odd p not dividing det(2M): the reduction is nondegenerate, has a point
     by Chevalley-Warning, the point is smooth, and it lifts.
     """
-    if form.basis.n + 1 < 3:
+    if len(mat) < 3:
         raise ValueError("certified bad-prime sets need >= 3 variables")
-    det = bareiss_det(quadric_matrix(form))
+    det = bareiss_det(mat)
     if det == 0:
         return []
     bad = sorted({2} | {p for p, _ in factorize(abs(det)) if p != 2})
@@ -295,9 +314,10 @@ class CensusReport:
         return "\n".join(lines)
 
 
-def _arch_verdict(form: Form, target: AdelicTarget, budget: int = 4000) -> TriState:
+def _arch_verdict(form: Form, target: AdelicTarget, budget: int = 4000, mat=None) -> TriState:
+    """Real verdict; mat is the quadric's 2M when the caller already has it."""
     if form.basis.d == 2 and Fraction(target.sigma_inf) == 1:
-        if quadric_real_soluble(form):
+        if _indefinite(quadric_matrix(form) if mat is None else mat):
             return TriState.yes({"kind": "quadric-signature"})
         return TriState.no({"kind": "quadric-definite"})
     return decide_real_solubility(form, target.xi_inf, target.sigma_inf, subdivision_budget=budget)
@@ -334,9 +354,10 @@ def local_census(
     per_place = {}
     arch_tally = {"yes": 0, "no": 0, "unknown": 0}
     states = []  # per form: dict place -> verdict
-    for form in forms:
+    mats = [quadric_matrix(form) if d == 2 else None for form in forms]  # 2M, built once
+    for form, mat in zip(forms, mats):
         st = {}
-        st["inf"] = _arch_verdict(form, target)
+        st["inf"] = _arch_verdict(form, target, mat=mat)
         arch_tally[st["inf"].verdict] += 1
         states.append(st)
     for p in finite_ps:
@@ -366,7 +387,7 @@ def local_census(
     for i in m_members + m_possible:
         form = forms[i]
         if d == 2:
-            extra = [p for p in quadric_bad_primes(form) if p > P and p not in target.support]
+            extra = [p for p in _bad_primes(mats[i]) if p > P and p not in target.support]
         else:
             bound = extra_prime_bound or (2 * P + 10)
             extra = [p for p in primes_up_to(bound) if p > P and p not in target.support]

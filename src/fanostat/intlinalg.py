@@ -3,10 +3,13 @@
 All routines are exact: integer matrices use Bareiss elimination and
 Hermite forms, rational work uses Fraction. Exact rational solving
 (`solve_fraction`) and orthogonal projection onto a span
-(`orthogonal_projection`) live here, on one normal-equations solver. Lattice
-vector enumeration is Fincke-Pohst with exact rational Gram-Schmidt pruning,
-so no short vector is ever missed. Big axis-aligned enumerations (Z^m balls) go through a
-meet-in-the-middle numpy path instead.
+(`orthogonal_projection`) live here, on one normal-equations solver. The
+lattice core runs on one integral Gram-Schmidt (`integral_gso`: the Gram
+determinants d_i and the integers lam_ij = d_j mu_ij): integral LLL (Cohen
+2.6.7) updates it in place, and Fincke-Pohst enumeration prunes on integers
+scaled by lcm_j d_j d_{j+1}, so every pruning test is an exact integer
+comparison and no short vector is ever missed. Big axis-aligned enumerations
+(Z^m balls) go through a meet-in-the-middle numpy path instead.
 """
 
 from __future__ import annotations
@@ -262,40 +265,67 @@ def minors_gcd(rows) -> int:
 
 
 # ---------------------------------------------------------------------------
-# LLL and Fincke-Pohst with exact rational GSO
+# LLL and Fincke-Pohst on the integral Gram-Schmidt data
 
 
-def _gso(rows):
-    """Exact Gram-Schmidt: returns (mu, bstar_norm2) with Fraction entries."""
+def integral_gso(rows):
+    """Integral Gram-Schmidt data (d, lam) of independent integer rows.
+
+    d[i] is the Gram determinant of rows[:i] (d[0] = 1), so |b*_i|^2 =
+    d[i+1]/d[i]; lam[i][j] = d[j+1] mu_ij is an integer for j < i (Cohen,
+    A Course in Computational Algebraic Number Theory, 2.6.7, step 2).
+    """
     n = len(rows)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar = [[Fraction(x) for x in r] for r in rows]
-    norms = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(i):
-            if norms[j] == 0:
-                raise ValueError("dependent rows in GSO")
-            mu[i][j] = sum(Fraction(rows[i][t]) * bstar[j][t] for t in range(len(rows[i]))) / norms[j]
-            bstar[i] = [x - mu[i][j] * y for x, y in zip(bstar[i], bstar[j])]
-        norms[i] = sum(x * x for x in bstar[i])
-        mu[i][i] = Fraction(1)
-    return mu, norms
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = dot(rows[k], rows[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+        if d[k + 1] == 0:
+            raise ValueError("dependent rows in Gram-Schmidt")
+    return d, lam
 
 
 def lll_reduce(rows, delta=Fraction(99, 100)):
-    """LLL-reduced basis of the integer lattice spanned by independent rows."""
+    """LLL-reduced basis of the integer lattice spanned by independent rows.
+
+    Integral LLL (Cohen 2.6.7): size reductions and swaps update d and lam
+    in place, so every test is an exact integer comparison.
+    """
     b = [list(map(int, r)) for r in rows]
     n = len(b)
     if n <= 1:
         return [tuple(r) for r in b]
-    mu, norms = _gso(b)
+    delta = Fraction(delta)
+    dnum, dden = delta.numerator, delta.denominator
+    d, lam = integral_gso(b)
 
-    def size_reduce(k):
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-        return _gso(b)
+    def reduce(k, l):
+        # b_k -= q b_l with q the integer nearest to mu_kl = lam[k][l] / d[l+1]
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        new_d = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (new_d * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = new_d
 
     k = 1
     guard = 0
@@ -303,13 +333,15 @@ def lll_reduce(rows, delta=Fraction(99, 100)):
         guard += 1
         if guard > 100000:
             raise EnumerationBudgetExceeded("LLL failed to terminate")
-        mu, norms = size_reduce(k)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            mu, norms = _gso(b)
+        reduce(k, k - 1)
+        # Lovasz: |b*_k|^2 >= (delta - mu_{k,k-1}^2) |b*_{k-1}|^2, times d[k] d[k-1]
+        if dden * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < dnum * d[k] ** 2:
+            swap(k)
             k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
     return [tuple(r) for r in b]
 
 
@@ -321,6 +353,16 @@ def fincke_pohst(rows, bound2, budget=10**8, shift=None, include_zero=False, can
     (then sign canonicalization is disabled and zero is reported if hit).
     Yields (vector tuple, exact squared norm). Counts enumeration nodes
     against `budget`.
+
+    Write v = sum_j y_j b_j with y = x + s (s the coordinates of the shift)
+    and Y = den y over the common denominator den of s. With the integral
+    GSO (d, lam) and L = lcm_j d[j] d[j+1],
+        L den^2 |v|^2 = sum_j W_j z_j^2,  z_j = d[j+1] Y_j + S_j,
+    where W_j = L / (d[j] d[j+1]) and S_j = sum_{i>j} lam[i][j] Y_i. So the
+    range of x_j at each level is the exact solution of one isqrt, and every
+    pruning test is an integer comparison. Without a shift and with
+    canonical_sign, only one of each pair +-v is visited (the top nonzero x
+    is positive) and the leaf is flipped to canonical sign.
     """
     n = len(rows)
     bound2 = Fraction(bound2)
@@ -332,86 +374,87 @@ def fincke_pohst(rows, bound2, budget=10**8, shift=None, include_zero=False, can
         elif include_zero:
             yield tuple(), 0
         return
-    mu, norms = _gso(rows)
+    if bound2 < 0:
+        return
+    rows = [list(map(int, r)) for r in rows]
     m = len(rows[0])
+    d, lam = integral_gso(rows)
     if shift is None:
-        svec = [Fraction(0)] * n
-        shift_vec = None
+        den, e = 1, [0] * n
     else:
-        shift_vec = [Fraction(x) for x in shift]
-        coeffs = solve_fraction(rows, shift_vec)
+        coeffs = solve_fraction(rows, shift)
         if coeffs is None:
             raise ValueError("shift must lie in the lattice span")
-        svec = [Fraction(c) for c in coeffs]
-    # enumerating v = shift + sum x_i b_i; with y_i = x_i + s_i the norm is
-    # sum_i (y_i + sum_{j>i} y_j mu_ji)^2 |b*_i|^2, so the admissible x_i
-    # lie in an interval around a center that lower levels keep updated
-    center = [-s for s in svec]
+        den = math.lcm(*(cf.denominator for cf in coeffs))
+        e = [int(cf * den) for cf in coeffs]
+    L = math.lcm(*(d[j] * d[j + 1] for j in range(n)))
+    num, qden = bound2.numerator, bound2.denominator
+    # |v|^2 <= num/qden  <=>  sum_j w[j] z_j^2 <= L den^2 num
+    w = [qden * (L // (d[j] * d[j + 1])) for j in range(n)]
+    lim = num * den * den  # the leaf's exact check: |den v|^2 qden <= lim
+    half = shift is None and canonical_sign
 
     nodes = 0
-    x = [0] * n
+    x, hi, Y, S = [0] * n, [0] * n, [0] * n, [0] * n
+    rem = [0] * n + [L * lim]  # rem[j + 1]: what levels <= j may still use
+    partial = [None] * n + [[0] * m]  # partial[j] = sum_{i>=j} Y_i b_i
+    zero_above = [False] * n + [True]  # zero_above[j + 1]: Y_i = 0 for all i > j
 
-    def rec(level, remaining, partial_center):
-        nonlocal nodes
-        if level < 0:
-            vec = [Fraction(0)] * m
-            for c, row in zip(x, rows):
-                for t in range(m):
-                    vec[t] += c * row[t]
-            if shift_vec is not None:
-                for t in range(m):
-                    vec[t] += shift_vec[t]
-            sq = sum(v * v for v in vec)
-            if sq > bound2:
+    def enter(j):
+        # z_j = a x_j + c with a = d[j+1] den; w z^2 <= rem iff |z| <= isqrt(rem // w)
+        r = math.isqrt(rem[j + 1] // w[j])
+        c = d[j + 1] * e[j] + S[j]
+        a = d[j + 1] * den
+        lo = -((r + c) // a)
+        x[j] = (max(lo, 0) if half and zero_above[j + 1] else lo) - 1
+        hi[j] = (r - c) // a
+
+    j = n - 1
+    enter(j)
+    while True:
+        x[j] += 1
+        if x[j] > hi[j]:
+            j += 1
+            if j == n:
                 return
-            if shift_vec is None:
-                if sq == 0:
-                    if include_zero:
-                        yield tuple(int(v) for v in vec), 0
-                    return
-                if canonical_sign:
-                    first = next(v for v in vec if v != 0)
-                    if first < 0:
-                        return
-            out = tuple(int(v) if v.denominator == 1 else v for v in vec)
-            yield out, (int(sq) if sq.denominator == 1 else sq)
-            return
-        c = partial_center[level]
-        if norms[level] == 0:
-            raise ValueError("degenerate basis")
-        # exact integer interval: (xv - c)^2 <= remaining / norms[level]
-        lo, hi = _interval_around(c, remaining / norms[level])
-        for xv in range(lo, hi + 1):
-            nodes += 1
-            if nodes > budget:
-                raise EnumerationBudgetExceeded("Fincke-Pohst budget exceeded", nodes)
-            diff = Fraction(xv) - c
-            used = diff * diff * norms[level]
-            if used > remaining:
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise EnumerationBudgetExceeded("Fincke-Pohst budget exceeded", nodes)
+        y = den * x[j] + e[j]
+        dy = y - Y[j]
+        Y[j] = y
+        for i in range(j):
+            S[i] += lam[j][i] * dy
+        vec = [p + y * t for p, t in zip(partial[j + 1], rows[j])]
+        if j > 0:
+            z = d[j + 1] * y + S[j]
+            rem[j] = rem[j + 1] - w[j] * z * z
+            partial[j] = vec
+            zero_above[j] = zero_above[j + 1] and y == 0
+            j -= 1
+            enter(j)
+            continue
+        sq = sum(t * t for t in vec)
+        if sq * qden > lim:
+            continue
+        if shift is None:
+            if sq == 0:
+                if include_zero:
+                    yield tuple(vec), 0
                 continue
-            x[level] = xv
-            y = Fraction(xv) + svec[level]
-            new_center = [partial_center[j] - y * mu[level][j] for j in range(level)]
-            yield from rec(level - 1, remaining - used, new_center)
+            if canonical_sign and next(t for t in vec if t != 0) < 0:
+                vec = [-t for t in vec]
+        if den == 1:
+            yield tuple(vec), sq
+        else:
+            yield tuple(_over(t, den) for t in vec), _over(sq, den * den)
 
-    yield from rec(n - 1, bound2, center)
 
-
-def _interval_around(c: Fraction, ratio: Fraction):
-    """Integers xv with (xv - c)^2 <= ratio, as an inclusive interval."""
-    if ratio < 0:
-        return 0, -1
-    # sqrt bound: find s = floor(sqrt(ratio)) + 1 as a safe Fraction radius
-    num, den = ratio.numerator, ratio.denominator
-    s = Fraction(math.isqrt(num * den) + 1, den)
-    lo = math.ceil(c - s)
-    hi = math.floor(c + s)
-    # tighten exactly
-    while lo <= hi and (Fraction(lo) - c) ** 2 > ratio:
-        lo += 1
-    while hi >= lo and (Fraction(hi) - c) ** 2 > ratio:
-        hi -= 1
-    return lo, hi
+def _over(t: int, den: int):
+    """t / den as an int when it divides, else as a Fraction."""
+    q, r = divmod(t, den)
+    return Fraction(t, den) if r else q
 
 
 def short_vectors(rows, bound2, budget=10**8, canonical_sign=True):
@@ -456,6 +499,8 @@ def integer_ball(dim: int, norm2_bound, include_zero=True) -> np.ndarray:
 
 
 def _box_points(dim: int, bound: int) -> np.ndarray:
+    if dim == 0:
+        return np.zeros((1, 0), dtype=np.int64)
     r = math.isqrt(bound)
     axes = [np.arange(-r, r + 1, dtype=np.int64)] * dim
     grid = np.meshgrid(*axes, indexing="ij")

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import EnumerationBudgetExceeded
 from .geom import Cone, cone_intersection_params, cone_member, span_distance_squared_exact, unit_ball_volume
 from .intlinalg import (
-    _gso,
     canonical_sign_mask,
     fincke_pohst,
     fraction_gram_det,
@@ -29,6 +28,7 @@ from .intlinalg import (
     hnf_rows,
     integer_ball,
     integer_kernel,
+    integral_gso,
     lattice_coordinates,
     lattice_key,
     lll_reduce,
@@ -281,18 +281,17 @@ def _rational_projection(v, w):
 def _shortest_unit_quotient(v_coords, sat_coords, phi, prev_coords, lat, budget):
     """Exact search for the shortest sat vector with quotient coordinate ±1."""
     v_amb = _ambient(lat, v_coords)
-    best = (norm2(v_amb), v_coords)
+    best = (norm2(v_amb), tuple(v_coords))
     sat_amb = [_ambient(lat, sc) for sc in sat_coords]
+    # the least (norm^2, coordinates) with quotient coordinate +1: independent
+    # of the order in which the enumeration meets ties
     for vec, sq in fincke_pohst(lll_reduce(sat_amb), best[0], budget=budget):
-        if sq >= best[0]:
-            continue
         coords_in_sat = lattice_coordinates(sat_amb, vec)
         t = sum(p * c for p, c in zip(phi, coords_in_sat))
         if abs(t) == 1:
-            coords = lattice_coordinates([lat.basis[j] for j in range(lat.rank)], vec)
-            sign = 1 if t == 1 else -1
-            best = (sq, [sign * c for c in coords])
-    return best[1]
+            coords = lattice_coordinates(list(lat.basis), vec)
+            best = min(best, (sq, tuple(t * c for c in coords)))
+    return list(best[1])
 
 
 def _balance_certificate(lat, basis_rows, minima2):
@@ -631,8 +630,9 @@ def coset_meets_cone(lat: IntegralLattice, c, q: int, xi, sigma) -> bool:
                 return True
             continue
         qbasis = lll_reduce([tuple(q * v for v in row) for row in lat.basis])
-        _, bnorms = _gso(qbasis)
-        mu2 = sum(bnorms, Fraction(0)) / 4  # squared covering radius bound
+        d, _ = integral_gso(qbasis)
+        # squared covering radius bound: sum_i |b*_i|^2 / 4
+        mu2 = sum(Fraction(d[i + 1], d[i]) for i in range(len(qbasis))) / 4
         radius2 = mu2 * (2 + 2 / Fraction(ap2))
         for vec, sq in fincke_pohst(qbasis, radius2, shift=x0):
             if sq == 0:

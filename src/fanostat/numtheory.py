@@ -10,6 +10,7 @@ built here, as a set and as a numpy row mask.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ def _prime_table() -> list[int]:
         for i in range(2, math.isqrt(_SIEVE_BOUND) + 1):
             if sieve[i]:
                 sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _primes = [i for i in range(2, _SIEVE_BOUND + 1) if sieve[i]]
+        _primes = list(itertools.compress(range(_SIEVE_BOUND + 1), sieve))
     return _primes
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fanostat.census import (
+    _zero_pairings,
     count_rational_points,
     enumerate_hypersurfaces,
     first_moment,
@@ -103,6 +104,16 @@ def test_first_moment_strategies_agree_nontrivial():
     xi3 = PadicApproxVector.from_integers(3, 1, (1, 0, 0, 1))
     t = AdelicTarget(((3, 1, xi3),), (1, 1, 1, 1), Fraction(1, 2))
     assert first_moment_direct(2, 3, 2, 2, t) == first_moment_dual(2, 3, 2, 2, t)
+
+
+def test_zero_pairings_never_wraps_int64():
+    # a . nu = 2^64 wraps to 0 in int64; only (1, 1) . (2^32, -2^32) is zero
+    Amat = np.array([[2**32, 0], [1, 1]], dtype=np.int64)
+    NU = np.array([[2**32, 0], [2**32, -(2**32)]], dtype=object)
+    assert ((Amat @ NU.astype(np.int64).T) == 0).sum() == 3
+    assert _zero_pairings(Amat, NU) == 1
+    # entries that provably fit stay on the int64 path with the same count
+    assert _zero_pairings(np.array([[1, 2], [2, -1]]), np.array([[2, -1], [1, 2]])) == 2
 
 
 def test_first_moment_edge():

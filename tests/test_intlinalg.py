@@ -120,6 +120,91 @@ def test_lll_preserves_lattice():
         assert gram_det(red) == gram_det(rows)
 
 
+def _rational_gso(rows):
+    """Textbook Gram-Schmidt over Q: (mu, |b*_i|^2)."""
+    bstar, mu, norms = [], [], []
+    for row in rows:
+        v = [Fraction(t) for t in row]
+        coeffs = []
+        for u, nu in zip(bstar, norms):
+            c = sum(a * b for a, b in zip(row, u)) / nu
+            coeffs.append(c)
+            v = [a - c * b for a, b in zip(v, u)]
+        bstar.append(v)
+        mu.append(coeffs)
+        norms.append(sum(t * t for t in v))
+    return mu, norms
+
+
+@st.composite
+def _independent_rows(draw, max_rank=5, extra=2, entry=9):
+    n = draw(st.integers(1, max_rank))
+    m = n + draw(st.integers(0, extra))
+    row = st.lists(st.integers(-entry, entry), min_size=m, max_size=m)
+    return draw(st.lists(row, min_size=n, max_size=n).filter(lambda r: gram_det(r) != 0))
+
+
+@given(_independent_rows())
+def test_lll_reduce_is_lll_reduced(rows):
+    red = lll_reduce(rows)
+    assert hnf_rows(red) == hnf_rows(rows)
+    mu, norms = _rational_gso(red)
+    for i in range(len(red)):
+        assert all(abs(c) <= Fraction(1, 2) for c in mu[i]), (rows, red)
+        if i:
+            assert norms[i] >= (Fraction(99, 100) - mu[i][i - 1] ** 2) * norms[i - 1], (rows, red)
+
+
+def _lattice_members(rows, pts):
+    """Row mask of the integer points pts (k, m) lying in the lattice of rows:
+    reduce by the Hermite form, members leave no remainder."""
+    rest = pts.astype(object)
+    for h in hnf_rows(rows):
+        piv = next(t for t, v in enumerate(h) if v)
+        q = rest[:, piv] // h[piv]
+        rest = rest - q[:, None] * np.array(h, dtype=object)[None, :]
+        rest = rest.astype(object)
+    return ~(rest != 0).any(axis=1)
+
+
+@st.composite
+def _enumeration_cases(draw):
+    rows = draw(_independent_rows(max_rank=3, extra=1, entry=3))
+    bound2 = draw(st.fractions(0, 9, max_denominator=4))
+    shift = None
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=len(rows), max_size=len(rows)))
+        shift = [sum(c * r[t] for c, r in zip(coeffs, rows)) for t in range(len(rows[0]))]
+    return rows, bound2, shift, draw(st.booleans()), draw(st.booleans())
+
+
+@given(_enumeration_cases())
+def test_fincke_pohst_equals_filtered_integer_ball(case):
+    # v in shift + L with |v|^2 <= bound2 <=> den v is an integer point of the
+    # ball of radius^2 den^2 bound2 and den v - den shift lies in den L
+    rows, bound2, shift, include_zero, canonical_sign = case
+    m = len(rows[0])
+    s = [Fraction(t) for t in shift] if shift is not None else [Fraction(0)] * m
+    den = math.lcm(*(t.denominator for t in s))
+    pts = integer_ball(m, den * den * bound2)
+    scaled = [[den * t for t in r] for r in rows]
+    pts = pts[_lattice_members(scaled, pts - np.array([int(den * t) for t in s], dtype=np.int64))]
+    if shift is None:
+        if not include_zero:
+            pts = pts[(pts != 0).any(axis=1)]
+        if canonical_sign:
+            pts = pts[canonical_sign_mask(pts) | ~(pts != 0).any(axis=1)]
+    expected = {tuple(Fraction(int(t), den) for t in p) for p in pts}
+    got = list(
+        fincke_pohst(
+            lll_reduce(rows), bound2, shift=shift, include_zero=include_zero, canonical_sign=canonical_sign
+        )
+    )
+    assert len(got) == len(expected)
+    assert {v for v, _ in got} == expected
+    assert all(sq == sum(t * t for t in v) for v, sq in got)
+
+
 def brute_short_vectors(rows, bound2):
     n = len(rows)
     m = len(rows[0])
