@@ -86,7 +86,12 @@ def enumerate_hypersurfaces(d: int, n: int, A, budget: int = 10**7):
 
 
 def coefficient_matrix(forms) -> np.ndarray:
-    return np.array([f.coeffs for f in forms], dtype=np.int64)
+    """Coefficient rows as int64, or as Python integers when one overflows."""
+    rows = [f.coeffs for f in forms]
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +114,8 @@ def count_rational_points(form: Form, B, target: AdelicTarget, budget: int = 10*
     pts = _candidate_points(form.basis.d, form.basis.n, B, cone, budget)
     if len(pts) == 0:
         return 0
-    nu = veronese_batch(form.basis, pts.astype(object))
-    vals = nu @ np.array(form.coeffs, dtype=object)
-    return int(sum(1 for v in vals if v == 0))
+    NU = veronese_batch(form.basis, pts.astype(object))
+    return _zero_pairings(coefficient_matrix([form]), NU)
 
 
 def first_moment_direct(d: int, n: int, A, B, target: AdelicTarget, budget: int = 10**7) -> int:

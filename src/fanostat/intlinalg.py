@@ -1,15 +1,19 @@
 """Exact integer/rational linear algebra and lattice enumeration primitives.
 
-All routines are exact: integer matrices use Bareiss elimination and
-Hermite forms, rational work uses Fraction. Exact rational solving
-(`solve_fraction`) and orthogonal projection onto a span
-(`orthogonal_projection`) live here, on one normal-equations solver. The
-lattice core runs on one integral Gram-Schmidt (`integral_gso`: the Gram
-determinants d_i and the integers lam_ij = d_j mu_ij): integral LLL (Cohen
-2.6.7) updates it in place, and Fincke-Pohst enumeration prunes on integers
-scaled by lcm_j d_j d_{j+1}, so every pruning test is an exact integer
-comparison and no short vector is ever missed. Big axis-aligned enumerations
-(Z^m balls) go through a meet-in-the-middle numpy path instead.
+All routines are exact: integer determinants use Bareiss elimination,
+rational work uses Fraction. `_echelon` (the row Hermite normal form with
+its unimodular transform) is the package's one integer row reduction:
+Hermite bases (`hnf_rows`), integer kernels (`integer_kernel`) and integer
+solves (`solve_integer`, behind coset representatives and gcd witnesses) all
+read off its output. Exact rational solving (`solve_fraction`) and
+orthogonal projection onto a span (`orthogonal_projection`) live here, on
+one normal-equations solver. The lattice core runs on one integral
+Gram-Schmidt (`integral_gso`: the Gram determinants d_i and the integers
+lam_ij = d_j mu_ij): integral LLL (Cohen 2.6.7) updates it in place, and
+Fincke-Pohst enumeration prunes on integers scaled by lcm_j d_j d_{j+1}, so
+every pruning test is an exact integer comparison and no short vector is
+ever missed. Big axis-aligned enumerations (Z^m balls) go through a
+meet-in-the-middle numpy path instead.
 """
 
 from __future__ import annotations
@@ -69,30 +73,47 @@ def gram_det(rows) -> int:
 
 
 def fraction_gram_det(rows) -> Fraction:
-    g = [[sum(Fraction(a) * Fraction(b) for a, b in zip(u, v)) for v in rows] for u in rows]
-    # fraction Bareiss = plain Gaussian with exact arithmetic
-    n = len(g)
-    if n == 0:
-        return Fraction(1)
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if g[i][k] != 0:
-                piv = i
-                break
+    """det of the Gram matrix of rational rows: gram_det of the rows scaled
+    by their common denominator den, divided by den^(2k)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    den = math.lcm(*(x.denominator for r in rows for x in r))
+    return Fraction(gram_det([[int(x * den) for x in r] for r in rows]), den ** (2 * len(rows)))
+
+
+def _echelon(rows):
+    """(H, U, r): the row Hermite normal form H of integer rows, a unimodular
+    U with U @ rows == H, and the rank r.
+
+    The package's one integer row reduction. Column by column, the pivot is
+    gcd'd out below itself, made positive, and the entries above it are
+    reduced into [0, pivot); U repeats every row operation. H[:r] is the
+    canonical basis of the lattice the rows span, and U[r:] is a basis of
+    {y : y @ rows == 0} (Cohen, A Course in Computational Algebraic Number
+    Theory, section 2.4).
+    """
+    k = len(rows)
+    m = len(rows[0]) if rows else 0
+    # each row carries its row of U to the right of column m
+    aug = [list(map(int, row)) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    r = 0
+    for col in range(m):
+        piv = next((i for i in range(r, k) if aug[i][col] != 0), None)
         if piv is None:
-            return Fraction(0)
-        if piv != k:
-            g[k], g[piv] = g[piv], g[k]
-            det = -det
-        det *= g[k][k]
-        inv = 1 / g[k][k]
-        for i in range(k + 1, n):
-            f = g[i][k] * inv
-            if f:
-                g[i] = [x - f * y for x, y in zip(g[i], g[k])]
-    return det
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        for i in range(r + 1, k):
+            while aug[i][col] != 0:
+                q = aug[r][col] // aug[i][col]
+                aug[r] = [a - q * b for a, b in zip(aug[r], aug[i])]
+                aug[r], aug[i] = aug[i], aug[r]
+        if aug[r][col] < 0:
+            aug[r] = [-a for a in aug[r]]
+        for i in range(r):
+            q = aug[i][col] // aug[r][col]
+            if q:
+                aug[i] = [a - q * b for a, b in zip(aug[i], aug[r])]
+        r += 1
+    return [row[:m] for row in aug], [row[m:] for row in aug], r
 
 
 def hnf_rows(rows):
@@ -101,34 +122,8 @@ def hnf_rows(rows):
     Returns the canonical basis (nonzero rows only): row echelon, positive
     pivots, entries above each pivot reduced into [0, pivot).
     """
-    mat = [list(map(int, r)) for r in rows]
-    if not mat:
-        return []
-    m = len(mat[0])
-    r = 0
-    for col in range(m):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        # gcd out the column below the pivot
-        for i in range(r + 1, len(mat)):
-            while mat[i][col] != 0:
-                q = mat[r][col] // mat[i][col]
-                mat[r] = [a - q * b for a, b in zip(mat[r], mat[i])]
-                mat[r], mat[i] = mat[i], mat[r]
-        if mat[r][col] < 0:
-            mat[r] = [-a for a in mat[r]]
-        for i in range(r):
-            q = mat[i][col] // mat[r][col]
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-    return [row for row in mat[:r]]
+    H, _, r = _echelon(rows)
+    return H[:r]
 
 
 def lattice_key(rows) -> tuple:
@@ -138,48 +133,26 @@ def lattice_key(rows) -> tuple:
 
 def integer_kernel(mat):
     """Basis rows of {x in Z^m : mat @ x = 0} for an integer matrix."""
-    mat = [list(map(int, r)) for r in mat]
     if not mat:
         raise ValueError("need at least a zero row to fix the dimension")
-    m = len(mat[0])
-    # column operations on mat, mirrored on an identity; zero columns of the
-    # eliminated matrix give kernel vectors
-    a = [row[:] for row in mat]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]  # columns of U
+    _, U, r = _echelon(list(zip(*mat)))
+    return [tuple(row) for row in U[r:]]
 
-    def colswap(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in u:
-            row[j], row[k] = row[k], row[j]
 
-    def coladd(j, k, q):
-        # col_j -= q * col_k
-        for row in a:
-            row[j] -= q * row[k]
-        for row in u:
-            row[j] -= q * row[k]
-
-    r = 0
-    for i in range(len(a)):
-        piv = None
-        for j in range(r, m):
-            if a[i][j] != 0:
-                piv = j
-                break
-        if piv is None:
-            continue
-        colswap(r, piv)
-        for j in range(r + 1, m):
-            while a[i][j] != 0:
-                q = a[i][r] // a[i][j]
-                coladd(r, j, q)
-                colswap(r, j)
-        r += 1
-    kernel = []
-    for j in range(r, m):
-        kernel.append(tuple(u[i][j] for i in range(m)))
-    return kernel
+def solve_integer(gens, target):
+    """Integer c with sum_i c_i gens[i] == target, or None when target lies
+    off the lattice the rows generate (which need not be independent)."""
+    H, U, r = _echelon(gens)
+    t = [int(x) for x in target]
+    coeffs = []
+    for row in H[:r]:
+        col = next(j for j, a in enumerate(row) if a != 0)
+        f = t[col] // row[col]  # a remainder stays in t and fails the check below
+        coeffs.append(f)
+        t = [a - f * b for a, b in zip(t, row)]
+    if any(t):
+        return None
+    return [sum(c * u[j] for c, u in zip(coeffs, U)) for j in range(len(gens))]
 
 
 def saturate_rows(rows):

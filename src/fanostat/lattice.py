@@ -37,6 +37,7 @@ from .intlinalg import (
     orthogonal_projection,
     saturate_rows,
     solve_fraction,
+    solve_integer,
 )
 from .numtheory import unit_class_mask, unit_classes
 
@@ -241,20 +242,6 @@ def _quotient_functional(prev_coords, sat_coords):
     return ker[0]
 
 
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _ambient(lat, coords):
     return [sum(c * lat.basis[j][t] for j, c in enumerate(coords)) for t in range(lat.ambient)]
 
@@ -354,22 +341,10 @@ def congruence_lattice(c, q: int) -> IntegralLattice:
 
 def _gcd_witness(c):
     """v with <c, v> = gcd of the entries of c."""
-    g, witness = 0, [0] * len(c)
-    for i, ci in enumerate(c):
-        if ci == 0:
-            continue
-        if g == 0:
-            g = abs(ci)
-            witness = [0] * len(c)
-            witness[i] = 1 if ci > 0 else -1
-            continue
-        gg, a, b = _xgcd(g, ci)
-        witness = [a * w for w in witness]
-        witness[i] += b
-        g = gg
+    g = content(c)
     if g == 0:
         raise ValueError("zero vector has no gcd witness")
-    return witness
+    return solve_integer([[int(x)] for x in c], [g])
 
 
 def is_primitive_sublattice(lat: IntegralLattice, sub: IntegralLattice) -> bool:
@@ -400,10 +375,7 @@ def quotient_lattice(lat: IntegralLattice, sub: IntegralLattice) -> RationalLatt
         along = orthogonal_projection(sub.basis, row)
         projected.append([Fraction(x) - y for x, y in zip(row, along)])
     # generators -> basis: clear denominators, HNF, rescale
-    den = 1
-    for row in projected:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for row in projected for x in row))
     int_rows = [[int(x * den) for x in row] for row in projected]
     basis = hnf_rows(int_rows)
     rows = tuple(tuple(Fraction(x, den) for x in row) for row in basis)
@@ -540,64 +512,8 @@ def solve_coset_representative(lat: IntegralLattice, target, q: int):
     gens = [list(row) for row in lat.basis] + [
         [q if i == j else 0 for j in range(N)] for i in range(N)
     ]
-    coeffs = _solve_in_generated(gens, [int(t) for t in target])
-    if coeffs is None:
-        return None
-    x = [0] * N
-    for cf, row in zip(coeffs[: lat.rank], lat.basis):
-        for t in range(N):
-            x[t] += cf * row[t]
-    return tuple(x)
-
-
-def _solve_in_generated(gens, target):
-    """Integer coefficients expressing target in the lattice generated by gens."""
-    rows = [list(r) for r in gens]
-    k = len(rows)
-    m = len(rows[0])
-    # track transformation: H = T * G
-    T = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    r = 0
-    pivots = []
-    for col in range(m):
-        piv = None
-        for i in range(r, k):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        T[r], T[piv] = T[piv], T[r]
-        for i in range(r + 1, k):
-            while rows[i][col] != 0:
-                qd = rows[r][col] // rows[i][col]
-                rows[r] = [a - qd * b for a, b in zip(rows[r], rows[i])]
-                T[r] = [a - qd * b for a, b in zip(T[r], T[i])]
-                rows[r], rows[i] = rows[i], rows[r]
-                T[r], T[i] = T[i], T[r]
-        if rows[r][col] < 0:
-            rows[r] = [-a for a in rows[r]]
-            T[r] = [-a for a in T[r]]
-        pivots.append(col)
-        r += 1
-    # back-substitute target against the echelon rows
-    t = list(target)
-    coeffs_h = [0] * k
-    for i, col in enumerate(pivots):
-        if t[col] % rows[i][col] != 0:
-            return None
-        f = t[col] // rows[i][col]
-        coeffs_h[i] = f
-        t = [a - f * b for a, b in zip(t, rows[i])]
-    if any(t):
-        return None
-    out = [0] * k
-    for i in range(k):
-        if coeffs_h[i]:
-            for j in range(k):
-                out[j] += coeffs_h[i] * T[i][j]
-    return out
+    coeffs = solve_integer(gens, target)
+    return None if coeffs is None else tuple(_ambient(lat, coeffs[: lat.rank]))
 
 
 def coset_meets_cone(lat: IntegralLattice, c, q: int, xi, sigma) -> bool:
@@ -642,25 +558,13 @@ def coset_meets_cone(lat: IntegralLattice, c, q: int, xi, sigma) -> bool:
     return False
 
 
-def _progression_intersect(s1, m1, s2, m2):
-    """k ≡ s1 (mod m1) and k ≡ s2 (mod m2): (s, lcm) or None."""
-    g = math.gcd(m1, m2)
-    if (s2 - s1) % g != 0:
-        return None
-    lcm = m1 // g * m2
-    t = ((s2 - s1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
-    return (s1 + m1 * t) % lcm, lcm
-
-
 def _line_meets_coset(lat, axis, x0, q):
     """Is there k with k * g ≡ x0 mod q*lat (g the primitive lattice direction
     along the rational axis) and k*g nonzero?"""
     coeffs = solve_fraction([list(row) for row in lat.basis], list(axis))
     if coeffs is None:
         return False
-    den = 1
-    for cf in coeffs:
-        den = den * cf.denominator // math.gcd(den, cf.denominator)
+    den = math.lcm(*(cf.denominator for cf in coeffs))
     icoeffs = [int(cf * den) for cf in coeffs]
     g = content(icoeffs)
     if g == 0:
@@ -669,19 +573,11 @@ def _line_meets_coset(lat, axis, x0, q):
     x0_coords = lat.coordinates(x0)
     if x0_coords is None:
         return False
-    # componentwise: k * a ≡ b (mod q); intersect the solution progressions
-    sol, mod = 0, 1
-    for a, b in zip(icoeffs, x0_coords):
-        ga = math.gcd(a, q)
-        if b % ga != 0:
-            return False
-        m = q // ga
-        s = (b // ga * pow(a // ga, -1, m)) % m if m > 1 else 0
-        merged = _progression_intersect(sol, mod, s, m)
-        if merged is None:
-            return False
-        sol, mod = merged
-    return True  # the progression contains infinitely many nonzero k
+    # k * a + q * y = b for some integer k and y: a progression of k, holding
+    # infinitely many nonzero k whenever it is not empty
+    r = len(icoeffs)
+    gens = [icoeffs] + [[q if i == j else 0 for j in range(r)] for i in range(r)]
+    return solve_integer(gens, x0_coords) is not None
 
 
 def shell_sublattice_census(

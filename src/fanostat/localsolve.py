@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import EnumerationBudgetExceeded, HypothesisFailed, PreconditionFailed
 from .geom import Cone, cone_member, proj_distance_arch
-from .numtheory import crt_combine, unit_classes
+from .numtheory import crt_combine, primes_up_to, unit_classes
 from .padic import (
     ExactZeroCertificate,
     PadicApproxVector,
@@ -695,13 +695,11 @@ def local_density(
 def fit_tail_constant(d: int, n: int, pmax: int = 3, budget: int = 10**7) -> Fraction:
     """max over enumerable p of (1 - rho_lower) * p^2: the recorded constant."""
     worst = Fraction(0)
-    p = 2
-    while p <= pmax:
+    for p in primes_up_to(pmax):
         if p ** dimension(d, n) > budget:
             break
         interval = local_density(d, n, p, depth=1, budget=budget)
         worst = max(worst, (1 - interval.lower) * p * p)
-        p = {2: 3, 3: 5, 5: 7, 7: 11, 11: 13}.get(p, p + 2)
     return worst
 
 

@@ -2,9 +2,10 @@
 
 Everything here is integer-exact except ``zeta``, which carries an explicit
 tolerance. Factorization is trial division against a sieved prime table
-(default bound 10**6), plenty for desk-scale moduli. The unit residue
-classes {u c mod q} behind every congruence condition x ≡ u c mod q are
-built here, as a set and as a numpy row mask.
+that grows on demand up to 10**6; a cofactor it cannot prove prime is an
+error, never a reported prime. The unit residue classes {u c mod q} behind
+every congruence condition x ≡ u c mod q are built here, as a set and as a
+numpy row mask.
 """
 
 from __future__ import annotations
@@ -17,18 +18,26 @@ from fractions import Fraction
 import numpy as np
 
 _SIEVE_BOUND = 10**6
-_primes: list[int] | None = None
+_primes: list[int] = []
+_sieved = 1  # _primes holds every prime <= _sieved
 
 
-def _prime_table() -> list[int]:
-    global _primes
-    if _primes is None:
-        sieve = bytearray([1]) * (_SIEVE_BOUND + 1)
+def _prime_table(bound: int) -> list[int]:
+    """The cached primes, sieved at least up to min(bound, _SIEVE_BOUND).
+
+    The sieve grows geometrically, so repeated small requests stay cheap and
+    a run that only needs small primes never sieves the whole range.
+    """
+    global _primes, _sieved
+    if bound > _sieved and _sieved < _SIEVE_BOUND:
+        limit = min(_SIEVE_BOUND, max(bound, 2 * _sieved))
+        sieve = bytearray([1]) * (limit + 1)
         sieve[0] = sieve[1] = 0
-        for i in range(2, math.isqrt(_SIEVE_BOUND) + 1):
+        for i in range(2, math.isqrt(limit) + 1):
             if sieve[i]:
                 sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-        _primes = list(itertools.compress(range(_SIEVE_BOUND + 1), sieve))
+        _primes = list(itertools.compress(range(limit + 1), sieve))
+        _sieved = limit
     return _primes
 
 
@@ -36,16 +45,20 @@ def primes_up_to(bound: int) -> list[int]:
     """Primes <= bound (bound must stay below the sieve range)."""
     if bound > _SIEVE_BOUND:
         raise ValueError(f"prime table only covers up to {_SIEVE_BOUND}")
-    table = _prime_table()
+    table = _prime_table(bound)
     return table[: bisect.bisect_right(table, bound)]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization [(p, e), ...] by trial division, n >= 1."""
+    """Prime factorization [(p, e), ...] by trial division, n >= 1.
+
+    Raises ValueError when the cofactor left after the whole prime table may
+    still be composite (it exceeds the square of the sieve bound).
+    """
     if n < 1:
         raise ValueError("factorize needs n >= 1")
     out = []
-    for p in _prime_table():
+    for p in _prime_table(math.isqrt(n)):
         if p * p > n:
             break
         if n % p == 0:
@@ -55,6 +68,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((p, e))
     if n > 1:
+        if math.isqrt(n) > _sieved:
+            raise ValueError(f"cofactor {n} has no prime factor <= {_sieved} and is not proven prime")
         out.append((n, 1))
     return out
 

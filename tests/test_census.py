@@ -78,6 +78,14 @@ def test_count_rational_points_quadric_surface():
     assert c1 <= c2 <= c3
 
 
+def test_count_rational_points_beyond_int64_coefficients():
+    # 10^30 (X0 X3 - X1 X2) has the zero set of X0 X3 - X1 X2
+    f = mkform(2, 3, m_1001=1, m_0110=-1)
+    big = make_form(2, 3, [10**30 * c for c in f.coeffs], primitive=False)
+    t = AdelicTarget.trivial(3)
+    assert count_rational_points(big, 2, t) == count_rational_points(f, 2, t) == 12
+
+
 def test_count_rational_points_sign_invariance():
     f = mkform(2, 3, m_1001=1, m_0110=-1)
     neg = make_form(2, 3, [-c for c in f.coeffs])

@@ -50,3 +50,29 @@ def test_no_function_level_package_imports(path):
         if isinstance(node, ast.ImportFrom) and node.level >= 1
     ]
     assert not nested, f"{path.name} imports from the package inside functions: {nested}"
+
+
+def _referenced_names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_private_helpers_are_referenced():
+    # a module-level _helper that nothing outside its own definition names is
+    # dead code left behind by a refactor
+    helpers, references = {}, set()
+    for path in MODULES:
+        for node in _parse(path).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    own = node.name
+                    helpers[own] = f"{path.name}:{node.lineno}"
+            references.update(name for name in _referenced_names(node) if name != own)
+    dead = sorted(f"{name} ({where})" for name, where in helpers.items() if name not in references)
+    assert not dead, f"private helpers that nothing references: {dead}"

@@ -22,6 +22,7 @@ from fanostat.intlinalg import (
     saturate_rows,
     short_vectors,
     solve_fraction,
+    solve_integer,
 )
 from fanostat.padic import poly_eval
 from fanostat.veronese import _line_restriction, dimension, evaluate_form, make_form
@@ -265,3 +266,46 @@ def test_budget_raises():
 
     with pytest.raises(EnumerationBudgetExceeded):
         list(fincke_pohst([(1, 0), (0, 1)], 10**6, budget=10))
+
+
+@st.composite
+def _small_integer_matrices(draw, max_rows=5, max_cols=6):
+    k = draw(st.integers(1, max_rows))
+    m = draw(st.integers(1, max_cols))
+    row = st.lists(st.integers(-6, 6), min_size=m, max_size=m)
+    return draw(st.lists(row, min_size=k, max_size=k))
+
+
+@settings(max_examples=150)
+@given(_small_integer_matrices())
+def test_integer_kernel_is_a_basis_of_the_kernel(mat):
+    m = len(mat[0])
+    rank = int(np.linalg.matrix_rank(np.array(mat, dtype=float)))
+    ker = integer_kernel(mat)
+    assert len(ker) == m - rank
+    for v in ker:
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in mat)
+    if ker:
+        assert gram_det(ker) != 0
+        # primitive: the kernel lattice is saturated, so a basis of it must be
+        assert hnf_rows(saturate_rows(ker)) == hnf_rows(ker)
+
+
+@settings(max_examples=150)
+@given(_small_integer_matrices(), st.data())
+def test_solve_integer_round_trips_and_spans(gens, data):
+    k, m = len(gens), len(gens[0])
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+    target = [sum(c * g[t] for c, g in zip(coeffs, gens)) for t in range(m)]
+    got = solve_integer(gens, target)
+    assert got is not None
+    assert [sum(c * g[t] for c, g in zip(got, gens)) for t in range(m)] == target
+    # the Hermite basis and the generators span the same lattice
+    H = hnf_rows(gens)
+    assert all(solve_integer(gens, h) is not None for h in H)
+    assert all(solve_integer(H, g) is not None for g in gens)
+    # a target off the lattice: one more than a lattice vector in a direction
+    # where every generator is divisible by 2
+    if all(g[0] % 2 == 0 for g in gens):
+        off = [target[0] + 1] + target[1:]
+        assert solve_integer(gens, off) is None

@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanostat.lattice import (
     IntegralLattice,
+    _gcd_witness,
+    _line_meets_coset,
     balanced_basis,
     congruence_lattice,
     content,
@@ -461,3 +465,62 @@ def test_solve_coset_representative():
     # (1,1,1) mod 2 has no zero-sum representative? sum x = 0, x ≡ (1,1,1):
     # sum ≡ 3 ≡ 1 mod 2 but sum x = 0 ≡ 0: impossible
     assert solve_coset_representative(L, (1, 1, 1), 2) is None
+
+
+@st.composite
+def _lattices(draw, min_rank=0, max_ambient=4):
+    N = draw(st.integers(max(1, min_rank), max_ambient))
+    r = draw(st.integers(min_rank, N))
+    row = st.tuples(*[st.integers(-4, 4)] * N)
+    rows = draw(st.lists(row, min_size=r, max_size=r).filter(lambda b: not b or gram_det(b) != 0))
+    return IntegralLattice(N, tuple(rows))
+
+
+def _combine(coords, lat):
+    return tuple(sum(c * row[t] for c, row in zip(coords, lat.basis)) for t in range(lat.ambient))
+
+
+@settings(max_examples=150)
+@given(_lattices(), st.integers(1, 5), st.data())
+def test_solve_coset_representative_against_bruteforce(lat, q, data):
+    target = data.draw(st.tuples(*[st.integers(-8, 8)] * lat.ambient))
+    # lattice vectors mod q depend only on their coordinates mod q
+    exists = any(
+        all((x - t) % q == 0 for x, t in zip(_combine(coords, lat), target))
+        for coords in itertools.product(range(q), repeat=lat.rank)
+    )
+    x = solve_coset_representative(lat, target, q)
+    assert (x is not None) == exists
+    if x is not None:
+        assert lat.contains(x)
+        assert all((a - t) % q == 0 for a, t in zip(x, target))
+
+
+@settings(max_examples=150)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=6).filter(any))
+def test_gcd_witness_pairs_to_the_gcd(c):
+    w = _gcd_witness(c)
+    assert sum(a * b for a, b in zip(c, w)) == math.gcd(*c)
+
+
+def test_gcd_witness_rejects_zero():
+    with pytest.raises(ValueError):
+        _gcd_witness([0, 0])
+
+
+@settings(max_examples=150)
+@given(_lattices(min_rank=1), st.integers(1, 8), st.data())
+def test_line_meets_coset_against_bruteforce(lat, q, data):
+    r = lat.rank
+    coord = st.integers(-6, 6)
+    a = data.draw(st.lists(coord, min_size=r, max_size=r).filter(any))
+    g = math.gcd(*a)
+    a = [v // g for v in a]  # the primitive lattice direction along the axis
+    scale = data.draw(st.fractions(-3, 3, max_denominator=4).filter(lambda s: s != 0))
+    axis = [scale * v for v in _combine(a, lat)]
+    b = data.draw(st.lists(st.integers(-12, 12), min_size=r, max_size=r))
+    x0 = _combine(b, lat)
+    exists = any(
+        all((k * ai - bi) % q == 0 for ai, bi in zip(a, b)) for k in range(1, q + 1)
+    )
+    assert _line_meets_coset(lat, axis, x0, q) == exists

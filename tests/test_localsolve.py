@@ -342,6 +342,11 @@ def test_fit_tail_constant_recorded():
     assert c <= DEFAULT_TAIL_CONSTANT
 
 
+def test_fit_tail_constant_visits_primes_only():
+    # 15 is not a prime: the fit up to 15 is the fit up to 13
+    assert fit_tail_constant(2, 1, pmax=15) == fit_tail_constant(2, 1, pmax=13)
+
+
 def test_count_projective_points():
     # smooth conic over F_3: p + 1 = 4 points
     f = mkform(2, 2, m_200=1, m_020=1, m_002=1)

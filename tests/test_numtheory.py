@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
+from fanostat import numtheory
 from fanostat.numtheory import (
     crt_combine,
     divisor_count,
@@ -13,6 +14,7 @@ from fanostat.numtheory import (
     jordan_totient,
     mobius,
     mod_inverse,
+    primes_up_to,
     reduced_residues,
     zeta,
 )
@@ -164,3 +166,58 @@ def test_factorize_reconstructs():
 def test_residue_system():
     assert reduced_residues(12) == [1, 5, 7, 11]
     assert reduced_residues(1) == [0]
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 2.1e12 (bases 2, 3, 5, 7, 11)."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@given(st.integers(min_value=1, max_value=10**12 - 1))
+def test_factorize_below_1e12_is_proven(n):
+    fac = factorize(n)
+    assert [p for p, _ in fac] == sorted({p for p, _ in fac})
+    assert all(_is_prime(p) and e >= 1 for p, e in fac)
+    assert math.prod(p**e for p, e in fac) == n
+
+
+def test_factorize_edge_of_the_table():
+    assert factorize(999999999989) == [(999999999989, 1)]  # the largest prime < 10^12
+    assert factorize(999983**2) == [(999983, 2)]
+    assert factorize(2 * 999983 * 999979) == [(2, 1), (999979, 1), (999983, 1)]
+
+
+@pytest.mark.parametrize("n", [1000003**2, 1000003 * 1000033])
+def test_factorize_refuses_unproven_cofactors(n):
+    # no prime factor below the sieve bound and composite: never reported prime
+    with pytest.raises(ValueError):
+        factorize(n)
+    with pytest.raises(ValueError):
+        euler_phi(n)
+
+
+def test_small_prime_request_sieves_only_what_it_needs(monkeypatch):
+    monkeypatch.setattr(numtheory, "_primes", [])
+    monkeypatch.setattr(numtheory, "_sieved", 1)
+    assert primes_up_to(3) == [2, 3]
+    assert numtheory._sieved < 100
+    assert primes_up_to(100) == [p for p in range(2, 101) if _is_prime(p)]
+    assert numtheory._sieved < 1000
