@@ -40,7 +40,6 @@ from .localsolve import (
     TriState,
     decide_padic_solubility,
     decide_real_solubility,
-    density_sandwich,
     local_density,
     translate_local_conditions,
 )
@@ -51,6 +50,7 @@ from .veronese import (
     height_bound_norm2,
     make_form,
     monomial_basis,
+    pairings,
     veronese,
     veronese_batch,
 )
@@ -130,17 +130,8 @@ def first_moment_direct(d: int, n: int, A, B, target: AdelicTarget, budget: int 
 
 
 def _zero_pairings(Amat: np.ndarray, NU: np.ndarray) -> int:
-    """Number of zero entries of Amat @ NU.T, exactly.
-
-    Each entry is bounded by max|a| max|nu| N; the product runs in int64 only
-    when that bound provably fits, otherwise in Python integers.
-    """
-    worst = int(np.abs(Amat).max(initial=0)) * int(np.abs(NU).max(initial=0)) * Amat.shape[1]
-    if worst < 2**63:
-        prods = Amat.astype(np.int64) @ NU.astype(np.int64).T
-    else:
-        prods = Amat.astype(object) @ NU.astype(object).T
-    return int((prods == 0).sum())
+    """Number of zero entries of Amat @ NU.T, exactly."""
+    return int((pairings(Amat, NU) == 0).sum())
 
 
 def first_moment_dual(d: int, n: int, A, B, target: AdelicTarget, budget: int = 10**8) -> int:
@@ -305,7 +296,6 @@ class CensusReport:
     unresolved: int
     total_forms: int
     all_resolved: bool
-    predicted: Optional[dict] = None
 
     def summary(self) -> str:
         lines = [
@@ -335,6 +325,33 @@ def _finite_verdict(form, p, target: AdelicTarget, depth_budget: int) -> TriStat
         return TriState.unknown({"reason": "node budget", "detail": str(exc)})
 
 
+def _beyond_verdict(form: Form, mat, P: int, target: AdelicTarget, depth_budget: int) -> str:
+    """The verdict over the primes beyond P, outside the target's support,
+    where the form may fail to be soluble: "yes-all", "fails" or "unknown".
+
+    For quadrics (mat is 2M) those primes are the certified bad primes; a
+    det(2M) that cannot be factored gives "unknown". For d >= 3 only the
+    primes up to 2P + 10 are examined.
+    """
+    if mat is None:
+        primes = primes_up_to(2 * P + 10)
+    else:
+        try:
+            primes = _bad_primes(mat)
+        except ValueError:  # factorize cannot prove a cofactor of det(2M) prime
+            return "unknown"
+    verdict = "yes-all"
+    for p in primes:
+        if p <= P or p in target.support:
+            continue
+        res = _finite_verdict(form, p, target, depth_budget).verdict
+        if res == "no":
+            return "fails"
+        if res == "unknown":
+            verdict = "unknown"
+    return verdict
+
+
 def local_census(
     d: int,
     n: int,
@@ -342,7 +359,6 @@ def local_census(
     P: int,
     target: AdelicTarget,
     depth_budget: int = 3,
-    extra_prime_bound: Optional[int] = None,
     budget: int = 10**7,
 ) -> CensusReport:
     """Exact M(A, P), E(A, P) and the derived #V^loc, all as intervals.
@@ -355,87 +371,48 @@ def local_census(
     """
     forms = enumerate_hypersurfaces(d, n, A, budget)
     finite_ps = sorted(set(target.support) | set(primes_up_to(P)))
-    per_place = {}
+    per_place = {p: {"yes": 0, "no": 0, "unknown": 0} for p in finite_ps}
     arch_tally = {"yes": 0, "no": 0, "unknown": 0}
-    states = []  # per form: dict place -> verdict
-    mats = [quadric_matrix(form) if d == 2 else None for form in forms]  # 2M, built once
-    for form, mat in zip(forms, mats):
-        st = {}
-        st["inf"] = _arch_verdict(form, target, mat=mat)
-        arch_tally[st["inf"].verdict] += 1
-        states.append(st)
-    for p in finite_ps:
-        tally = {"yes": 0, "no": 0, "unknown": 0}
-        for form, st in zip(forms, states):
-            if any(v.verdict == "no" for v in st.values()):
-                continue  # short-circuit: already out of M
-            st[p] = _finite_verdict(form, p, target, depth_budget)
-            tally[st[p].verdict] += 1
-        per_place[p] = tally
-    m_yes = m_unk = 0
-    m_members = []  # indices with all-yes at S u {<=P} and arch
-    m_possible = []
-    for i, st in enumerate(states):
-        verdicts = [v.verdict for v in st.values()]
-        if any(v == "no" for v in verdicts):
+    m_yes = m_unk = e_yes = e_unk = dv_lo = dv_hi = 0
+    for form in forms:
+        mat = quadric_matrix(form) if d == 2 else None  # 2M, built once
+        verdict = _arch_verdict(form, target, mat=mat).verdict
+        arch_tally[verdict] += 1
+        certain = verdict == "yes"
+        for p in finite_ps:
+            if verdict == "no":
+                break  # short-circuit: already out of M
+            verdict = _finite_verdict(form, p, target, depth_budget).verdict
+            per_place[p][verdict] += 1
+            certain = certain and verdict == "yes"
+        if verdict == "no":
             continue
-        if all(v == "yes" for v in verdicts):
-            m_yes += 1
-            m_members.append(i)
-        else:
-            m_unk += 1
-            m_possible.append(i)
-    # E: members (and possibles) failing at some prime beyond P
-    e_yes = e_unk = 0
-    beyond = {}  # form index -> "yes-all" | "fails" | "unknown"
-    for i in m_members + m_possible:
-        form = forms[i]
-        if d == 2:
-            extra = [p for p in _bad_primes(mats[i]) if p > P and p not in target.support]
-        else:
-            bound = extra_prime_bound or (2 * P + 10)
-            extra = [p for p in primes_up_to(bound) if p > P and p not in target.support]
-        verdict = "yes-all"
-        for p in extra:
-            res = _finite_verdict(form, p, target, depth_budget)
-            if res.verdict == "no":
-                verdict = "fails"
-                break
-            if res.verdict == "unknown":
-                verdict = "unknown"
-        in_m_certain = i in m_members
-        if verdict == "fails":
-            if in_m_certain:
-                e_yes += 1
-            else:
-                e_unk += 1
-        elif verdict == "unknown":
+        m_yes += certain
+        m_unk += not certain
+        # E: forms in M (certainly or possibly) failing at some prime beyond P
+        beyond = _beyond_verdict(form, mat, P, target, depth_budget)
+        if beyond == "fails":
+            e_yes += certain
+            e_unk += not certain
+        elif beyond == "unknown":
             e_unk += 1
-        beyond[i] = verdict
+        # direct V^loc (quadrics: certified place lists)
+        dv_lo += certain and beyond == "yes-all"
+        dv_hi += beyond != "fails"
     # intervals over both-sign counts
     m_lo, m_hi = 2 * m_yes, 2 * (m_yes + m_unk)
     e_lo, e_hi = 2 * e_yes, 2 * (e_yes + e_unk)
-    v_lo = (m_lo - e_hi) // 2
-    v_hi = (m_hi - e_lo) // 2
-    # direct V^loc where possible (quadrics: certified place lists)
-    direct = None
-    all_resolved = m_unk == 0 and e_unk == 0 and arch_tally["unknown"] == 0
-    if d == 2:
-        # beyond holds exactly the forms with no "no" up to P
-        dv_lo = sum(1 for i in m_members if beyond[i] == "yes-all")
-        dv_hi = sum(1 for verdict in beyond.values() if verdict != "fails")
-        direct = (dv_lo, dv_hi)
     return CensusReport(
         params={"d": d, "n": n, "A": str(A), "P": P, "q": target.q, "depth_budget": depth_budget},
         m_interval=(m_lo, m_hi),
         e_interval=(e_lo, e_hi),
-        vloc_interval=(v_lo, v_hi),
-        direct_vloc_interval=direct,
+        vloc_interval=((m_lo - e_hi) // 2, (m_hi - e_lo) // 2),
+        direct_vloc_interval=(dv_lo, dv_hi) if d == 2 else None,
         per_place=per_place,
         arch_tally=arch_tally,
         unresolved=m_unk + e_unk,
         total_forms=len(forms),
-        all_resolved=all_resolved,
+        all_resolved=m_unk == 0 and e_unk == 0 and arch_tally["unknown"] == 0,
     )
 
 
@@ -473,7 +450,6 @@ def predicted_census(
     target: AdelicTarget,
     P_trunc: int = 3,
     depth: int = 1,
-    use_sandwich: bool = False,
     mc_samples: int = 400,
     rng=None,
     budget: int = 10**7,
@@ -493,12 +469,7 @@ def predicted_census(
     intervals = {}
     for p in sorted(set(target.support) | set(primes_up_to(P_trunc))):
         e_p, xi = target.place(p)
-        if use_sandwich and e_p >= 1:
-            meas = density_sandwich(d, n, p, e_p)
-            norm = 1 - Fraction(1, p**N)
-            intervals[p] = DensityInterval(meas.lower / norm, min(meas.upper / norm, Fraction(1)), "sandwich")
-        else:
-            intervals[p] = local_density(d, n, p, xi, e_p, depth=depth, budget=budget)
+        intervals[p] = local_density(d, n, p, xi, e_p, depth=depth, budget=budget)
     # tail over primes beyond the truncation
     tail_sum = 0.0
     for p in primes_up_to(10**5):

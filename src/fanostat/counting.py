@@ -113,19 +113,22 @@ def _cone_mask_exact(pts: np.ndarray, xi, sigma: Fraction) -> np.ndarray:
     """Exact vectorized cone test b^2(|x|^2|xi|^2 - <x,xi>^2) <= a^2|x|^2|xi|^2.
 
     Runs in int64 when the worst-case magnitudes provably fit, otherwise in
-    Python big integers.
+    Python big integers. A rational axis is scaled by its common denominator,
+    which leaves the cone unchanged.
     """
     a, b = sigma.numerator, sigma.denominator
-    xi64 = np.array([int(v) for v in xi], dtype=np.int64)
-    nxi = int((xi64.astype(object) ** 2).sum())
+    axis = [Fraction(v) for v in xi]
+    den = math.lcm(*(v.denominator for v in axis))
+    xi_int = [int(v * den) for v in axis]
+    nxi = sum(v * v for v in xi_int)
     worst = max(a * a, b * b) * int((np.abs(pts).max(initial=1)) ** 2) * pts.shape[1] * nxi
     if worst * pts.shape[1] < 2**62:
         nx = (pts * pts).sum(axis=1)
-        ip = pts @ xi64
+        ip = pts @ np.array(xi_int, dtype=np.int64)
         return b * b * (nx * nxi - ip * ip) <= a * a * nx * nxi
     po = pts.astype(object)
     nx = (po**2).sum(axis=1)
-    ip = (po * xi64.astype(object)).sum(axis=1)
+    ip = (po * np.array(xi_int, dtype=object)).sum(axis=1)
     return np.array(
         [bool(b * b * (n * nxi - p * p) <= a * a * n * nxi) for n, p in zip(nx, ip)],
         dtype=bool,
@@ -163,7 +166,6 @@ def coset_cone_volume(
     sigma,
     mc_samples: int = 0,
     rng: Optional[np.random.Generator] = None,
-    quad_tol: float = 1e-9,
 ) -> VolumeEstimate:
     """vol over span(lat) of span(lat ∩ (c + q Z^N)) ∩ C(xi, sigma) ∩ B(1).
 
@@ -185,12 +187,12 @@ def coset_cone_volume(
         value = unit_ball_volume(r)
         method = "full-ball"
     else:
-        value = cap_volume(r, float(inter.aperture), tol=min(quad_tol, 1e-12))
+        value = cap_volume(r, float(inter.aperture), tol=1e-12)
         method = "subcone-quadrature"
     mc_value = mc_err = None
     if mc_samples > 0:
         mc_value, mc_err = _mc_cone_volume(lat, xi, Fraction(sigma), mc_samples, rng)
-    return VolumeEstimate(value, quad_tol, method, mc_value, mc_err)
+    return VolumeEstimate(value, 1e-9, method, mc_value, mc_err)
 
 
 def _mc_cone_volume(lat: IntegralLattice, xi, sigma: Fraction, samples: int, rng):

@@ -13,6 +13,14 @@ every decision routine returns a TriState:
   certificate over the real cap;
 - unknown: carries the exhausted budget.
 
+Every question "which admissible residues x mod p^v have f(x) == 0?" (the
+p-adic decider, F_p point counts, ball classification) is answered on one
+int64 array of canonical residues (pivot, the first unit entry, equal to 1;
+entries before it in pZ), paired with the coefficients through
+`veronese.pairings`. The residues mod p^v above a canonical x mod p^e are
+exactly x + p^e s with s in [0, p^(v-e))^m and s_pivot = 0, so the decider
+lifts its frontier one such fibre at a time and sorts each level.
+
 Densities of the soluble locus in coefficient space are measured exactly by
 classifying coefficient balls mod p^v: a ball meets the soluble locus iff
 some admissible residue x has <a, nu(x)> == 0 mod p^v (the coefficient can
@@ -33,6 +41,7 @@ import numpy as np
 
 from .errors import EnumerationBudgetExceeded, HypothesisFailed, PreconditionFailed
 from .geom import Cone, cone_member, proj_distance_arch
+from .intlinalg import solve_integer
 from .numtheory import crt_combine, primes_up_to, unit_classes
 from .padic import (
     ExactZeroCertificate,
@@ -48,6 +57,7 @@ from .veronese import (
     evaluate_form,
     gradient_form,
     monomial_basis,
+    pairings,
     veronese_batch,
     veronese_jet,
 )
@@ -195,12 +205,11 @@ class DensityInterval:
     def width(self) -> Fraction:
         return self.upper - self.lower
 
-    def midpoint(self) -> Fraction:
-        return (self.upper + self.lower) / 2
-
 
 # ---------------------------------------------------------------------------
-# canonical projective residues mod p^v
+# canonical projective residues mod p^v, as int64 arrays
+
+_CHUNK = 1 << 14  # rows per residue or coefficient block: bounds peak memory
 
 
 def canonical_residue(x, p: int, v: int):
@@ -215,35 +224,58 @@ def canonical_residue(x, p: int, v: int):
 
 
 def canonical_projective_residues(m: int, p: int, v: int):
-    """All canonical primitive residues mod p^v in m coordinates.
+    """All canonical primitive residues mod p^v in m coordinates, pivot by
+    pivot and lexicographic within a pivot.
 
     Canonical: entries before the pivot divisible by p, pivot entry 1.
     """
-    return list(_iter_canonical_residues(m, p, v))
+    X = np.concatenate(list(_canonical_blocks(m, p, v)))
+    return [tuple(x) for x in X[np.argsort((X % p != 0).argmax(axis=1), kind="stable")].tolist()]
 
 
-def _iter_canonical_residues(m: int, p: int, v: int):
-    """canonical_projective_residues(m, p, v), one at a time and in order."""
-    mod = p**v
-    nonunits = range(0, mod, p)
-    for pivot in range(m):
-        tails = list(itertools.product(range(mod), repeat=m - pivot - 1))
-        for h in itertools.product(nonunits, repeat=pivot):
-            for t in tails:
-                yield h + (1,) + t
+def _grid(radices, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the product of range(r) over radices, in
+    lexicographic order (the last coordinate varies fastest)."""
+    return np.stack(np.unravel_index(np.arange(start, stop, dtype=np.int64), radices), axis=1)
 
 
-def _proximity_class(xi: PadicApproxVector, e_p: int):
-    return canonical_residue(xi.entries, xi.p, e_p)
+def _canonical_blocks(m: int, p: int, v: int):
+    """The canonical residues mod p^v in m coordinates in lexicographic order,
+    as int64 arrays: the rows of successive _CHUNK-row slices of
+    [0, p^v)^m whose first unit entry is 1."""
+    total = p ** (v * m)
+    for start in range(0, total, _CHUNK):
+        X = _grid([p**v] * m, start, min(start + _CHUNK, total))
+        yield X[X[np.arange(len(X)), (X % p != 0).argmax(axis=1)] == 1]
 
 
-def _residue_fibre(x, p: int, e: int, v: int) -> set:
-    """Canonical residues mod p^v reducing to the canonical x mod p^e."""
-    step = p**e
-    return {
-        canonical_residue(tuple(c + step * s for c, s in zip(x, t)), p, v)
-        for t in itertools.product(range(p ** (v - e)), repeat=len(x))
-    }
+def _residue_fibre(x, p: int, e: int, v: int) -> np.ndarray:
+    """Canonical residues mod p^v reducing to the canonical x mod p^e, in
+    lexicographic order.
+
+    The pivot of x is 1 and every entry before it lies in pZ, so these are
+    exactly x + p^e s with s in [0, p^(v-e))^m and s_pivot = 0.
+    """
+    x = np.array(x, dtype=np.int64)
+    pivot = int(np.argmax(x % p != 0))
+    radices = [p ** (v - e)] * len(x)
+    radices[pivot] = 1
+    return x + p**e * _grid(radices, 0, math.prod(radices))
+
+
+def _veronese_mod(basis, X: np.ndarray, mod: int) -> np.ndarray:
+    """Veronese rows of residues 0 <= X < mod, reduced mod `mod`, exactly:
+    monomials run in int64 only when (mod - 1)^d fits."""
+    pts = X if (mod - 1) ** basis.d < 2**63 else X.astype(object)
+    return veronese_batch(basis, pts) % mod
+
+
+def _residue_zeros(form: Form, blocks, mod: int) -> np.ndarray:
+    """The residues x in the arrays `blocks` with f(x) == 0 mod `mod`, in
+    lexicographic order; one block is evaluated at a time."""
+    a = np.array([[c % mod for c in form.coeffs]], dtype=np.int64)
+    Z = np.concatenate([X[pairings(a, _veronese_mod(form.basis, X, mod))[0] % mod == 0] for X in blocks])
+    return Z[np.lexsort(Z.T[::-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -264,30 +296,32 @@ def decide_padic_solubility(
     zeros level by level; `yes` once some residue centres to an exact integer
     zero (ExactZeroCertificate) or satisfies the lifting hypotheses
     (LiftCertificate), `no` once a level holds no admissible residue zero
-    (sound: exact zeros reduce), `unknown` when the depth budget runs out.
+    (sound: exact zeros reduce), `unknown` when the depth budget runs out or
+    residues mod p^(v+1) would outgrow int64.
     A `yes` certificate records radius e_p and re-verifies against xi with
     `padic.verify_certificate`.
+
+    Budget: the starting residues (every point of P^n(F_p), or xi's class)
+    must number at most node_budget on their own; each later level costs
+    p^n nodes per frontier residue, cumulatively.
     """
     n = form.basis.n
     if e_p > 0 and xi is None:
         raise ValueError("a target residue is required when e_p >= 1")
-    v0 = max(e_p, 1)
+    v = v0 = max(e_p, 1)
+    start = 1 if e_p >= 1 else (p ** (n + 1) - 1) // (p - 1)
+    if start > node_budget or p**v >= 2**63:
+        raise EnumerationBudgetExceeded("residue search too large", start)
     if e_p >= 1:
-        base = _proximity_class(xi, e_p)
-        frontier = {base} if evaluate_form(form, base) % p**e_p == 0 else set()
-        v = e_p
+        blocks = [np.array([canonical_residue(xi.entries, xi.p, e_p)])]
     else:
-        frontier = {
-            x
-            for x in canonical_projective_residues(n + 1, p, 1)
-            if evaluate_form(form, x) % p == 0
-        }
-        v = 1
+        blocks = _canonical_blocks(n + 1, p, 1)
+    frontier = _residue_zeros(form, blocks, p**v)
     nodes = 0
     while True:
-        if not frontier:
+        if len(frontier) == 0:
             return TriState.no({"depth": v, "reason": "no admissible residue zero"})
-        for x in sorted(frontier):
+        for x in map(tuple, frontier.tolist()):
             exact = _centered(x, p, v)
             if any(exact) and evaluate_form(form, exact) == 0:
                 # an exact integer zero is a complete certificate by itself
@@ -295,18 +329,13 @@ def decide_padic_solubility(
             cert = _try_lift(form, x, p, v, e_p)
             if cert is not None:
                 return TriState.yes(cert)
-        if v >= max(depth_budget, v0):
+        if v >= max(depth_budget, v0) or p ** (v + 1) >= 2**63:
             return TriState.unknown({"depth": v, "frontier": len(frontier)})
-        nxt = set()
-        modnext = p ** (v + 1)
-        for x in frontier:
-            for child in _residue_fibre(x, p, v, v + 1):
-                nodes += 1
-                if nodes > node_budget:
-                    raise EnumerationBudgetExceeded("residue search too large", nodes)
-                if evaluate_form(form, child) % modnext == 0:
-                    nxt.add(child)
-        frontier = nxt
+        nodes += len(frontier) * p**n
+        if nodes > node_budget:
+            raise EnumerationBudgetExceeded("residue search too large", nodes)
+        # one fibre per frontier residue at a time: memory stays at one fibre
+        frontier = _residue_zeros(form, (_residue_fibre(x, p, v, v + 1) for x in frontier), p ** (v + 1))
         v += 1
 
 
@@ -322,13 +351,8 @@ def _try_lift(form: Form, x, p: int, v: int, e_p: int):
 
     The lift is within p^-(v - l) of the residue x, and x within p^-e_p of the
     target, so the certificate records radius e_p, not v - l."""
-    grads = gradient_form(form, x)
-    lstar = None
-    for g in grads:
-        gv = valuation(g % p**v, p)
-        gv = min(gv, v)
-        lstar = gv if lstar is None else min(lstar, gv)
-    if lstar is None or not (v > 2 * lstar) or v - lstar < e_p:
+    lstar = min(min(valuation(g % p**v, p), v) for g in gradient_form(form, x))
+    if not (v > 2 * lstar) or v - lstar < e_p:
         return None
     try:
         xi_vec = PadicApproxVector.from_integers(p, v, x)
@@ -385,9 +409,6 @@ class _Interval:
     def contains_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
 
-    def __gt__(self, val):
-        return self.lo > val
-
     def split(self):
         mid = 0.5 * (self.lo + self.hi)
         return _Interval(self.lo, mid), _Interval(mid, self.hi)
@@ -427,7 +448,6 @@ def decide_real_solubility(
     form: Form,
     xi_inf,
     sigma_inf,
-    grid_refinement: int = 2,
     subdivision_budget: int = 20000,
 ) -> TriState:
     """Does f vanish at a real point within projective distance sigma of xi?
@@ -443,7 +463,7 @@ def decide_real_solubility(
     n = form.basis.n
     cone = Cone(tuple(xi_inf), Fraction(sigma_inf) if not isinstance(sigma_inf, float) else sigma_inf)
     # --- yes paths on a rational direction grid
-    grid = _direction_grid(n, grid_refinement, xi_inf)
+    grid = _direction_grid(n, xi_inf)
     pos, neg = [], []
     for v in grid:
         if not cone_member(cone, v):
@@ -492,8 +512,8 @@ def decide_real_solubility(
     return TriState.no({"kind": "interval-exclusion", "cells": examined})
 
 
-def _direction_grid(n: int, refinement: int, xi_inf):
-    vals = range(-refinement, refinement + 1)
+def _direction_grid(n: int, xi_inf):
+    vals = range(-2, 3)
     out = set()
     for v in itertools.product(vals, repeat=n + 1):
         if any(v):
@@ -581,7 +601,6 @@ def classify_balls(
     xi: Optional[PadicApproxVector] = None,
     e_p: int = 0,
     budget: int = 10**7,
-    chunk: int = 1 << 14,
 ) -> BallClassification:
     """Exact Omega_1 / certified Omega_0 classification of coefficient balls.
 
@@ -604,49 +623,31 @@ def classify_balls(
         raise EnumerationBudgetExceeded("too many coefficient balls", total)
     v_tilde = min(-(-v // 2), v - e_p + 1)
     basis = monomial_basis(d, n)
-    xs = _admissible_residues(n + 1, p, v, xi, e_p)
-    if not xs:
-        return BallClassification(p, v, e_p, v_tilde, 0, 0, n, N)
-    X = np.array(xs, dtype=np.int64)
+    if e_p >= 1:
+        X = _residue_fibre(canonical_residue(xi.entries, xi.p, e_p), p, e_p, v)
+    else:
+        X = np.concatenate(list(_canonical_blocks(n + 1, p, v)))
     mod = p**v
     modt = p**v_tilde
-    NU = veronese_batch(basis, X) % mod  # (k, N)
-    jet_rows = []
-    for x in xs:
-        _, jets = veronese_jet(basis, x)
-        jet_rows.append(jets)
+    NU = _veronese_mod(basis, X, mod)  # (k, N)
+    jet_rows = [veronese_jet(basis, x)[1] for x in X.tolist()]
     DIs = [
         np.array([[int(c) % modt for c in jets[i]] for jets in jet_rows], dtype=np.int64)
         for i in range(n + 1)
     ]
     omega0 = omega1 = 0
-    digits = N
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        A = np.empty((len(idx), digits), dtype=np.int64)
-        rem = idx.copy()
-        for t in range(digits):
-            A[:, t] = rem % mod
-            rem //= mod
-        prim = (A % p != 0).any(axis=1)
-        if not prim.any():
+    for start in range(0, total, _CHUNK):
+        A = _grid([mod] * N, start, min(start + _CHUNK, total))
+        A = A[(A % p != 0).any(axis=1)]  # primitive balls only
+        if len(A) == 0:
             continue
-        A = A[prim]
-        zero = (A @ NU.T) % mod == 0  # (chunk, k)
-        hit1 = zero.any(axis=1)
+        zero = pairings(A, NU) % mod == 0  # (balls, residues)
         good = np.zeros_like(zero)
         for DI in DIs:
-            good |= (A @ DI.T) % modt != 0
-        hit0 = (zero & good).any(axis=1)
-        omega1 += int(hit1.sum())
-        omega0 += int(hit0.sum())
+            good |= pairings(A, DI) % modt != 0
+        omega1 += int(zero.any(axis=1).sum())
+        omega0 += int((zero & good).any(axis=1).sum())
     return BallClassification(p, v, e_p, v_tilde, omega0, omega1, n, N)
-
-
-def _admissible_residues(m: int, p: int, v: int, xi, e_p: int):
-    if e_p >= 1:
-        return sorted(_residue_fibre(_proximity_class(xi, e_p), p, e_p, v))
-    return canonical_projective_residues(m, p, v)
 
 
 def density_sandwich(d: int, n: int, p: int, e_p: int) -> DensityInterval:
@@ -713,7 +714,7 @@ def count_projective_points(form: Form, p: int, budget: int = 10**8) -> int:
     reps = (p ** (n + 1) - 1) // (p - 1)
     if reps > budget:
         raise EnumerationBudgetExceeded("too many projective points", reps)
-    return sum(1 for x in _iter_canonical_residues(n + 1, p, 1) if evaluate_form(form, x) % p == 0)
+    return sum(len(_residue_zeros(form, [X], p)) for X in _canonical_blocks(n + 1, p, 1))
 
 
 def lang_weil_check(form: Form, p: int, r: int, d: int, constant: float) -> bool:
@@ -726,40 +727,6 @@ def lang_weil_discrepancy(form: Form, p: int, r: int, d: int) -> float:
     """(|#X - p^r| - (d-1)(d-2) p^(r-1/2)) / p^(r-1): the fitted-constant scale."""
     count = count_projective_points(form, p)
     return (abs(count - p**r) - (d - 1) * (d - 2) * p ** (r - 0.5)) / p ** (r - 1)
-
-
-def _gauss_solve_mod_p(A, b, p: int):
-    """One solution of A x = b over F_p, or None."""
-    A = [row[:] for row in A]
-    b = list(b)
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    where = [-1] * cols
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if A[i][c] % p != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        b[r], b[piv] = b[piv], b[r]
-        inv = pow(A[r][c], -1, p)
-        A[r] = [(x * inv) % p for x in A[r]]
-        b[r] = (b[r] * inv) % p
-        for i in range(rows):
-            if i != r and A[i][c] % p != 0:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-                b[i] = (b[i] - f * b[r]) % p
-        where[c] = r
-        r += 1
-    for i in range(r, rows):
-        if b[i] % p != 0:
-            return None
-    x = [0] * cols
-    for c in range(cols):
-        if where[c] >= 0:
-            x[c] = b[where[c]] % p
-    return x
 
 
 def is_reducible_mod_p(form: Form, p: int, budget: int = 10**6) -> TriState:
@@ -777,12 +744,16 @@ def is_reducible_mod_p(form: Form, p: int, budget: int = 10**6) -> TriState:
         if candidates * N2 > budget:
             return TriState.unknown({"reason": "factor budget", "split": (d1, d2)})
         mul = _multiplication_matrix(d1, d2, n, p)
-        for f1 in _iter_canonical_residues(N1, p, 1):
+        modulus = [[p * int(i == j) for j in range(len(target))] for i in range(len(target))]
+        for f1 in canonical_projective_residues(N1, p, 1):
             A = _specialize_multiplication(mul, f1, dimension(d, n), N2, p)
-            g = _gauss_solve_mod_p(A, target, p)
-            if g is not None and any(g):
-                if _product_matches(d1, d2, n, f1, g, target, p):
-                    return TriState.yes({"factor": tuple(f1), "cofactor": tuple(g), "split": (d1, d2)})
+            # A g == target over F_p: an integer solve against A's columns and p Z^rows
+            sol = solve_integer([list(col) for col in zip(*A)] + modulus, target)
+            if sol is None:
+                continue
+            g = [c % p for c in sol[:N2]]
+            if any(g) and _product_matches(d1, d2, n, f1, g, target, p):
+                return TriState.yes({"factor": f1, "cofactor": tuple(g), "split": (d1, d2)})
     return TriState.no({"exhausted_splits": [(d1, d - d1) for d1 in range(1, d // 2 + 1)]})
 
 

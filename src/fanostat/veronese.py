@@ -110,6 +110,18 @@ def veronese_batch(basis: MonomialBasis, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def pairings(A: np.ndarray, NU: np.ndarray) -> np.ndarray:
+    """A @ NU.T exactly: coefficient rows against Veronese rows.
+
+    Each entry is bounded by max|a| max|nu| N; the product runs in int64 only
+    when that bound provably fits, otherwise in Python integers.
+    """
+    worst = int(np.abs(A).max(initial=0)) * int(np.abs(NU).max(initial=0)) * A.shape[1]
+    if worst < 2**63:
+        return A.astype(np.int64, copy=False) @ NU.astype(np.int64, copy=False).T
+    return A.astype(object) @ NU.astype(object).T
+
+
 @dataclass(frozen=True)
 class Form:
     """A degree-d form as an integer coefficient vector in basis order.

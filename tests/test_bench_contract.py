@@ -1,0 +1,53 @@
+"""What the benchmark harness in perfbench/ reads from the package.
+
+The harness traces functions by name, binds some of their arguments by name
+and reads fields of their results. Its own tests run outside this suite, so
+these checks make a rename or a changed result shape fail here first.
+"""
+
+import dataclasses
+import inspect
+from fractions import Fraction
+
+from fanostat import census, intlinalg, localsolve, veronese
+from fanostat.veronese import make_form
+
+
+def test_traced_names_exist():
+    for module, name in [
+        (census, "lll_reduce"),
+        (census, "make_form"),
+        (localsolve, "evaluate_form"),
+        (intlinalg, "fincke_pohst"),
+        (localsolve, "canonical_projective_residues"),
+    ]:
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+def test_parameters_bound_by_name_exist():
+    assert {"n", "p", "v", "e_p"} <= set(inspect.signature(localsolve.classify_balls).parameters)
+    assert "pts" in inspect.signature(veronese.veronese_batch).parameters
+    # the ball counters read these fields of the classification
+    fields = {f.name for f in dataclasses.fields(localsolve.BallClassification)}
+    assert {"omega0", "omega1", "N_dim"} <= fields
+
+
+def test_no_and_unknown_certificates_support_get():
+    anisotropic = make_form(2, 3, [1, 0, 0, 0, 1, 0, 0, -3, 0, -3])  # X0^2+X1^2-3X2^2-3X3^2
+    squares = make_form(2, 2, [1, 0, 0, 1, 0, 1])  # X0^2+X1^2+X2^2
+    verdicts = [
+        (localsolve.decide_padic_solubility(anisotropic, 3), "no"),
+        (localsolve.decide_padic_solubility(squares, 2, depth_budget=1), "unknown"),
+        (localsolve.decide_real_solubility(squares, (1, 0, 0), Fraction(1)), "no"),
+        (localsolve.decide_real_solubility(squares, (1, 0, 0), Fraction(1), subdivision_budget=1), "unknown"),
+    ]
+    for res, expected in verdicts:
+        assert res.verdict == expected
+        res.certificate.get("cells", 0)
+        res.certificate.get("pending", 0)
+
+
+def test_census_report_fields_read_by_the_benchmark():
+    fields = {f.name for f in dataclasses.fields(census.CensusReport)}
+    read = {"m_interval", "e_interval", "vloc_interval", "direct_vloc_interval", "total_forms", "unresolved"}
+    assert read <= fields

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fanostat.census import (
+    _beyond_verdict,
     _zero_pairings,
     count_rational_points,
     enumerate_hypersurfaces,
@@ -218,3 +219,19 @@ def test_least_point_heights():
     assert all(0 <= row["fraction_below"] <= 1 for row in summary)
     fracs = [row["fraction_below"] for row in summary]
     assert fracs == sorted(fracs)  # nondecreasing in delta
+
+
+def test_beyond_verdict_is_unknown_where_no_prime_can_be_decided():
+    t = AdelicTarget.trivial(3)
+    # det(2M) leaves the cofactor 1000003 * 1000033, which factorize cannot prove prime
+    f = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=-1000003 * 1000033)
+    assert _beyond_verdict(f, quadric_matrix(f), 3, t, 3) == "unknown"
+    # the bad prime 1000003 has about 10^18 starting residues: over the node budget
+    g = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=-1000003)
+    assert quadric_bad_primes(g) == [2, 1000003]
+    assert _beyond_verdict(g, quadric_matrix(g), 3, t, 3) == "unknown"
+    # decided cases: no bad prime above 3, and X0^2+X1^2-7(X2^2+X3^2), anisotropic at 7
+    h = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=1)
+    assert _beyond_verdict(h, quadric_matrix(h), 3, t, 3) == "yes-all"
+    k = mkform(2, 3, m_2000=1, m_0200=1, m_0020=-7, m_0002=-7)
+    assert _beyond_verdict(k, quadric_matrix(k), 3, t, 3) == "fails"

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fanostat.counting import (
     CountSpec,
@@ -205,3 +207,24 @@ def test_trend_helper():
     assert trend_improves([1.5, 1.2, 1.05])
     assert not trend_improves([1.05, 1.2, 1.5])
     assert trend_improves([1.5, 1.6, 1.2, 1.1], need=2)
+
+
+@settings(max_examples=15)
+@given(
+    st.lists(st.fractions(-3, 3, max_denominator=4), min_size=2, max_size=3).filter(any),
+    st.fractions(Fraction(1, 10), 1, max_denominator=10),
+    st.integers(1, 5),
+    st.booleans(),
+)
+@example([Fraction(1, 2), Fraction(1)], Fraction(1, 3), 6, False)
+def test_count_paths_agree_for_rational_axes(axis, sigma, X, primitive):
+    # Z^N in its standard basis takes the numpy path, in a skew unimodular
+    # basis the Fincke-Pohst path; the cone is the same for any multiple of
+    # its axis, so both must give the brute-force count
+    N = len(axis)
+    skew = from_rows([[int(j in (i, i + 1)) for j in range(N)] for i in range(N)])
+    specs = [
+        CountSpec(lat, (0,) * N, 1, tuple(axis), sigma, X, primitive_in_ambient=primitive)
+        for lat in (standard_lattice(N), skew)
+    ]
+    assert [count_lattice_points(spec) for spec in specs] == [brute_count(specs[0])] * 2

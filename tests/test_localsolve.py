@@ -29,6 +29,9 @@ from fanostat.localsolve import (
     lang_weil_discrepancy,
     local_density,
     translate_local_conditions,
+    _canonical_blocks,
+    _residue_fibre,
+    _residue_zeros,
 )
 from fanostat.padic import (
     ExactZeroCertificate,
@@ -37,7 +40,7 @@ from fanostat.padic import (
     proj_distance_padic,
     verify_certificate,
 )
-from fanostat.veronese import dimension, make_form, monomial_basis, veronese
+from fanostat.veronese import dimension, evaluate_form, make_form, monomial_basis, veronese
 
 
 def mkform(d, n, **monos):
@@ -404,3 +407,100 @@ def test_reducible_witness_is_sound():
                     break
             assert lam is not None
             assert all((a - lam * t) % p == 0 for a, t in zip(prod, f.coeffs))
+
+
+# --- the array residue search against scalar references ----------------------
+
+
+def _scalar_canonical_residues(m, p, v):
+    """The canonical residues mod p^v, pivot by pivot, built one tuple at a time."""
+    mod = p**v
+    out = []
+    for pivot in range(m):
+        for h in itertools.product(range(0, mod, p), repeat=pivot):
+            for t in itertools.product(range(mod), repeat=m - pivot - 1):
+                out.append(h + (1,) + t)
+    return out
+
+
+def _scalar_fibre(x, p, e, v):
+    """Canonicalise every lift of x mod p^e to p^v."""
+    return sorted(
+        {
+            canonical_residue(tuple(c + p**e * s for c, s in zip(x, t)), p, v)
+            for t in itertools.product(range(p ** (v - e)), repeat=len(x))
+        }
+    )
+
+
+@settings(max_examples=50)
+@given(st.sampled_from([2, 3, 5]), st.integers(2, 4), st.integers(1, 3), st.data())
+def test_residue_fibre_equals_canonicalised_lifts(p, m, v, data):
+    if p ** (v * (m - 1)) <= 5**6:
+        assert canonical_projective_residues(m, p, v) == _scalar_canonical_residues(m, p, v)
+    if v == 1:
+        return
+    e = data.draw(st.integers(1, v - 1))
+    if p ** ((v - e) * m) > 5**6:
+        return
+    x = data.draw(st.sampled_from(_scalar_canonical_residues(m, p, e)))
+    assert _residue_fibre(x, p, e, v).tolist() == [list(c) for c in _scalar_fibre(x, p, e, v)]
+
+
+@st.composite
+def _small_forms(draw):
+    d, n = draw(st.sampled_from([(1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]))
+    size = dimension(d, n)
+    p = draw(st.sampled_from([2, 3, 5]))
+    scale = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size).filter(any))
+    # powers of p on some coefficients keep residue zeros alive for several levels
+    return make_form(d, n, [c * p**k for c, k in zip(coeffs, scale)], primitive=False), p
+
+
+@settings(max_examples=40)
+@given(_small_forms())
+def test_frontier_levels_match_a_scalar_filter(case):
+    f, p = case
+    n = f.basis.n
+    frontier = _residue_zeros(f, _canonical_blocks(n + 1, p, 1), p)
+    expected = sorted(x for x in canonical_projective_residues(n + 1, p, 1) if evaluate_form(f, x) % p == 0)
+    for v in range(1, 4):
+        assert [tuple(x) for x in frontier.tolist()] == expected
+        if not expected or len(expected) * p**n > 1000:
+            break
+        mod = p ** (v + 1)
+        expected = sorted(
+            c for x in expected for c in _scalar_fibre(x, p, v, v + 1) if evaluate_form(f, c) % mod == 0
+        )
+        frontier = _residue_zeros(f, [_residue_fibre(x, p, v, v + 1) for x in frontier], mod)
+
+
+@settings(max_examples=40)
+@given(_small_forms(), st.sampled_from([2, 3, 5, 7]))
+def test_count_projective_points_matches_a_scalar_count(case, p):
+    f, _ = case
+    zeros = sum(
+        1
+        for x in itertools.product(range(p), repeat=f.basis.n + 1)
+        if any(x) and evaluate_form(f, x) % p == 0
+    )
+    assert count_projective_points(f, p) == zeros // (p - 1)
+
+
+def test_padic_search_checks_its_starting_residues_against_the_budget():
+    # P^3(F_3) has 40 points, checked against the budget on their own; the 4
+    # zeros mod 3 then cost 27 children each
+    f = mkform(2, 3, m_2000=1, m_0200=1, m_0020=-3, m_0002=-3)
+    assert decide_padic_solubility(f, 3, node_budget=4 * 27).certificate["depth"] == 2
+    for budget in (39, 4 * 27 - 1):
+        with pytest.raises(EnumerationBudgetExceeded):
+            decide_padic_solubility(f, 3, node_budget=budget)
+    # a target's class is one starting residue, whatever p^n is
+    xi = PadicApproxVector.from_integers(3, 1, (1, 0, 1, 0))
+    g = mkform(2, 3, m_2000=1, m_0200=1, m_0020=-1, m_0002=-1)
+    assert decide_padic_solubility(g, 3, xi, 1, node_budget=1).verdict == "yes"
+    # about 10^18 points of P^3(F_p) are refused before any is built
+    big = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=-1000003)
+    with pytest.raises(EnumerationBudgetExceeded):
+        decide_padic_solubility(big, 1000003)
