@@ -27,6 +27,8 @@ some admissible residue x has <a, nu(x)> == 0 mod p^v (the coefficient can
 be adjusted inside the ball to an exact zero), and it certifiably lies
 inside once some such x also has a unit-sized partial derivative, which
 makes the zero stable under every coefficient perturbation of size p^-v.
+`classify_balls` decides whole classes of balls mod p^k digit by digit and
+refines only the classes whose residue zeros are all singular mod p.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -58,8 +61,9 @@ from .veronese import (
     gradient_form,
     monomial_basis,
     pairings,
+    row_pairings,
     veronese_batch,
-    veronese_jet,
+    veronese_jet_batch,
 )
 
 
@@ -210,6 +214,7 @@ class DensityInterval:
 # canonical projective residues mod p^v, as int64 arrays
 
 _CHUNK = 1 << 14  # rows per residue or coefficient block: bounds peak memory
+_CELLS = _CHUNK << 7  # coefficient classes x residues per descendant batch: bounds peak memory
 
 
 def canonical_residue(x, p: int, v: int):
@@ -229,8 +234,7 @@ def canonical_projective_residues(m: int, p: int, v: int):
 
     Canonical: entries before the pivot divisible by p, pivot entry 1.
     """
-    X = np.concatenate(list(_canonical_blocks(m, p, v)))
-    return [tuple(x) for x in X[np.argsort((X % p != 0).argmax(axis=1), kind="stable")].tolist()]
+    return [tuple(x) for x in np.concatenate(list(_canonical_blocks(m, p, v))).tolist()]
 
 
 def _grid(radices, start: int, stop: int) -> np.ndarray:
@@ -240,27 +244,52 @@ def _grid(radices, start: int, stop: int) -> np.ndarray:
 
 
 def _canonical_blocks(m: int, p: int, v: int):
-    """The canonical residues mod p^v in m coordinates in lexicographic order,
-    as int64 arrays: the rows of successive _CHUNK-row slices of
-    [0, p^v)^m whose first unit entry is 1."""
-    total = p ** (v * m)
+    """The canonical residues mod p^v in m coordinates, pivot by pivot and
+    lexicographic within a pivot, as read-only int64 arrays of _CHUNK rows
+    (the last one shorter)."""
+    total = sum(p ** ((v - 1) * pivot + v * (m - pivot - 1)) for pivot in range(m))
     for start in range(0, total, _CHUNK):
-        X = _grid([p**v] * m, start, min(start + _CHUNK, total))
-        yield X[X[np.arange(len(X)), (X % p != 0).argmax(axis=1)] == 1]
+        yield _canonical_rows(m, p, v, start)
 
 
-def _residue_fibre(x, p: int, e: int, v: int) -> np.ndarray:
-    """Canonical residues mod p^v reducing to the canonical x mod p^e, in
-    lexicographic order.
+@lru_cache(maxsize=32)
+def _canonical_rows(m: int, p: int, v: int, start: int) -> np.ndarray:
+    """Rows start.. (at most _CHUNK) of the canonical residues: for each
+    pivot, entries before it in p [0, p^(v-1)), the pivot 1, entries after
+    it in [0, p^v). Cached, because deciders and point counts ask for the
+    same few small tables many times; hence read-only."""
+    parts = []
+    for pivot in range(m):
+        radices = [p ** (v - 1)] * pivot + [1] + [p**v] * (m - pivot - 1)
+        size = math.prod(radices)
+        lo, hi = max(start, 0), min(start + _CHUNK, size)
+        if lo < hi:
+            G = _grid(radices, lo, hi)
+            parts.append(G * np.array([p] * pivot + [1] * (m - pivot)) + (np.arange(m) == pivot))
+        start -= size
+    X = np.concatenate(parts)
+    X.flags.writeable = False
+    return X
+
+
+def _residue_fibre(X, p: int, e: int, v: int) -> np.ndarray:
+    """Canonical residues mod p^v reducing to the canonical residues mod p^e
+    in X (one residue, or an array of them): fibre after fibre, each in
+    lexicographic order, p^((v-e)(m-1)) rows per residue.
 
     The pivot of x is 1 and every entry before it lies in pZ, so these are
     exactly x + p^e s with s in [0, p^(v-e))^m and s_pivot = 0.
     """
-    x = np.array(x, dtype=np.int64)
-    pivot = int(np.argmax(x % p != 0))
-    radices = [p ** (v - e)] * len(x)
-    radices[pivot] = 1
-    return x + p**e * _grid(radices, 0, math.prod(radices))
+    X = np.array(X, dtype=np.int64, ndmin=2)
+    m = X.shape[1]
+    pivots = np.argmax(X % p != 0, axis=1)
+    out = np.empty((len(X), p ** ((v - e) * (m - 1)), m), dtype=np.int64)
+    for pivot in set(pivots.tolist()):
+        radices = [p ** (v - e)] * m
+        radices[pivot] = 1
+        rows = pivots == pivot
+        out[rows] = X[rows, None, :] + p**e * _grid(radices, 0, math.prod(radices))
+    return out.reshape(-1, m)
 
 
 def _veronese_mod(basis, X: np.ndarray, mod: int) -> np.ndarray:
@@ -268,6 +297,13 @@ def _veronese_mod(basis, X: np.ndarray, mod: int) -> np.ndarray:
     monomials run in int64 only when (mod - 1)^d fits."""
     pts = X if (mod - 1) ** basis.d < 2**63 else X.astype(object)
     return veronese_batch(basis, pts) % mod
+
+
+def _jets_mod(basis, X: np.ndarray, mod: int) -> np.ndarray:
+    """Derivative rows nu^(i) of residues 0 <= X < mod, one (k, N) array per
+    i, reduced mod `mod`, exactly: in int64 only when d (mod - 1)^(d - 1) fits."""
+    pts = X if basis.d * (mod - 1) ** (basis.d - 1) < 2**63 else X.astype(object)
+    return veronese_jet_batch(basis, pts) % mod
 
 
 def _residue_zeros(form: Form, blocks, mod: int) -> np.ndarray:
@@ -612,6 +648,31 @@ def classify_balls(
     some <a, nu^(i)(x)> != 0 mod p^v_tilde: the zero then survives every
     coefficient perturbation of size p^-v by the lifting lemma with
     e = v, l = v_tilde - 1.
+
+    The balls are classified digit by digit, as whole classes a mod p^k for
+    k = max(e_p, 1), ..., v, each against the admissible residues mod p^k
+    (at the first level every one of them; later only the fibres over the
+    zeros of the class's parent, since every zero of a child reduces to a
+    zero of its parent). A class a mod p^k with k < v falls in one of three
+    cases:
+
+    - no admissible zero: no lift meets the locus, since a zero mod p^v
+      reduces to one mod p^k; the class is dropped;
+    - an admissible zero x with some <a, nu^(i)(x)> a unit: every lift a'
+      of a keeps f_a'(x) == 0 mod p^k with the same unit partial, so by the
+      lifting lemma with l = 0 (Hensel in one coordinate) it has an
+      admissible zero mod p^v with a unit partial, and v_tilde >= 1 makes
+      that certifying: all p^((v-k)N) lifts count in Omega_0 and Omega_1.
+      The lift moves a coordinate other than the pivot, so it stays
+      canonical (and in xi's class): by Euler's relation
+      sum_i x_i df/dx_i(x) = d f(x) == 0 mod p with x_pivot = 1, a unit
+      pivot partial forces a unit partial off the pivot, also when p | d;
+    - otherwise the class descends to its p^N children a + p^k b.
+
+    At k = v the remaining classes take the rule of the first paragraph.
+    Every count equals the one of testing each of the p^(vN) balls against
+    every admissible residue mod p^v; the budget applies to that nominal
+    p^(vN).
     """
     if v < 1 or (e_p > v):
         raise ValueError("need v >= max(e_p, 1)")
@@ -623,31 +684,74 @@ def classify_balls(
         raise EnumerationBudgetExceeded("too many coefficient balls", total)
     v_tilde = min(-(-v // 2), v - e_p + 1)
     basis = monomial_basis(d, n)
+    k = max(e_p, 1)
     if e_p >= 1:
-        X = _residue_fibre(canonical_residue(xi.entries, xi.p, e_p), p, e_p, v)
+        X = _residue_fibre(canonical_residue(xi.entries, xi.p, e_p), p, e_p, k)
     else:
-        X = np.concatenate(list(_canonical_blocks(n + 1, p, v)))
-    mod = p**v
-    modt = p**v_tilde
-    NU = _veronese_mod(basis, X, mod)  # (k, N)
-    jet_rows = [veronese_jet(basis, x)[1] for x in X.tolist()]
-    DIs = [
-        np.array([[int(c) % modt for c in jets[i]] for jets in jet_rows], dtype=np.int64)
-        for i in range(n + 1)
-    ]
+        X = np.concatenate(list(_canonical_blocks(n + 1, p, k)))
+    # a job (parents, B, s, R, owner) holds the classes parents[i] + s B[r],
+    # for every row r of B, each tested against the residues R[j] with
+    # owner[j] == i; at the first level the one parent is 0
+    root = np.zeros((1, N), dtype=np.int64)
+    first = p ** (k * N)
+    blocks = (_grid([p**k] * N, start, min(start + _CHUNK, first)) for start in range(0, first, _CHUNK))
+    jobs = ((root, A[(A % p != 0).any(axis=1)], 1, X, np.zeros(len(X), dtype=np.int64)) for A in blocks)
     omega0 = omega1 = 0
-    for start in range(0, total, _CHUNK):
-        A = _grid([mod] * N, start, min(start + _CHUNK, total))
-        A = A[(A % p != 0).any(axis=1)]  # primitive balls only
-        if len(A) == 0:
-            continue
-        zero = pairings(A, NU) % mod == 0  # (balls, residues)
-        good = np.zeros_like(zero)
-        for DI in DIs:
-            good |= pairings(A, DI) % modt != 0
-        omega1 += int(zero.any(axis=1).sum())
-        omega0 += int((zero & good).any(axis=1).sum())
-    return BallClassification(p, v, e_p, v_tilde, omega0, omega1, n, N)
+    while True:
+        mod = p**k
+        modt = p**v_tilde if k == v else p
+        weight = p ** ((v - k) * N)
+        descend = []
+        for parents, B, s, R, owner in jobs:
+            starts = np.flatnonzero(np.diff(owner, prepend=-1))  # owner is sorted, no parent is empty
+            base = parents[owner]
+            zero = _class_pairings(base, B, s, _veronese_mod(basis, R, mod), mod) == 0
+            good = np.zeros_like(zero)
+            for DI in _jets_mod(basis, R, modt):
+                good |= _class_pairings(base, B, s, DI, modt) != 0
+            sure = np.logical_or.reduceat(zero & good, starts, axis=1)  # (rows of B, parents)
+            rest = np.logical_or.reduceat(zero, starts, axis=1) & ~sure
+            omega0 += weight * int(sure.sum())
+            omega1 += weight * int(sure.sum())
+            if k == v:
+                omega1 += int(rest.sum())
+                continue
+            # each class that descends keeps its own zeros, numbered row-major like np.nonzero(rest)
+            label = np.full(rest.shape, -1)
+            label[rest] = np.arange(int(rest.sum()))
+            r, j = np.nonzero(zero & rest[:, owner])
+            b, i = np.nonzero(rest)
+            descend.append((parents[i] + s * B[b], R[j], label[r, owner[j]]))
+        if k == v:
+            return BallClassification(p, v, e_p, v_tilde, omega0, omega1, n, N)
+        jobs = _children(descend, p, k)
+        k += 1
+
+
+def _class_pairings(base: np.ndarray, B: np.ndarray, s: int, NU: np.ndarray, mod: int) -> np.ndarray:
+    """<base[j] + s B[r], NU[j]> mod `mod` for every row r of B and column j,
+    exactly: the parent's share rides along as one more column of NU."""
+    shift = row_pairings(base, NU) % mod
+    if s % mod == 0:  # s B only adds multiples of `mod`
+        return np.broadcast_to(shift, (len(B), len(shift)))
+    ones = np.ones((len(B), 1), dtype=np.int64)
+    return pairings(np.hstack([s * B, ones]), np.hstack([NU, shift[:, None]])) % mod
+
+
+def _children(descend, p: int, k: int):
+    """The jobs of level k + 1: each class a mod p^k that descends, with its
+    zeros Z, has the children a + p^k b for b in [0, p)^N, tested against
+    the fibres mod p^(k+1) over Z; classes are batched up to about _CELLS
+    children x residues."""
+    for classes, Z, owner in descend:
+        digits = _grid([p] * classes.shape[1], 0, p ** classes.shape[1])
+        width = p ** (Z.shape[1] - 1)  # fibre rows per zero
+        batch = np.cumsum(np.bincount(owner) * width * len(digits)) // _CELLS
+        cuts = np.flatnonzero(np.diff(batch, prepend=-1))
+        for lo, hi in zip(cuts, np.append(cuts[1:], len(classes))):
+            zlo, zhi = np.searchsorted(owner, [lo, hi])
+            fibres = _residue_fibre(Z[zlo:zhi], p, k, k + 1)
+            yield classes[lo:hi], digits, p**k, fibres, np.repeat(owner[zlo:zhi] - lo, width)
 
 
 def density_sandwich(d: int, n: int, p: int, e_p: int) -> DensityInterval:

@@ -110,16 +110,39 @@ def veronese_batch(basis: MonomialBasis, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def veronese_jet_batch(basis: MonomialBasis, pts: np.ndarray) -> np.ndarray:
+    """Row-wise derivative vectors of veronese_jet: (k, n+1) -> (n+1, k, N),
+    entry [i, r, t] = (dM_t/dx_i)(pts[r])."""
+    E = basis.exponent_matrix()  # (N, n+1)
+    out = []
+    for i in range(basis.n + 1):
+        lowered = E - (np.arange(basis.n + 1) == i)  # exponent of x_i drops by one
+        # where M_t lacks x_i the factor E[t, i] is 0, so a clipped exponent is harmless
+        out.append((pts[:, None, :] ** np.maximum(lowered, 0)).prod(axis=2) * E[:, i])
+    return np.stack(out)
+
+
+def _exact_dtype(A: np.ndarray, NU: np.ndarray):
+    """int64 when max|a| max|nu| N, a bound on every pairing, fits; else
+    Python integers."""
+    worst = int(np.abs(A).max(initial=0)) * int(np.abs(NU).max(initial=0)) * A.shape[1]
+    return np.int64 if worst < 2**63 else object
+
+
 def pairings(A: np.ndarray, NU: np.ndarray) -> np.ndarray:
     """A @ NU.T exactly: coefficient rows against Veronese rows.
 
     Each entry is bounded by max|a| max|nu| N; the product runs in int64 only
     when that bound provably fits, otherwise in Python integers.
     """
-    worst = int(np.abs(A).max(initial=0)) * int(np.abs(NU).max(initial=0)) * A.shape[1]
-    if worst < 2**63:
-        return A.astype(np.int64, copy=False) @ NU.astype(np.int64, copy=False).T
-    return A.astype(object) @ NU.astype(object).T
+    dtype = _exact_dtype(A, NU)
+    return A.astype(dtype, copy=False) @ NU.astype(dtype, copy=False).T
+
+
+def row_pairings(A: np.ndarray, NU: np.ndarray) -> np.ndarray:
+    """<A[r], NU[r]> for each row r, exactly, under the rule of `pairings`."""
+    dtype = _exact_dtype(A, NU)
+    return (A.astype(dtype, copy=False) * NU.astype(dtype, copy=False)).sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -139,8 +139,8 @@ def test_projection_bound_vs_monte_carlo():
             if len(proj) == 0:
                 continue
             cell = 0.05
-            cells = {tuple(np.floor(row / cell).astype(int)) for row in proj}
-            measured = len(cells) * cell**nu
+            cells = len(np.unique(np.floor(proj / cell).astype(np.int64), axis=0))
+            measured = cells * cell**nu
             tau = 1.0  # xi lies in the projection subspace here
             assert measured <= fitted_c * projection_volume_bound(N, nu, sigma, 1.0, tau)
 

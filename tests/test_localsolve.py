@@ -4,10 +4,12 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fanostat import localsolve
 from fanostat.errors import EnumerationBudgetExceeded, HypothesisFailed
 from fanostat.geom import Cone, cone_member
 from fanostat.localsolve import (
@@ -40,7 +42,15 @@ from fanostat.padic import (
     proj_distance_padic,
     verify_certificate,
 )
-from fanostat.veronese import dimension, evaluate_form, make_form, monomial_basis, veronese
+from fanostat.veronese import (
+    dimension,
+    evaluate_form,
+    make_form,
+    monomial_basis,
+    veronese,
+    veronese_batch,
+    veronese_jet,
+)
 
 
 def mkform(d, n, **monos):
@@ -294,6 +304,81 @@ def test_classify_balls_boundary_bound():
         assert res.boundary_upper <= res.paper_boundary_bound, (p, v)
 
 
+def _brute_force_balls(d, n, p, v, xi=None, e_p=0):
+    """(omega0, omega1) by testing every primitive ball a mod p^v against
+    every admissible residue mod p^v: the single-level kernel the digit-by-
+    digit classification replaced."""
+    N = dimension(d, n)
+    basis = monomial_basis(d, n)
+    mod, modt = p**v, p ** min(-(-v // 2), v - e_p + 1)
+    if e_p >= 1:
+        X = _residue_fibre(canonical_residue(xi.entries, p, e_p), p, e_p, v)
+    else:
+        X = np.array(canonical_projective_residues(n + 1, p, v), dtype=np.int64)
+    NU = veronese_batch(basis, X) % mod
+    jets = [veronese_jet(basis, x)[1] for x in X.tolist()]
+    DIs = [np.array([[c % modt for c in jet[i]] for jet in jets], dtype=np.int64) for i in range(n + 1)]
+    A = np.array([a for a in itertools.product(range(mod), repeat=N) if any(c % p for c in a)], dtype=np.int64)
+    zero = (A @ NU.T) % mod == 0
+    good = np.zeros_like(zero)
+    for DI in DIs:
+        good |= (A @ DI.T) % modt != 0
+    return int((zero & good).any(axis=1).sum()), int(zero.any(axis=1).sum())
+
+
+@st.composite
+def _ball_cases(draw):
+    d, n, p = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([2, 3, 5]))
+    v = draw(st.integers(1, 3))
+    assume(p ** (v * dimension(d, n)) <= 2**16)
+    e_p = draw(st.integers(0, v))
+    if e_p == 0:
+        return d, n, p, v, 0, None
+    xi = draw(
+        st.lists(st.integers(0, p**e_p - 1), min_size=n + 1, max_size=n + 1).filter(lambda x: any(c % p for c in x))
+    )
+    return d, n, p, v, e_p, tuple(xi)
+
+
+@settings(max_examples=60)
+@given(_ball_cases())
+@example((2, 2, 2, 3, 1, (1, 0, 1)))  # p | d, three levels
+@example((3, 1, 3, 2, 1, (1, 2)))  # p | d
+def test_classify_balls_matches_the_brute_force_kernel(case):
+    d, n, p, v, e_p, entries = case
+    xi = PadicApproxVector.from_integers(p, e_p, entries) if e_p else None
+    res = classify_balls(d, n, p, v, xi, e_p)
+    assert (res.omega0, res.omega1) == _brute_force_balls(d, n, p, v, xi, e_p)
+
+
+# (omega0, omega1) of the single-level kernel, which took 3-18 s per case
+_PINNED_BALLS = {
+    (2, 3, 2, 2): (996352, 1043072),
+    (3, 2, 2, 2): (1017856, 1031296),
+    (2, 2, 3, 2): (454896, 488592),
+    (2, 2, 2, 3): (223328, 237440),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_BALLS))
+def test_classify_balls_keeps_the_pinned_counts(case):
+    res = classify_balls(*case)
+    assert (res.omega0, res.omega1) == _PINNED_BALLS[case]
+
+
+def test_classify_balls_counts_do_not_depend_on_batching(monkeypatch):
+    # one descending class per batch
+    monkeypatch.setattr(localsolve, "_CELLS", 1)
+    res = classify_balls(2, 2, 2, 3)
+    assert (res.omega0, res.omega1) == _PINNED_BALLS[(2, 2, 2, 3)]
+
+
+def test_local_density_still_bounds_the_tail_at_3_for_quadric_surfaces():
+    # 3^20 nominal balls exceed the budget however fast the classification is,
+    # so predicted_census enumerates the same primes as before
+    assert local_density(2, 3, 3, depth=2).method == "tail-bound"
+
+
 def test_density_sandwich_values():
     # (d,n) = (2,3): N = 10, p = 3, e = 1
     iv = density_sandwich(2, 3, 3, 1)
@@ -445,6 +530,14 @@ def test_residue_fibre_equals_canonicalised_lifts(p, m, v, data):
         return
     x = data.draw(st.sampled_from(_scalar_canonical_residues(m, p, e)))
     assert _residue_fibre(x, p, e, v).tolist() == [list(c) for c in _scalar_fibre(x, p, e, v)]
+
+
+def test_canonical_blocks_cut_across_pivots():
+    # 125^2 + 25 * 125 + 5^4 = 19375 residues: two blocks, cut inside pivot 1
+    blocks = list(_canonical_blocks(3, 5, 3))
+    assert [len(X) for X in blocks] == [localsolve._CHUNK, 19375 - localsolve._CHUNK]
+    assert [tuple(x) for X in blocks for x in X.tolist()] == _scalar_canonical_residues(3, 5, 3)
+    assert not any(X.flags.writeable for X in blocks)  # shared through the cache
 
 
 @st.composite

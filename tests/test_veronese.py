@@ -15,10 +15,13 @@ from fanostat.veronese import (
     height_squared,
     make_form,
     monomial_basis,
+    pairings,
     parse_form,
+    row_pairings,
     veronese,
     veronese_batch,
     veronese_jet,
+    veronese_jet_batch,
 )
 
 
@@ -168,3 +171,15 @@ def test_batch_matches_scalar():
     batch = veronese_batch(b, pts)
     for row, x in zip(batch, pts):
         assert list(row) == veronese(b, list(int(c) for c in x))
+    # derivative rows, in int64 and in Python integers, for every (d, n) shape
+    rng = np.random.default_rng(5)
+    for d, n in ((1, 2), (2, 3), (3, 2), (4, 1)):
+        b = monomial_basis(d, n)
+        pts = rng.integers(-5, 6, size=(6, n + 1))
+        for dtype in (np.int64, object):
+            jets = veronese_jet_batch(b, pts.astype(dtype))
+            for r, x in enumerate(pts.tolist()):
+                assert jets[:, r, :].tolist() == veronese_jet(b, x)[1]
+    A = rng.integers(-9, 10, size=(5, 10))
+    NU = veronese_batch(monomial_basis(2, 3), rng.integers(-3, 4, size=(5, 4)))
+    assert row_pairings(A, NU).tolist() == np.diag(pairings(A, NU)).tolist()
