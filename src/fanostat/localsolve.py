@@ -11,7 +11,8 @@ every decision routine returns a TriState:
 - no: carries the depth at which an exhaustive residue search emptied out
   (sound: an exact zero would reduce), or an interval-arithmetic exclusion
   certificate over the real cap;
-- unknown: carries the exhausted budget.
+- unknown: carries the exhausted budget; over R also the boxes examined
+  (`cells`) and the unexamined frontier (`pending`).
 
 Every question "which admissible residues x mod p^v have f(x) == 0?" (the
 p-adic decider, F_p point counts, ball classification) is answered on one
@@ -42,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EnumerationBudgetExceeded, HypothesisFailed, PreconditionFailed
+from .errors import EnumerationBudgetExceeded, HypothesisFailed, NonConvergence, PreconditionFailed
 from .geom import Cone, cone_member, proj_distance_arch
 from .intlinalg import solve_integer
 from .numtheory import crt_combine, primes_up_to, unit_classes
@@ -401,85 +402,6 @@ def _try_lift(form: Form, x, p: int, v: int, e_p: int):
 # real membership decision
 
 
-class _Interval:
-    """Closed interval with outward rounding (sound over floats)."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi=None):
-        if hi is None:
-            hi = lo
-        self.lo = float(lo)
-        self.hi = float(hi)
-
-    @staticmethod
-    def _down(x):
-        return math.nextafter(x, -math.inf)
-
-    @staticmethod
-    def _up(x):
-        return math.nextafter(x, math.inf)
-
-    def __add__(self, other):
-        other = other if isinstance(other, _Interval) else _Interval(other)
-        return _Interval(self._down(self.lo + other.lo), self._up(self.hi + other.hi))
-
-    def __sub__(self, other):
-        other = other if isinstance(other, _Interval) else _Interval(other)
-        return _Interval(self._down(self.lo - other.hi), self._up(self.hi - other.lo))
-
-    def __mul__(self, other):
-        other = other if isinstance(other, _Interval) else _Interval(other)
-        prods = [self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi]
-        return _Interval(self._down(min(prods)), self._up(max(prods)))
-
-    def power(self, k: int):
-        if k == 0:
-            return _Interval(1.0)
-        if k % 2 == 1 or self.lo >= 0:
-            return _Interval(self._down(self.lo**k), self._up(self.hi**k))
-        if self.hi <= 0:
-            return _Interval(self._down(self.hi**k), self._up(self.lo**k))
-        return _Interval(0.0, self._up(max(self.lo**k, self.hi**k)))
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0.0 <= self.hi
-
-    def split(self):
-        mid = 0.5 * (self.lo + self.hi)
-        return _Interval(self.lo, mid), _Interval(mid, self.hi)
-
-    def width(self):
-        return self.hi - self.lo
-
-
-def _form_on_box(form: Form, box) -> _Interval:
-    total = _Interval(0.0)
-    for a, exps in zip(form.coeffs, form.basis.monomials):
-        if a == 0:
-            continue
-        term = _Interval(float(a))
-        for iv, e in zip(box, exps):
-            if e:
-                term = term * iv.power(e)
-        total = total + term
-    return total
-
-
-def _box_outside_cap(box, xi, sigma2: float) -> bool:
-    """Sound test that a box misses the cap {d(x, xi) <= sigma}."""
-    ip = _Interval(0.0)
-    nx = _Interval(0.0)
-    nxi = math.fsum(float(c) ** 2 for c in xi)
-    for iv, c in zip(box, xi):
-        ip = ip + iv * _Interval(float(c))
-        nx = nx + iv * iv
-    # outside iff <x,xi>^2 < (1 - sigma^2) |x|^2 |xi|^2 for every x in the box
-    lhs = ip * ip
-    rhs = nx * _Interval((1.0 - sigma2) * nxi)
-    return lhs.hi < rhs.lo
-
-
 def decide_real_solubility(
     form: Form,
     xi_inf,
@@ -490,62 +412,190 @@ def decide_real_solubility(
 
     yes: an exact rational zero in the cap, a certified sign change between
     two cap points (intermediate value theorem along the connecting cap
-    geodesic), or a certified 1-D Newton root that stays in the cap.
+    geodesic), or a certified 1-D Newton root that stays in the cap. The cap
+    points are a fixed rational direction grid, tried in grid order.
     no: outward-rounded interval arithmetic excludes zeros from the whole
-    cap, covering projective space by cube faces. unknown otherwise.
+    cap, covering projective space by the 2(n+1) cube faces. The boxes are
+    refined breadth first, a whole level at a time: a box is dropped when it
+    misses the cap or f cannot vanish on it, and otherwise split in half on
+    its widest coordinate (the lowest index on ties). A box's children depend
+    only on the box, so the boxes examined, and with them the verdict and the
+    `cells` of a `no`, do not depend on the order of the search.
+    unknown: the next level would take the boxes examined past
+    `subdivision_budget`, or a box to split is narrower than 1e-6. It reports
+    the `reason`, the `cells` examined and the `pending` boxes of the
+    unexamined frontier. A `no` needs a search tree of at most
+    `subdivision_budget` boxes.
     """
-    sigma = float(sigma_inf)
-    sigma2 = sigma * sigma
-    n = form.basis.n
-    cone = Cone(tuple(xi_inf), Fraction(sigma_inf) if not isinstance(sigma_inf, float) else sigma_inf)
+    xi = tuple(xi_inf)
+    sigma = sigma_inf if isinstance(sigma_inf, float) else Fraction(sigma_inf)
     # --- yes paths on a rational direction grid
-    grid = _direction_grid(n, xi_inf)
-    pos, neg = [], []
-    for v in grid:
-        if not cone_member(cone, v):
-            continue
-        val = evaluate_form(form, v)
-        if val == 0:
-            return TriState.yes({"kind": "exact-zero", "point": v})
-        # track signs on a single cap component (nonneg inner product side)
-        side = sum(a * b for a, b in zip(v, xi_inf))
-        w = v if side >= 0 else tuple(-c for c in v)
-        sval = val if (side >= 0 or form.basis.d % 2 == 0) else -val
-        (pos if sval > 0 else neg).append(w)
-    if pos and neg:
-        return TriState.yes({"kind": "sign-change", "positive": pos[0], "negative": neg[0]})
-    for v in pos + neg:
-        cert = _newton_in_cap(form, v, xi_inf, sigma)
+    points, sides, flipped, V = _cap_grid(form.basis, xi, sigma)
+    vals = pairings(np.array([form.coeffs], dtype=object), V)[0]
+    zeros = np.flatnonzero(vals == 0)
+    if zeros.size:
+        return TriState.yes({"kind": "exact-zero", "point": points[zeros[0]]})
+    # signs on a single cap component (nonneg inner product side)
+    positive = (vals > 0) != (flipped & (form.basis.d % 2 == 1))
+    if positive.any() and not positive.all():
+        pos, neg = np.argmax(positive), np.argmin(positive)
+        return TriState.yes({"kind": "sign-change", "positive": sides[pos], "negative": sides[neg]})
+    for w in sides:
+        cert = _newton_in_cap(form, w, xi, float(sigma))
         if cert is not None:
             return TriState.yes(cert)
-    # --- no path: interval exclusion over the cap
-    work = []
-    for k in range(n + 1):
-        for sgn in (1.0, -1.0):
-            box = [_Interval(-1.0, 1.0) for _ in range(n + 1)]
-            box[k] = _Interval(sgn, sgn)
-            work.append(box)
+    return _exclude_by_intervals(form, xi, sigma, subdivision_budget)
+
+
+@lru_cache(maxsize=32)
+def _cap_grid(basis, xi: tuple, sigma):
+    """The direction-grid points v in the cap, in grid order; their sides
+    w = +-v on the nonneg side of xi; whether w = -v; and the Veronese rows of
+    the points. Cached, because a census asks for the same cap for every
+    form; hence tuples and read-only arrays."""
+    cone = Cone(xi, sigma)
+    points = tuple(v for v in _direction_grid(basis.n, xi) if cone_member(cone, v))
+    flipped = np.array([sum(a * b for a, b in zip(v, xi)) < 0 for v in points], dtype=bool)
+    sides = tuple(tuple(-c for c in v) if flip else v for v, flip in zip(points, flipped))
+    V = veronese_batch(basis, np.array(points, dtype=np.int64).reshape(-1, basis.n + 1))
+    flipped.flags.writeable = V.flags.writeable = False
+    return points, sides, flipped, V
+
+
+def _exclude_by_intervals(form: Form, xi: tuple, sigma, budget: int) -> TriState:
+    """The breadth-first interval exclusion of `decide_real_solubility`."""
+    n1 = form.basis.n + 1
+    lo, hi = np.full((2 * n1, n1), -1.0), np.full((2 * n1, n1), 1.0)
+    for k in range(n1):  # the faces x_k = 1 and x_k = -1
+        lo[2 * k, k] = hi[2 * k, k] = 1.0
+        lo[2 * k + 1, k] = hi[2 * k + 1, k] = -1.0
+    terms, cap = _form_terms(form), _cap_terms(xi, sigma)
     examined = 0
-    while work:
-        box = work.pop()
-        examined += 1
-        if examined > subdivision_budget:
-            return TriState.unknown({"reason": "subdivision budget", "pending": len(work) + 1})
-        if _box_outside_cap(box, xi_inf, sigma2):
-            continue
-        fbox = _form_on_box(form, box)
-        if not fbox.contains_zero():
-            continue
-        widths = [iv.width() for iv in box]
-        j = max(range(n + 1), key=lambda i: widths[i])
-        if widths[j] < 1e-6:
-            return TriState.unknown({"reason": "cells too small to split", "box": [(iv.lo, iv.hi) for iv in box]})
-        left, right = box[j].split()
-        for part in (left, right):
-            nb = list(box)
-            nb[j] = part
-            work.append(nb)
+    while len(lo):
+        if examined + len(lo) > budget:
+            return TriState.unknown({"reason": "subdivision budget", "cells": examined, "pending": len(lo)})
+        examined += len(lo)
+        keep = ~_outside_cap(cap, lo, hi)
+        lo, hi = lo[keep], hi[keep]
+        f_lo, f_hi = _form_enclosure(terms, lo, hi)
+        keep = (f_lo <= 0.0) & (0.0 <= f_hi)
+        lo, hi = lo[keep], hi[keep]
+        rows = np.arange(len(lo))
+        j = (hi - lo).argmax(axis=1)
+        small = np.flatnonzero(hi[rows, j] - lo[rows, j] < 1e-6)
+        if small.size:
+            box = [(float(a), float(b)) for a, b in zip(lo[small[0]], hi[small[0]])]
+            return TriState.unknown(
+                {"reason": "cells too small to split", "cells": examined, "pending": 2 * len(lo), "box": box}
+            )
+        mid = 0.5 * (lo[rows, j] + hi[rows, j])
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[rows, j] = mid
+        right_lo[rows, j] = mid
+        lo, hi = np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])
     return TriState.no({"kind": "interval-exclusion", "cells": examined})
+
+
+# Outward-rounded interval arithmetic over arrays of boxes. Every operation
+# rounds its result one ulp outward, in the order a scalar evaluation takes:
+# the enclosures are those of the term-by-term scalar evaluation bit for bit.
+
+
+def _down(x):
+    return np.nextafter(x, -np.inf)
+
+
+def _up(x):
+    return np.nextafter(x, np.inf)
+
+
+def _imul(a_lo, a_hi, b_lo, b_hi):
+    p, q, r, s = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi
+    return _down(np.minimum(np.minimum(p, q), np.minimum(r, s))), _up(np.maximum(np.maximum(p, q), np.maximum(r, s)))
+
+
+def _ipow(lo, hi, k: int):
+    """[lo, hi]^k for k >= 1, rounded outward as a scalar `x**k` would be.
+    Box coordinates are dyadics of at most 22 significant bits, so their
+    squares are exact products; higher powers go through Python's float `**`
+    (libm pow), which numpy's power and repeated products do not always
+    match."""
+    if k == 1:
+        p_lo, p_hi = lo, hi
+    elif k == 2:
+        p_lo, p_hi = lo * lo, hi * hi
+    else:
+        values, inverse = np.unique(np.stack([lo, hi]), return_inverse=True)
+        p_lo, p_hi = np.array([x**k for x in values.tolist()])[inverse].reshape(2, -1)
+    if k % 2 == 1:
+        return _down(p_lo), _up(p_hi)
+    nonneg, nonpos = lo >= 0, hi <= 0
+    r_lo = np.where(nonneg, _down(p_lo), np.where(nonpos, _down(p_hi), 0.0))
+    r_hi = np.where(nonneg, _up(p_hi), np.where(nonpos, _up(p_lo), _up(np.maximum(p_lo, p_hi))))
+    return r_lo, r_hi
+
+
+def _form_terms(form: Form):
+    """The monomials of f with nonzero coefficients, in basis order: each
+    coefficient as an outward interval (a_lo, a_hi), and the exponents E."""
+    nonzero = [m for m, a in enumerate(form.coeffs) if a != 0]
+    a_lo, a_hi = np.array([_outward(form.coeffs[m]) for m in nonzero]).T
+    return a_lo, a_hi, form.basis.exponent_matrix()[nonzero]
+
+
+def _form_enclosure(terms, lo, hi):
+    """Enclosures (f_lo, f_hi) of f on the boxes (rows of lo, hi): each of
+    the `_form_terms` is multiplied out coordinate by coordinate, skipping
+    the zero exponents, and the terms are summed in order from 0."""
+    a_lo, a_hi, E = terms
+    t_lo, t_hi = np.tile(a_lo, (len(lo), 1)), np.tile(a_hi, (len(lo), 1))
+    for i, exps in enumerate(E.T):
+        cols = np.flatnonzero(exps)
+        if not cols.size:
+            continue
+        ks = exps[cols].tolist()
+        powers = {k: _ipow(lo[:, i], hi[:, i], k) for k in set(ks)}
+        p_lo, p_hi = np.stack([powers[k] for k in ks], axis=2)
+        t_lo[:, cols], t_hi[:, cols] = _imul(t_lo[:, cols], t_hi[:, cols], p_lo, p_hi)
+    f_lo, f_hi = np.zeros(len(lo)), np.zeros(len(lo))
+    for m in range(len(E)):
+        f_lo, f_hi = _down(f_lo + t_lo[:, m]), _up(f_hi + t_hi[:, m])
+    return f_lo, f_hi
+
+
+def _cap_terms(xi, sigma):
+    """The entries of xi as outward intervals (c_lo, c_hi), and
+    K = (1 - sigma^2) |xi|^2 rounded down."""
+    c_lo, c_hi = np.array([_outward(c) for c in xi]).T
+    K = (1 - Fraction(sigma) ** 2) * sum(Fraction(c) ** 2 for c in xi)
+    return c_lo, c_hi, _outward(K)[0]
+
+
+def _outside_cap(cap, lo, hi):
+    """Sound test that each box (rows of lo, hi) misses the cap
+    {d(x, xi) <= sigma}, given by its `_cap_terms`: outside iff
+    <x,xi>^2 < K |x|^2 for every x in the box."""
+    c_lo, c_hi, K = cap
+    p_lo, p_hi = _imul(lo, hi, c_lo, c_hi)
+    q_lo, q_hi = _imul(lo, hi, lo, hi)
+    ip_lo = ip_hi = nx_lo = nx_hi = np.zeros(len(lo))
+    for i in range(lo.shape[1]):
+        ip_lo, ip_hi = _down(ip_lo + p_lo[:, i]), _up(ip_hi + p_hi[:, i])
+        nx_lo, nx_hi = _down(nx_lo + q_lo[:, i]), _up(nx_hi + q_hi[:, i])
+    _, lhs_hi = _imul(ip_lo, ip_hi, ip_lo, ip_hi)
+    rhs_lo, _ = _imul(nx_lo, nx_hi, K, K)
+    return lhs_hi < rhs_lo
+
+
+def _outward(a) -> tuple:
+    """The floats (lo, hi) nearest to the rational (or float) a with
+    lo <= a <= hi; equal when a is a float."""
+    f = float(a)
+    if isinstance(a, float) or Fraction(f) == a:
+        return f, f
+    if Fraction(f) < a:
+        return f, math.nextafter(f, math.inf)
+    return math.nextafter(f, -math.inf), f
 
 
 def _direction_grid(n: int, xi_inf):
@@ -577,7 +627,7 @@ def _newton_in_cap(form: Form, v, xi_inf, sigma: float):
         coeffs = _line_restriction(form, v, j)
         try:
             root, bound = newton_real_root(coeffs, 0.0)
-        except Exception:  # precondition or convergence failure: not a cert
+        except (PreconditionFailed, NonConvergence):
             continue
         # the exact zero z = v + alpha e_j with |alpha| <= bound; stay in cap?
         nv = math.sqrt(float(sum(c * c for c in v)))

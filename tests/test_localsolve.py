@@ -277,6 +277,219 @@ def test_decide_real_newton_path():
     assert res.verdict == "yes"
 
 
+# --- the scalar interval oracle: one box at a time, depth first
+
+
+def _down(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
+class _Interval:
+    """Closed interval with outward rounding (sound over floats)."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi=None):
+        self.lo = float(lo)
+        self.hi = float(lo if hi is None else hi)
+
+    def __add__(self, other):
+        return _Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
+
+    def __mul__(self, other):
+        prods = [self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi]
+        return _Interval(_down(min(prods)), _up(max(prods)))
+
+    def power(self, k: int):
+        if k % 2 == 1 or self.lo >= 0:
+            return _Interval(_down(self.lo**k), _up(self.hi**k))
+        if self.hi <= 0:
+            return _Interval(_down(self.hi**k), _up(self.lo**k))
+        return _Interval(0.0, _up(max(self.lo**k, self.hi**k)))
+
+
+def _form_on_box(form, box) -> _Interval:
+    total = _Interval(0.0)
+    for a, exps in zip(form.coeffs, form.basis.monomials):
+        if a == 0:
+            continue
+        term = _Interval(*localsolve._outward(a))
+        for iv, e in zip(box, exps):
+            if e:
+                term = term * iv.power(e)
+        total = total + term
+    return total
+
+
+def _box_outside_cap(box, xi, sigma) -> bool:
+    ip = nx = _Interval(0.0)
+    for iv, c in zip(box, xi):
+        ip = ip + iv * _Interval(*localsolve._outward(c))
+        nx = nx + iv * iv
+    # outside iff <x,xi>^2 < (1 - sigma^2) |x|^2 |xi|^2 for every x in the box
+    return (ip * ip).hi < (nx * _Interval(localsolve._cap_terms(xi, sigma)[2])).lo
+
+
+def _depth_first_decide(form, xi, sigma, budget):
+    """The real decider one grid point and one box at a time: the yes paths
+    in grid order, then a depth-first interval exclusion (a stack of boxes)."""
+    cone = Cone(tuple(xi), sigma)
+    pos, neg = [], []
+    for v in localsolve._direction_grid(form.basis.n, xi):
+        if not cone_member(cone, v):
+            continue
+        val = evaluate_form(form, v)
+        if val == 0:
+            return TriState.yes({"kind": "exact-zero", "point": v})
+        side = sum(a * b for a, b in zip(v, xi))
+        w = v if side >= 0 else tuple(-c for c in v)
+        sval = val if (side >= 0 or form.basis.d % 2 == 0) else -val
+        (pos if sval > 0 else neg).append(w)
+    if pos and neg:
+        return TriState.yes({"kind": "sign-change", "positive": pos[0], "negative": neg[0]})
+    for v in pos + neg:
+        cert = localsolve._newton_in_cap(form, v, xi, float(sigma))
+        if cert is not None:
+            return TriState.yes(cert)
+    n1 = form.basis.n + 1
+    work = []
+    for k in range(n1):
+        for s in (1, -1):
+            work.append([_Interval(s) if i == k else _Interval(-1, 1) for i in range(n1)])
+    examined = 0
+    while work:
+        box = work.pop()
+        examined += 1
+        if examined > budget:
+            return TriState.unknown({"reason": "subdivision budget"})
+        if _box_outside_cap(box, xi, sigma):
+            continue
+        fbox = _form_on_box(form, box)
+        if not fbox.lo <= 0.0 <= fbox.hi:
+            continue
+        j = max(range(n1), key=lambda i: box[i].hi - box[i].lo)
+        if box[j].hi - box[j].lo < 1e-6:
+            return TriState.unknown({"reason": "cells too small to split"})
+        mid = 0.5 * (box[j].lo + box[j].hi)
+        for part in (_Interval(box[j].lo, mid), _Interval(mid, box[j].hi)):
+            work.append(box[:j] + [part] + box[j + 1 :])
+    return TriState.no({"kind": "interval-exclusion", "cells": examined})
+
+
+_SIGMAS = [Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10), Fraction(1)]
+
+
+@st.composite
+def _forms(draw, big=False):
+    d, n = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 2, 3]))
+    N = dimension(d, n)
+    entries = st.integers(-5, 5) | st.sampled_from([2**53 + 1, -(3**40)]) if big else st.integers(-5, 5)
+    coeffs = draw(st.lists(entries, min_size=N, max_size=N).filter(any))
+    return make_form(d, n, coeffs, primitive=False)
+
+
+def _dyadic_boxes(seed, n1, count=32):
+    """Random boxes in [-1, 1]^n1 as (lo, hi), each coordinate's ends on a
+    grid 2^-k Z with 10 <= k <= 21, as the subdivision makes them."""
+    rng = np.random.default_rng(seed)
+    scale = 2.0 ** rng.integers(10, 22, size=(count, n1))
+    a = np.floor(rng.uniform(-1, 1, size=(count, n1)) * scale)
+    w = np.floor(rng.uniform(0, 1, size=(count, n1)) * (scale - a))
+    return a / scale, (a + w) / scale
+
+
+@settings(max_examples=20)
+@given(_forms(big=True), st.sampled_from(_SIGMAS), st.integers(0, 2**32), st.data())
+def test_batched_enclosures_match_the_scalar_oracle_bit_for_bit(form, sigma, seed, data):
+    n1 = form.basis.n + 1
+    lo, hi = _dyadic_boxes(seed, n1)
+    xi = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n1, max_size=n1).filter(any)))
+    f_lo, f_hi = localsolve._form_enclosure(localsolve._form_terms(form), lo, hi)
+    outside = localsolve._outside_cap(localsolve._cap_terms(xi, sigma), lo, hi)
+    for r in range(len(lo)):
+        box = [_Interval(a, b) for a, b in zip(lo[r], hi[r])]
+        ref = _form_on_box(form, box)
+        assert (f_lo[r].hex(), f_hi[r].hex()) == (ref.lo.hex(), ref.hi.hex())
+        assert outside[r] == _box_outside_cap(box, xi, sigma)
+
+
+@st.composite
+def _decider_cases(draw):
+    d, n = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2, 3]))
+    basis = monomial_basis(d, n)
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=basis.size, max_size=basis.size))
+    if d == 2:  # lean towards definite quadrics, whose caps end in a no
+        shift = draw(st.integers(0, 6))
+        coeffs = [a + shift * (max(e) == 2) for a, e in zip(coeffs, basis.monomials)]
+    assume(any(coeffs))
+    xi = tuple(draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1).filter(any)))
+    sigma, budget = draw(st.sampled_from(_SIGMAS)), draw(st.sampled_from([1, 40, 300]))
+    return make_form(d, n, coeffs, primitive=False), xi, sigma, budget
+
+
+@settings(max_examples=20)
+@given(_decider_cases())
+@example((make_form(2, 1, [5, 1, -3]), (3, -3), Fraction(1, 4), 40))  # newton-line
+@example((make_form(3, 2, [1, 2, 4, -5, -1, -5, -3, -4, -5, -3]), (-1, 1, 1), Fraction(1, 10), 40))  # flipped newton-line
+@example((make_form(2, 2, [1, 0, 0, 1, 0, -1]), (2, 1, 0), Fraction(2, 3), 600))  # no after 498 cells
+def test_decide_real_matches_the_depth_first_oracle(case):
+    form, xi, sigma, budget = case
+    res = decide_real_solubility(form, xi, sigma, subdivision_budget=budget)
+    ref = _depth_first_decide(form, xi, sigma, budget)
+    assert res.verdict == ref.verdict
+    if res.verdict != "unknown":
+        assert res.certificate == ref.certificate
+
+
+def test_decide_real_unknown_reports_cells_and_the_frontier():
+    # X0^2 + X1^2 = X2^2 stays at distance sin(pi/4) from (1, 0, 0)
+    f, xi, sigma = mkform(2, 2, m_200=1, m_020=1, m_002=-1), (1, 0, 0), Fraction(1, 2)
+    cells = decide_real_solubility(f, xi, sigma).certificate["cells"]
+    # a no needs the whole search tree inside the budget
+    assert decide_real_solubility(f, xi, sigma, subdivision_budget=cells).verdict == "no"
+    res = decide_real_solubility(f, xi, sigma, subdivision_budget=cells - 1)
+    assert res.verdict == "unknown"
+    assert res.certificate["reason"] == "subdivision budget"
+    assert 0 < res.certificate["cells"] < cells <= res.certificate["cells"] + res.certificate["pending"]
+    first = decide_real_solubility(f, xi, sigma, subdivision_budget=1).certificate
+    assert (first["cells"], first["pending"]) == (0, 6)  # the six faces of the cube
+
+
+def test_cap_constant_is_rounded_down():
+    # (1 - 4/9) 14 = 70/9; the float product (1 - sigma^2) |xi|^2 exceeds it
+    xi, sigma = (1, 2, 3), Fraction(2, 3)
+    assert (1.0 - float(sigma) ** 2) * 14.0 > Fraction(70, 9)
+    K = localsolve._cap_terms(xi, sigma)[2]
+    assert Fraction(K) <= Fraction(70, 9) < Fraction(math.nextafter(K, math.inf))
+    assert localsolve._cap_terms(xi, Fraction(1, 2))[2] == 10.5  # exact
+    for sigma in _SIGMAS:
+        for xi in itertools.product(range(-2, 3), repeat=3):
+            if any(xi):
+                exact = (1 - sigma**2) * sum(c * c for c in xi)
+                assert Fraction(localsolve._cap_terms(xi, sigma)[2]) <= exact
+
+
+def test_outward_brackets_large_coefficients():
+    for a in (2**53 + 1, -(2**53 + 1), 3**40, Fraction(1, 3)):
+        lo, hi = localsolve._outward(a)
+        assert Fraction(lo) < a < Fraction(hi) and math.nextafter(lo, math.inf) == hi
+    assert localsolve._outward(2**53) == (2.0**53, 2.0**53)
+
+
+def test_newton_line_search_lets_unexpected_errors_through(monkeypatch):
+    def broken(coeffs, alpha0):
+        raise ZeroDivisionError("a bug in the line search")
+
+    monkeypatch.setattr(localsolve, "newton_real_root", broken)
+    f = mkform(2, 2, m_200=2, m_020=1, m_002=-1)
+    with pytest.raises(ZeroDivisionError):
+        localsolve._newton_in_cap(f, (1, 0, 1), (1, 0, 1), 1 / 3)
+
+
 def test_classify_balls_matches_congruence_set_at_v_equals_e():
     # at v = e_p, Omega_1 is exactly {a prim : <a, nu(xi)> ≡ 0 mod p^e}
     for p in (2, 3):
