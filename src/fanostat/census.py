@@ -20,7 +20,6 @@ reported as intervals, never silently resolved.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,7 +47,6 @@ from .numtheory import euler_phi, factorize, jordan_totient, primes_up_to, unit_
 from .veronese import (
     Form,
     dimension,
-    evaluate_form,
     height_bound_norm2,
     make_form,
     monomial_basis,
@@ -312,18 +310,10 @@ class CensusReport:
 
 def _arch_verdict(form: Form, target: AdelicTarget, budget: int = 4000, mat=None) -> TriState:
     """Real verdict; mat is the quadric's 2M when the caller already has it."""
-    d = form.basis.d
-    if Fraction(target.sigma_inf) == 1:
-        if d == 2:
-            if _indefinite(quadric_matrix(form) if mat is None else mat):
-                return TriState.yes({"kind": "quadric-signature"})
-            return TriState.no({"kind": "quadric-definite"})
-        if d % 2 == 1:
-            # the cap is all of P^n and f(-v) = -f(v), so f changes sign on
-            # the connected R^(n+1) - 0; a nonzero form of degree d does not
-            # vanish on all of {0, ..., d}^(n+1)
-            grid = itertools.product(range(d + 1), repeat=form.basis.n + 1)
-            return TriState.yes({"kind": "odd-degree", "point": next(v for v in grid if evaluate_form(form, v))})
+    if form.basis.d == 2 and Fraction(target.sigma_inf) == 1:
+        if _indefinite(quadric_matrix(form) if mat is None else mat):
+            return TriState.yes({"kind": "quadric-signature"})
+        return TriState.no({"kind": "quadric-definite"})
     return decide_real_solubility(form, target.xi_inf, target.sigma_inf, subdivision_budget=budget)
 
 

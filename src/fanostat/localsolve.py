@@ -457,7 +457,11 @@ def _cap_grid(basis, xi: tuple, sigma):
     points = tuple(v for v in _direction_grid(basis.n, xi) if cone_member(cone, v))
     flipped = np.array([sum(a * b for a, b in zip(v, xi)) < 0 for v in points], dtype=bool)
     sides = tuple(tuple(-c for c in v) if flip else v for v, flip in zip(points, flipped))
-    V = veronese_batch(basis, np.array(points, dtype=np.int64).reshape(-1, basis.n + 1))
+    pts = np.array(points, dtype=np.int64).reshape(-1, basis.n + 1)
+    # monomials run in int64 only when max|v_i|^d fits
+    if int(np.abs(pts).max(initial=0)) ** basis.d >= 2**63:
+        pts = pts.astype(object)
+    V = veronese_batch(basis, pts)
     flipped.flags.writeable = V.flags.writeable = False
     return points, sides, flipped, V
 

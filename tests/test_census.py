@@ -3,11 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fanostat.census import (
-    _arch_verdict,
     _beyond_verdict,
     _zero_pairings,
     count_rational_points,
@@ -24,9 +21,9 @@ from fanostat.census import (
     quadric_matrix,
     quadric_real_soluble,
 )
-from fanostat.localsolve import AdelicTarget, decide_real_solubility
+from fanostat.localsolve import AdelicTarget
 from fanostat.padic import PadicApproxVector
-from fanostat.veronese import dimension, evaluate_form, make_form, monomial_basis
+from fanostat.veronese import dimension, make_form, monomial_basis
 
 
 def mkform(d, n, **monos):
@@ -238,22 +235,3 @@ def test_beyond_verdict_is_unknown_where_no_prime_can_be_decided():
     assert _beyond_verdict(h, quadric_matrix(h), 3, t, 3) == "yes-all"
     k = mkform(2, 3, m_2000=1, m_0200=1, m_0020=-7, m_0002=-7)
     assert _beyond_verdict(k, quadric_matrix(k), 3, t, 3) == "fails"
-
-
-@st.composite
-def _cubic_forms(draw):
-    n = draw(st.sampled_from([1, 2, 3]))
-    N = dimension(3, n)
-    coeffs = draw(st.lists(st.integers(-3, 3), min_size=N, max_size=N).filter(any))
-    return make_form(3, n, coeffs)
-
-
-@settings(max_examples=30)
-@given(_cubic_forms())
-def test_odd_degree_shortcut_agrees_with_the_real_decider(form):
-    n = form.basis.n
-    res = _arch_verdict(form, AdelicTarget.trivial(n))
-    assert res.verdict == "yes" and res.certificate["kind"] == "odd-degree"
-    point = res.certificate["point"]
-    assert evaluate_form(form, point) == -evaluate_form(form, tuple(-c for c in point)) != 0
-    assert decide_real_solubility(form, (1,) + (0,) * n, Fraction(1), subdivision_budget=200).verdict != "no"

@@ -473,6 +473,15 @@ def test_cap_constant_is_rounded_down():
                 assert Fraction(localsolve._cap_terms(xi, sigma)[2]) <= exact
 
 
+@pytest.mark.parametrize("d", [21, 22, 40])
+def test_decide_real_grid_values_never_wrap_int64(d):
+    # x0^d + x1^d has no real zero near (1, 0); the axis grid point (8, 0)
+    # has 8^d >= 2^63, which int64 Veronese rows would wrap to 0 or negative
+    f = make_form(d, 1, [1] + [0] * (d - 1) + [1])
+    for xi in ((1, 0), (0, 1)):
+        assert decide_real_solubility(f, xi, Fraction(1, 10)).verdict == "no"
+
+
 def test_outward_brackets_large_coefficients():
     for a in (2**53 + 1, -(2**53 + 1), 3**40, Fraction(1, 3)):
         lo, hi = localsolve._outward(a)
