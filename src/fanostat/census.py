@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -33,12 +34,13 @@ from .geom import unit_ball_volume
 from .intlinalg import bareiss_det, canonical_sign_mask, fincke_pohst, integer_ball, lll_reduce
 from .lattice import hyperplane_lattice
 from .localsolve import (
+    _CHUNK,
     DEFAULT_TAIL_CONSTANT,
     AdelicTarget,
     CongruenceCone,
     DensityInterval,
     TriState,
-    decide_padic_solubility,
+    decide_padic_batch,
     decide_real_solubility,
     local_density,
     translate_local_conditions,
@@ -46,6 +48,7 @@ from .localsolve import (
 from .numtheory import euler_phi, factorize, jordan_totient, primes_up_to, unit_class_mask, zeta
 from .veronese import (
     Form,
+    coefficient_matrix,
     dimension,
     height_bound_norm2,
     make_form,
@@ -83,15 +86,6 @@ def enumerate_hypersurfaces(d: int, n: int, A, budget: int = 10**7):
     pts = _primitive_ball(dimension(d, n), int(Fraction(A) ** 2), budget)
     basis = monomial_basis(d, n)
     return [Form(basis, tuple(int(c) for c in row)) for row in pts]
-
-
-def coefficient_matrix(forms) -> np.ndarray:
-    """Coefficient rows as int64, or as Python integers when one overflows."""
-    rows = [f.coeffs for f in forms]
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +222,23 @@ def quadric_matrix(form: Form):
         raise ValueError("quadric helpers need d = 2")
     m = form.basis.n + 1
     mat = [[0] * m for _ in range(m)]
-    for a, exps in zip(form.coeffs, form.basis.monomials):
-        idx = [i for i, e in enumerate(exps) for _ in range(e)]
-        i, j = idx[0], idx[1]
+    for a, (i, j) in zip(form.coeffs, _quadric_pairs(form.basis)):
         if i == j:
             mat[i][i] = 2 * a
         else:
             mat[i][j] += a
             mat[j][i] += a
     return mat
+
+
+@lru_cache(maxsize=None)
+def _quadric_pairs(basis) -> tuple:
+    """The variables (i, j), i <= j, of each monomial X_i X_j of a quadric basis."""
+    pairs = []
+    for exps in basis.monomials:
+        idx = [i for i, e in enumerate(exps) for _ in range(e)]
+        pairs.append((idx[0], idx[1]))
+    return tuple(pairs)
 
 
 def _is_positive_definite(mat) -> bool:
@@ -308,48 +310,60 @@ class CensusReport:
         return "\n".join(lines)
 
 
-def _arch_verdict(form: Form, target: AdelicTarget, budget: int = 4000, mat=None) -> TriState:
-    """Real verdict; mat is the quadric's 2M when the caller already has it."""
-    if form.basis.d == 2 and Fraction(target.sigma_inf) == 1:
-        if _indefinite(quadric_matrix(form) if mat is None else mat):
-            return TriState.yes({"kind": "quadric-signature"})
-        return TriState.no({"kind": "quadric-definite"})
-    return decide_real_solubility(form, target.xi_inf, target.sigma_inf, subdivision_budget=budget)
+def _arch_verdicts(forms, target: AdelicTarget, budget: int = 4000, mats=None) -> list:
+    """Real verdicts of forms on one basis. Quadrics with sigma_inf = 1 take
+    the exact signature test of their 2M (`mats`, when the caller already
+    has them); everything else the real decider."""
+    if forms and forms[0].basis.d == 2 and Fraction(target.sigma_inf) == 1:
+        mats = mats or [quadric_matrix(f) for f in forms]
+        return [
+            TriState.yes({"kind": "quadric-signature"}) if _indefinite(m) else TriState.no({"kind": "quadric-definite"})
+            for m in mats
+        ]
+    return [decide_real_solubility(f, target.xi_inf, target.sigma_inf, subdivision_budget=budget) for f in forms]
 
 
-def _finite_verdict(form, p, target: AdelicTarget, depth_budget: int) -> TriState:
+def _finite_verdicts(forms, p: int, target: AdelicTarget, depth_budget: int) -> list:
+    """The verdicts at p of forms on one basis; a node budget overrun is
+    "unknown"."""
     e_p, xi = target.place(p)
     try:
-        return decide_padic_solubility(form, p, xi, e_p, depth_budget=depth_budget)
-    except EnumerationBudgetExceeded as exc:
-        return TriState.unknown({"reason": "node budget", "detail": str(exc)})
+        out = decide_padic_batch(forms, p, xi, e_p, depth_budget=depth_budget)
+    except EnumerationBudgetExceeded:
+        return ["unknown"] * len(forms)
+    return ["unknown" if isinstance(r, EnumerationBudgetExceeded) else r.verdict for r in out]
 
 
-def _beyond_verdict(form: Form, mat, P: int, target: AdelicTarget, depth_budget: int) -> str:
-    """The verdict over the primes beyond P, outside the target's support,
-    where the form may fail to be soluble: "yes-all", "fails" or "unknown".
+def _beyond_verdicts(forms, mats, P: int, target: AdelicTarget, depth_budget: int) -> list:
+    """For each form, the verdict over the primes beyond P, outside the
+    target's support, where it may fail to be soluble: "yes-all", "fails"
+    or "unknown".
 
-    For quadrics (mat is 2M) those primes are the certified bad primes; a
+    For quadrics (mats hold 2M) those primes are the certified bad primes; a
     det(2M) that cannot be factored gives "unknown". For d >= 3 only the
-    primes up to 2P + 10 are examined.
+    primes up to 2P + 10 are examined. The primes are decided in ascending
+    order, each for every form that has it and has not failed yet, so each
+    form sees its own primes in order and stops at its first "no".
     """
-    if mat is None:
-        primes = primes_up_to(2 * P + 10)
-    else:
-        try:
-            primes = _bad_primes(mat)
-        except ValueError:  # factorize cannot prove a cofactor of det(2M) prime
-            return "unknown"
-    verdict = "yes-all"
-    for p in primes:
-        if p <= P or p in target.support:
-            continue
-        res = _finite_verdict(form, p, target, depth_budget).verdict
-        if res == "no":
-            return "fails"
-        if res == "unknown":
-            verdict = "unknown"
-    return verdict
+    verdicts = ["yes-all"] * len(forms)
+    primes = []
+    for k, mat in enumerate(mats):
+        if mat is None:
+            own = primes_up_to(2 * P + 10)
+        else:
+            try:
+                own = _bad_primes(mat)
+            except ValueError:  # factorize cannot prove a cofactor of det(2M) prime
+                verdicts[k], own = "unknown", []
+        primes.append({p for p in own if p > P and p not in target.support})
+    for p in sorted(set().union(*primes)):
+        todo = [k for k, own in enumerate(primes) if p in own and verdicts[k] != "fails"]
+        for k, res in zip(todo, _finite_verdicts([forms[k] for k in todo], p, target, depth_budget)):
+            if res == "no":
+                verdicts[k] = "fails"
+            elif res == "unknown":
+                verdicts[k] = "unknown"
+    return verdicts
 
 
 def local_census(
@@ -368,37 +382,49 @@ def local_census(
     additionally failing at some prime > P. For quadrics the primes where
     failure is possible form a certified finite set, so E and the direct
     V^loc count close exactly whenever every verdict resolves.
+
+    The census runs over blocks of forms, and place by place within a block:
+    the real verdict first, then each prime <= P or in the support for the
+    forms not yet out of M, then the primes beyond P (`_beyond_verdicts`).
+    At each prime the block's forms are decided together by
+    `decide_padic_batch`, against one cached residue table of P^n(F_p).
     """
     forms = enumerate_hypersurfaces(d, n, A, budget)
     finite_ps = sorted(set(target.support) | set(primes_up_to(P)))
     per_place = {p: {"yes": 0, "no": 0, "unknown": 0} for p in finite_ps}
     arch_tally = {"yes": 0, "no": 0, "unknown": 0}
     m_yes = m_unk = e_yes = e_unk = dv_lo = dv_hi = 0
-    for form in forms:
-        mat = quadric_matrix(form) if d == 2 else None  # 2M, built once
-        verdict = _arch_verdict(form, target, mat=mat).verdict
-        arch_tally[verdict] += 1
-        certain = verdict == "yes"
+    # a block holds at most _CHUNK form x residue pairs at every prime <= P,
+    # so the verdicts and matrices held at once stay bounded
+    points = max(((p ** (n + 1) - 1) // (p - 1) for p in finite_ps), default=1)
+    size = max(1, _CHUNK // points)
+    for lo in range(0, len(forms), size):
+        block = forms[lo : lo + size]
+        mats = [quadric_matrix(f) for f in block] if d == 2 else [None] * len(block)  # 2M, built once
+        verdicts = [res.verdict for res in _arch_verdicts(block, target, mats=mats)]
+        certain = [verdict == "yes" for verdict in verdicts]
+        for verdict in verdicts:
+            arch_tally[verdict] += 1
         for p in finite_ps:
-            if verdict == "no":
-                break  # short-circuit: already out of M
-            verdict = _finite_verdict(form, p, target, depth_budget).verdict
-            per_place[p][verdict] += 1
-            certain = certain and verdict == "yes"
-        if verdict == "no":
-            continue
-        m_yes += certain
-        m_unk += not certain
-        # E: forms in M (certainly or possibly) failing at some prime beyond P
-        beyond = _beyond_verdict(form, mat, P, target, depth_budget)
-        if beyond == "fails":
-            e_yes += certain
-            e_unk += not certain
-        elif beyond == "unknown":
-            e_unk += 1
-        # direct V^loc (quadrics: certified place lists)
-        dv_lo += certain and beyond == "yes-all"
-        dv_hi += beyond != "fails"
+            alive = [k for k, verdict in enumerate(verdicts) if verdict != "no"]  # short-circuit: out of M
+            for k, verdict in zip(alive, _finite_verdicts([block[k] for k in alive], p, target, depth_budget)):
+                verdicts[k] = verdict
+                per_place[p][verdict] += 1
+                certain[k] = certain[k] and verdict == "yes"
+        inside = [k for k, verdict in enumerate(verdicts) if verdict != "no"]
+        beyond = _beyond_verdicts([block[k] for k in inside], [mats[k] for k in inside], P, target, depth_budget)
+        for k, far in zip(inside, beyond):
+            m_yes += certain[k]
+            m_unk += not certain[k]
+            # E: forms in M (certainly or possibly) failing at some prime beyond P
+            if far == "fails":
+                e_yes += certain[k]
+                e_unk += not certain[k]
+            elif far == "unknown":
+                e_unk += 1
+            # direct V^loc (quadrics: certified place lists)
+            dv_lo += certain[k] and far == "yes-all"
+            dv_hi += far != "fails"
     # intervals over both-sign counts
     m_lo, m_hi = 2 * m_yes, 2 * (m_yes + m_unk)
     e_lo, e_hi = 2 * e_yes, 2 * (e_yes + e_unk)
@@ -426,13 +452,16 @@ def real_density_interval(
     """MC interval for the spherical density of real-soluble-near-target forms."""
     rng = rng or np.random.default_rng(0)
     N = dimension(d, n)
-    tally = {"yes": 0, "no": 0, "unknown": 0}
+    forms = []
     for _ in range(samples):
         a = rng.standard_normal(N)
         coeffs = [int(round(c * 10**6)) for c in a]
         if all(c == 0 for c in coeffs):
             continue
-        tally[_arch_verdict(make_form(d, n, coeffs, primitive=False), target, budget).verdict] += 1
+        forms.append(make_form(d, n, coeffs, primitive=False))
+    tally = {"yes": 0, "no": 0, "unknown": 0}
+    for res in _arch_verdicts(forms, target, budget):
+        tally[res.verdict] += 1
     yes, unk = tally["yes"], tally["unknown"]
     m = sum(tally.values())
     if m == 0:

@@ -22,6 +22,16 @@ entries before it in pZ), paired with the coefficients through
 exactly x + p^e s with s in [0, p^(v-e))^m and s_pivot = 0, so the decider
 lifts its frontier one such fibre at a time and sorts each level.
 
+The points of P^n(F_p) come from a residue table, cached per (basis, p):
+the canonical residues mod p in lexicographic order, their Veronese rows
+mod p, and the exact Veronese rows of their centred representatives (built
+in int64 only where the monomials provably fit). One product of a block of
+forms' coefficient rows against the table gives every form's zeros mod p
+and which of them are exact integer zeros, so `decide_padic_batch` decides
+the first level of a whole block of forms at once and then searches the
+deeper levels form by form; `decide_padic_solubility` is its one-form case,
+and `count_projective_points` reads the same table.
+
 Densities of the soluble locus in coefficient space are measured exactly by
 classifying coefficient balls mod p^v: a ball meets the soluble locus iff
 some admissible residue x has <a, nu(x)> == 0 mod p^v (the coefficient can
@@ -57,6 +67,7 @@ from .padic import (
 from .veronese import (
     Form,
     _line_restriction,
+    coefficient_matrix,
     dimension,
     evaluate_form,
     gradient_form,
@@ -300,11 +311,23 @@ def _veronese_mod(basis, X: np.ndarray, mod: int) -> np.ndarray:
     return veronese_batch(basis, pts) % mod
 
 
+def _veronese_exact(basis, X: np.ndarray) -> np.ndarray:
+    """Veronese rows of integer points X, exactly: monomials run in int64
+    only when max|x_i|^d fits."""
+    pts = X if int(np.abs(X).max(initial=0)) ** basis.d < 2**63 else X.astype(object)
+    return veronese_batch(basis, pts)
+
+
 def _jets_mod(basis, X: np.ndarray, mod: int) -> np.ndarray:
     """Derivative rows nu^(i) of residues 0 <= X < mod, one (k, N) array per
     i, reduced mod `mod`, exactly: in int64 only when d (mod - 1)^(d - 1) fits."""
     pts = X if basis.d * (mod - 1) ** (basis.d - 1) < 2**63 else X.astype(object)
     return veronese_jet_batch(basis, pts) % mod
+
+
+def _centred_rows(X: np.ndarray, mod: int) -> np.ndarray:
+    """`_centered` for an array of residues mod `mod`."""
+    return np.where(X > mod // 2, X - mod, X)
 
 
 def _residue_zeros(form: Form, blocks, mod: int) -> np.ndarray:
@@ -313,6 +336,61 @@ def _residue_zeros(form: Form, blocks, mod: int) -> np.ndarray:
     a = np.array([[c % mod for c in form.coeffs]], dtype=np.int64)
     Z = np.concatenate([X[pairings(a, _veronese_mod(form.basis, X, mod))[0] % mod == 0] for X in blocks])
     return Z[np.lexsort(Z.T[::-1])]
+
+
+def _table(basis, X: np.ndarray, mod: int):
+    """The residue table of the residues X mod `mod`: X, their Veronese rows
+    mod `mod` and the exact Veronese rows of their centred representatives,
+    all read-only; the rows in the narrowest integer type that holds them,
+    since tables are cached (`pairings` widens them again)."""
+    table = (X, _narrow(_veronese_mod(basis, X, mod)), _narrow(_veronese_exact(basis, _centred_rows(X, mod))))
+    for T in table:
+        T.flags.writeable = False
+    return table
+
+
+def _narrow(M: np.ndarray) -> np.ndarray:
+    """M as int16 or int32 when its entries fit, else unchanged."""
+    if M.dtype != object:
+        bound = int(np.abs(M).max(initial=0))
+        for dtype in (np.int16, np.int32):
+            if bound <= np.iinfo(dtype).max:
+                return M.astype(dtype)
+    return M
+
+
+def _residue_tables(basis, p: int):
+    """The residue table of every point of P^n(F_p), as canonical residues
+    in lexicographic order, in blocks of _CHUNK rows. A table of one block
+    is cached, because every form of a census asks for it at every prime;
+    larger ones are rebuilt block by block, so memory stays at one block."""
+    total = (p ** (basis.n + 1) - 1) // (p - 1)
+    if total <= _CHUNK:
+        yield _small_residue_table(basis, p)
+        return
+    for start in range(0, total, _CHUNK):
+        yield _table(basis, _lexicographic_rows(basis.n + 1, p, start), p)
+
+
+@lru_cache(maxsize=16)
+def _small_residue_table(basis, p: int):
+    return _table(basis, _lexicographic_rows(basis.n + 1, p, 0), p)
+
+
+def _lexicographic_rows(m: int, p: int, start: int) -> np.ndarray:
+    """Rows start.. (at most _CHUNK) of the canonical residues mod p in m
+    coordinates in lexicographic order: the pivot from the last coordinate
+    to the first, zeros before it, 1 at it, entries in [0, p) after it."""
+    parts = []
+    for pivot in reversed(range(m)):
+        size = p ** (m - pivot - 1)
+        lo, hi = max(start, 0), min(start + _CHUNK, size)
+        if lo < hi:
+            G = _grid([1] * (pivot + 1) + [p] * (m - pivot - 1), lo, hi)
+            G[:, pivot] = 1
+            parts.append(G)
+        start -= size
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -341,42 +419,110 @@ def decide_padic_solubility(
     Budget: the starting residues (every point of P^n(F_p), or xi's class)
     must number at most node_budget on their own; each later level costs
     p^n nodes per frontier residue, cumulatively.
+
+    This is `decide_padic_batch` for one form.
     """
-    n = form.basis.n
+    (verdict,) = decide_padic_batch([form], p, xi, e_p, depth_budget, node_budget)
+    if isinstance(verdict, EnumerationBudgetExceeded):
+        raise verdict
+    return verdict
+
+
+def decide_padic_batch(
+    forms,
+    p: int,
+    xi: Optional[PadicApproxVector] = None,
+    e_p: int = 0,
+    depth_budget: int = 3,
+    node_budget: int = 10**7,
+) -> list:
+    """`decide_padic_solubility` for each of the forms (all on one basis):
+    its TriState, or the EnumerationBudgetExceeded that a level past the
+    first raised for it. The starting residues depend only on (p, n, e_p),
+    so their budget check raises once for all forms.
+
+    The starting level is evaluated for a block of forms at once: one
+    product of their coefficient rows against the residue table (every
+    point of P^n(F_p), or xi's class) gives each form its zeros there and
+    which of them centre to exact integer zeros. A block holds at most
+    _CHUNK form x residue pairs. Each form then runs the level-by-level
+    search of `_search_levels` on its own zeros.
+    """
     if e_p > 0 and xi is None:
         raise ValueError("a target residue is required when e_p >= 1")
-    v = v0 = max(e_p, 1)
-    start = 1 if e_p >= 1 else (p ** (n + 1) - 1) // (p - 1)
-    if start > node_budget or p**v >= 2**63:
+    if not forms:
+        return []
+    basis = forms[0].basis
+    v0 = max(e_p, 1)
+    start = 1 if e_p >= 1 else (p ** (basis.n + 1) - 1) // (p - 1)
+    if start > node_budget or p**v0 >= 2**63:
         raise EnumerationBudgetExceeded("residue search too large", start)
-    if e_p >= 1:
-        blocks = [np.array([canonical_residue(xi.entries, xi.p, e_p)])]
-    else:
-        blocks = _canonical_blocks(n + 1, p, 1)
-    frontier = _residue_zeros(form, blocks, p**v)
-    nodes = 0
+    xi_class = [_table(basis, np.array([canonical_residue(xi.entries, xi.p, e_p)]), p**e_p)] if e_p >= 1 else None
+    size = max(1, _CHUNK // start)
+    out = []
+    for lo in range(0, len(forms), size):
+        block = forms[lo : lo + size]
+        rows, Z, E = _start_zeros(block, xi_class or _residue_tables(basis, p), p**v0)
+        cuts = np.searchsorted(rows, np.arange(len(block) + 1))
+        # a form whose first zero centres to an exact zero is decided at once
+        first, has = cuts[:-1], cuts[1:] > cuts[:-1]
+        done = np.zeros(len(block), dtype=bool)
+        done[has] = E[first[has]]
+        points = iter(_centred_rows(Z[first[done]], p**v0).tolist())
+        for form, a, b, now in zip(block, cuts.tolist(), cuts[1:].tolist(), done.tolist()):
+            if now:
+                out.append(TriState.yes(ExactZeroCertificate(p, tuple(next(points)), e_p)))
+                continue
+            try:
+                out.append(_search_levels(form, p, e_p, v0, Z[a:b], E[a:b], depth_budget, node_budget))
+            except EnumerationBudgetExceeded as exc:
+                out.append(exc)
+    return out
+
+
+def _start_zeros(forms, tables, mod: int):
+    """The zeros mod `mod` of the forms among the residues of the tables:
+    (form index, residue, whether it centres to an exact integer zero) as
+    three arrays, form by form and in table order within a form."""
+    A = coefficient_matrix(forms)
+    A_mod = (A % mod).astype(np.int64)
+    pieces = []
+    for X, V, W in tables:
+        rows, cols = np.nonzero(pairings(A_mod, V) % mod == 0)
+        pieces.append((rows, X[cols], (pairings(A, W) == 0)[rows, cols]))
+    return tuple(np.concatenate(part) for part in zip(*pieces))
+
+
+def _search_levels(form: Form, p: int, e_p: int, v: int, Z, E, depth_budget: int, node_budget: int) -> TriState:
+    """The level-by-level search of `decide_padic_solubility` from the zeros
+    Z mod p^v (lexicographic order) and the mask E of those that centre to
+    exact integer zeros."""
+    n, v0, nodes = form.basis.n, v, 0
     while True:
-        if len(frontier) == 0:
+        if len(Z) == 0:
             return TriState.no({"depth": v, "reason": "no admissible residue zero"})
-        for x in map(tuple, frontier.tolist()):
-            exact = _centered(x, p, v)
-            if any(exact) and evaluate_form(form, exact) == 0:
+        residues = Z.tolist()
+        # the pivot entry is 1, so every point is primitive at p; which are
+        # exact zeros the table says at the first level, evaluate_form later
+        exact = E if v == v0 else (evaluate_form(form, _centered(x, p, v)) == 0 for x in residues)
+        for x, is_zero in zip(residues, exact):
+            if is_zero:
                 # an exact integer zero is a complete certificate by itself
-                return TriState.yes(ExactZeroCertificate(p, exact, e_p))
-            cert = _try_lift(form, x, p, v, e_p)
+                return TriState.yes(ExactZeroCertificate(p, _centered(x, p, v), e_p))
+            cert = _try_lift(form, tuple(x), p, v, e_p)
             if cert is not None:
                 return TriState.yes(cert)
         if v >= max(depth_budget, v0) or p ** (v + 1) >= 2**63:
-            return TriState.unknown({"depth": v, "frontier": len(frontier)})
-        nodes += len(frontier) * p**n
+            return TriState.unknown({"depth": v, "frontier": len(Z)})
+        nodes += len(Z) * p**n
         if nodes > node_budget:
             raise EnumerationBudgetExceeded("residue search too large", nodes)
         # one fibre per frontier residue at a time: memory stays at one fibre
-        frontier = _residue_zeros(form, (_residue_fibre(x, p, v, v + 1) for x in frontier), p ** (v + 1))
+        Z = _residue_zeros(form, (_residue_fibre(x, p, v, v + 1) for x in Z), p ** (v + 1))
         v += 1
 
 
-def _centered(x, p: int, v: int):
+def _centered(x, p: int, v: int) -> tuple:
     """Representative with entries in (-p^v/2, p^v/2]."""
     mod = p**v
     return tuple(c - mod if c > mod // 2 else c for c in x)
@@ -457,11 +603,7 @@ def _cap_grid(basis, xi: tuple, sigma):
     points = tuple(v for v in _direction_grid(basis.n, xi) if cone_member(cone, v))
     flipped = np.array([sum(a * b for a, b in zip(v, xi)) < 0 for v in points], dtype=bool)
     sides = tuple(tuple(-c for c in v) if flip else v for v, flip in zip(points, flipped))
-    pts = np.array(points, dtype=np.int64).reshape(-1, basis.n + 1)
-    # monomials run in int64 only when max|v_i|^d fits
-    if int(np.abs(pts).max(initial=0)) ** basis.d >= 2**63:
-        pts = pts.astype(object)
-    V = veronese_batch(basis, pts)
+    V = _veronese_exact(basis, np.array(points, dtype=np.int64).reshape(-1, basis.n + 1))
     flipped.flags.writeable = V.flags.writeable = False
     return points, sides, flipped, V
 
@@ -872,7 +1014,8 @@ def count_projective_points(form: Form, p: int, budget: int = 10**8) -> int:
     reps = (p ** (n + 1) - 1) // (p - 1)
     if reps > budget:
         raise EnumerationBudgetExceeded("too many projective points", reps)
-    return sum(len(_residue_zeros(form, [X], p)) for X in _canonical_blocks(n + 1, p, 1))
+    a = np.array([[c % p for c in form.coeffs]], dtype=np.int64)
+    return sum(int((pairings(a, V) % p == 0).sum()) for _, V, _ in _residue_tables(form.basis, p))
 
 
 def lang_weil_check(form: Form, p: int, r: int, d: int, constant: float) -> bool:

@@ -139,6 +139,15 @@ def pairings(A: np.ndarray, NU: np.ndarray) -> np.ndarray:
     return A.astype(dtype, copy=False) @ NU.astype(dtype, copy=False).T
 
 
+def coefficient_matrix(forms) -> np.ndarray:
+    """Coefficient rows as int64, or as Python integers when one overflows."""
+    rows = [f.coeffs for f in forms]
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
 def row_pairings(A: np.ndarray, NU: np.ndarray) -> np.ndarray:
     """<A[r], NU[r]> for each row r, exactly, under the rule of `pairings`."""
     dtype = _exact_dtype(A, NU)

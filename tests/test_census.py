@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from fanostat.census import (
-    _beyond_verdict,
+    _beyond_verdicts,
     _zero_pairings,
     count_rational_points,
     enumerate_hypersurfaces,
@@ -21,7 +22,9 @@ from fanostat.census import (
     quadric_matrix,
     quadric_real_soluble,
 )
-from fanostat.localsolve import AdelicTarget
+from fanostat.errors import EnumerationBudgetExceeded
+from fanostat.localsolve import AdelicTarget, decide_padic_solubility, decide_real_solubility
+from fanostat.numtheory import primes_up_to
 from fanostat.padic import PadicApproxVector
 from fanostat.veronese import dimension, make_form, monomial_basis
 
@@ -225,13 +228,107 @@ def test_beyond_verdict_is_unknown_where_no_prime_can_be_decided():
     t = AdelicTarget.trivial(3)
     # det(2M) leaves the cofactor 1000003 * 1000033, which factorize cannot prove prime
     f = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=-1000003 * 1000033)
-    assert _beyond_verdict(f, quadric_matrix(f), 3, t, 3) == "unknown"
+    assert _beyond_verdicts([f], [quadric_matrix(f)], 3, t, 3) == ["unknown"]
     # the bad prime 1000003 has about 10^18 starting residues: over the node budget
     g = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=-1000003)
     assert quadric_bad_primes(g) == [2, 1000003]
-    assert _beyond_verdict(g, quadric_matrix(g), 3, t, 3) == "unknown"
+    assert _beyond_verdicts([g], [quadric_matrix(g)], 3, t, 3) == ["unknown"]
     # decided cases: no bad prime above 3, and X0^2+X1^2-7(X2^2+X3^2), anisotropic at 7
     h = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=1)
-    assert _beyond_verdict(h, quadric_matrix(h), 3, t, 3) == "yes-all"
+    assert _beyond_verdicts([h], [quadric_matrix(h)], 3, t, 3) == ["yes-all"]
     k = mkform(2, 3, m_2000=1, m_0200=1, m_0020=-7, m_0002=-7)
-    assert _beyond_verdict(k, quadric_matrix(k), 3, t, 3) == "fails"
+    assert _beyond_verdicts([k], [quadric_matrix(k)], 3, t, 3) == ["fails"]
+
+
+def _per_form_census(d, n, A, P, target, depth_budget=3):
+    """local_census one form at a time: every place of a form, in order,
+    before the next form."""
+
+    def finite(form, p):
+        e_p, xi = target.place(p)
+        try:
+            return decide_padic_solubility(form, p, xi, e_p, depth_budget=depth_budget).verdict
+        except EnumerationBudgetExceeded:
+            return "unknown"
+
+    forms = enumerate_hypersurfaces(d, n, A)
+    finite_ps = sorted(set(target.support) | set(primes_up_to(P)))
+    per_place = {p: {"yes": 0, "no": 0, "unknown": 0} for p in finite_ps}
+    arch_tally = {"yes": 0, "no": 0, "unknown": 0}
+    m_yes = m_unk = e_yes = e_unk = dv_lo = dv_hi = 0
+    for form in forms:
+        if d == 2 and Fraction(target.sigma_inf) == 1:
+            verdict = "yes" if quadric_real_soluble(form) else "no"
+        else:
+            verdict = decide_real_solubility(form, target.xi_inf, target.sigma_inf, 4000).verdict
+        arch_tally[verdict] += 1
+        certain = verdict == "yes"
+        for p in finite_ps:
+            if verdict == "no":
+                break
+            verdict = finite(form, p)
+            per_place[p][verdict] += 1
+            certain = certain and verdict == "yes"
+        if verdict == "no":
+            continue
+        m_yes += certain
+        m_unk += not certain
+        try:
+            primes = quadric_bad_primes(form) if d == 2 else primes_up_to(2 * P + 10)
+            beyond = "yes-all"
+        except ValueError:
+            primes, beyond = [], "unknown"
+        for p in primes:
+            if p <= P or p in target.support:
+                continue
+            res = finite(form, p)
+            if res == "no":
+                beyond = "fails"
+                break
+            if res == "unknown":
+                beyond = "unknown"
+        e_yes += certain and beyond == "fails"
+        e_unk += (not certain and beyond == "fails") or beyond == "unknown"
+        dv_lo += certain and beyond == "yes-all"
+        dv_hi += beyond != "fails"
+    m_lo, m_hi, e_lo, e_hi = 2 * m_yes, 2 * (m_yes + m_unk), 2 * e_yes, 2 * (e_yes + e_unk)
+    return {
+        "params": {"d": d, "n": n, "A": str(A), "P": P, "q": target.q, "depth_budget": depth_budget},
+        "m_interval": (m_lo, m_hi),
+        "e_interval": (e_lo, e_hi),
+        "vloc_interval": ((m_lo - e_hi) // 2, (m_hi - e_lo) // 2),
+        "direct_vloc_interval": (dv_lo, dv_hi) if d == 2 else None,
+        "per_place": per_place,
+        "arch_tally": arch_tally,
+        "unresolved": m_unk + e_unk,
+        "total_forms": len(forms),
+        "all_resolved": m_unk == 0 and e_unk == 0 and arch_tally["unknown"] == 0,
+    }
+
+
+@pytest.mark.parametrize(
+    "d, n, A, P, target",
+    [
+        # binary forms: cubics failing beyond P (E > 0), quadrics whose bad primes need >= 3 variables
+        (3, 1, 3, 2, AdelicTarget.trivial(1)),
+        (2, 1, 3, 2, AdelicTarget.trivial(1)),
+        (
+            2,
+            3,
+            1,
+            3,
+            AdelicTarget(
+                (
+                    (2, 2, PadicApproxVector.from_integers(2, 2, (1, 0, 3, 1))),
+                    (3, 1, PadicApproxVector.from_integers(3, 1, (1, 2, 0, 1))),
+                ),
+                (1, 0, 0, 0),
+                Fraction(1),
+            ),
+        ),
+        (2, 2, Fraction(3, 2), 3, AdelicTarget((), (2, -1, 1), Fraction(1, 2))),
+        (3, 2, 1, 2, AdelicTarget((), (2, -1, 1), Fraction(1, 2))),
+    ],
+)
+def test_local_census_matches_a_per_form_census(d, n, A, P, target):
+    assert dataclasses.asdict(local_census(d, n, A, P, target)) == _per_form_census(d, n, A, P, target)

@@ -22,6 +22,7 @@ from fanostat.localsolve import (
     canonical_residue,
     classify_balls,
     count_projective_points,
+    decide_padic_batch,
     decide_padic_solubility,
     decide_real_solubility,
     density_sandwich,
@@ -819,3 +820,141 @@ def test_padic_search_checks_its_starting_residues_against_the_budget():
     big = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=-1000003)
     with pytest.raises(EnumerationBudgetExceeded):
         decide_padic_solubility(big, 1000003)
+
+
+# --- the batched p-adic decider against the per-form decider ------------------
+
+
+def _per_form_decide(form, p, xi=None, e_p=0, depth_budget=3, node_budget=10**7):
+    """The per-form p-adic decider that the batched one replaced: the
+    starting zeros from the canonical blocks, sorted, and every exact-zero
+    check by evaluate_form."""
+    n = form.basis.n
+    if e_p > 0 and xi is None:
+        raise ValueError("a target residue is required when e_p >= 1")
+    v = v0 = max(e_p, 1)
+    start = 1 if e_p >= 1 else (p ** (n + 1) - 1) // (p - 1)
+    if start > node_budget or p**v >= 2**63:
+        raise EnumerationBudgetExceeded("residue search too large", start)
+    if e_p >= 1:
+        blocks = [np.array([canonical_residue(xi.entries, xi.p, e_p)])]
+    else:
+        blocks = _canonical_blocks(n + 1, p, 1)
+    frontier = _residue_zeros(form, blocks, p**v)
+    nodes = 0
+    while True:
+        if len(frontier) == 0:
+            return TriState.no({"depth": v, "reason": "no admissible residue zero"})
+        for x in map(tuple, frontier.tolist()):
+            exact = localsolve._centered(x, p, v)
+            if any(exact) and evaluate_form(form, exact) == 0:
+                return TriState.yes(ExactZeroCertificate(p, exact, e_p))
+            cert = localsolve._try_lift(form, x, p, v, e_p)
+            if cert is not None:
+                return TriState.yes(cert)
+        if v >= max(depth_budget, v0) or p ** (v + 1) >= 2**63:
+            return TriState.unknown({"depth": v, "frontier": len(frontier)})
+        nodes += len(frontier) * p**n
+        if nodes > node_budget:
+            raise EnumerationBudgetExceeded("residue search too large", nodes)
+        frontier = _residue_zeros(form, (_residue_fibre(x, p, v, v + 1) for x in frontier), p ** (v + 1))
+        v += 1
+
+
+def _outcome(result):
+    """(verdict, repr(certificate)), or ("raise", message) for a budget overrun."""
+    if isinstance(result, EnumerationBudgetExceeded):
+        return "raise", str(result)
+    return result.verdict, repr(result.certificate)
+
+
+def _caught(decide, form, *args):
+    try:
+        return _outcome(decide(form, *args))
+    except EnumerationBudgetExceeded as exc:
+        return _outcome(exc)
+
+
+@st.composite
+def _padic_blocks(draw):
+    d, n = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+    size = dimension(d, n)
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    forms = []
+    for _ in range(draw(st.integers(1, 4))):
+        scale = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size).filter(any))
+        # powers of p on some coefficients keep residue zeros alive for several levels
+        forms.append(make_form(d, n, [c * p**k for c, k in zip(coeffs, scale)], primitive=False))
+    e_p = draw(st.integers(0, 2))
+    entries = draw(
+        st.lists(st.integers(0, p ** max(e_p, 1) - 1), min_size=n + 1, max_size=n + 1).filter(
+            lambda x: any(c % p for c in x)
+        )
+    )
+    xi = PadicApproxVector(p, max(e_p, 1), tuple(entries)) if e_p else None
+    return forms, p, xi, e_p, draw(st.integers(1, 3)), draw(st.sampled_from([20, 300, 3000]))
+
+
+# one block: a form whose search overruns the node budget past the first level,
+# then forms decided by an exact zero and by a lift
+_OVERRUN_BLOCK = (
+    [
+        mkform(2, 3, m_2000=1, m_0200=1, m_0020=-3, m_0002=-3),
+        mkform(2, 3, m_2000=1, m_0200=1, m_0020=-1, m_0002=-1),
+        mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=-3),
+    ],
+    3, None, 0, 3, 4 * 27 - 1,
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@example(_OVERRUN_BLOCK)
+@given(_padic_blocks())
+def test_decide_padic_batch_matches_the_per_form_oracle(case):
+    forms, *args = case
+    want = [_caught(_per_form_decide, f, *args) for f in forms]
+    try:
+        got = [_outcome(r) for r in decide_padic_batch(forms, *args)]
+    except EnumerationBudgetExceeded as exc:  # the starting level, for every form
+        got = [_outcome(exc)] * len(forms)
+    assert got == want
+    assert [_caught(decide_padic_solubility, f, *args) for f in forms] == want
+
+
+def test_decide_padic_batch_keeps_a_budget_overrun_to_its_form():
+    forms, p, xi, e_p, depth, budget = _OVERRUN_BLOCK
+    first, *rest = decide_padic_batch(forms, p, xi, e_p, depth, budget)
+    assert isinstance(first, EnumerationBudgetExceeded)
+    assert [r.verdict for r in rest] == ["yes", "yes"]
+    assert [type(r.certificate) for r in rest] == [ExactZeroCertificate, LiftCertificate]
+    with pytest.raises(EnumerationBudgetExceeded):
+        decide_padic_solubility(forms[0], p, xi, e_p, depth, budget)
+
+
+def test_residue_tables_are_lexicographic_and_stream_in_blocks(monkeypatch):
+    basis = monomial_basis(2, 3)
+    (whole,) = localsolve._residue_tables(basis, 3)
+    assert [tuple(x) for x in whole[0].tolist()] == sorted(canonical_projective_residues(4, 3, 1))
+    forms = _OVERRUN_BLOCK[0]
+    want = [_outcome(r) for r in decide_padic_batch(forms, 3)]
+    counts = [count_projective_points(f, 3) for f in forms]
+    # 40 points of P^3(F_3) in blocks of 16: one form per block, the table rebuilt block by block
+    monkeypatch.setattr(localsolve, "_CHUNK", 16)
+    blocks = list(localsolve._residue_tables(basis, 3))
+    assert [len(X) for X, _, _ in blocks] == [16, 16, 8]
+    for part, full in zip(zip(*blocks), whole):
+        assert np.array_equal(np.concatenate(part), full)
+    assert [_outcome(r) for r in decide_padic_batch(forms, 3)] == want
+    assert [count_projective_points(f, 3) for f in forms] == counts
+
+
+@pytest.mark.parametrize("d", [40, 41])
+def test_decide_padic_centred_rows_never_wrap_int64(d):
+    # 3^d x0^d - x1^d: its first zero mod 7 is (1, 3), an exact zero whose
+    # monomial 3^d >= 2^63 int64 Veronese rows of the centred residues would wrap
+    f = make_form(d, 1, [3**d] + [0] * (d - 1) + [-1], primitive=False)
+    for xi, e_p in ((None, 0), (PadicApproxVector.from_integers(7, 1, (1, 3)), 1)):
+        res = decide_padic_solubility(f, 7, xi, e_p)
+        assert res.certificate == ExactZeroCertificate(7, (1, 3), e_p)
+        assert _outcome(res) == _caught(_per_form_decide, f, 7, xi, e_p)
