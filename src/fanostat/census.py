@@ -6,7 +6,13 @@ Two headline computations, each with an exact side and a predicted side:
    near an adelic target, summed over all hypersurfaces of height <= A,
    computed both directly (loop over forms, count points) and dually (loop
    over points, count forms through the point via the hyperplane lattice of
-   the Veronese image): the two must agree exactly;
+   the Veronese image): the two must agree exactly. The dual count c(x) of
+   forms through x depends only on the signed-permutation class of x (its
+   sorted absolute values): a signed permutation g of the variables acts on
+   coefficient vectors as a signed permutation, which keeps |a|, primitivity
+   and the +- pair, and f_a(gx) = f_{g.a}(x). So the dual strategy counts one
+   point per class, weighted by the number of target-filtered candidate
+   points in the class;
 
 2. the local census: the number M(A, P) of coefficient vectors admitting
    local points near the target at every place up to P, the correction
@@ -113,14 +119,20 @@ def count_rational_points(form: Form, B, target: AdelicTarget, budget: int = 10*
 
 
 def first_moment_direct(d: int, n: int, A, B, target: AdelicTarget, budget: int = 10**7) -> int:
-    """Strategy 1: loop over forms, count their points (vectorized pairing)."""
-    forms = enumerate_hypersurfaces(d, n, A, budget)
+    """Strategy 1: pair every coefficient vector with every point, count zeros.
+
+    The coefficient rows of the primitive ball meet the Veronese rows of the
+    candidate points in one exact product. It uses no symmetry on purpose:
+    it is the independent oracle that `first_moment` checks the
+    class-weighted dual count against.
+    """
+    coeffs = _primitive_ball(dimension(d, n), int(Fraction(A) ** 2), budget)
     cone = translate_local_conditions(target)
     pts = _candidate_points(d, n, B, cone, budget)
-    if len(pts) == 0 or not forms:
+    if len(pts) == 0 or len(coeffs) == 0:
         return 0
     NU = veronese_batch(monomial_basis(d, n), pts.astype(object))
-    return _zero_pairings(coefficient_matrix(forms), NU)
+    return _zero_pairings(coeffs, NU)
 
 
 def _zero_pairings(Amat: np.ndarray, NU: np.ndarray) -> int:
@@ -135,22 +147,28 @@ def first_moment_dual(d: int, n: int, A, B, target: AdelicTarget, budget: int = 
     hyperplane lattice of nu(x); forms with |a| <= A through x are lattice
     points of that rank N-1 lattice in the ball, counted by exact
     enumeration and filtered to primitive vectors, up to sign.
+
+    That count c(x) is the same for every point of a signed-permutation
+    class (see the module docstring), so it is computed once per class, at
+    the class's first candidate point, and weighted by the class size. The
+    target only filters points, never forms: the class sizes count the
+    candidate points that passed the target, so any target works.
     """
     cone = translate_local_conditions(target)
     pts = _candidate_points(d, n, B, cone)
     if len(pts) == 0:
         return 0
+    _, first, sizes = np.unique(np.sort(np.abs(pts), axis=1), axis=0, return_index=True, return_counts=True)
     basis = monomial_basis(d, n)
     A2 = Fraction(A) ** 2
     total = 0
-    for row in pts:
-        x = tuple(int(v) for v in row)
-        nu = veronese(basis, x)
-        lat = hyperplane_lattice(nu)
+    for row, size in zip(pts[first], sizes):
+        lat = hyperplane_lattice(veronese(basis, tuple(int(v) for v in row)))
         reduced = lll_reduce(lat.basis)
-        for vec, _sq in fincke_pohst(reduced, A2, budget=budget, canonical_sign=True):
-            if math.gcd(*vec) == 1:
-                total += 1
+        through = sum(
+            math.gcd(*vec) == 1 for vec, _sq in fincke_pohst(reduced, A2, budget=budget, canonical_sign=True)
+        )
+        total += through * int(size)
     return total
 
 

@@ -51,3 +51,12 @@ def test_census_report_fields_read_by_the_benchmark():
     fields = {f.name for f in dataclasses.fields(census.CensusReport)}
     read = {"m_interval", "e_interval", "vloc_interval", "direct_vloc_interval", "total_forms", "unresolved"}
     assert read <= fields
+
+
+def test_first_moment_dual_returns_a_python_int():
+    # the tracer adds this return value to its count of primitive vectors
+    target = localsolve.AdelicTarget.trivial(3)
+    A = Fraction(3, 2)
+    dual = census.first_moment_dual(2, 3, A, A, target)
+    assert type(dual) is int
+    assert dual == census.first_moment_direct(2, 3, A, A, target)

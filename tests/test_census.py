@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fanostat.census import (
     _beyond_verdicts,
+    _candidate_points,
     _zero_pairings,
     count_rational_points,
     enumerate_hypersurfaces,
@@ -23,10 +26,17 @@ from fanostat.census import (
     quadric_real_soluble,
 )
 from fanostat.errors import EnumerationBudgetExceeded
-from fanostat.localsolve import AdelicTarget, decide_padic_solubility, decide_real_solubility
+from fanostat.intlinalg import fincke_pohst, lll_reduce
+from fanostat.lattice import hyperplane_lattice
+from fanostat.localsolve import (
+    AdelicTarget,
+    decide_padic_solubility,
+    decide_real_solubility,
+    translate_local_conditions,
+)
 from fanostat.numtheory import primes_up_to
 from fanostat.padic import PadicApproxVector
-from fanostat.veronese import dimension, make_form, monomial_basis
+from fanostat.veronese import dimension, height_bound_norm2, make_form, monomial_basis, veronese
 
 
 def mkform(d, n, **monos):
@@ -105,17 +115,90 @@ def test_count_rational_points_sign_invariance():
 
 def test_first_moment_strategies_agree_trivial():
     t = AdelicTarget.trivial(3)
-    for A, B in ((1.5, 1.5), (2, 2)):
+    for A, B in ((1.5, 1.5), (2, 2), (3, 3)):
         direct = first_moment_direct(2, 3, A, B, t)
         dual = first_moment_dual(2, 3, A, B, t)
         assert direct == dual, (A, B)
+    assert direct == 718200
     assert first_moment(2, 3, 2, 2, t) == first_moment_direct(2, 3, 2, 2, t)
 
 
-def test_first_moment_strategies_agree_nontrivial():
-    xi3 = PadicApproxVector.from_integers(3, 1, (1, 0, 0, 1))
-    t = AdelicTarget(((3, 1, xi3),), (1, 1, 1, 1), Fraction(1, 2))
-    assert first_moment_direct(2, 3, 2, 2, t) == first_moment_dual(2, 3, 2, 2, t)
+def _target(places, xi_inf, sigma):
+    return AdelicTarget(
+        tuple((p, e_p, PadicApproxVector.from_integers(p, e_p, xi)) for p, e_p, xi in places), xi_inf, sigma
+    )
+
+
+@pytest.mark.parametrize(
+    "target, expected",
+    [
+        (_target([(3, 1, (1, 0, 0, 1))], (1, 1, 1, 1), Fraction(1, 2)), 0),
+        (_target([], (3, -1, 2, 1), Fraction(3, 4)), 3723),
+        (_target([(3, 1, (1, 0, 0, 1))], (1, 0, 0, 0), Fraction(1)), 766),
+    ],
+    ids=["3-adic-and-cap", "cap", "3-adic"],
+)
+def test_first_moment_strategies_agree_nontrivial(target, expected):
+    assert first_moment_direct(2, 3, 2, 2, target) == first_moment_dual(2, 3, 2, 2, target) == expected
+
+
+def _per_point_dual(d, n, A, B, target):
+    """The candidate points of first_moment_dual and, for each, the number of
+    primitive coefficient vectors up to sign with |a| <= A through it: one
+    hyperplane lattice per point, no grouping."""
+    pts = _candidate_points(d, n, B, translate_local_conditions(target))
+    basis = monomial_basis(d, n)
+    counts = []
+    for row in pts:
+        reduced = lll_reduce(hyperplane_lattice(veronese(basis, tuple(int(v) for v in row))).basis)
+        counts.append(sum(math.gcd(*vec) == 1 for vec, _ in fincke_pohst(reduced, Fraction(A) ** 2)))
+    return pts, counts
+
+
+@st.composite
+def _moment_cases(draw):
+    d, n = draw(st.sampled_from([(d, n) for d in (2, 3) for n in (1, 2, 3)]))
+    # keep the primitive ball of coefficient vectors small for the 20-dimensional cubic surfaces
+    A = draw(st.sampled_from([1, Fraction(3, 2)] + ([2] if dimension(d, n) <= 10 else [])))
+    B = draw(st.sampled_from([B for B in (1, Fraction(3, 2), 2, 3, 4) if height_bound_norm2(d, n, B) <= 6]))
+    # targets centred at a small point y at some places, so that candidate points survive them
+    y = draw(st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1).filter(any))
+    places = []
+    for p in sorted(draw(st.sets(st.sampled_from([2, 3])))):
+        e_p = draw(st.integers(1, 2))
+        around_y = draw(st.booleans()) and any(c % p for c in y)
+        entries = y if around_y else draw(
+            st.lists(st.integers(0, p**e_p - 1), min_size=n + 1, max_size=n + 1).filter(lambda x: any(c % p for c in x))
+        )
+        places.append((p, e_p, PadicApproxVector.from_integers(p, e_p, entries)))
+    xi_inf = y if draw(st.booleans()) else draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1).filter(any))
+    sigma = draw(st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+    return d, n, A, B, AdelicTarget(tuple(places), tuple(xi_inf), sigma)
+
+
+@settings(max_examples=40)
+# the target keeps two points of one class, (1, +-1, 0, 0); with a 2- and a 3-adic place, two of (1, +-3, 0)
+@example((2, 3, 2, 2, _target([(2, 1, (1, 1, 0, 0))], (1, 1, 0, 0), Fraction(1))))
+@example((3, 2, 2, 4, _target([(2, 1, (1, 1, 0)), (3, 1, (1, 0, 0))], (1, 3, 0), Fraction(3, 4))))
+# the cap keeps one point, (1, 3, 0), of the class of two that the finite places keep
+@example((2, 2, 2, 4, _target([(2, 1, (1, 1, 0)), (3, 1, (1, 0, 0))], (1, 3, 0), Fraction(1, 2))))
+# |x|^2 = 17 holds two classes, of (4, 1, 0) and (3, 2, 2), with different counts
+@example((2, 2, 2, 5, _target([], (4, 2, 1), Fraction(1, 2))))
+@given(_moment_cases())
+def test_class_weighted_dual_matches_the_per_point_count_and_the_direct_count(case):
+    d, n, A, B, target = case
+    _, counts = _per_point_dual(d, n, A, B, target)
+    assert first_moment_dual(d, n, A, B, target) == sum(counts) == first_moment_direct(d, n, A, B, target)
+
+
+def test_forms_through_a_point_depend_only_on_its_signed_permutation_class():
+    pts, counts = _per_point_dual(2, 3, 2, 2, AdelicTarget.trivial(3))
+    classes = {}
+    for row, count in zip(pts, counts):
+        classes.setdefault(tuple(sorted(abs(int(v)) for v in row)), set()).add(count)
+    assert len(pts) == 16
+    assert sorted(classes) == [(0, 0, 0, 1), (0, 0, 1, 1)]
+    assert all(len(seen) == 1 for seen in classes.values())
 
 
 def test_zero_pairings_never_wraps_int64():
