@@ -1,17 +1,18 @@
 """Exact desk-scale verification toolkit for rational points on random Fano hypersurfaces.
 
-The library pairs exact enumerative computations (lattice point counts,
-p-adic solubility searches, finite-field censuses) with the predicted main
-terms they should converge to, exposing every intermediate quantity as a
-testable operation. Submodules:
+The library pairs exact computations (point counts over families of forms,
+p-adic and real solubility searches, finite-field censuses) with the
+predicted main terms they should converge to, exposing every intermediate
+quantity as a testable operation. Submodules:
 
-- numtheory: multiplicative functions, CRT, zeta
-- veronese:  degree-d monomial vectors, forms, heights
-- geom:      cones, cap/band volumes, archimedean projective metric
-- lattice:   exact lattice algebra, minima, censuses
+- numtheory: primes, multiplicative functions, CRT, zeta
+- veronese:  degree-d monomial vectors, forms, height bounds
+- geom:      real cones, unit-ball volumes, archimedean projective metric
+- intlinalg: exact integer linear algebra, LLL, Fincke-Pohst, Z^m balls
+- lattice:   the hyperplane lattice of a Veronese vector
 - padic:     p-adic metric and Hensel/Newton lifting
 - localsolve: local solubility, ball classification, densities
-- counting:  constrained lattice counts and their predicted main terms
+- counting:  reciprocal Veronese-norm sums and their predicted main term
 - census:    hypersurface-family statistics (first moment, local census)
 - cli:       reproducible experiment runner (planned; not written yet, although
              pyproject.toml already declares its entry point)

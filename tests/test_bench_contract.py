@@ -9,7 +9,7 @@ import dataclasses
 import inspect
 from fractions import Fraction
 
-from fanostat import census, intlinalg, localsolve, veronese
+from fanostat import census, counting, geom, intlinalg, lattice, localsolve, veronese
 from fanostat.veronese import make_form
 
 
@@ -20,6 +20,9 @@ def test_traced_names_exist():
         (localsolve, "evaluate_form"),
         (intlinalg, "fincke_pohst"),
         (localsolve, "canonical_projective_residues"),
+        (lattice, "hyperplane_lattice"),
+        (geom, "cone_member"),
+        (counting, "veronese_reciprocal_volume"),
     ]:
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
 

@@ -47,24 +47,6 @@ def test_mobius_sum_identity():
     assert all(t == 0 for t in totals[2:])
 
 
-def brute_jordan(k, q):
-    count = 0
-    for tup in _tuples(k, q):
-        if math.gcd(math.gcd(*tup, q), q) == 1:
-            count += 1
-    return count
-
-
-def _tuples(k, q):
-    if k == 1:
-        for a in range(q):
-            yield (a, 0)  # pad so gcd(*tup, q) works uniformly
-        return
-    import itertools
-
-    yield from itertools.product(range(q), repeat=k)
-
-
 def test_jordan_examples():
     assert jordan_totient(2, 6) == 24
     assert jordan_totient(1, 10) == 4 == euler_phi(10)
