@@ -546,3 +546,54 @@ def predicted_census(
         "finite_size_interval": (lo * prim_half, hi * prim_half),
         "magnitude_scale": sigma * Af**N / target.q,
     }
+
+
+# ---------------------------------------------------------------------------
+# least heights
+
+
+def least_point_heights(
+    d: int,
+    n: int,
+    A,
+    target: AdelicTarget,
+    height_cap: float = 16.0,
+    budget: int = 10**7,
+):
+    """Per-form least height of a rational point near the target, up to a cap.
+
+    Returns (per-form list of (form, height or None), delta-grid summary of
+    the fraction of soluble forms with least height below delta q^(n-1) A).
+    """
+    forms = enumerate_hypersurfaces(d, n, A, budget)
+    cone = translate_local_conditions(target)
+    pts = _candidate_points(d, n, height_cap, cone, budget)
+    basis = monomial_basis(d, n)
+    heights = []
+    if len(pts):
+        NU = veronese_batch(basis, pts.astype(object))
+        h2 = (pts.astype(object) ** 2).sum(axis=1)
+        e = n + 1 - d
+        order = np.argsort([float(v) for v in h2], kind="stable")
+        NU = NU[order]
+        h2 = h2[order]
+    for form in forms:
+        best = None
+        if len(pts):
+            vals = NU @ np.array(form.coeffs, dtype=object)
+            for v, hh in zip(vals, h2):
+                if v == 0:
+                    best = float(hh) ** (e / 2.0)
+                    break
+        heights.append((form, best))
+    frak_q = float(target.frak_q)
+    Af = float(Fraction(A))
+    soluble = [h for _, h in heights if h is not None]
+    summary = []
+    for delta in (0.05, 0.1, 0.2, 0.5, 1.0):
+        threshold = delta * frak_q ** (n - 1) * Af
+        frac = (
+            sum(1 for h in soluble if h < threshold) / len(soluble) if soluble else 0.0
+        )
+        summary.append({"delta": delta, "threshold": threshold, "fraction_below": frac})
+    return heights, summary

@@ -10,6 +10,7 @@ main term
 where the volume factor W is the cone integral of 1/|nu| over the unit
 ball, estimated by Monte Carlo. `census.predicted_first_moment` uses the
 same W; `Prediction` and `VolumeEstimate` carry a value with its error bar.
+`trend_improves` tells whether a grid of exact/predicted ratios approaches 1.
 """
 
 from __future__ import annotations
@@ -160,3 +161,14 @@ def predicted_reciprocal_sum(
         "W phi(q)/J_{n+1}(q) X^(n+1-d)/zeta(n+1)",
         {"volume": volume, "phi_q": euler_phi(q), "J": jordan_totient(n + 1, q), "X": X},
     )
+
+
+def trend_improves(ratios, need: int | None = None) -> bool:
+    """|ratio - 1| shrinks in at least `need` doubling steps (default: all
+    but tolerating nothing on a 3-point grid means both steps improve)."""
+    gaps = [abs(r - 1.0) for r in ratios]
+    steps = len(gaps) - 1
+    if need is None:
+        need = min(2, steps)
+    improvements = sum(1 for a, b in zip(gaps, gaps[1:]) if b <= a)
+    return improvements >= need

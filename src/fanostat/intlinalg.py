@@ -3,20 +3,22 @@
 All routines are exact: integer determinants use Bareiss elimination,
 rational work uses Fraction. `_echelon` (the row Hermite normal form with
 its unimodular transform) is the package's one integer row reduction:
-Hermite bases (`hnf_rows`), integer kernels (`integer_kernel`) and
-saturations (`saturate_rows`) all read off its output. Exact rational
-solving (`solve_fraction`) runs on one normal-equations solver. The lattice
-core runs on one integral Gram-Schmidt (`integral_gso`: the Gram
-determinants d_i and the integers lam_ij = d_j mu_ij): integral LLL (Cohen
-2.6.7) updates it in place, and Fincke-Pohst enumeration prunes on integers
-scaled by lcm_j d_j d_{j+1}, so every pruning test is an exact integer
-comparison and no short vector is ever missed. Big axis-aligned
-enumerations (Z^m balls) go through a meet-in-the-middle numpy path
-instead.
+Hermite bases (`hnf_rows`), integer kernels (`integer_kernel`),
+saturations (`saturate_rows`) and integer solves (`solve_integer`) all read
+off its output. Exact rational solving (`solve_fraction`) and orthogonal
+projection onto a span (`orthogonal_projection`) live here, on one
+normal-equations solver. The lattice core runs on one integral Gram-Schmidt
+(`integral_gso`: the Gram determinants d_i and the integers
+lam_ij = d_j mu_ij): integral LLL (Cohen 2.6.7) updates it in place, and
+Fincke-Pohst enumeration prunes on integers scaled by lcm_j d_j d_{j+1}, so
+every pruning test is an exact integer comparison and no short vector is
+ever missed. Big axis-aligned enumerations (Z^m balls) go through a
+meet-in-the-middle numpy path instead.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -124,6 +126,22 @@ def integer_kernel(mat):
     return [tuple(row) for row in U[r:]]
 
 
+def solve_integer(gens, target):
+    """Integer c with sum_i c_i gens[i] == target, or None when target lies
+    off the lattice the rows generate (which need not be independent)."""
+    H, U, r = _echelon(gens)
+    t = [int(x) for x in target]
+    coeffs = []
+    for row in H[:r]:
+        col = next(j for j, a in enumerate(row) if a != 0)
+        f = t[col] // row[col]  # a remainder stays in t and fails the check below
+        coeffs.append(f)
+        t = [a - f * b for a, b in zip(t, row)]
+    if any(t):
+        return None
+    return [sum(c * u[j] for c, u in zip(coeffs, U)) for j in range(len(gens))]
+
+
 def saturate_rows(rows):
     """Basis of the saturation (span over Q intersected with Z^m)."""
     if not rows:
@@ -172,6 +190,38 @@ def solve_fraction(mat_rows, rhs):
     if coeffs is None or _combination(coeffs, mat_rows, len(rhs)) != [Fraction(x) for x in rhs]:
         return None
     return coeffs
+
+
+def orthogonal_projection(rows, v):
+    """Exact orthogonal projection of v onto the span of independent rows."""
+    coeffs = _span_coefficients(rows, v)
+    if coeffs is None:
+        raise ValueError("degenerate subspace basis")
+    return _combination(coeffs, rows, len(v))
+
+
+def lattice_coordinates(rows, x):
+    """Integer coordinates of x in the basis `rows`, or None."""
+    coeffs = solve_fraction(rows, x)
+    if coeffs is None:
+        return None
+    out = []
+    for c in coeffs:
+        if c.denominator != 1:
+            return None
+        out.append(int(c))
+    return out
+
+
+def minors_gcd(rows) -> int:
+    """gcd of all maximal minors of the k x m matrix given by rows."""
+    k = len(rows)
+    m = len(rows[0])
+    g = 0
+    for cols in itertools.combinations(range(m), k):
+        sub = [[row[c] for c in cols] for row in rows]
+        g = math.gcd(g, abs(bareiss_det(sub)))
+    return g
 
 
 # ---------------------------------------------------------------------------

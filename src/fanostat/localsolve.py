@@ -55,6 +55,7 @@ import numpy as np
 
 from .errors import EnumerationBudgetExceeded, HypothesisFailed, NonConvergence, PreconditionFailed
 from .geom import Cone, cone_member, proj_distance_arch
+from .intlinalg import solve_integer
 from .numtheory import crt_combine, primes_up_to, unit_classes
 from .padic import (
     ExactZeroCertificate,
@@ -1015,3 +1016,90 @@ def count_projective_points(form: Form, p: int, budget: int = 10**8) -> int:
         raise EnumerationBudgetExceeded("too many projective points", reps)
     a = np.array([[c % p for c in form.coeffs]], dtype=np.int64)
     return sum(int((pairings(a, V) % p == 0).sum()) for _, V, _ in _residue_tables(form.basis, p))
+
+
+def lang_weil_check(form: Form, p: int, r: int, d: int, constant: float) -> bool:
+    """|#X(F_p) - p^r| <= (d-1)(d-2) p^(r-1/2) + constant * p^(r-1)."""
+    count = count_projective_points(form, p)
+    return abs(count - p**r) <= (d - 1) * (d - 2) * p ** (r - 0.5) + constant * p ** (r - 1)
+
+
+def lang_weil_discrepancy(form: Form, p: int, r: int, d: int) -> float:
+    """(|#X - p^r| - (d-1)(d-2) p^(r-1/2)) / p^(r-1): the fitted-constant scale."""
+    count = count_projective_points(form, p)
+    return (abs(count - p**r) - (d - 1) * (d - 2) * p ** (r - 0.5)) / p ** (r - 1)
+
+
+def is_reducible_mod_p(form: Form, p: int, budget: int = 10**6) -> TriState:
+    """Brute-force factor search f ≡ f' * f'' mod p over all degree splits.
+
+    For each candidate f' (canonical up to scalar), divisibility is a linear
+    system in the cofactor's coefficients. yes carries the witness pair.
+    """
+    d, n = form.basis.d, form.basis.n
+    target = [c % p for c in form.coeffs]
+    for d1 in range(1, d // 2 + 1):
+        d2 = d - d1
+        N1, N2 = dimension(d1, n), dimension(d2, n)
+        candidates = (p**N1 - 1) // (p - 1)
+        if candidates * N2 > budget:
+            return TriState.unknown({"reason": "factor budget", "split": (d1, d2)})
+        mul = _multiplication_matrix(d1, d2, n, p)
+        modulus = [[p * int(i == j) for j in range(len(target))] for i in range(len(target))]
+        for f1 in canonical_projective_residues(N1, p, 1):
+            A = _specialize_multiplication(mul, f1, dimension(d, n), N2, p)
+            # A g == target over F_p: an integer solve against A's columns and p Z^rows
+            sol = solve_integer([list(col) for col in zip(*A)] + modulus, target)
+            if sol is None:
+                continue
+            g = [c % p for c in sol[:N2]]
+            if any(g) and _product_matches(d1, d2, n, f1, g, target, p):
+                return TriState.yes({"factor": f1, "cofactor": tuple(g), "split": (d1, d2)})
+    return TriState.no({"exhausted_splits": [(d1, d - d1) for d1 in range(1, d // 2 + 1)]})
+
+
+def _multiplication_matrix(d1: int, d2: int, n: int, p: int):
+    """index pairs: product monomial row for each (e1, e2) pair."""
+    b1 = monomial_basis(d1, n)
+    b2 = monomial_basis(d2, n)
+    b = monomial_basis(d1 + d2, n)
+    table = []
+    for i1, e1 in enumerate(b1.monomials):
+        for i2, e2 in enumerate(b2.monomials):
+            prod = tuple(a + bb for a, bb in zip(e1, e2))
+            table.append((i1, i2, b.index(prod)))
+    return table
+
+
+def _specialize_multiplication(table, f1, Nout: int, N2: int, p: int):
+    A = [[0] * N2 for _ in range(Nout)]
+    for i1, i2, it in table:
+        if f1[i1]:
+            A[it][i2] = (A[it][i2] + f1[i1]) % p
+    return A
+
+
+def _product_matches(d1, d2, n, f1, g, target, p):
+    b1 = monomial_basis(d1, n)
+    b2 = monomial_basis(d2, n)
+    b = monomial_basis(d1 + d2, n)
+    prod = [0] * b.size
+    for i1, e1 in enumerate(b1.monomials):
+        if not f1[i1]:
+            continue
+        for i2, e2 in enumerate(b2.monomials):
+            if not g[i2]:
+                continue
+            it = b.index(tuple(a + bb for a, bb in zip(e1, e2)))
+            prod[it] = (prod[it] + f1[i1] * g[i2]) % p
+    # allow a scalar multiple: find lambda with prod = lambda * target
+    lam = None
+    for a, t in zip(prod, target):
+        if t % p != 0:
+            lam = a * pow(t, -1, p) % p
+            break
+        if a % p != 0:
+            return False
+    if lam is None:
+        return False
+    return all((a - lam * t) % p == 0 for a, t in zip(prod, target))

@@ -43,6 +43,17 @@ def valuation(x, p: int):
     return v
 
 
+def padic_abs(x, p: int) -> float:
+    """|x|_p = p^(-v_p(x)); 0 at x = 0."""
+    v = valuation(x, p)
+    return 0.0 if v is math.inf else float(p) ** (-v)
+
+
+def padic_vec_norm(vec, p: int) -> float:
+    """Max norm over the entries."""
+    return max(padic_abs(x, p) for x in vec)
+
+
 def vec_valuation(vec, p: int):
     return min(valuation(x, p) for x in vec)
 

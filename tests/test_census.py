@@ -17,6 +17,7 @@ from fanostat.census import (
     first_moment_direct,
     first_moment_dual,
     height_threshold_exponent,
+    least_point_heights,
     local_census,
     predicted_census,
     predicted_first_moment,
@@ -287,6 +288,23 @@ def test_predicted_census_contains_exact_micro():
     lo, hi = pred["finite_size_interval"]
     exact = report.vloc_interval[0]
     assert lo - 1e-9 <= exact <= hi + 1e-9, (lo, exact, hi)
+
+
+def test_least_point_heights():
+    t = AdelicTarget.trivial(3)
+    heights, summary = least_point_heights(2, 3, 1.5, t, height_cap=9.0)
+    by_form = {f: h for f, h in heights}
+    quadric = mkform(2, 3, m_1001=1, m_0110=-1)
+    if quadric in by_form:
+        assert by_form[quadric] == pytest.approx(1.0)
+    f_monomial = mkform(2, 3, m_2000=1)
+    assert by_form[f_monomial] == pytest.approx(1.0)  # e1 lies on x0^2 = 0
+    definite = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=1)
+    if definite in by_form:
+        assert by_form[definite] is None
+    assert all(0 <= row["fraction_below"] <= 1 for row in summary)
+    fracs = [row["fraction_below"] for row in summary]
+    assert fracs == sorted(fracs)  # nondecreasing in delta
 
 
 def test_beyond_verdict_is_unknown_where_no_prime_can_be_decided():

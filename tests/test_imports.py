@@ -132,6 +132,31 @@ ENTRY_POINTS = (
     ("counting", "predicted_reciprocal_sum", "the main term that check compares against"),
     ("intlinalg", "hnf_rows", "lattice identity in the LLL, kernel and enumeration tests"),
     ("intlinalg", "saturate_rows", "primitivity of computed kernels"),
+    # leaves that only their own tests reach, kept until a later deletion
+    # takes them out together with those tests
+    ("census", "least_point_heights", "least heights of points near the target"),
+    ("localsolve", "lang_weil_check", "the Lang-Weil bound on point counts"),
+    ("localsolve", "lang_weil_discrepancy", "the Lang-Weil constant scale"),
+    ("localsolve", "is_reducible_mod_p", "factor search of a form mod p"),
+    ("padic", "padic_abs", "the p-adic absolute value"),
+    ("padic", "padic_vec_norm", "the p-adic max norm"),
+    ("veronese", "height", "H(x) of a primitive point"),
+    ("veronese", "height_squared", "H(x)^2, exact"),
+    ("geom", "wedge_norm", "|x ^ y| as a float"),
+    ("geom", "perp_cone_member", "membership of the perpendicular cone"),
+    ("geom", "cap_volume", "cone-cap volumes by quadrature"),
+    ("geom", "band_volume", "equatorial band volumes by quadrature"),
+    ("geom", "projection_volume_bound", "the ceiling on projected cone volumes"),
+    ("geom", "cone_intersection_params", "a cone cut by a subspace"),
+    ("geom", "span_distance", "distance of a direction from a span"),
+    ("geom", "span_distance_squared_exact", "that distance, exact"),
+    ("intlinalg", "minors_gcd", "gcd of maximal minors"),
+    ("intlinalg", "solve_integer", "integer solves on the Hermite form"),
+    ("lattice", "standard_lattice", "Z^N as a lattice"),
+    ("lattice", "from_rows", "a lattice from integer rows"),
+    ("lattice", "saturation_det_squared", "determinant of a saturated span"),
+    ("lattice", "q_primitive", "q-primitivity through the torsion index"),
+    ("counting", "trend_improves", "whether count ratios approach 1"),
 )
 
 

@@ -16,9 +16,12 @@ from fanostat.intlinalg import (
     hnf_rows,
     integer_ball,
     integer_kernel,
+    lattice_coordinates,
     lll_reduce,
+    minors_gcd,
     saturate_rows,
     solve_fraction,
+    solve_integer,
 )
 from fanostat.padic import poly_eval
 from fanostat.veronese import _line_restriction, dimension, evaluate_form, make_form
@@ -58,6 +61,8 @@ def test_saturation_full_rank():
 
 def test_solve_and_coordinates():
     rows = [(1, 2, 0), (0, 1, 1)]
+    assert lattice_coordinates(rows, (1, 3, 1)) == [1, 1]
+    assert lattice_coordinates(rows, (1, 2, 1)) is None  # not integral: (1,0)+(0,?)...
     assert solve_fraction(rows, (1, 3, 1)) == [1, 1]
     assert solve_fraction(rows, (1, 2, 1)) is None  # a = 1 forces b = 0 and b = 1
     assert solve_fraction(rows, (0, 0, 7)) is None  # outside the span? (0,0,7) = a(1,2,0)+b(0,1,1): a=0, b=7 -> (0,7,7) no
@@ -96,6 +101,11 @@ def test_line_restriction_and_solve_fraction(case):
     assert solve_fraction(rows, v) == coeffs
     normal = integer_kernel(rows)[0]  # orthogonal to every row
     assert solve_fraction(rows, [a + b for a, b in zip(v, normal)]) is None
+
+
+def test_minors_gcd():
+    assert minors_gcd([(2, 4, 6)]) == 2
+    assert minors_gcd([(1, 1, 0), (0, 2, 2)]) == 2
 
 
 def test_lll_preserves_lattice():
@@ -304,3 +314,23 @@ def test_hnf_rows_spans_the_same_lattice(gens):
     # when their r x r minors are coprime: L(H) = L(gens) iff the gcds agree
     m = len(gens[0])
     assert _maximal_minors_gcd(gens, r, m) == _maximal_minors_gcd(H, r, m)
+
+
+@settings(max_examples=150)
+@given(_small_integer_matrices(), st.data())
+def test_solve_integer_round_trips_and_spans(gens, data):
+    k, m = len(gens), len(gens[0])
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
+    target = [sum(c * g[t] for c, g in zip(coeffs, gens)) for t in range(m)]
+    got = solve_integer(gens, target)
+    assert got is not None
+    assert [sum(c * g[t] for c, g in zip(got, gens)) for t in range(m)] == target
+    # the Hermite basis and the generators span the same lattice
+    H = hnf_rows(gens)
+    assert all(solve_integer(gens, h) is not None for h in H)
+    assert all(solve_integer(H, g) is not None for g in gens)
+    # a target off the lattice: one more than a lattice vector in a direction
+    # where every generator is divisible by 2
+    if all(g[0] % 2 == 0 for g in gens):
+        off = [target[0] + 1] + target[1:]
+        assert solve_integer(gens, off) is None

@@ -27,6 +27,9 @@ from fanostat.localsolve import (
     decide_real_solubility,
     density_sandwich,
     fit_tail_constant,
+    is_reducible_mod_p,
+    lang_weil_check,
+    lang_weil_discrepancy,
     local_density,
     translate_local_conditions,
     _canonical_blocks,
@@ -666,6 +669,52 @@ def test_count_projective_points():
     # two lines meeting in a point over F_5: 2*6 - 1 = 11
     g = mkform(2, 2, m_110=1)  # X0 X1
     assert count_projective_points(g, 5) == 11
+
+
+def test_lang_weil():
+    f = mkform(2, 2, m_200=1, m_020=1, m_002=1)
+    for p in (3, 5, 7, 11, 13):
+        assert lang_weil_check(f, p, r=1, d=2, constant=1.0)
+        assert lang_weil_discrepancy(f, p, r=1, d=2) <= 1.0
+
+
+def test_is_reducible():
+    f = mkform(2, 2, m_200=1, m_020=-1)  # X0^2 - X1^2 = (X0-X1)(X0+X1)
+    res = is_reducible_mod_p(f, 5)
+    assert res.verdict == "yes"
+    g = mkform(2, 2, m_200=1, m_020=1, m_002=1)
+    assert is_reducible_mod_p(g, 3).verdict == "no"
+    # over F_2 the same form is (X0+X1+X2)^2
+    assert is_reducible_mod_p(g, 2).verdict == "yes"
+    big = mkform(5, 4, m_50000=1, m_00005=1)
+    assert is_reducible_mod_p(big, 7, budget=10**3).verdict == "unknown"
+
+
+def test_reducible_witness_is_sound():
+    rng = random.Random(3)
+    for _ in range(20):
+        p = rng.choice([2, 3, 5])
+        coeffs = [rng.randint(0, p - 1) for _ in range(6)]
+        if all(c == 0 for c in coeffs):
+            continue
+        f = make_form(2, 2, coeffs, primitive=False)
+        res = is_reducible_mod_p(f, p)
+        if res.verdict == "yes":
+            w = res.certificate
+            b1 = monomial_basis(1, 2)
+            prod = [0] * 6
+            b = monomial_basis(2, 2)
+            for i1, e1 in enumerate(b1.monomials):
+                for i2, e2 in enumerate(b1.monomials):
+                    it = b.index(tuple(x + y for x, y in zip(e1, e2)))
+                    prod[it] = (prod[it] + w["factor"][i1] * w["cofactor"][i2]) % p
+            lam = None
+            for a, t in zip(prod, f.coeffs):
+                if t % p:
+                    lam = a * pow(t % p, -1, p) % p
+                    break
+            assert lam is not None
+            assert all((a - lam * t) % p == 0 for a, t in zip(prod, f.coeffs))
 
 
 # --- the array residue search against scalar references ----------------------
