@@ -18,7 +18,10 @@ Two headline computations, each with an exact side and a predicted side:
    local points near the target at every place up to P, the correction
    E(A, P) of those failing at some larger prime, and the identity
    #soluble-hypersurfaces = (M - E)/2, against the product-of-densities
-   prediction.
+   prediction. A form with a rational point near the target (a primitive
+   integer zero x with x ≡ u c mod q in the real cap) is soluble near the
+   target at every place at once, so the census looks for such points first
+   and runs the local deciders only on the forms where it finds none.
 
 Solubility verdicts are tri-state; counts touched by unknown verdicts are
 reported as intervals, never silently resolved.
@@ -42,6 +45,8 @@ from .lattice import hyperplane_lattice
 from .localsolve import (
     _CHUNK,
     DEFAULT_TAIL_CONSTANT,
+    _cap_grid,
+    _cap_sigma,
     AdelicTarget,
     CongruenceCone,
     DensityInterval,
@@ -313,6 +318,7 @@ class CensusReport:
     direct_vloc_interval: Optional[tuple]
     per_place: dict  # p -> {"yes": int, "no": int, "unknown": int}
     arch_tally: dict
+    point_decided: int  # forms decided by a rational point near the target
     unresolved: int
     total_forms: int
     all_resolved: bool
@@ -326,6 +332,17 @@ class CensusReport:
             f"unresolved forms: {self.unresolved}",
         ]
         return "\n".join(lines)
+
+
+def _target_grid(basis, target: AdelicTarget):
+    """The points of the real decider's cap grid (`localsolve._cap_grid`)
+    that meet the translated target, and their Veronese rows: primitive, in
+    the cap, and x ≡ u c mod q for a unit u."""
+    cone = translate_local_conditions(target)
+    points, _, _, V = _cap_grid(basis, tuple(target.xi_inf), _cap_sigma(target.sigma_inf))
+    X = np.array(points, dtype=np.int64).reshape(-1, basis.n + 1)
+    keep = (np.gcd.reduce(np.abs(X), axis=1) == 1) & unit_class_mask(X, cone.c, cone.q)
+    return X[keep], V[keep]
 
 
 def _arch_verdicts(forms, target: AdelicTarget, budget: int = 4000, mats=None) -> list:
@@ -401,23 +418,38 @@ def local_census(
     failure is possible form a certified finite set, so E and the direct
     V^loc count close exactly whenever every verdict resolves.
 
-    The census runs over blocks of forms, and place by place within a block:
-    the real verdict first, then each prime <= P or in the support for the
-    forms not yet out of M, then the primes beyond P (`_beyond_verdicts`).
-    At each prime the block's forms are decided together by
-    `decide_padic_batch`, against one cached residue table of P^n(F_p).
+    The census runs over blocks of forms. Points come first: one exact
+    product pairs the block's coefficient rows with the Veronese rows of the
+    grid points that meet the target (`_target_grid`). A zero there is a
+    primitive integer x with f(x) = 0, x ≡ u c mod q and x in the cap. It is
+    a real point in the cap; at each p in the support x ≡ u xi_p mod p^e_p,
+    a Q_p-point within p^-e_p of xi_p; at every other prime, inside or
+    beyond P, a Q_p-point. So the form is certainly in M and never in E, and
+    it is tallied as `yes` at every place and in `point_decided`.
+
+    The other forms are decided place by place: the real verdict first, then
+    each prime <= P or in the support for the forms not yet out of M, then
+    the primes beyond P (`_beyond_verdicts`). At each prime the block's forms
+    are decided together by `decide_padic_batch`, against one cached residue
+    table of P^n(F_p).
     """
     forms = enumerate_hypersurfaces(d, n, A, budget)
     finite_ps = sorted(set(target.support) | set(primes_up_to(P)))
     per_place = {p: {"yes": 0, "no": 0, "unknown": 0} for p in finite_ps}
     arch_tally = {"yes": 0, "no": 0, "unknown": 0}
-    m_yes = m_unk = e_yes = e_unk = dv_lo = dv_hi = 0
+    m_yes = m_unk = e_yes = e_unk = dv_lo = dv_hi = point_decided = 0
+    _, grid = _target_grid(monomial_basis(d, n), target)
     # a block holds at most _CHUNK form x residue pairs at every prime <= P,
     # so the verdicts and matrices held at once stay bounded
     points = max(((p ** (n + 1) - 1) // (p - 1) for p in finite_ps), default=1)
     size = max(1, _CHUNK // points)
     for lo in range(0, len(forms), size):
         block = forms[lo : lo + size]
+        hits = (pairings(coefficient_matrix(block), grid) == 0).any(axis=1)
+        point_decided += int(np.count_nonzero(hits))
+        block = [form for form, hit in zip(block, hits) if not hit]
+        if not block:
+            continue
         mats = [quadric_matrix(f) for f in block] if d == 2 else [None] * len(block)  # 2M, built once
         verdicts = [res.verdict for res in _arch_verdicts(block, target, mats=mats)]
         certain = [verdict == "yes" for verdict in verdicts]
@@ -443,6 +475,13 @@ def local_census(
             # direct V^loc (quadrics: certified place lists)
             dv_lo += certain[k] and far == "yes-all"
             dv_hi += far != "fails"
+    # forms with a target point: yes at every place, in M and not in E
+    arch_tally["yes"] += point_decided
+    for tally in per_place.values():
+        tally["yes"] += point_decided
+    m_yes += point_decided
+    dv_lo += point_decided
+    dv_hi += point_decided
     # intervals over both-sign counts
     m_lo, m_hi = 2 * m_yes, 2 * (m_yes + m_unk)
     e_lo, e_hi = 2 * e_yes, 2 * (e_yes + e_unk)
@@ -454,6 +493,7 @@ def local_census(
         direct_vloc_interval=(dv_lo, dv_hi) if d == 2 else None,
         per_place=per_place,
         arch_tally=arch_tally,
+        point_decided=point_decided,
         unresolved=m_unk + e_unk,
         total_forms=len(forms),
         all_resolved=m_unk == 0 and e_unk == 0 and arch_tally["unknown"] == 0,

@@ -573,8 +573,7 @@ def decide_real_solubility(
     unexamined frontier. A `no` needs a search tree of at most
     `subdivision_budget` boxes.
     """
-    xi = tuple(xi_inf)
-    sigma = sigma_inf if isinstance(sigma_inf, float) else Fraction(sigma_inf)
+    xi, sigma = tuple(xi_inf), _cap_sigma(sigma_inf)
     # --- yes paths on a rational direction grid
     points, sides, flipped, V = _cap_grid(form.basis, xi, sigma)
     vals = pairings(np.array([form.coeffs], dtype=object), V)[0]
@@ -591,6 +590,12 @@ def decide_real_solubility(
         if cert is not None:
             return TriState.yes(cert)
     return _exclude_by_intervals(form, xi, sigma, subdivision_budget)
+
+
+def _cap_sigma(sigma_inf):
+    """The cap aperture as `_cap_grid` keys it: a float stays a float,
+    anything else becomes an exact Fraction."""
+    return sigma_inf if isinstance(sigma_inf, float) else Fraction(sigma_inf)
 
 
 @lru_cache(maxsize=32)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fanostat import census
 from fanostat.census import (
     _beyond_verdicts,
     _candidate_points,
+    _target_grid,
     _zero_pairings,
     count_rational_points,
     enumerate_hypersurfaces,
@@ -30,13 +32,22 @@ from fanostat.intlinalg import fincke_pohst, lll_reduce
 from fanostat.lattice import hyperplane_lattice
 from fanostat.localsolve import (
     AdelicTarget,
+    _cap_grid,
     decide_padic_solubility,
     decide_real_solubility,
     translate_local_conditions,
 )
 from fanostat.numtheory import primes_up_to
 from fanostat.padic import PadicApproxVector
-from fanostat.veronese import dimension, height_bound_norm2, make_form, monomial_basis, veronese
+from fanostat.veronese import (
+    coefficient_matrix,
+    dimension,
+    height_bound_norm2,
+    make_form,
+    monomial_basis,
+    pairings,
+    veronese,
+)
 
 
 def mkform(d, n, **monos):
@@ -323,9 +334,27 @@ def test_beyond_verdict_is_unknown_where_no_prime_can_be_decided():
     assert _beyond_verdicts([k], [quadric_matrix(k)], 3, t, 3) == ["fails"]
 
 
-def _per_form_census(d, n, A, P, target, depth_budget=3):
-    """local_census one form at a time: every place of a form, in order,
-    before the next form."""
+def _value(form, x) -> int:
+    """f(x) in Python integers, monomial by monomial."""
+    monomials = form.basis.monomials
+    return sum(a * math.prod(c**e for c, e in zip(x, exps)) for a, exps in zip(form.coeffs, monomials))
+
+
+def _has_target_point(form, target) -> bool:
+    """Whether a point of the real decider's cap grid is a primitive zero of
+    the form meeting the target, each check made in Python integers."""
+    cone = translate_local_conditions(target)
+    points = _cap_grid(form.basis, tuple(target.xi_inf), Fraction(target.sigma_inf))[0]
+    return any(
+        math.gcd(*x) == 1 and cone.congruence_ok(x) and cone.cone_ok(x) and _value(form, x) == 0 for x in points
+    )
+
+
+def _per_form_census(d, n, A, P, target, depth_budget=3, points=True):
+    """local_census one form at a time: a form with a target point on the cap
+    grid is soluble at every place; any other form has every place decided,
+    in order, before the next form. With points=False every form goes to the
+    deciders."""
 
     def finite(form, p):
         e_p, xi = target.place(p)
@@ -338,8 +367,15 @@ def _per_form_census(d, n, A, P, target, depth_budget=3):
     finite_ps = sorted(set(target.support) | set(primes_up_to(P)))
     per_place = {p: {"yes": 0, "no": 0, "unknown": 0} for p in finite_ps}
     arch_tally = {"yes": 0, "no": 0, "unknown": 0}
-    m_yes = m_unk = e_yes = e_unk = dv_lo = dv_hi = 0
+    m_yes = m_unk = e_yes = e_unk = dv_lo = dv_hi = point_decided = 0
     for form in forms:
+        if points and _has_target_point(form, target):
+            point_decided += 1
+            arch_tally["yes"] += 1
+            for tally in per_place.values():
+                tally["yes"] += 1
+            m_yes, dv_lo, dv_hi = m_yes + 1, dv_lo + 1, dv_hi + 1
+            continue
         if d == 2 and Fraction(target.sigma_inf) == 1:
             verdict = "yes" if quadric_real_soluble(form) else "no"
         else:
@@ -383,13 +419,14 @@ def _per_form_census(d, n, A, P, target, depth_budget=3):
         "direct_vloc_interval": (dv_lo, dv_hi) if d == 2 else None,
         "per_place": per_place,
         "arch_tally": arch_tally,
+        "point_decided": point_decided,
         "unresolved": m_unk + e_unk,
         "total_forms": len(forms),
         "all_resolved": m_unk == 0 and e_unk == 0 and arch_tally["unknown"] == 0,
     }
 
 
-@pytest.mark.parametrize(
+CENSUS_CASES = pytest.mark.parametrize(
     "d, n, A, P, target",
     [
         # binary forms: cubics failing beyond P (E > 0), quadrics whose bad primes need >= 3 variables
@@ -413,5 +450,112 @@ def _per_form_census(d, n, A, P, target, depth_budget=3):
         (3, 2, 1, 2, AdelicTarget((), (2, -1, 1), Fraction(1, 2))),
     ],
 )
+
+
+@CENSUS_CASES
 def test_local_census_matches_a_per_form_census(d, n, A, P, target):
     assert dataclasses.asdict(local_census(d, n, A, P, target)) == _per_form_census(d, n, A, P, target)
+
+
+def _inside(inner, outer) -> bool:
+    return outer[0] <= inner[0] <= inner[1] <= outer[1]
+
+
+@CENSUS_CASES
+def test_point_pass_only_tightens_the_deciders_only_census(d, n, A, P, target):
+    # a target point turns an unknown into yes, never a decided verdict into another one
+    report = local_census(d, n, A, P, target)
+    deciders = _per_form_census(d, n, A, P, target, points=False)
+    for key in ("m_interval", "e_interval", "vloc_interval"):
+        assert _inside(getattr(report, key), deciders[key]), key
+    if d == 2:
+        assert _inside(report.direct_vloc_interval, deciders["direct_vloc_interval"])
+    assert report.unresolved <= deciders["unresolved"]
+    assert report.arch_tally["no"] == deciders["arch_tally"]["no"]
+    for p, tally in report.per_place.items():
+        assert tally["no"] == deciders["per_place"][p]["no"]
+
+
+def test_point_pass_resolves_binary_quadrics_the_bad_prime_step_cannot():
+    # binary quadrics have no certified bad-prime set, so without a point every
+    # form in M is unknown beyond P
+    target = AdelicTarget.trivial(1)
+    report = local_census(2, 1, 3, 2, target)
+    deciders = _per_form_census(2, 1, 3, 2, target, points=False)
+    assert (deciders["e_interval"], deciders["unresolved"], deciders["vloc_interval"]) == ((0, 48), 24, (0, 24))
+    assert (report.e_interval, report.unresolved, report.vloc_interval) == ((0, 4), 2, (22, 24))
+    assert report.point_decided == 22
+
+
+def _reverified_hits(d, n, A, target) -> int:
+    """Re-verify in Python integers every (form, grid point) zero the census's
+    point pass sees; return the number of forms with one."""
+    cone = translate_local_conditions(target)
+    X, V = _target_grid(monomial_basis(d, n), target)
+    forms = enumerate_hypersurfaces(d, n, A)
+    hits = pairings(coefficient_matrix(forms), V) == 0 if forms else np.zeros((0, len(X)), dtype=bool)
+    for form, row in zip(forms, hits):
+        for x in X[row].tolist():
+            assert _value(form, x) == 0, (form, x)
+            assert math.gcd(*x) == 1 and cone.congruence_ok(x) and cone.cone_ok(x), (form, x)
+    return int(hits.any(axis=1).sum())
+
+
+# a 2-adic and a 3-adic place around (1, 1, 0, 0) in a cap around (1, 1, 1, 0)
+_SUPPORT_TARGET = _target([(2, 1, (1, 1, 0, 0)), (3, 1, (1, 1, 0, 0))], (1, 1, 1, 0), Fraction(3, 4))
+
+
+def test_point_pass_meets_a_finite_support_target():
+    grid = _cap_grid(monomial_basis(2, 3), (1, 1, 1, 0), Fraction(3, 4))[0]
+    X, _ = _target_grid(monomial_basis(2, 3), _SUPPORT_TARGET)
+    # the congruence filter keeps some grid points and drops others
+    assert 0 < len(X) < sum(math.gcd(*x) == 1 for x in grid)
+    assert _reverified_hits(2, 3, 1, _SUPPORT_TARGET) > 0
+
+
+@st.composite
+def _point_cases(draw):
+    d, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]))
+    A = draw(st.sampled_from([1, Fraction(3, 2)]))
+    # finite places centred at a grid point y, so that the grid can meet them
+    y = draw(st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1).filter(lambda v: math.gcd(*v) == 1))
+    places = []
+    for p in sorted(draw(st.sets(st.sampled_from([2, 3])))):
+        if any(c % p for c in y):
+            places.append((p, draw(st.integers(1, 2)), y))
+    other = st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1).filter(any)
+    xi_inf = y if draw(st.booleans()) else draw(other)
+    sigma = draw(st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+    return d, n, A, _target(places, tuple(xi_inf), sigma)
+
+
+@settings(max_examples=15)
+@example((2, 3, 1, _SUPPORT_TARGET))  # the class the first test shows the grid meets
+@given(_point_cases())
+def test_every_grid_hit_is_a_rational_point_near_the_target(case):
+    d, n, A, target = case
+    assert local_census(d, n, A, 2, target).point_decided == _reverified_hits(d, n, A, target)
+
+
+def test_forms_with_a_target_point_skip_the_deciders(monkeypatch):
+    calls = {"real": 0, "padic": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(census, "decide_real_solubility", counted("real", census.decide_real_solubility))
+    monkeypatch.setattr(census, "decide_padic_batch", counted("padic", census.decide_padic_batch))
+    # every cubic surface of height 1 has a point on the grid: no decider runs
+    report = local_census(3, 3, 1, 2, AdelicTarget.trivial(3))
+    assert report.point_decided == report.total_forms == 20
+    assert calls == {"real": 0, "padic": 0}
+    # in a cap of aperture 1/2, only the forms without a grid point reach the real decider
+    cap = AdelicTarget((), (3, -1, 2, 1), Fraction(1, 2))
+    for d, A, P, pointless in ((2, Fraction(3, 2), 3, 27), (3, 1, 2, 4)):
+        calls["real"] = 0
+        report = local_census(d, 3, A, P, cap)
+        assert report.total_forms - report.point_decided == calls["real"] == pointless

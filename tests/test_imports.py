@@ -1,7 +1,8 @@
 """Import hygiene of the package, checked from the syntax tree.
 
-Stands in for a linter: every name a module imports at module level must be
-used in that module, and package-internal imports sit at module level.
+Stands in for a linter: every name a module of the package or of its tests
+imports at module level must be used in that module, and package-internal
+imports sit at module level.
 """
 
 import ast
@@ -11,6 +12,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fanostat"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _parse(path):
@@ -24,7 +26,7 @@ def _bound_names(node):
         yield alias.asname or alias.name.split(".")[0]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: f"tests/{p.name}" if p in TESTS else p.name)
 def test_module_imports_are_used(path):
     tree = _parse(path)
     imported = {}

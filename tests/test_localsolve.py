@@ -14,8 +14,6 @@ from fanostat.errors import EnumerationBudgetExceeded, HypothesisFailed
 from fanostat.geom import Cone, cone_member
 from fanostat.localsolve import (
     AdelicTarget,
-    BallClassification,
-    CongruenceCone,
     DensityInterval,
     TriState,
     canonical_projective_residues,

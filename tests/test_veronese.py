@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fanostat.veronese import (
-    Form,
     dimension,
     evaluate_form,
     gradient_form,
