@@ -283,6 +283,91 @@ def _indefinite(mat) -> bool:
     return not (_is_positive_definite(mat) or _is_positive_definite(neg))
 
 
+_GOLDEN = (math.sqrt(5) - 1) / 2
+_GOLDEN_STEPS = 40  # shrinks the search interval by _GOLDEN**40, about 4e-9
+
+
+def _cap_matrix(xi, sigma):
+    """(Gn, g): G = Gn/g with Gn an integer matrix and g > 0, where
+    G = xi xi^T - K I and K = (1 - sigma^2)|xi|^2, exactly (also for a float
+    sigma). The real cap {d(x, xi) <= sigma} is {x : G(x) >= 0}."""
+    xi = [Fraction(c) for c in xi]
+    K = (1 - Fraction(sigma) ** 2) * sum(c * c for c in xi)
+    G = [[a * b - (K if i == j else 0) for j, b in enumerate(xi)] for i, a in enumerate(xi)]
+    g = math.lcm(*(v.denominator for row in G for v in row))
+    return [[int(v * g) for v in row] for row in G], g
+
+
+def _s_lemma_holds(mat, cap, sign: int, tau) -> bool:
+    """Exact check of an S-lemma certificate (sign, tau) for the quadric
+    with matrix 2M = `mat` on the cap {G >= 0}, G = Gn/g (`cap`, from
+    `_cap_matrix`): tau >= 0 and sign * 2M - tau G positive definite, by the
+    leading principal minors of its integer multiple by g * den(tau)
+    (`bareiss_det`). Then for x != 0 with G(x) >= 0,
+    sign * 2 f(x) > tau G(x) >= 0, so f has no zero in the cap."""
+    Gn, g = cap
+    tau = Fraction(tau)
+    if sign not in (1, -1) or tau < 0:
+        return False
+    scale = sign * g * tau.denominator
+    return _is_positive_definite(
+        [[scale * q - tau.numerator * v for q, v in zip(qrow, grow)] for qrow, grow in zip(mat, Gn)]
+    )
+
+
+def _s_lemma_certificates(mats, xi, sigma) -> list:
+    """For each quadric matrix 2M, a certificate {"kind": "s-lemma",
+    "sign": s, "tau": tau} that the quadric has the sign s on the whole cap
+    {d(x, xi) <= sigma}, sigma < 1, or None where none was found.
+
+    The cap is {G >= 0} (`_cap_matrix`) and G(xi) > 0, so by the strict
+    S-lemma (Yakubovich; Polik and Terlaky, "A survey of the S-lemma", SIAM
+    Review 2007) a quadric without a zero in the cap has some s = +-1 and
+    tau >= 0 with s 2M - tau G positive definite. At x = xi that needs
+    s xi^T 2M xi > tau G(xi) >= 0, which fixes s and bounds tau below
+    top = |xi^T 2M xi| / G(xi). The least eigenvalue of s 2M - tau G is
+    concave in tau, so floats maximise it over [0, top] by a golden-section
+    search, the whole block in each batched `eigvalsh`. A maximum lam > 0 at
+    tau gives the candidate: since |G|_2 <= |xi|^2, rounding tau to the
+    nearest Fraction with denominator at most |xi|^2/lam moves the least
+    eigenvalue by at most lam/2. The verdict rests only on the exact check
+    `_s_lemma_holds`.
+    """
+    cap = _cap_matrix(xi, sigma)
+    m, Gf = len(cap[0]), np.array(cap[0], dtype=float) / cap[1]
+    xi_f = np.array([float(c) for c in xi])
+    norm2 = sum(Fraction(c) ** 2 for c in xi)
+    Q = np.array(mats, dtype=float).reshape(-1, m, m)
+    at_xi = np.einsum("i,kij,j->k", xi_f, Q, xi_f)
+    sign = np.where(at_xi < 0, -1, 1)
+    S = sign[:, None, None] * Q
+    top = np.abs(at_xi) / float(Fraction(sigma) ** 2 * norm2**2)
+
+    def least(tau):
+        return np.linalg.eigvalsh(S - tau[:, None, None] * Gf)[:, 0]
+
+    a, b = np.zeros_like(top), top
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = least(c), least(d)
+    for _ in range(_GOLDEN_STEPS):
+        right = fc < fd  # the maximum lies in [c, b]
+        a, b = np.where(right, c, a), np.where(right, b, d)
+        new = np.where(right, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
+        f_new = least(new)
+        c, d = np.where(right, d, new), np.where(right, new, c)
+        fc, fd = np.where(right, fd, f_new), np.where(right, f_new, fc)
+    tau, lam = np.where(fc > fd, c, d), np.maximum(fc, fd)
+    out = []
+    for mat, s, t, value in zip(mats, sign.tolist(), tau.tolist(), lam.tolist()):
+        cert = None
+        if value > 0:
+            rounded = Fraction(t).limit_denominator(max(1, math.ceil(float(norm2) / value)))
+            if _s_lemma_holds(mat, cap, s, rounded):
+                cert = {"kind": "s-lemma", "sign": s, "tau": rounded}
+        out.append(cert)
+    return out
+
+
 def quadric_bad_primes(form: Form) -> list:
     """Finite places where plain Q_p-solubility can fail, certified."""
     return _bad_primes(quadric_matrix(form))
@@ -318,6 +403,7 @@ class CensusReport:
     direct_vloc_interval: Optional[tuple]
     per_place: dict  # p -> {"yes": int, "no": int, "unknown": int}
     arch_tally: dict
+    arch_kinds: dict  # verdict -> {certificate kind, or reason of an unknown: forms}
     point_decided: int  # forms decided by a rational point near the target
     unresolved: int
     total_forms: int
@@ -330,6 +416,7 @@ class CensusReport:
             f"E(A,P) in [{self.e_interval[0]}, {self.e_interval[1]}]",
             f"#V^loc in [{self.vloc_interval[0]}, {self.vloc_interval[1]}]",
             f"unresolved forms: {self.unresolved}",
+            f"real verdicts by kind: {self.arch_kinds}",
         ]
         return "\n".join(lines)
 
@@ -346,16 +433,26 @@ def _target_grid(basis, target: AdelicTarget):
 
 
 def _arch_verdicts(forms, target: AdelicTarget, budget: int = 4000, mats=None) -> list:
-    """Real verdicts of forms on one basis. Quadrics with sigma_inf = 1 take
-    the exact signature test of their 2M (`mats`, when the caller already
-    has them); everything else the real decider."""
-    if forms and forms[0].basis.d == 2 and Fraction(target.sigma_inf) == 1:
+    """Real verdicts of forms on one basis.
+
+    Quadrics are decided from their 2M (`mats`, when the caller already has
+    them). With sigma_inf = 1 the exact signature test decides every one. In
+    a cap, sigma_inf < 1, a quadric with an S-lemma certificate that it keeps
+    one sign on the cap (`_s_lemma_certificates`) is `no`. Every other
+    quadric, and every form of higher degree, goes to the real decider."""
+    certs = [None] * len(forms)
+    if forms and forms[0].basis.d == 2:
         mats = mats or [quadric_matrix(f) for f in forms]
-        return [
-            TriState.yes({"kind": "quadric-signature"}) if _indefinite(m) else TriState.no({"kind": "quadric-definite"})
-            for m in mats
-        ]
-    return [decide_real_solubility(f, target.xi_inf, target.sigma_inf, subdivision_budget=budget) for f in forms]
+        if Fraction(target.sigma_inf) == 1:
+            return [
+                TriState.yes({"kind": "quadric-signature"}) if _indefinite(m) else TriState.no({"kind": "quadric-definite"})
+                for m in mats
+            ]
+        certs = _s_lemma_certificates(mats, target.xi_inf, target.sigma_inf)
+    return [
+        TriState.no(cert) if cert else decide_real_solubility(f, target.xi_inf, target.sigma_inf, subdivision_budget=budget)
+        for f, cert in zip(forms, certs)
+    ]
 
 
 def _finite_verdicts(forms, p: int, target: AdelicTarget, depth_budget: int) -> list:
@@ -427,16 +524,23 @@ def local_census(
     beyond P, a Q_p-point. So the form is certainly in M and never in E, and
     it is tallied as `yes` at every place and in `point_decided`.
 
-    The other forms are decided place by place: the real verdict first, then
+    The other forms are decided place by place: the real verdict first
+    (`_arch_verdicts`: a quadric by its signature, or in a cap by an S-lemma
+    certificate when it has one; every other form by the real decider), then
     each prime <= P or in the support for the forms not yet out of M, then
     the primes beyond P (`_beyond_verdicts`). At each prime the block's forms
     are decided together by `decide_padic_batch`, against one cached residue
     table of P^n(F_p).
+
+    `arch_kinds` tallies the real verdicts by how they were reached: "point"
+    for the forms with a target point, the certificate kind of every other
+    `yes` and `no`, and the reason of every `unknown`.
     """
     forms = enumerate_hypersurfaces(d, n, A, budget)
     finite_ps = sorted(set(target.support) | set(primes_up_to(P)))
     per_place = {p: {"yes": 0, "no": 0, "unknown": 0} for p in finite_ps}
     arch_tally = {"yes": 0, "no": 0, "unknown": 0}
+    arch_kinds = {"yes": {}, "no": {}, "unknown": {}}
     m_yes = m_unk = e_yes = e_unk = dv_lo = dv_hi = point_decided = 0
     _, grid = _target_grid(monomial_basis(d, n), target)
     # a block holds at most _CHUNK form x residue pairs at every prime <= P,
@@ -451,10 +555,13 @@ def local_census(
         if not block:
             continue
         mats = [quadric_matrix(f) for f in block] if d == 2 else [None] * len(block)  # 2M, built once
-        verdicts = [res.verdict for res in _arch_verdicts(block, target, mats=mats)]
+        verdicts = []
+        for res in _arch_verdicts(block, target, mats=mats):
+            verdicts.append(res.verdict)
+            arch_tally[res.verdict] += 1
+            kinds, kind = arch_kinds[res.verdict], res.certificate["reason" if res.verdict == "unknown" else "kind"]
+            kinds[kind] = kinds.get(kind, 0) + 1
         certain = [verdict == "yes" for verdict in verdicts]
-        for verdict in verdicts:
-            arch_tally[verdict] += 1
         for p in finite_ps:
             alive = [k for k, verdict in enumerate(verdicts) if verdict != "no"]  # short-circuit: out of M
             for k, verdict in zip(alive, _finite_verdicts([block[k] for k in alive], p, target, depth_budget)):
@@ -477,6 +584,8 @@ def local_census(
             dv_hi += far != "fails"
     # forms with a target point: yes at every place, in M and not in E
     arch_tally["yes"] += point_decided
+    if point_decided:
+        arch_kinds["yes"]["point"] = point_decided
     for tally in per_place.values():
         tally["yes"] += point_decided
     m_yes += point_decided
@@ -493,6 +602,7 @@ def local_census(
         direct_vloc_interval=(dv_lo, dv_hi) if d == 2 else None,
         per_place=per_place,
         arch_tally=arch_tally,
+        arch_kinds=arch_kinds,
         point_decided=point_decided,
         unresolved=m_unk + e_unk,
         total_forms=len(forms),
@@ -507,7 +617,12 @@ def local_census(
 def real_density_interval(
     d: int, n: int, target: AdelicTarget, samples: int = 400, rng=None, budget: int = 1500
 ) -> DensityInterval:
-    """MC interval for the spherical density of real-soluble-near-target forms."""
+    """MC interval for the spherical density of real-soluble-near-target forms.
+
+    Each sampled form gets its verdict from `_arch_verdicts`, as in the
+    census: quadrics by their signature, or in a cap by an S-lemma
+    certificate where one exists, the rest by the real decider with
+    `budget` boxes. Unknown verdicts widen the interval."""
     rng = rng or np.random.default_rng(0)
     N = dimension(d, n)
     forms = []

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -62,7 +62,6 @@ from .padic import (
     PadicApproxVector,
     lift_hypersurface_point,
     newton_real_root,
-    valuation,
 )
 from .veronese import (
     Form,
@@ -529,17 +528,15 @@ def _centered(x, p: int, v: int) -> tuple:
 
 
 def _try_lift(form: Form, x, p: int, v: int, e_p: int):
-    """Certificate via the lifting lemma at e = v if the hypotheses hold and
-    the lifted point provably stays within p^-e_p of the target.
+    """Certificate via the lifting lemma at e = v and l = l*, if the
+    hypotheses hold and the lifted point provably stays within p^-e_p of the
+    target; None otherwise.
 
-    The lift is within p^-(v - l) of the residue x, and x within p^-e_p of the
-    target, so the certificate records radius e_p, not v - l."""
-    lstar = min(min(valuation(g % p**v, p), v) for g in gradient_form(form, x))
-    if not (v > 2 * lstar) or v - lstar < e_p:
-        return None
+    The lift is within p^-(v - l*) of the residue x, and x within p^-e_p of
+    the target, so the certificate records radius e_p, not v - l*;
+    `lift_hypersurface_point` refuses it when e_p > v - l*."""
     try:
-        xi_vec = PadicApproxVector.from_integers(p, v, x)
-        return replace(lift_hypersurface_point(form, xi_vec, v, lstar), radius=e_p)
+        return lift_hypersurface_point(form, PadicApproxVector.from_integers(p, v, x), v, radius=e_p)
     except (HypothesisFailed, PreconditionFailed):
         return None
 

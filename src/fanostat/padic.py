@@ -268,8 +268,9 @@ def lift_hypersurface_point(
     form: Form,
     xi: PadicApproxVector,
     e: int,
-    l: int,
+    l: int | None = None,
     target_precision: int | None = None,
+    radius: int | None = None,
 ) -> LiftCertificate:
     """Verify the lifting hypotheses at xi exactly and run the 1-D lift.
 
@@ -277,6 +278,9 @@ def lift_hypersurface_point(
       (a) f(xi) == 0 mod p^e,
       (b) e > 2 l*,   where p^-l* = max_i |df/dx_i(xi)|_p,
       (c) l >= l*  and e > 2l (so the certificate's distance bound holds).
+    l None takes l = l*. A `radius` r (see LiftCertificate) needs r <= e - l.
+    The gradient is computed once, and its hypotheses are checked before the
+    value, so a residue the gradient rules out costs no evaluation of f.
     The coordinate with the largest partial derivative (smallest index on
     ties) is lifted by `hensel_lift` with all others frozen.
     """
@@ -285,15 +289,10 @@ def lift_hypersurface_point(
         raise HypothesisFailed("primitivity", "xi must have a unit entry")
     if xi.precision < e:
         raise HypothesisFailed("precision", "xi must carry at least e digits")
-    if target_precision is None:
-        target_precision = max(xi.precision, e + l + 1)
     n = form.basis.n
     if len(xi.entries) != n + 1:
         raise ValueError("xi does not match the ambient dimension")
     x = [int(c) for c in xi.entries]
-    fval = evaluate_form(form, x)
-    if fval % p**e != 0:
-        raise HypothesisFailed("value", f"f(xi) != 0 mod p^{e}")
     grads = gradient_form(form, x)
     lstar = None
     pivot = None
@@ -302,12 +301,21 @@ def lift_hypersurface_point(
         v = min(v, xi.precision)
         if lstar is None or v < lstar:
             lstar, pivot = v, i
+    if l is None:
+        l = lstar
     if not e > 2 * lstar:
         raise HypothesisFailed("gradient", f"need e > 2 v(grad); got e={e}, v={lstar}")
     if l < lstar:
         raise HypothesisFailed("l-bound", f"stated l={l} below actual v(grad)={lstar}")
     if not e > 2 * l:
         raise HypothesisFailed("l-bound", f"need e > 2l; got e={e}, l={l}")
+    if radius is not None and radius > e - l:
+        raise HypothesisFailed("radius", f"radius {radius} beyond the lift's distance bound e - l = {e - l}")
+    fval = evaluate_form(form, x)
+    if fval % p**e != 0:
+        raise HypothesisFailed("value", f"f(xi) != 0 mod p^{e}")
+    if target_precision is None:
+        target_precision = max(xi.precision, e + l + 1)
     # freeze everything except the pivot coordinate: t -> f(x with x_pivot = t)
     frozen = list(x)
     frozen[pivot] = 0
@@ -316,7 +324,7 @@ def lift_hypersurface_point(
     lifted = list(x)
     lifted[pivot] = root
     point = PadicApproxVector.from_integers(p, target_precision, lifted)
-    cert = LiftCertificate(p, target_precision, point.entries, e, l)
+    cert = LiftCertificate(p, target_precision, point.entries, e, l, radius)
     verify_certificate(form, xi, cert)
     return cert
 

@@ -33,6 +33,7 @@ from fanostat.lattice import hyperplane_lattice
 from fanostat.localsolve import (
     AdelicTarget,
     _cap_grid,
+    _cap_sigma,
     decide_padic_solubility,
     decide_real_solubility,
     translate_local_conditions,
@@ -350,11 +351,63 @@ def _has_target_point(form, target) -> bool:
     )
 
 
+def _fraction_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over the Fractions."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            ratio = a[i][k] / a[k][k]
+            a[i] = [x - ratio * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def _s_lemma_reverifies(form, xi, sigma, cert) -> bool:
+    """Re-check an S-lemma certificate from the form's coefficients alone:
+    tau >= 0 and sign * 2M - tau (xi xi^T - (1 - sigma^2)|xi|^2 I) positive
+    definite, by Sylvester's criterion with Fraction minors."""
+    sign, tau = cert["sign"], Fraction(cert["tau"])
+    if sign not in (1, -1) or tau < 0:
+        return False
+    m = form.basis.n + 1
+    two_m = [[Fraction(0)] * m for _ in range(m)]
+    for a, exps in zip(form.coeffs, form.basis.monomials):
+        i, j = [k for k, e in enumerate(exps) for _ in range(e)]
+        two_m[i][j] += a
+        two_m[j][i] += a
+    xi = [Fraction(c) for c in xi]
+    K = (1 - Fraction(sigma) ** 2) * sum(c * c for c in xi)
+    H = [[sign * two_m[i][j] - tau * (xi[i] * xi[j] - (K if i == j else 0)) for j in range(m)] for i in range(m)]
+    return all(_fraction_det([row[:k] for row in H[:k]]) > 0 for k in range(1, m + 1))
+
+
+def _real_verdict(form, target):
+    """(verdict, certificate kind or unknown reason) at the real place, one
+    form at a time: the signature of a quadric at sigma_inf = 1; in a cap, a
+    quadric's S-lemma certificate, re-verified here, else the real decider."""
+    if form.basis.d == 2 and Fraction(target.sigma_inf) == 1:
+        return ("yes", "quadric-signature") if quadric_real_soluble(form) else ("no", "quadric-definite")
+    if form.basis.d == 2:
+        (cert,) = census._s_lemma_certificates([quadric_matrix(form)], target.xi_inf, target.sigma_inf)
+        if cert is not None:
+            assert _s_lemma_reverifies(form, target.xi_inf, target.sigma_inf, cert), (form, cert)
+            return "no", "s-lemma"
+    res = decide_real_solubility(form, target.xi_inf, target.sigma_inf, 4000)
+    return res.verdict, res.certificate["reason" if res.verdict == "unknown" else "kind"]
+
+
 def _per_form_census(d, n, A, P, target, depth_budget=3, points=True):
     """local_census one form at a time: a form with a target point on the cap
     grid is soluble at every place; any other form has every place decided,
-    in order, before the next form. With points=False every form goes to the
-    deciders."""
+    in order, before the next form, the real place by `_real_verdict`. With
+    points=False every form goes to the deciders."""
 
     def finite(form, p):
         e_p, xi = target.place(p)
@@ -367,20 +420,21 @@ def _per_form_census(d, n, A, P, target, depth_budget=3, points=True):
     finite_ps = sorted(set(target.support) | set(primes_up_to(P)))
     per_place = {p: {"yes": 0, "no": 0, "unknown": 0} for p in finite_ps}
     arch_tally = {"yes": 0, "no": 0, "unknown": 0}
+    arch_kinds = {"yes": {}, "no": {}, "unknown": {}}
     m_yes = m_unk = e_yes = e_unk = dv_lo = dv_hi = point_decided = 0
     for form in forms:
         if points and _has_target_point(form, target):
+            verdict, kind = "yes", "point"
+        else:
+            verdict, kind = _real_verdict(form, target)
+        arch_tally[verdict] += 1
+        arch_kinds[verdict][kind] = arch_kinds[verdict].get(kind, 0) + 1
+        if kind == "point":
             point_decided += 1
-            arch_tally["yes"] += 1
             for tally in per_place.values():
                 tally["yes"] += 1
             m_yes, dv_lo, dv_hi = m_yes + 1, dv_lo + 1, dv_hi + 1
             continue
-        if d == 2 and Fraction(target.sigma_inf) == 1:
-            verdict = "yes" if quadric_real_soluble(form) else "no"
-        else:
-            verdict = decide_real_solubility(form, target.xi_inf, target.sigma_inf, 4000).verdict
-        arch_tally[verdict] += 1
         certain = verdict == "yes"
         for p in finite_ps:
             if verdict == "no":
@@ -419,6 +473,7 @@ def _per_form_census(d, n, A, P, target, depth_budget=3, points=True):
         "direct_vloc_interval": (dv_lo, dv_hi) if d == 2 else None,
         "per_place": per_place,
         "arch_tally": arch_tally,
+        "arch_kinds": arch_kinds,
         "point_decided": point_decided,
         "unresolved": m_unk + e_unk,
         "total_forms": len(forms),
@@ -553,9 +608,83 @@ def test_forms_with_a_target_point_skip_the_deciders(monkeypatch):
     report = local_census(3, 3, 1, 2, AdelicTarget.trivial(3))
     assert report.point_decided == report.total_forms == 20
     assert calls == {"real": 0, "padic": 0}
-    # in a cap of aperture 1/2, only the forms without a grid point reach the real decider
+    # in a cap of aperture 1/2, only the forms without a grid point reach the
+    # real place, and of the quadrics only those without an S-lemma certificate
+    # reach the real decider
     cap = AdelicTarget((), (3, -1, 2, 1), Fraction(1, 2))
-    for d, A, P, pointless in ((2, Fraction(3, 2), 3, 27), (3, 1, 2, 4)):
+    for d, A, P, pointless, decided, certified in ((2, Fraction(3, 2), 3, 27, 3, 24), (3, 1, 2, 4, 4, 0)):
         calls["real"] = 0
         report = local_census(d, 3, A, P, cap)
-        assert report.total_forms - report.point_decided == calls["real"] == pointless
+        assert report.total_forms - report.point_decided == pointless
+        assert calls["real"] == decided
+        assert report.arch_kinds["no"].get("s-lemma", 0) == certified
+
+
+def test_s_lemma_certifies_a_quadric_without_a_zero_in_the_cap():
+    # X0^2 + X1^2 - X2^2 > 0 where 3 X0^2 >= X1^2 + X2^2 (around (1, 0, 0) at sigma = 1/2)
+    form = mkform(2, 2, m_200=1, m_020=1, m_002=-1)
+    xi, sigma = (1, 0, 0), Fraction(1, 2)
+    (cert,) = census._s_lemma_certificates([quadric_matrix(form)], xi, sigma)
+    assert cert["kind"] == "s-lemma" and cert["sign"] == 1
+    assert _s_lemma_reverifies(form, xi, sigma, cert)
+    assert decide_real_solubility(form, xi, sigma).verdict == "no"
+    # the quadric does meet the wider cap sigma = 3/4, at (1, 0, 1)/sqrt(2)
+    assert census._s_lemma_certificates([quadric_matrix(form)], xi, Fraction(3, 4)) == [None]
+    # X0^2 + X1^2 + X2^2 has no real zero, and 2M - tau G stays positive
+    # definite for a small negative tau, which proves nothing
+    definite = quadric_matrix(mkform(2, 2, m_200=1, m_020=1, m_002=1))
+    cap = census._cap_matrix(xi, sigma)
+    assert census._s_lemma_holds(definite, cap, 1, 0)
+    assert not census._s_lemma_holds(definite, cap, 1, Fraction(-1, 100))
+
+
+def test_s_lemma_verdict_rests_on_the_exact_check(monkeypatch):
+    # floats that call every candidate positive definite propose a certificate
+    # for every quadric; the exact check refuses it where the quadric meets the cap
+    monkeypatch.setattr(census.np.linalg, "eigvalsh", lambda a: np.ones(a.shape[:-1]))
+    meets = [
+        (mkform(2, 2, m_200=1, m_020=1, m_002=-1), (1, 0, 0), Fraction(3, 4)),
+        (mkform(2, 2, m_110=1), (2, 1, 1), Fraction(1, 2)),
+        (mkform(2, 3, m_1001=1, m_0110=-1), (3, -1, 2, 1), Fraction(1, 2)),
+    ]
+    for form, xi, sigma in meets:
+        assert decide_real_solubility(form, xi, sigma).verdict == "yes"
+        assert census._s_lemma_certificates([quadric_matrix(form)], xi, sigma) == [None]
+
+
+@st.composite
+def _quadric_caps(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=dimension(2, n), max_size=dimension(2, n)).filter(any))
+    xi = draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1).filter(any))
+    sigma = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 0.6]))
+    return make_form(2, n, coeffs), tuple(xi), sigma
+
+
+@settings(max_examples=80)
+@example((mkform(2, 2, m_200=1, m_020=1, m_002=-1), (1, 0, 0), Fraction(1, 2)))
+@given(_quadric_caps())
+def test_s_lemma_certificates_are_sound_and_reverify(case):
+    form, xi, sigma = case
+    mat = quadric_matrix(form)
+    (cert,) = census._s_lemma_certificates([mat], xi, sigma)
+    if cert is None:
+        # every form the interval exclusion decides has a certificate too
+        assert decide_real_solubility(form, xi, sigma, 4000).verdict != "no"
+        return
+    # a certified no never meets a real zero: not one of the decider's yes
+    # paths (with no box budget it runs only those), not a cap-grid zero
+    assert decide_real_solubility(form, xi, sigma, 0).verdict != "yes"
+    assert all(_value(form, x) != 0 for x in _cap_grid(form.basis, xi, _cap_sigma(sigma))[0])
+    assert _s_lemma_reverifies(form, xi, sigma, cert)
+    # the flipped sign, a negative tau and a tau past xi's own bound are rejected
+    cap = census._cap_matrix(xi, sigma)
+    sign, tau = cert["sign"], cert["tau"]
+    norm2 = sum(c * c for c in xi)
+    at_xi = sum(mat[i][j] * xi[i] * xi[j] for i in range(len(xi)) for j in range(len(xi)))
+    too_far = Fraction(abs(at_xi)) / (Fraction(sigma) ** 2 * norm2**2) + 1  # xi^T (s 2M - tau G) xi < 0
+    assert census._s_lemma_holds(mat, cap, sign, tau)
+    tampered = (-tau - 1, Fraction(-1, 1000), too_far)
+    for bad in [{"sign": -sign, "tau": tau}] + [{"sign": sign, "tau": t} for t in tampered]:
+        assert not census._s_lemma_holds(mat, cap, bad["sign"], bad["tau"])
+        assert not _s_lemma_reverifies(form, xi, sigma, {**cert, **bad})

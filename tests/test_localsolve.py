@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fanostat import localsolve
-from fanostat.errors import EnumerationBudgetExceeded, HypothesisFailed
+from fanostat import localsolve, padic
+from fanostat.errors import EnumerationBudgetExceeded, HypothesisFailed, PreconditionFailed
 from fanostat.geom import Cone, cone_member
 from fanostat.localsolve import (
     AdelicTarget,
@@ -38,12 +38,15 @@ from fanostat.padic import (
     ExactZeroCertificate,
     LiftCertificate,
     PadicApproxVector,
+    lift_hypersurface_point,
     proj_distance_padic,
+    valuation,
     verify_certificate,
 )
 from fanostat.veronese import (
     dimension,
     evaluate_form,
+    gradient_form,
     make_form,
     monomial_basis,
     veronese,
@@ -857,6 +860,47 @@ def _per_form_decide(form, p, xi=None, e_p=0, depth_budget=3, node_budget=10**7)
             raise EnumerationBudgetExceeded("residue search too large", nodes)
         frontier = _residue_zeros(form, (_residue_fibre(x, p, v, v + 1) for x in frontier), p ** (v + 1))
         v += 1
+
+
+def _gradient_first_lift(form, x, p, v, e_p):
+    """A lift attempt that checks the gradient hypotheses itself and then
+    calls `lift_hypersurface_point` with l = l* and sets the radius e_p
+    afterwards: the reference for `_try_lift`."""
+    lstar = min(min(valuation(g % p**v, p), v) for g in gradient_form(form, x))
+    if not (v > 2 * lstar) or v - lstar < e_p:
+        return None
+    try:
+        return replace(lift_hypersurface_point(form, PadicApproxVector.from_integers(p, v, x), v, lstar), radius=e_p)
+    except (HypothesisFailed, PreconditionFailed):
+        return None
+
+
+def test_try_lift_computes_the_gradient_once(monkeypatch):
+    calls = []
+
+    def counted(form, x):
+        calls.append(x)
+        return gradient_form(form, x)
+
+    monkeypatch.setattr(padic, "gradient_form", counted)
+    monkeypatch.setattr(localsolve, "gradient_form", counted)
+    rng = random.Random(11)
+    outcomes = {"lifted": 0, "refused": 0}
+    for _ in range(40):
+        d, n = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2)])
+        p, v = rng.choice([(p, v) for p in (2, 3, 5) for v in (1, 2, 3) if p ** (v * n) <= 1000])
+        e_p = rng.randint(0, v)
+        coeffs = [rng.randint(-4, 4) for _ in range(dimension(d, n))]
+        form = make_form(d, n, coeffs if any(coeffs) else [1] + coeffs[1:])
+        for x in canonical_projective_residues(n + 1, p, v):
+            if evaluate_form(form, x) % p**v:
+                continue
+            before = len(calls)
+            cert = localsolve._try_lift(form, x, p, v, e_p)
+            assert len(calls) == before + 1, (form, x, p, v)
+            assert cert == _gradient_first_lift(form, x, p, v, e_p), (form, x, p, v, e_p)
+            outcomes["lifted" if cert else "refused"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def _outcome(result):
