@@ -46,7 +46,6 @@ from .localsolve import (
     _CHUNK,
     DEFAULT_TAIL_CONSTANT,
     _cap_grid,
-    _cap_sigma,
     AdelicTarget,
     CongruenceCone,
     DensityInterval,
@@ -119,7 +118,7 @@ def count_rational_points(form: Form, B, target: AdelicTarget, budget: int = 10*
     pts = _candidate_points(form.basis.d, form.basis.n, B, cone, budget)
     if len(pts) == 0:
         return 0
-    NU = veronese_batch(form.basis, pts.astype(object))
+    NU = veronese_batch(form.basis, pts)
     return _zero_pairings(coefficient_matrix([form]), NU)
 
 
@@ -136,7 +135,7 @@ def first_moment_direct(d: int, n: int, A, B, target: AdelicTarget, budget: int 
     pts = _candidate_points(d, n, B, cone, budget)
     if len(pts) == 0 or len(coeffs) == 0:
         return 0
-    NU = veronese_batch(monomial_basis(d, n), pts.astype(object))
+    NU = veronese_batch(monomial_basis(d, n), pts)
     return _zero_pairings(coeffs, NU)
 
 
@@ -409,24 +408,13 @@ class CensusReport:
     total_forms: int
     all_resolved: bool
 
-    def summary(self) -> str:
-        lines = [
-            f"forms (canonical): {self.total_forms}",
-            f"M(A,P) in [{self.m_interval[0]}, {self.m_interval[1]}]",
-            f"E(A,P) in [{self.e_interval[0]}, {self.e_interval[1]}]",
-            f"#V^loc in [{self.vloc_interval[0]}, {self.vloc_interval[1]}]",
-            f"unresolved forms: {self.unresolved}",
-            f"real verdicts by kind: {self.arch_kinds}",
-        ]
-        return "\n".join(lines)
-
 
 def _target_grid(basis, target: AdelicTarget):
     """The points of the real decider's cap grid (`localsolve._cap_grid`)
     that meet the translated target, and their Veronese rows: primitive, in
     the cap, and x ≡ u c mod q for a unit u."""
     cone = translate_local_conditions(target)
-    points, _, _, V = _cap_grid(basis, tuple(target.xi_inf), _cap_sigma(target.sigma_inf))
+    points, _, _, V = _cap_grid(basis, tuple(target.xi_inf), Fraction(target.sigma_inf))
     X = np.array(points, dtype=np.int64).reshape(-1, basis.n + 1)
     keep = (np.gcd.reduce(np.abs(X), axis=1) == 1) & unit_class_mask(X, cone.c, cone.q)
     return X[keep], V[keep]
@@ -701,54 +689,3 @@ def predicted_census(
         "finite_size_interval": (lo * prim_half, hi * prim_half),
         "magnitude_scale": sigma * Af**N / target.q,
     }
-
-
-# ---------------------------------------------------------------------------
-# least heights
-
-
-def least_point_heights(
-    d: int,
-    n: int,
-    A,
-    target: AdelicTarget,
-    height_cap: float = 16.0,
-    budget: int = 10**7,
-):
-    """Per-form least height of a rational point near the target, up to a cap.
-
-    Returns (per-form list of (form, height or None), delta-grid summary of
-    the fraction of soluble forms with least height below delta q^(n-1) A).
-    """
-    forms = enumerate_hypersurfaces(d, n, A, budget)
-    cone = translate_local_conditions(target)
-    pts = _candidate_points(d, n, height_cap, cone, budget)
-    basis = monomial_basis(d, n)
-    heights = []
-    if len(pts):
-        NU = veronese_batch(basis, pts.astype(object))
-        h2 = (pts.astype(object) ** 2).sum(axis=1)
-        e = n + 1 - d
-        order = np.argsort([float(v) for v in h2], kind="stable")
-        NU = NU[order]
-        h2 = h2[order]
-    for form in forms:
-        best = None
-        if len(pts):
-            vals = NU @ np.array(form.coeffs, dtype=object)
-            for v, hh in zip(vals, h2):
-                if v == 0:
-                    best = float(hh) ** (e / 2.0)
-                    break
-        heights.append((form, best))
-    frak_q = float(target.frak_q)
-    Af = float(Fraction(A))
-    soluble = [h for _, h in heights if h is not None]
-    summary = []
-    for delta in (0.05, 0.1, 0.2, 0.5, 1.0):
-        threshold = delta * frak_q ** (n - 1) * Af
-        frac = (
-            sum(1 for h in soluble if h < threshold) / len(soluble) if soluble else 0.0
-        )
-        summary.append({"delta": delta, "threshold": threshold, "fraction_below": frac})
-    return heights, summary

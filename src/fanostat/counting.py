@@ -10,7 +10,6 @@ main term
 where the volume factor W is the cone integral of 1/|nu| over the unit
 ball, estimated by Monte Carlo. `census.predicted_first_moment` uses the
 same W; `Prediction` and `VolumeEstimate` carry a value with its error bar.
-`trend_improves` tells whether a grid of exact/predicted ratios approaches 1.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .errors import EnumerationBudgetExceeded
 from .geom import unit_ball_volume
 from .intlinalg import integer_ball
 from .numtheory import euler_phi, jordan_totient, unit_class_mask, zeta
-from .veronese import monomial_basis, veronese_batch
+from .veronese import monomial_basis, row_pairings, veronese_batch
 
 
 @dataclass(frozen=True)
@@ -93,13 +92,8 @@ def veronese_reciprocal_sum(d: int, n: int, c, q: int, xi, sigma, X, budget: int
     pts = pts[_cone_mask_exact(pts, xi, Fraction(sigma))]
     if len(pts) == 0:
         return 0.0
-    basis = monomial_basis(d, n)
-    # |nu(x)|^2 stays exact: int64 when the top monomial provably fits
-    if int(np.abs(pts).max()) ** (2 * d) * basis.size < 2**62:
-        nu2 = (veronese_batch(basis, pts) ** 2).sum(axis=1)
-    else:
-        nu2 = (veronese_batch(basis, pts.astype(object)) ** 2).sum(axis=1)
-    return math.fsum(1.0 / math.sqrt(float(v)) for v in nu2)
+    NU = veronese_batch(monomial_basis(d, n), pts)
+    return math.fsum(1.0 / math.sqrt(float(v)) for v in row_pairings(NU, NU))
 
 
 def veronese_reciprocal_volume(
@@ -161,14 +155,3 @@ def predicted_reciprocal_sum(
         "W phi(q)/J_{n+1}(q) X^(n+1-d)/zeta(n+1)",
         {"volume": volume, "phi_q": euler_phi(q), "J": jordan_totient(n + 1, q), "X": X},
     )
-
-
-def trend_improves(ratios, need: int | None = None) -> bool:
-    """|ratio - 1| shrinks in at least `need` doubling steps (default: all
-    but tolerating nothing on a 3-point grid means both steps improve)."""
-    gaps = [abs(r - 1.0) for r in ratios]
-    steps = len(gaps) - 1
-    if need is None:
-        need = min(2, steps)
-    improvements = sum(1 for a, b in zip(gaps, gaps[1:]) if b <= a)
-    return improvements >= need

@@ -3,22 +3,19 @@
 All routines are exact: integer determinants use Bareiss elimination,
 rational work uses Fraction. `_echelon` (the row Hermite normal form with
 its unimodular transform) is the package's one integer row reduction:
-Hermite bases (`hnf_rows`), integer kernels (`integer_kernel`),
-saturations (`saturate_rows`) and integer solves (`solve_integer`) all read
-off its output. Exact rational solving (`solve_fraction`) and orthogonal
-projection onto a span (`orthogonal_projection`) live here, on one
-normal-equations solver. The lattice core runs on one integral Gram-Schmidt
-(`integral_gso`: the Gram determinants d_i and the integers
-lam_ij = d_j mu_ij): integral LLL (Cohen 2.6.7) updates it in place, and
-Fincke-Pohst enumeration prunes on integers scaled by lcm_j d_j d_{j+1}, so
-every pruning test is an exact integer comparison and no short vector is
-ever missed. Big axis-aligned enumerations (Z^m balls) go through a
-meet-in-the-middle numpy path instead.
+Hermite bases (`hnf_rows`), integer kernels (`integer_kernel`) and
+saturations (`saturate_rows`) all read off its output. Exact rational
+solving (`solve_fraction`) runs on the normal equations. The lattice core
+runs on one integral Gram-Schmidt (`integral_gso`: the Gram determinants d_i
+and the integers lam_ij = d_j mu_ij): integral LLL (Cohen 2.6.7) updates it
+in place, and Fincke-Pohst enumeration prunes on integers scaled by
+lcm_j d_j d_{j+1}, so every pruning test is an exact integer comparison and
+no short vector is ever missed. Axis-aligned enumerations (Z^m balls) are
+built coordinate by coordinate in numpy instead.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -126,22 +123,6 @@ def integer_kernel(mat):
     return [tuple(row) for row in U[r:]]
 
 
-def solve_integer(gens, target):
-    """Integer c with sum_i c_i gens[i] == target, or None when target lies
-    off the lattice the rows generate (which need not be independent)."""
-    H, U, r = _echelon(gens)
-    t = [int(x) for x in target]
-    coeffs = []
-    for row in H[:r]:
-        col = next(j for j, a in enumerate(row) if a != 0)
-        f = t[col] // row[col]  # a remainder stays in t and fails the check below
-        coeffs.append(f)
-        t = [a - f * b for a, b in zip(t, row)]
-    if any(t):
-        return None
-    return [sum(c * u[j] for c, u in zip(coeffs, U)) for j in range(len(gens))]
-
-
 def saturate_rows(rows):
     """Basis of the saturation (span over Q intersected with Z^m)."""
     if not rows:
@@ -153,12 +134,15 @@ def saturate_rows(rows):
     return integer_kernel(k)
 
 
-def _span_coefficients(rows, v):
-    """Coefficients c with sum c_i rows[i] the orthogonal projection of v onto
-    span(rows): Gauss-Jordan on the exact normal equations; None when the
-    rows are dependent."""
-    rows = [[Fraction(x) for x in r] for r in rows]
-    b = [Fraction(x) for x in v]
+def solve_fraction(mat_rows, rhs):
+    """Rational a with sum a_i * mat_rows[i] == rhs for independent rows;
+    None when rhs lies off their span or the rows are dependent.
+
+    Gauss-Jordan on the exact normal equations gives the coefficients of the
+    orthogonal projection of rhs onto the span; rhs is in the span iff that
+    projection is rhs itself."""
+    rows = [[Fraction(x) for x in r] for r in mat_rows]
+    b = [Fraction(x) for x in rhs]
     n = len(rows)
     aug = [
         [sum(x * y for x, y in zip(u, w)) for w in rows] + [sum(x * y for x, y in zip(u, b))]
@@ -175,53 +159,10 @@ def _span_coefficients(rows, v):
             if i != k and aug[i][k]:
                 f = aug[i][k]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    return [aug[i][n] for i in range(n)]
-
-
-def _combination(coeffs, rows, m: int):
-    """sum_i coeffs[i] * rows[i] in Q^m, exactly."""
-    return [sum((c * Fraction(r[t]) for c, r in zip(coeffs, rows)), Fraction(0)) for t in range(m)]
-
-
-def solve_fraction(mat_rows, rhs):
-    """Rational a with sum a_i * mat_rows[i] == rhs for independent rows;
-    None when rhs lies off their span or the rows are dependent."""
-    coeffs = _span_coefficients(mat_rows, rhs)
-    if coeffs is None or _combination(coeffs, mat_rows, len(rhs)) != [Fraction(x) for x in rhs]:
+    coeffs = [aug[i][n] for i in range(n)]
+    if [sum((c * r[t] for c, r in zip(coeffs, rows)), Fraction(0)) for t in range(len(b))] != b:
         return None
     return coeffs
-
-
-def orthogonal_projection(rows, v):
-    """Exact orthogonal projection of v onto the span of independent rows."""
-    coeffs = _span_coefficients(rows, v)
-    if coeffs is None:
-        raise ValueError("degenerate subspace basis")
-    return _combination(coeffs, rows, len(v))
-
-
-def lattice_coordinates(rows, x):
-    """Integer coordinates of x in the basis `rows`, or None."""
-    coeffs = solve_fraction(rows, x)
-    if coeffs is None:
-        return None
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            return None
-        out.append(int(c))
-    return out
-
-
-def minors_gcd(rows) -> int:
-    """gcd of all maximal minors of the k x m matrix given by rows."""
-    k = len(rows)
-    m = len(rows[0])
-    g = 0
-    for cols in itertools.combinations(range(m), k):
-        sub = [[row[c] for c in cols] for row in rows]
-        g = math.gcd(g, abs(bareiss_det(sub)))
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -418,49 +359,38 @@ def _over(t: int, den: int):
 
 
 # ---------------------------------------------------------------------------
-# Z^m ball enumeration (numpy meet-in-the-middle)
+# Z^m ball enumeration (numpy, coordinate by coordinate)
 
 
 def integer_ball(dim: int, norm2_bound, include_zero=True) -> np.ndarray:
-    """All x in Z^dim with |x|^2 <= norm2_bound, as an (k, dim) int64 array."""
+    """All x in Z^dim with |x|^2 <= norm2_bound, as a (k, dim) int64 array in
+    lexicographic order.
+
+    The rows grow one coordinate at a time, each carrying the norm it has
+    left, so no partial row outside the ball is ever made. Each level keeps
+    only (parent, value) indices; the rows are read back once at the end.
+    """
     bound = int(math.floor(norm2_bound))
     if bound < 0:
         return np.empty((0, dim), dtype=np.int64)
-    if dim == 0:
-        return np.empty((1, 0), dtype=np.int64)
-    half = dim // 2
-    a = _box_points(half, bound)
-    b = _box_points(dim - half, bound)
-    na = (a * a).sum(axis=1)
-    nb = (b * b).sum(axis=1)
-    order = np.argsort(nb, kind="stable")
-    b = b[order]
-    nb = nb[order]
-    rows = []
-    for i in range(len(a)):
-        rem = bound - na[i]
-        if rem < 0:
-            continue
-        hi = np.searchsorted(nb, rem, side="right")
-        if hi == 0:
-            continue
-        left = np.repeat(a[i : i + 1], hi, axis=0)
-        rows.append(np.hstack([left, b[:hi]]))
-    pts = np.vstack(rows) if rows else np.empty((0, dim), dtype=np.int64)
+    r = math.isqrt(bound)
+    values = np.arange(-r, r + 1, dtype=np.int64)
+    squares = values * values
+    left = np.array([bound], dtype=np.int64)
+    levels = []
+    for _ in range(dim):
+        parent, value = np.nonzero(squares <= left[:, None])
+        left = left[parent] - squares[value]
+        levels.append((parent, value))
+    pts = np.empty((len(left), dim), dtype=np.int64)
+    rows = np.arange(len(left))
+    for k in reversed(range(dim)):
+        parent, value = levels[k]
+        pts[:, k] = values[value[rows]]
+        rows = parent[rows]
     if not include_zero:
         pts = pts[(pts != 0).any(axis=1)]
     return pts
-
-
-def _box_points(dim: int, bound: int) -> np.ndarray:
-    if dim == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    r = math.isqrt(bound)
-    axes = [np.arange(-r, r + 1, dtype=np.int64)] * dim
-    grid = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grid], axis=1)
-    keep = (pts * pts).sum(axis=1) <= bound
-    return pts[keep]
 
 
 def canonical_sign_mask(pts: np.ndarray) -> np.ndarray:

@@ -55,7 +55,6 @@ import numpy as np
 
 from .errors import EnumerationBudgetExceeded, HypothesisFailed, NonConvergence, PreconditionFailed
 from .geom import Cone, cone_member, proj_distance_arch
-from .intlinalg import solve_integer
 from .numtheory import crt_combine, primes_up_to, unit_classes
 from .padic import (
     ExactZeroCertificate,
@@ -89,7 +88,7 @@ class AdelicTarget:
 
     finite_places: tuple  # of (p, e_p, PadicApproxVector)
     xi_inf: tuple
-    sigma_inf: object  # Fraction preferred (exact cone tests)
+    sigma_inf: object  # a Fraction, or a float read as the binary rational it is
 
     def __post_init__(self):
         seen = set()
@@ -114,10 +113,6 @@ class AdelicTarget:
         for p, e_p, _ in self.finite_places:
             out *= p**e_p
         return out
-
-    @property
-    def frak_q(self) -> Fraction:
-        return Fraction(self.q) / Fraction(self.sigma_inf)
 
     @property
     def support(self) -> tuple:
@@ -303,27 +298,6 @@ def _residue_fibre(X, p: int, e: int, v: int) -> np.ndarray:
     return out.reshape(-1, m)
 
 
-def _veronese_mod(basis, X: np.ndarray, mod: int) -> np.ndarray:
-    """Veronese rows of residues 0 <= X < mod, reduced mod `mod`, exactly:
-    monomials run in int64 only when (mod - 1)^d fits."""
-    pts = X if (mod - 1) ** basis.d < 2**63 else X.astype(object)
-    return veronese_batch(basis, pts) % mod
-
-
-def _veronese_exact(basis, X: np.ndarray) -> np.ndarray:
-    """Veronese rows of integer points X, exactly: monomials run in int64
-    only when max|x_i|^d fits."""
-    pts = X if int(np.abs(X).max(initial=0)) ** basis.d < 2**63 else X.astype(object)
-    return veronese_batch(basis, pts)
-
-
-def _jets_mod(basis, X: np.ndarray, mod: int) -> np.ndarray:
-    """Derivative rows nu^(i) of residues 0 <= X < mod, one (k, N) array per
-    i, reduced mod `mod`, exactly: in int64 only when d (mod - 1)^(d - 1) fits."""
-    pts = X if basis.d * (mod - 1) ** (basis.d - 1) < 2**63 else X.astype(object)
-    return veronese_jet_batch(basis, pts) % mod
-
-
 def _centred_rows(X: np.ndarray, mod: int) -> np.ndarray:
     """`_centered` for an array of residues mod `mod`."""
     return np.where(X > mod // 2, X - mod, X)
@@ -333,7 +307,7 @@ def _residue_zeros(form: Form, blocks, mod: int) -> np.ndarray:
     """The residues x in the arrays `blocks` with f(x) == 0 mod `mod`, in
     lexicographic order; one block is evaluated at a time."""
     a = np.array([[c % mod for c in form.coeffs]], dtype=np.int64)
-    Z = np.concatenate([X[pairings(a, _veronese_mod(form.basis, X, mod))[0] % mod == 0] for X in blocks])
+    Z = np.concatenate([X[pairings(a, veronese_batch(form.basis, X) % mod)[0] % mod == 0] for X in blocks])
     return Z[np.lexsort(Z.T[::-1])]
 
 
@@ -342,7 +316,7 @@ def _table(basis, X: np.ndarray, mod: int):
     mod `mod` and the exact Veronese rows of their centred representatives,
     all read-only; the rows in the narrowest integer type that holds them,
     since tables are cached (`pairings` widens them again)."""
-    table = (X, _narrow(_veronese_mod(basis, X, mod)), _narrow(_veronese_exact(basis, _centred_rows(X, mod))))
+    table = (X, _narrow(veronese_batch(basis, X) % mod), _narrow(veronese_batch(basis, _centred_rows(X, mod))))
     for T in table:
         T.flags.writeable = False
     return table
@@ -570,7 +544,7 @@ def decide_real_solubility(
     unexamined frontier. A `no` needs a search tree of at most
     `subdivision_budget` boxes.
     """
-    xi, sigma = tuple(xi_inf), _cap_sigma(sigma_inf)
+    xi, sigma = tuple(xi_inf), Fraction(sigma_inf)
     # --- yes paths on a rational direction grid
     points, sides, flipped, V = _cap_grid(form.basis, xi, sigma)
     vals = pairings(np.array([form.coeffs], dtype=object), V)[0]
@@ -589,12 +563,6 @@ def decide_real_solubility(
     return _exclude_by_intervals(form, xi, sigma, subdivision_budget)
 
 
-def _cap_sigma(sigma_inf):
-    """The cap aperture as `_cap_grid` keys it: a float stays a float,
-    anything else becomes an exact Fraction."""
-    return sigma_inf if isinstance(sigma_inf, float) else Fraction(sigma_inf)
-
-
 @lru_cache(maxsize=32)
 def _cap_grid(basis, xi: tuple, sigma):
     """The direction-grid points v in the cap, in grid order; their sides
@@ -605,7 +573,7 @@ def _cap_grid(basis, xi: tuple, sigma):
     points = tuple(v for v in _direction_grid(basis.n, xi) if cone_member(cone, v))
     flipped = np.array([sum(a * b for a, b in zip(v, xi)) < 0 for v in points], dtype=bool)
     sides = tuple(tuple(-c for c in v) if flip else v for v, flip in zip(points, flipped))
-    V = _veronese_exact(basis, np.array(points, dtype=np.int64).reshape(-1, basis.n + 1))
+    V = veronese_batch(basis, np.array(points, dtype=np.int64).reshape(-1, basis.n + 1))
     flipped.flags.writeable = V.flags.writeable = False
     return points, sides, flipped, V
 
@@ -903,9 +871,9 @@ def classify_balls(
         for parents, B, s, R, owner in jobs:
             starts = np.flatnonzero(np.diff(owner, prepend=-1))  # owner is sorted, no parent is empty
             base = parents[owner]
-            zero = _class_pairings(base, B, s, _veronese_mod(basis, R, mod), mod) == 0
+            zero = _class_pairings(base, B, s, veronese_batch(basis, R) % mod, mod) == 0
             good = np.zeros_like(zero)
-            for DI in _jets_mod(basis, R, modt):
+            for DI in veronese_jet_batch(basis, R) % modt:
                 good |= _class_pairings(base, B, s, DI, modt) != 0
             sure = np.logical_or.reduceat(zero & good, starts, axis=1)  # (rows of B, parents)
             rest = np.logical_or.reduceat(zero, starts, axis=1) & ~sure
@@ -1018,90 +986,3 @@ def count_projective_points(form: Form, p: int, budget: int = 10**8) -> int:
         raise EnumerationBudgetExceeded("too many projective points", reps)
     a = np.array([[c % p for c in form.coeffs]], dtype=np.int64)
     return sum(int((pairings(a, V) % p == 0).sum()) for _, V, _ in _residue_tables(form.basis, p))
-
-
-def lang_weil_check(form: Form, p: int, r: int, d: int, constant: float) -> bool:
-    """|#X(F_p) - p^r| <= (d-1)(d-2) p^(r-1/2) + constant * p^(r-1)."""
-    count = count_projective_points(form, p)
-    return abs(count - p**r) <= (d - 1) * (d - 2) * p ** (r - 0.5) + constant * p ** (r - 1)
-
-
-def lang_weil_discrepancy(form: Form, p: int, r: int, d: int) -> float:
-    """(|#X - p^r| - (d-1)(d-2) p^(r-1/2)) / p^(r-1): the fitted-constant scale."""
-    count = count_projective_points(form, p)
-    return (abs(count - p**r) - (d - 1) * (d - 2) * p ** (r - 0.5)) / p ** (r - 1)
-
-
-def is_reducible_mod_p(form: Form, p: int, budget: int = 10**6) -> TriState:
-    """Brute-force factor search f ≡ f' * f'' mod p over all degree splits.
-
-    For each candidate f' (canonical up to scalar), divisibility is a linear
-    system in the cofactor's coefficients. yes carries the witness pair.
-    """
-    d, n = form.basis.d, form.basis.n
-    target = [c % p for c in form.coeffs]
-    for d1 in range(1, d // 2 + 1):
-        d2 = d - d1
-        N1, N2 = dimension(d1, n), dimension(d2, n)
-        candidates = (p**N1 - 1) // (p - 1)
-        if candidates * N2 > budget:
-            return TriState.unknown({"reason": "factor budget", "split": (d1, d2)})
-        mul = _multiplication_matrix(d1, d2, n, p)
-        modulus = [[p * int(i == j) for j in range(len(target))] for i in range(len(target))]
-        for f1 in canonical_projective_residues(N1, p, 1):
-            A = _specialize_multiplication(mul, f1, dimension(d, n), N2, p)
-            # A g == target over F_p: an integer solve against A's columns and p Z^rows
-            sol = solve_integer([list(col) for col in zip(*A)] + modulus, target)
-            if sol is None:
-                continue
-            g = [c % p for c in sol[:N2]]
-            if any(g) and _product_matches(d1, d2, n, f1, g, target, p):
-                return TriState.yes({"factor": f1, "cofactor": tuple(g), "split": (d1, d2)})
-    return TriState.no({"exhausted_splits": [(d1, d - d1) for d1 in range(1, d // 2 + 1)]})
-
-
-def _multiplication_matrix(d1: int, d2: int, n: int, p: int):
-    """index pairs: product monomial row for each (e1, e2) pair."""
-    b1 = monomial_basis(d1, n)
-    b2 = monomial_basis(d2, n)
-    b = monomial_basis(d1 + d2, n)
-    table = []
-    for i1, e1 in enumerate(b1.monomials):
-        for i2, e2 in enumerate(b2.monomials):
-            prod = tuple(a + bb for a, bb in zip(e1, e2))
-            table.append((i1, i2, b.index(prod)))
-    return table
-
-
-def _specialize_multiplication(table, f1, Nout: int, N2: int, p: int):
-    A = [[0] * N2 for _ in range(Nout)]
-    for i1, i2, it in table:
-        if f1[i1]:
-            A[it][i2] = (A[it][i2] + f1[i1]) % p
-    return A
-
-
-def _product_matches(d1, d2, n, f1, g, target, p):
-    b1 = monomial_basis(d1, n)
-    b2 = monomial_basis(d2, n)
-    b = monomial_basis(d1 + d2, n)
-    prod = [0] * b.size
-    for i1, e1 in enumerate(b1.monomials):
-        if not f1[i1]:
-            continue
-        for i2, e2 in enumerate(b2.monomials):
-            if not g[i2]:
-                continue
-            it = b.index(tuple(a + bb for a, bb in zip(e1, e2)))
-            prod[it] = (prod[it] + f1[i1] * g[i2]) % p
-    # allow a scalar multiple: find lambda with prod = lambda * target
-    lam = None
-    for a, t in zip(prod, target):
-        if t % p != 0:
-            lam = a * pow(t, -1, p) % p
-            break
-        if a % p != 0:
-            return False
-    if lam is None:
-        return False
-    return all((a - lam * t) % p == 0 for a, t in zip(prod, target))

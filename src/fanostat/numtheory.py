@@ -1,4 +1,4 @@
-"""Exact elementary number theory: multiplicative functions, CRT, zeta.
+"""Exact elementary number theory: primes, factorization, totients, CRT, zeta.
 
 Everything here is integer-exact except ``zeta``, which carries an explicit
 tolerance. Factorization is trial division against a sieved prime table
@@ -74,17 +74,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius needs n >= 1")
-    result = 1
-    for _, e in factorize(n):
-        if e > 1:
-            return 0
-        result = -result
-    return result
-
-
 def jordan_totient(k: int, q: int) -> int:
     """J_k(q) = q^k prod_{p|q} (1 - p^{-k}), exactly.
 
@@ -100,15 +89,6 @@ def jordan_totient(k: int, q: int) -> int:
 
 def euler_phi(q: int) -> int:
     return jordan_totient(1, q)
-
-
-def divisor_count(n: int) -> int:
-    if n < 1:
-        raise ValueError("divisor_count needs n >= 1")
-    out = 1
-    for _, e in factorize(n):
-        out *= e + 1
-    return out
 
 
 # Bernoulli numbers B_2, B_4, B_6, B_8 for the Euler-Maclaurin tail.

@@ -1,4 +1,4 @@
-"""Degree-d monomial combinatorics: the Veronese map, forms, and heights.
+"""Degree-d monomial combinatorics: the Veronese map, forms, and height bounds.
 
 A degree-d hypersurface in P^n is stored as a primitive integer coefficient
 vector indexed by the monomials of degree d in X_0..X_n, ordered by
@@ -97,8 +97,20 @@ def veronese_jet(basis: MonomialBasis, x):
     return value, jets
 
 
+def _exact_points(pts: np.ndarray, power: int, factor: int = 1) -> np.ndarray:
+    """Integer points as int64 when factor * max|x|^power, a bound on every
+    monomial the caller forms from them, fits; else as Python integers.
+    Float and object arrays pass unchanged."""
+    if pts.dtype.kind not in "iu":
+        return pts
+    worst = factor * int(np.abs(pts).max(initial=0)) ** power
+    return pts.astype(np.int64 if worst < 2**63 else object, copy=False)
+
+
 def veronese_batch(basis: MonomialBasis, pts: np.ndarray) -> np.ndarray:
-    """Row-wise Veronese of an integer/float point array (k, n+1) -> (k, N)."""
+    """Row-wise Veronese of a point array (k, n+1) -> (k, N). Integer points
+    give exact rows: int64 when max|x|^d fits, else Python integers."""
+    pts = _exact_points(pts, basis.d)
     E = basis.exponent_matrix()  # (N, n+1)
     out = np.ones((pts.shape[0], basis.size), dtype=pts.dtype)
     for j in range(basis.n + 1):
@@ -112,7 +124,9 @@ def veronese_batch(basis: MonomialBasis, pts: np.ndarray) -> np.ndarray:
 
 def veronese_jet_batch(basis: MonomialBasis, pts: np.ndarray) -> np.ndarray:
     """Row-wise derivative vectors of veronese_jet: (k, n+1) -> (n+1, k, N),
-    entry [i, r, t] = (dM_t/dx_i)(pts[r])."""
+    entry [i, r, t] = (dM_t/dx_i)(pts[r]). Integer points give exact rows:
+    int64 when d max|x|^(d-1) fits, else Python integers."""
+    pts = _exact_points(pts, basis.d - 1, basis.d)
     E = basis.exponent_matrix()  # (N, n+1)
     out = []
     for i in range(basis.n + 1):
@@ -243,25 +257,6 @@ def gradient_form(form: Form, x):
         else:
             out.append(sum(a * v for a, v in zip(form.coeffs, row)))
     return out
-
-
-def height(d: int, n: int, x) -> float:
-    """H(x) = |x|^(n+1-d) for a primitive nonzero integer vector."""
-    if n + 1 - d < 1:
-        raise ValueError("height needs n + 1 - d >= 1")
-    x = [int(c) for c in x]
-    if all(c == 0 for c in x):
-        raise ValueError("height of the zero vector is undefined")
-    if math.gcd(*[abs(c) for c in x]) != 1:
-        raise ValueError("height expects primitive coordinates")
-    return math.sqrt(sum(c * c for c in x)) ** (n + 1 - d)
-
-
-def height_squared(d: int, n: int, x) -> int:
-    """H(x)^2 = (|x|^2)^(n+1-d), exact; for exact height-bound comparisons."""
-    if n + 1 - d < 1:
-        raise ValueError("height needs n + 1 - d >= 1")
-    return sum(int(c) ** 2 for c in x) ** (n + 1 - d)
 
 
 def height_bound_norm2(d: int, n: int, B) -> Fraction:

@@ -19,7 +19,6 @@ from fanostat.census import (
     first_moment_direct,
     first_moment_dual,
     height_threshold_exponent,
-    least_point_heights,
     local_census,
     predicted_census,
     predicted_first_moment,
@@ -33,7 +32,6 @@ from fanostat.lattice import hyperplane_lattice
 from fanostat.localsolve import (
     AdelicTarget,
     _cap_grid,
-    _cap_sigma,
     decide_padic_solubility,
     decide_real_solubility,
     translate_local_conditions,
@@ -302,21 +300,18 @@ def test_predicted_census_contains_exact_micro():
     assert lo - 1e-9 <= exact <= hi + 1e-9, (lo, exact, hi)
 
 
-def test_least_point_heights():
-    t = AdelicTarget.trivial(3)
-    heights, summary = least_point_heights(2, 3, 1.5, t, height_cap=9.0)
-    by_form = {f: h for f, h in heights}
-    quadric = mkform(2, 3, m_1001=1, m_0110=-1)
-    if quadric in by_form:
-        assert by_form[quadric] == pytest.approx(1.0)
-    f_monomial = mkform(2, 3, m_2000=1)
-    assert by_form[f_monomial] == pytest.approx(1.0)  # e1 lies on x0^2 = 0
-    definite = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=1)
-    if definite in by_form:
-        assert by_form[definite] is None
-    assert all(0 <= row["fraction_below"] <= 1 for row in summary)
-    fracs = [row["fraction_below"] for row in summary]
-    assert fracs == sorted(fracs)  # nondecreasing in delta
+def test_a_float_aperture_is_read_exactly_in_either_order():
+    # just below sqrt(1/2): the zeros (1, +-1) of X0^2 - X1^2 lie at distance
+    # exactly sqrt(1/2) from (1, 0), outside the cap, and a float aperture
+    # shares its cached cap grid with the equal Fraction
+    sigma = math.nextafter(math.sqrt(0.5), 0)
+    form = mkform(2, 1, m_20=1, m_02=-1)
+    for order in ((sigma, Fraction(sigma)), (Fraction(sigma), sigma)):
+        _cap_grid.cache_clear()
+        for s in order:
+            assert decide_real_solubility(form, (1, 0), s).verdict == "unknown"
+            report = local_census(2, 1, Fraction(3, 2), 2, AdelicTarget((), (1, 0), s))
+            assert (report.m_interval, report.e_interval, report.point_decided) == ((8, 10), (0, 2), 4)
 
 
 def test_beyond_verdict_is_unknown_where_no_prime_can_be_decided():
@@ -675,7 +670,7 @@ def test_s_lemma_certificates_are_sound_and_reverify(case):
     # a certified no never meets a real zero: not one of the decider's yes
     # paths (with no box budget it runs only those), not a cap-grid zero
     assert decide_real_solubility(form, xi, sigma, 0).verdict != "yes"
-    assert all(_value(form, x) != 0 for x in _cap_grid(form.basis, xi, _cap_sigma(sigma))[0])
+    assert all(_value(form, x) != 0 for x in _cap_grid(form.basis, xi, Fraction(sigma))[0])
     assert _s_lemma_reverifies(form, xi, sigma, cert)
     # the flipped sign, a negative tau and a tau past xi's own bound are rejected
     cap = census._cap_matrix(xi, sigma)

@@ -6,7 +6,6 @@ import pytest
 
 from fanostat.counting import (
     predicted_reciprocal_sum,
-    trend_improves,
     veronese_reciprocal_sum,
     veronese_reciprocal_volume,
 )
@@ -71,8 +70,3 @@ def test_q_scaling_of_reciprocal_sum():
         pred = predicted_reciprocal_sum(2, 2, c, q, (1, 0, 0), 1, X, volume=w)
         assert abs(exact / pred.value - 1) < 0.2, (q, exact, pred.value)
 
-
-def test_trend_helper():
-    assert trend_improves([1.5, 1.2, 1.05])
-    assert not trend_improves([1.05, 1.2, 1.5])
-    assert trend_improves([1.5, 1.6, 1.2, 1.1], need=2)

@@ -83,7 +83,8 @@ def test_private_helpers_are_referenced():
 TRACED = "perfbench traces and reports it by name"
 
 # Where the package is entered, each with why. Every public module-level
-# function or class must be reachable by name from one of these.
+# function or class, and every public method of one, must be reachable by
+# name from one of these; a method can also be an entry itself.
 ENTRY_POINTS = (
     # the census and density API
     ("census", "first_moment", "the first moment, direct and dual"),
@@ -120,8 +121,6 @@ ENTRY_POINTS = (
     ("numtheory", "factorize", TRACED),
     ("numtheory", "primes_up_to", TRACED),
     # kept for open ROADMAP items
-    ("numtheory", "mobius", "kept on purpose with divisor_count"),
-    ("numtheory", "divisor_count", "kept on purpose with mobius"),
     ("census", "height_threshold_exponent", "the exponent the cubic-range reports will quote"),
     ("localsolve", "fit_tail_constant", "the fitted tail constant the sound-tail item decides"),
     # references the tests of kept code compare against
@@ -134,42 +133,44 @@ ENTRY_POINTS = (
     ("counting", "predicted_reciprocal_sum", "the main term that check compares against"),
     ("intlinalg", "hnf_rows", "lattice identity in the LLL, kernel and enumeration tests"),
     ("intlinalg", "saturate_rows", "primitivity of computed kernels"),
-    # leaves that only their own tests reach, kept until a later deletion
-    # takes them out together with those tests
-    ("census", "least_point_heights", "least heights of points near the target"),
-    ("localsolve", "lang_weil_check", "the Lang-Weil bound on point counts"),
-    ("localsolve", "lang_weil_discrepancy", "the Lang-Weil constant scale"),
-    ("localsolve", "is_reducible_mod_p", "factor search of a form mod p"),
-    ("padic", "padic_abs", "the p-adic absolute value"),
-    ("padic", "padic_vec_norm", "the p-adic max norm"),
-    ("veronese", "height", "H(x) of a primitive point"),
-    ("veronese", "height_squared", "H(x)^2, exact"),
-    ("geom", "wedge_norm", "|x ^ y| as a float"),
-    ("geom", "perp_cone_member", "membership of the perpendicular cone"),
-    ("geom", "cap_volume", "cone-cap volumes by quadrature"),
-    ("geom", "band_volume", "equatorial band volumes by quadrature"),
-    ("geom", "projection_volume_bound", "the ceiling on projected cone volumes"),
-    ("geom", "cone_intersection_params", "a cone cut by a subspace"),
-    ("geom", "span_distance", "distance of a direction from a span"),
-    ("geom", "span_distance_squared_exact", "that distance, exact"),
-    ("intlinalg", "minors_gcd", "gcd of maximal minors"),
-    ("intlinalg", "solve_integer", "integer solves on the Hermite form"),
-    ("lattice", "standard_lattice", "Z^N as a lattice"),
-    ("lattice", "from_rows", "a lattice from integer rows"),
-    ("lattice", "saturation_det_squared", "determinant of a saturated span"),
-    ("lattice", "q_primitive", "q-primitivity through the torsion index"),
-    ("counting", "trend_improves", "whether count ratios approach 1"),
+    # methods that no package code calls, each with who does
+    ("localsolve", "AdelicTarget.trivial", "the workloads build their trivial targets with it"),
+    ("localsolve", "CongruenceCone.congruence_ok", "the congruence half of a translated target, as tests check it"),
+    ("localsolve", "BallClassification.boundary_upper", "the boundary-ball count the paper bounds"),
+    ("localsolve", "BallClassification.paper_boundary_bound", "the paper's bound on that count"),
+    ("veronese", "MonomialBasis.index", "tests build forms monomial by monomial with it"),
+    ("lattice", "IntegralLattice.det_squared", "the covolume identity of the hyperplane-lattice tests"),
+    ("padic", "LiftCertificate.distance_exponent", "the distance bound e - l the lifting tests check"),
 )
 
 
+def _is_method(node) -> bool:
+    """A function in a class body that is not a dunder."""
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+        node.name.startswith("__") and node.name.endswith("__")
+    )
+
+
 def _definitions():
-    """(module, name) -> its syntax tree, and the names every module's
-    top-level statements other than definitions and imports reference."""
+    """The units of the reachability walk, each with its line and the syntax
+    trees it references: (module, name) for every top-level function and class,
+    (module, "Class.method") for every method but the dunders. A class unit
+    holds only its decorators, bases, fields and dunder methods; a method
+    holds its own body. Also the names every module's top-level statements
+    other than definitions and imports reference."""
     defs, top = {}, set()
     for path in MODULES:
         for node in _parse(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs[path.stem, node.name] = node
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[path.stem, node.name] = node.lineno, [node]
+            elif isinstance(node, ast.ClassDef):
+                shell = node.decorator_list + node.bases + node.keywords
+                for item in node.body:
+                    if _is_method(item):
+                        defs[path.stem, f"{node.name}.{item.name}"] = item.lineno, [item]
+                    else:
+                        shell.append(item)
+                defs[path.stem, node.name] = node.lineno, shell
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
                 top.update(_referenced_names(node))
     return defs, top
@@ -177,24 +178,29 @@ def _definitions():
 
 def test_public_symbols_are_reachable():
     defs, top = _definitions()
-    missing = [f"{module}.{name}" for module, name, _ in ENTRY_POINTS if (module, name) not in defs]
+    entries = {(module, name) for module, name, _ in ENTRY_POINTS}
+    missing = sorted(f"{module}.{name}" for module, name in entries if (module, name) not in defs)
     assert not missing, f"entry points the package no longer defines: {missing}"
-    # names resolve by name alone, in any module, and a reached class
-    # reaches its whole body: the walk over-approximates what is used, so
-    # whatever it misses is dead
-    by_name = {}
-    for key in defs:
-        by_name.setdefault(key[1], []).append(key)
-    reached = set()
-    todo = [name for _, name, _ in ENTRY_POINTS] + sorted(top)
-    while todo:
-        for key in by_name.get(todo.pop(), ()):
-            if key not in reached:
-                reached.add(key)
-                todo.extend(_referenced_names(defs[key]))
+    # names resolve by name alone, in any module: the walk over-approximates
+    # what is used, so whatever it misses is dead. A reached class reaches
+    # its fields and dunders; a method is reached once its class is and
+    # reached code names it, or by an entry of its own
+    names = top | {name for _, name in entries if "." not in name}
+    reached, grew = set(), True
+    while grew:
+        grew = False
+        for (module, name), (_, trees) in defs.items():
+            owner, _, own = name.rpartition(".")
+            if (module, name) in reached:
+                continue
+            if (module, name) in entries or (own in names and (not owner or (module, owner) in reached)):
+                reached.add((module, name))
+                for tree in trees:
+                    names.update(_referenced_names(tree))
+                grew = True
     dead = sorted(
-        f"{module}.{name} ({module}.py:{node.lineno})"
-        for (module, name), node in defs.items()
-        if not name.startswith("_") and (module, name) not in reached
+        f"{module}.{name} ({module}.py:{line})"
+        for (module, name), (line, _) in defs.items()
+        if not name.rpartition(".")[2].startswith("_") and (module, name) not in reached
     )
-    assert not dead, f"public symbols no entry point reaches: {dead}"
+    assert not dead, f"public symbols and methods no entry point reaches: {dead}"

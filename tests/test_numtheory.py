@@ -7,43 +7,14 @@ from hypothesis import given, strategies as st
 from fanostat import numtheory
 from fanostat.numtheory import (
     crt_combine,
-    divisor_count,
     euler_phi,
     factorize,
     jordan_totient,
-    mobius,
     mod_inverse,
     primes_up_to,
     reduced_residues,
     zeta,
 )
-
-
-def test_mobius_basic():
-    assert mobius(1) == 1
-    assert mobius(12) == 0
-    # 30 = 2*3*5, three distinct primes (trial-division oracle)
-    n, primes = 30, []
-    for p in range(2, 31):
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-    assert len(primes) == 3
-    assert mobius(30) == -1
-
-
-def test_mobius_sum_identity():
-    # sum_{d|n} mu(d) = [n == 1], accumulated sieve-style over n <= 10^4
-    N = 10**4
-    totals = [0] * (N + 1)
-    for d in range(1, N + 1):
-        mu = mobius(d)
-        if mu:
-            for m in range(d, N + 1, d):
-                totals[m] += mu
-    assert totals[1] == 1
-    assert all(t == 0 for t in totals[2:])
 
 
 def test_jordan_examples():
@@ -71,13 +42,6 @@ def test_jordan_matches_bruteforce():
                 state = nxt
             expected = state.get(1, 0)
             assert jordan_totient(k, q) == expected, (k, q)
-
-
-def test_divisor_count():
-    assert divisor_count(1) == 1
-    assert divisor_count(12) == len([d for d in range(1, 13) if 12 % d == 0]) == 6
-    for p in (2, 3, 5, 101):
-        assert divisor_count(p) == 2
 
 
 def test_zeta_against_closed_forms():

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,8 +11,6 @@ from fanostat.padic import (
     lift_hypersurface_point,
     newton_margin,
     newton_real_root,
-    padic_abs,
-    padic_vec_norm,
     poly_derivative,
     poly_eval,
     proj_distance_padic,
@@ -21,14 +18,6 @@ from fanostat.padic import (
     verify_certificate,
 )
 from fanostat.veronese import make_form
-
-
-def test_padic_abs():
-    assert padic_abs(12, 2) == 0.25
-    assert padic_abs(0, 5) == 0.0
-    assert padic_abs(Fraction(1, 9), 3) == 9.0
-    assert padic_vec_norm((2, 3), 3) == 1.0
-    assert padic_vec_norm((3, 9), 3) == pytest.approx(1 / 3)
 
 
 def test_proj_distance_padic():

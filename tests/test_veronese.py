@@ -9,9 +9,7 @@ from fanostat.veronese import (
     dimension,
     evaluate_form,
     gradient_form,
-    height,
     height_bound_norm2,
-    height_squared,
     make_form,
     monomial_basis,
     pairings,
@@ -144,17 +142,6 @@ def test_form_string_roundtrip():
         parse_form("2 2 : 1 2 3")
 
 
-def test_height():
-    assert height(2, 3, (1, 2, 2, 0)) == pytest.approx(9.0)
-    assert height(2, 3, (1, 0, 0, 0)) == 1.0
-    assert height(2, 2, (1, 1, 1)) == pytest.approx(math.sqrt(3))
-    assert height_squared(2, 3, (1, 2, 2, 0)) == 81
-    with pytest.raises(ValueError):
-        height(2, 2, (0, 0, 0))
-    with pytest.raises(ValueError):
-        height(2, 2, (2, 4, 6))
-
-
 def test_height_bound():
     # H(x) <= B iff |x|^2 <= bound, exactly
     for d, n, B in [(2, 3, 2), (2, 3, Fraction(3, 2)), (2, 2, 5)]:
@@ -165,11 +152,21 @@ def test_height_bound():
 
 
 def test_batch_matches_scalar():
-    b = monomial_basis(2, 3)
-    pts = np.array([[1, 2, 0, -1], [0, 1, 1, 3], [2, 2, 2, 2]], dtype=np.int64)
-    batch = veronese_batch(b, pts)
-    for row, x in zip(batch, pts):
-        assert list(row) == veronese(b, list(int(c) for c in x))
+    # the last two would wrap in int64: 8^22 = 2^66 in the rows, 22 * 8^21
+    # in the derivative rows
+    cases = [
+        (2, 3, [[1, 2, 0, -1], [0, 1, 1, 3], [2, 2, 2, 2]]),
+        (22, 1, [[8, 0], [1, -1]]),
+        (22, 1, [[-8, 1], [0, 1]]),
+    ]
+    for d, n, rows in cases:
+        b = monomial_basis(d, n)
+        pts = np.array(rows, dtype=np.int64)
+        for row, x in zip(veronese_batch(b, pts).tolist(), rows):
+            assert row == veronese(b, x)
+        jets = veronese_jet_batch(b, pts)
+        for r, x in enumerate(rows):
+            assert jets[:, r, :].tolist() == veronese_jet(b, x)[1]
     # derivative rows, in int64 and in Python integers, for every (d, n) shape
     rng = np.random.default_rng(5)
     for d, n in ((1, 2), (2, 3), (3, 2), (4, 1)):
