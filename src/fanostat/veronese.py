@@ -1,4 +1,4 @@
-"""Degree-d monomial combinatorics: the Veronese map, forms, and height bounds.
+"""Degree-d monomial combinatorics: the Veronese map, forms, heights and bounds.
 
 A degree-d hypersurface in P^n is stored as a primitive integer coefficient
 vector indexed by the monomials of degree d in X_0..X_n, ordered by
@@ -257,6 +257,25 @@ def gradient_form(form: Form, x):
         else:
             out.append(sum(a * v for a, v in zip(form.coeffs, row)))
     return out
+
+
+def height(d: int, n: int, x) -> float:
+    """H(x) = |x|^(n+1-d) for a primitive nonzero integer vector."""
+    if n + 1 - d < 1:
+        raise ValueError("height needs n + 1 - d >= 1")
+    x = [int(c) for c in x]
+    if all(c == 0 for c in x):
+        raise ValueError("height of the zero vector is undefined")
+    if math.gcd(*[abs(c) for c in x]) != 1:
+        raise ValueError("height expects primitive coordinates")
+    return math.sqrt(sum(c * c for c in x)) ** (n + 1 - d)
+
+
+def height_squared(d: int, n: int, x) -> int:
+    """H(x)^2 = (|x|^2)^(n+1-d), exact; for exact height-bound comparisons."""
+    if n + 1 - d < 1:
+        raise ValueError("height needs n + 1 - d >= 1")
+    return sum(int(c) ** 2 for c in x) ** (n + 1 - d)
 
 
 def height_bound_norm2(d: int, n: int, B) -> Fraction:

@@ -96,6 +96,8 @@ ENTRY_POINTS = (
     ("localsolve", "local_density", "the p-adic density factor of that prediction"),
     ("padic", "verify_certificate", "re-verifies a yes certificate independently"),
     ("veronese", "parse_form", "reads back the text str(form) writes"),
+    ("veronese", "height", "the paper's height H(x) = |x|^(n+1-d), which height_bound_norm2 inverts"),
+    ("veronese", "height_squared", "H(x)^2 exactly, to compare a point with a height bound"),
     # the names perfbench reads
     ("census", "first_moment_direct", TRACED),
     ("census", "first_moment_dual", TRACED),

@@ -9,7 +9,9 @@ from fanostat.veronese import (
     dimension,
     evaluate_form,
     gradient_form,
+    height,
     height_bound_norm2,
+    height_squared,
     make_form,
     monomial_basis,
     pairings,
@@ -140,6 +142,17 @@ def test_form_string_roundtrip():
     assert g == f
     with pytest.raises(ValueError):
         parse_form("2 2 : 1 2 3")
+
+
+def test_height():
+    assert height(2, 3, (1, 2, 2, 0)) == pytest.approx(9.0)
+    assert height(2, 3, (1, 0, 0, 0)) == 1.0
+    assert height(2, 2, (1, 1, 1)) == pytest.approx(math.sqrt(3))
+    assert height_squared(2, 3, (1, 2, 2, 0)) == 81
+    with pytest.raises(ValueError):
+        height(2, 2, (0, 0, 0))
+    with pytest.raises(ValueError):
+        height(2, 2, (2, 4, 6))
 
 
 def test_height_bound():
