@@ -613,13 +613,10 @@ def real_density_interval(
     `budget` boxes. Unknown verdicts widen the interval."""
     rng = rng or np.random.default_rng(0)
     N = dimension(d, n)
-    forms = []
-    for _ in range(samples):
-        a = rng.standard_normal(N)
-        coeffs = [int(round(c * 10**6)) for c in a]
-        if all(c == 0 for c in coeffs):
-            continue
-        forms.append(make_form(d, n, coeffs, primitive=False))
+    # one draw fills the rows in the order of one draw per sample; np.rint
+    # rounds half to even, as round does, and is exact below 2^53
+    rows = np.rint(rng.standard_normal((samples, N)) * 10**6).astype(np.int64).tolist()
+    forms = [make_form(d, n, coeffs, primitive=False) for coeffs in rows if any(coeffs)]
     tally = {"yes": 0, "no": 0, "unknown": 0}
     for res in _arch_verdicts(forms, target, budget):
         tally[res.verdict] += 1
@@ -656,14 +653,16 @@ def predicted_census(
     value, not a proven bound, so it is reported as "tail_constant".
     """
     N = dimension(d, n)
+    support = set(target.support)
     intervals = {}
-    for p in sorted(set(target.support) | set(primes_up_to(P_trunc))):
+    for p in sorted(support | set(primes_up_to(P_trunc))):
         e_p, xi = target.place(p)
         intervals[p] = local_density(d, n, p, xi, e_p, depth=depth, budget=budget)
-    # tail over primes beyond the truncation
+    # tail over primes beyond the truncation, summed in ascending order: a
+    # numpy sum would reorder the terms and move the last bits of tail_lower
     tail_sum = 0.0
     for p in primes_up_to(10**5):
-        if p > P_trunc and p not in target.support:
+        if p > P_trunc and p not in support:
             tail_sum += 1.0 / p**2
     tail_sum += 1e-5  # integral remainder beyond the sieve, over-estimated
     tail_lo = max(0.0, 1.0 - float(tail_constant) * tail_sum)

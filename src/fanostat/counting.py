@@ -10,6 +10,12 @@ main term
 where the volume factor W is the cone integral of 1/|nu| over the unit
 ball, estimated by Monte Carlo. `census.predicted_first_moment` uses the
 same W; `Prediction` and `VolumeEstimate` carry a value with its error bar.
+
+Both sides need only |nu(x)|^2, never nu(x) itself. The Veronese basis is
+the plain monomials, so |nu(x)|^2 = sum_{|e|=d} prod x_i^(2 e_i) =
+h_d(x_0^2, ..., x_n^2), the complete homogeneous symmetric polynomial of
+degree d, which `_veronese_norm_squared` evaluates in d(n+1) vector
+multiply-adds; no N-wide array of Veronese rows is built.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .errors import EnumerationBudgetExceeded
 from .geom import unit_ball_volume
 from .intlinalg import integer_ball
 from .numtheory import euler_phi, jordan_totient, unit_class_mask, zeta
-from .veronese import monomial_basis, row_pairings, veronese_batch
+from .veronese import _exact_points, dimension
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,23 @@ def _cone_mask_exact(pts: np.ndarray, xi, sigma: Fraction) -> np.ndarray:
     )
 
 
+def _veronese_norm_squared(d: int, pts: np.ndarray) -> np.ndarray:
+    """|nu(x)|^2 = h_d(x_0^2, ..., x_n^2) for each row x of pts.
+
+    The recurrence adds one variable y_j = x_j^2 at a time: h_k += y_j h_{k-1}
+    for k = 1..d, with h_0 = 1. Integer points stay exact: int64 when
+    N max|x|^(2d), a bound on every partial h_k, fits; else Python integers.
+    Float points give floats.
+    """
+    pts = _exact_points(pts, 2 * d, dimension(d, pts.shape[1] - 1))
+    h = np.zeros((d + 1, len(pts)), dtype=pts.dtype)
+    h[0] = 1
+    for y in (pts * pts).T:
+        for k in range(1, d + 1):
+            h[k] += y * h[k - 1]
+    return h[d]
+
+
 @dataclass(frozen=True)
 class VolumeEstimate:
     value: float
@@ -92,8 +115,7 @@ def veronese_reciprocal_sum(d: int, n: int, c, q: int, xi, sigma, X, budget: int
     pts = pts[_cone_mask_exact(pts, xi, Fraction(sigma))]
     if len(pts) == 0:
         return 0.0
-    NU = veronese_batch(monomial_basis(d, n), pts)
-    return math.fsum(1.0 / math.sqrt(float(v)) for v in row_pairings(NU, NU))
+    return math.fsum(1.0 / math.sqrt(float(v)) for v in _veronese_norm_squared(d, pts))
 
 
 def veronese_reciprocal_volume(
@@ -109,6 +131,9 @@ def veronese_reciprocal_volume(
     The radial part integrates exactly (the integrand is (-d)-homogeneous and
     integrable since d < n+1), leaving a spherical average over the cap:
     value = Area(S^n)/(n+1-d) * E[1_cap(w) / |nu(w)|].
+    |nu(w)|^2 is h_d(w_0^2, ..., w_n^2) (`_veronese_norm_squared`), so each
+    sample costs d(n+1) multiply-adds and no (samples, N) Veronese matrix is
+    built: at (d, n) = (3, 5), N = 56, that matrix alone would be 90 MB.
     """
     if not n >= d >= 2:
         raise ValueError("need n >= d >= 2")
@@ -121,10 +146,7 @@ def veronese_reciprocal_volume(
     s = float(Fraction(sigma))
     ips = dirs @ xi_f
     in_cap = 1.0 - ips**2 <= s * s * (1 + 1e-15)
-    basis = monomial_basis(d, n)
-    nu = veronese_batch(basis, dirs)
-    nu_norm = np.sqrt((nu**2).sum(axis=1))
-    values = np.where(in_cap, 1.0 / nu_norm, 0.0)
+    values = np.where(in_cap, 1.0 / np.sqrt(_veronese_norm_squared(d, dirs)), 0.0)
     area = m * unit_ball_volume(m)
     scale = area / (m - d)
     mean = values.mean()

@@ -25,12 +25,14 @@ from fanostat.census import (
     quadric_bad_primes,
     quadric_matrix,
     quadric_real_soluble,
+    real_density_interval,
 )
 from fanostat.errors import EnumerationBudgetExceeded
 from fanostat.intlinalg import fincke_pohst, lll_reduce
 from fanostat.lattice import hyperplane_lattice
 from fanostat.localsolve import (
     AdelicTarget,
+    DensityInterval,
     _cap_grid,
     decide_padic_solubility,
     decide_real_solubility,
@@ -235,6 +237,42 @@ def test_predicted_first_moment_domain():
     pred = predicted_first_moment(2, 3, 2, 2, t3, mc_samples=50000)
     assert pred.value > 0
     assert pred.inputs["coefficient_over_magnitude_scale"] > 0
+
+
+def test_predicted_first_moment_runs_in_the_cubic_range():
+    # (d, n) = (3, 5), N = 56: theta(5, 3) = 1, the paper's range for cubics
+    pred = predicted_first_moment(3, 5, 1, 2, AdelicTarget.trivial(5), mc_samples=20000)
+    assert math.isfinite(pred.value) and pred.value > 0
+    assert math.isfinite(pred.err) and pred.err > 0
+
+
+def real_density_reference(d, n, target, samples, rng, budget=1500):
+    """real_density_interval with one draw and a Python round per sample."""
+    N = dimension(d, n)
+    forms = []
+    for _ in range(samples):
+        coeffs = [int(round(c * 10**6)) for c in rng.standard_normal(N)]
+        if any(coeffs):
+            forms.append(make_form(d, n, coeffs, primitive=False))
+    tally = {"yes": 0, "no": 0, "unknown": 0}
+    for res in census._arch_verdicts(forms, target, budget):
+        tally[res.verdict] += 1
+    m = sum(tally.values())
+    se = math.sqrt(0.25 / m)
+    lo = max(0.0, tally["yes"] / m - 4 * se)
+    hi = min(1.0, (tally["yes"] + tally["unknown"]) / m + 4 * se)
+    return DensityInterval(Fraction(lo).limit_denominator(10**9), Fraction(hi).limit_denominator(10**9), "monte-carlo")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "target", [AdelicTarget.trivial(3), AdelicTarget((), (3, -1, 2, 1), Fraction(1, 2))], ids=["trivial", "cap"]
+)
+def test_real_density_interval_matches_the_per_sample_draw(seed, target):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert real_density_interval(2, 3, target, 100, rng) == real_density_reference(2, 3, target, 100, ref_rng)
+    # both leave the generator in the same state, so later draws agree too
+    assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 def test_quadric_helpers():

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from fanostat.counting import (
+    _veronese_norm_squared,
     predicted_reciprocal_sum,
     veronese_reciprocal_sum,
     veronese_reciprocal_volume,
 )
+from fanostat.geom import unit_ball_volume
+from fanostat.veronese import monomial_basis, row_pairings, veronese_batch
 
 
 def two_sided_cap_volume_r3(sigma):
@@ -70,3 +73,61 @@ def test_q_scaling_of_reciprocal_sum():
         pred = predicted_reciprocal_sum(2, 2, c, q, (1, 0, 0), 1, X, volume=w)
         assert abs(exact / pred.value - 1) < 0.2, (q, exact, pred.value)
 
+
+NORM_CASES = [(2, 2), (2, 3), (3, 3), (3, 5), (4, 4)]
+
+
+def dense_norm_squared(d, pts):
+    """|nu(x)|^2 from the full Veronese rows, the path the h_d recurrence
+    replaced: exact pairings on integers, a float square-and-sum otherwise."""
+    NU = veronese_batch(monomial_basis(d, pts.shape[1] - 1), pts)
+    return row_pairings(NU, NU) if NU.dtype.kind in "iO" else (NU**2).sum(axis=1)
+
+
+@pytest.mark.parametrize("d,n", NORM_CASES)
+def test_veronese_norm_squared_matches_dense_rows_on_integers(d, n):
+    rng = np.random.default_rng(10 * d + n)
+    small = rng.integers(-9, 10, size=(300, n + 1))
+    big = small.copy()
+    big[::7, 0] = 3**20  # N (3^20)^(2d) is past int64: the Python-integer path
+    # top^(2d) fits in int64, but N top^(2d), the norm of (top, ..., top), does not
+    top = next(t for t in range(int(2 ** (63 / (2 * d))) + 1, 0, -1) if t ** (2 * d) < 2**63)
+    edge = np.full((2, n + 1), top, dtype=np.int64)
+    for pts in (small, big, edge):
+        fast = _veronese_norm_squared(d, pts)
+        assert [int(v) for v in fast] == [int(v) for v in dense_norm_squared(d, pts)]
+    assert _veronese_norm_squared(d, small).dtype == np.int64
+    assert _veronese_norm_squared(d, big).dtype == object
+    assert _veronese_norm_squared(d, edge).dtype == object
+
+
+@pytest.mark.parametrize("d,n", NORM_CASES)
+def test_veronese_norm_squared_matches_dense_rows_on_unit_directions(d, n):
+    dirs = np.random.default_rng(d + n).standard_normal((2000, n + 1))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    np.testing.assert_allclose(_veronese_norm_squared(d, dirs), dense_norm_squared(d, dirs), rtol=1e-13)
+
+
+def dense_reciprocal_volume(d, n, xi, sigma, mc_samples, rng):
+    """veronese_reciprocal_volume as it was with the (samples, N) Veronese matrix."""
+    m = n + 1
+    dirs = rng.standard_normal((mc_samples, m))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    xi_f = np.array([float(v) for v in xi], dtype=float)
+    xi_f /= np.linalg.norm(xi_f)
+    s = float(Fraction(sigma))
+    in_cap = 1.0 - (dirs @ xi_f) ** 2 <= s * s * (1 + 1e-15)
+    nu = veronese_batch(monomial_basis(d, n), dirs)
+    values = np.where(in_cap, 1.0 / np.sqrt((nu**2).sum(axis=1)), 0.0)
+    scale = m * unit_ball_volume(m) / (m - d)
+    return scale * values.mean(), scale * values.std(ddof=1) / math.sqrt(mc_samples)
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (3, 5)])
+@pytest.mark.parametrize("sigma", [Fraction(1), Fraction(1, 2)])
+def test_reciprocal_volume_matches_the_dense_veronese_reference(d, n, sigma):
+    xi = (3, -1, 2, 1) + (1,) * (n - 3)
+    w = veronese_reciprocal_volume(d, n, xi, sigma, 50000, np.random.default_rng(17))
+    value, err = dense_reciprocal_volume(d, n, xi, sigma, 50000, np.random.default_rng(17))
+    assert w.value == pytest.approx(value, rel=1e-12)
+    assert w.err == pytest.approx(err, rel=1e-12)
