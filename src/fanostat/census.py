@@ -20,8 +20,9 @@ Two headline computations, each with an exact side and a predicted side:
    #soluble-hypersurfaces = (M - E)/2, against the product-of-densities
    prediction. A form with a rational point near the target (a primitive
    integer zero x with x ≡ u c mod q in the real cap) is soluble near the
-   target at every place at once, so the census looks for such points first
-   and runs the local deciders only on the forms where it finds none.
+   target at every place at once, so the census looks for such points first,
+   on the int64 coefficient rows of the whole family, and builds `Form`s
+   only for the forms where it finds none, which go to the local deciders.
 
 Solubility verdicts are tri-state; counts touched by unknown verdicts are
 reported as intervals, never silently resolved.
@@ -43,6 +44,7 @@ from .geom import unit_ball_volume
 from .intlinalg import bareiss_det, canonical_sign_mask, fincke_pohst, integer_ball, lll_reduce
 from .lattice import hyperplane_lattice
 from .localsolve import (
+    _CELLS,
     _CHUNK,
     DEFAULT_TAIL_CONSTANT,
     _cap_grid,
@@ -91,11 +93,20 @@ def _primitive_ball(dim: int, bound: int, budget: int) -> np.ndarray:
     return pts[canonical_sign_mask(pts)]
 
 
+def _coefficient_rows(d: int, n: int, A, budget: int) -> np.ndarray:
+    """One primitive coefficient vector per hypersurface of height <= A
+    (canonical sign), as the int64 rows of the primitive ball."""
+    return _primitive_ball(dimension(d, n), int(Fraction(A) ** 2), budget)
+
+
+def _forms(basis, rows: np.ndarray) -> list:
+    """A `Form` on `basis` for each coefficient row."""
+    return [Form(basis, tuple(row)) for row in rows.tolist()]
+
+
 def enumerate_hypersurfaces(d: int, n: int, A, budget: int = 10**7):
     """One primitive coefficient vector per hypersurface (canonical sign)."""
-    pts = _primitive_ball(dimension(d, n), int(Fraction(A) ** 2), budget)
-    basis = monomial_basis(d, n)
-    return [Form(basis, tuple(int(c) for c in row)) for row in pts]
+    return _forms(monomial_basis(d, n), _coefficient_rows(d, n, A, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +137,11 @@ def first_moment_direct(d: int, n: int, A, B, target: AdelicTarget, budget: int 
     """Strategy 1: pair every coefficient vector with every point, count zeros.
 
     The coefficient rows of the primitive ball meet the Veronese rows of the
-    candidate points in one exact product. It uses no symmetry on purpose:
-    it is the independent oracle that `first_moment` checks the
-    class-weighted dual count against.
+    candidate points in exact products of at most _CHUNK coefficient rows
+    each. It uses no symmetry on purpose: it is the independent oracle that
+    `first_moment` checks the class-weighted dual count against.
     """
-    coeffs = _primitive_ball(dimension(d, n), int(Fraction(A) ** 2), budget)
+    coeffs = _coefficient_rows(d, n, A, budget)
     cone = translate_local_conditions(target)
     pts = _candidate_points(d, n, B, cone, budget)
     if len(pts) == 0 or len(coeffs) == 0:
@@ -140,8 +151,9 @@ def first_moment_direct(d: int, n: int, A, B, target: AdelicTarget, budget: int 
 
 
 def _zero_pairings(Amat: np.ndarray, NU: np.ndarray) -> int:
-    """Number of zero entries of Amat @ NU.T, exactly."""
-    return int((pairings(Amat, NU) == 0).sum())
+    """Number of zero entries of Amat @ NU.T, exactly, _CHUNK rows of Amat
+    per product."""
+    return sum(int((pairings(Amat[lo : lo + _CHUNK], NU) == 0).sum()) for lo in range(0, len(Amat), _CHUNK))
 
 
 def first_moment_dual(d: int, n: int, A, B, target: AdelicTarget, budget: int = 10**8) -> int:
@@ -420,6 +432,28 @@ def _target_grid(basis, target: AdelicTarget):
     return X[keep], V[keep]
 
 
+# grid rows every coefficient row meets before the rest of the grid: with the
+# trivial target, 99% of the forms with a grid point have one among the first
+# 21 at (d, n, A) = (2, 3, 2) and among the first 5 at (3, 3, 2) and (3, 5, 3/2)
+_HEAD = 32
+
+
+def _point_hits(coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """For each coefficient row, whether it vanishes at some Veronese row of
+    `grid`, exactly. Staged: every row meets the first _HEAD grid rows, and
+    only the rows with no zero there meet the rest. Rows go in blocks of at
+    most _CELLS grid pairs, which bounds the products held at once."""
+    hits = np.zeros(len(coeffs), dtype=bool)
+    step = max(1, _CELLS // max(len(grid), 1))
+    for lo in range(0, len(coeffs), step):
+        block = coeffs[lo : lo + step]
+        hit = (pairings(block, grid[:_HEAD]) == 0).any(axis=1)
+        miss = np.flatnonzero(~hit)
+        hit[miss] = (pairings(block[miss], grid[_HEAD:]) == 0).any(axis=1)
+        hits[lo : lo + step] = hit
+    return hits
+
+
 def _arch_verdicts(forms, target: AdelicTarget, budget: int = 4000, mats=None) -> list:
     """Real verdicts of forms on one basis.
 
@@ -503,20 +537,25 @@ def local_census(
     failure is possible form a certified finite set, so E and the direct
     V^loc count close exactly whenever every verdict resolves.
 
-    The census runs over blocks of forms. Points come first: one exact
-    product pairs the block's coefficient rows with the Veronese rows of the
-    grid points that meet the target (`_target_grid`). A zero there is a
-    primitive integer x with f(x) = 0, x ≡ u c mod q and x in the cap. It is
-    a real point in the cap; at each p in the support x ≡ u xi_p mod p^e_p,
-    a Q_p-point within p^-e_p of xi_p; at every other prime, inside or
-    beyond P, a Q_p-point. So the form is certainly in M and never in E, and
-    it is tallied as `yes` at every place and in `point_decided`.
+    Points come first, on the coefficient rows of the whole family (the
+    primitive ball, int64), before any `Form` is built: exact products pair
+    the rows with the Veronese rows of the grid points that meet the target
+    (`_target_grid`), staged by `_point_hits`: every row meets the first
+    grid rows, and only the rows without a zero there meet the rest. A zero
+    is a primitive integer x with f(x) = 0, x ≡ u c mod q and x in the cap.
+    It is a real point in the cap; at each p in the support
+    x ≡ u xi_p mod p^e_p, a Q_p-point within p^-e_p of xi_p; at every other
+    prime, inside or beyond P, a Q_p-point. So the form is certainly in M
+    and never in E, and it is tallied as `yes` at every place and in
+    `point_decided`.
 
-    The other forms are decided place by place: the real verdict first
+    `Form`s are built only for the rows without a point, and go to the
+    deciders in blocks of at most _CHUNK form x residue pairs per prime.
+    They are decided place by place: the real verdict first
     (`_arch_verdicts`: a quadric by its signature, or in a cap by an S-lemma
     certificate when it has one; every other form by the real decider), then
     each prime <= P or in the support for the forms not yet out of M, then
-    the primes beyond P (`_beyond_verdicts`). At each prime the block's forms
+    the primes beyond P (`_beyond_verdicts`). At each prime a block's forms
     are decided together by `decide_padic_batch`, against one cached residue
     table of P^n(F_p).
 
@@ -524,24 +563,22 @@ def local_census(
     for the forms with a target point, the certificate kind of every other
     `yes` and `no`, and the reason of every `unknown`.
     """
-    forms = enumerate_hypersurfaces(d, n, A, budget)
+    basis = monomial_basis(d, n)
+    coeffs = _coefficient_rows(d, n, A, budget)
     finite_ps = sorted(set(target.support) | set(primes_up_to(P)))
     per_place = {p: {"yes": 0, "no": 0, "unknown": 0} for p in finite_ps}
     arch_tally = {"yes": 0, "no": 0, "unknown": 0}
     arch_kinds = {"yes": {}, "no": {}, "unknown": {}}
-    m_yes = m_unk = e_yes = e_unk = dv_lo = dv_hi = point_decided = 0
-    _, grid = _target_grid(monomial_basis(d, n), target)
+    m_yes = m_unk = e_yes = e_unk = dv_lo = dv_hi = 0
+    hits = _point_hits(coeffs, _target_grid(basis, target)[1])
+    point_decided = int(np.count_nonzero(hits))
+    forms = _forms(basis, coeffs[~hits])
     # a block holds at most _CHUNK form x residue pairs at every prime <= P,
     # so the verdicts and matrices held at once stay bounded
     points = max(((p ** (n + 1) - 1) // (p - 1) for p in finite_ps), default=1)
     size = max(1, _CHUNK // points)
     for lo in range(0, len(forms), size):
         block = forms[lo : lo + size]
-        hits = (pairings(coefficient_matrix(block), grid) == 0).any(axis=1)
-        point_decided += int(np.count_nonzero(hits))
-        block = [form for form, hit in zip(block, hits) if not hit]
-        if not block:
-            continue
         mats = [quadric_matrix(f) for f in block] if d == 2 else [None] * len(block)  # 2M, built once
         verdicts = []
         for res in _arch_verdicts(block, target, mats=mats):
@@ -593,7 +630,7 @@ def local_census(
         arch_kinds=arch_kinds,
         point_decided=point_decided,
         unresolved=m_unk + e_unk,
-        total_forms=len(forms),
+        total_forms=len(coeffs),
         all_resolved=m_unk == 0 and e_unk == 0 and arch_tally["unknown"] == 0,
     )
 
@@ -674,7 +711,7 @@ def predicted_census(
         hi *= float(iv.upper)
     Af = float(Fraction(A))
     asympt = unit_ball_volume(N) * Af**N / (2 * zeta(N))
-    prim_half = len(_primitive_ball(N, int(Fraction(A) ** 2), budget))
+    prim_half = len(_coefficient_rows(d, n, A, budget))
     sigma = float(Fraction(target.sigma_inf))
     return {
         "finite_intervals": intervals,

@@ -547,7 +547,7 @@ def decide_real_solubility(
     xi, sigma = tuple(xi_inf), Fraction(sigma_inf)
     # --- yes paths on a rational direction grid
     points, sides, flipped, V = _cap_grid(form.basis, xi, sigma)
-    vals = pairings(np.array([form.coeffs], dtype=object), V)[0]
+    vals = pairings(coefficient_matrix([form]), V)[0]
     zeros = np.flatnonzero(vals == 0)
     if zeros.size:
         return TriState.yes({"kind": "exact-zero", "point": points[zeros[0]]})

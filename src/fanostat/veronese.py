@@ -136,20 +136,32 @@ def veronese_jet_batch(basis: MonomialBasis, pts: np.ndarray) -> np.ndarray:
     return np.stack(out)
 
 
-def _exact_dtype(A: np.ndarray, NU: np.ndarray):
-    """int64 when max|a| max|nu| N, a bound on every pairing, fits; else
-    Python integers."""
-    worst = int(np.abs(A).max(initial=0)) * int(np.abs(NU).max(initial=0)) * A.shape[1]
-    return np.int64 if worst < 2**63 else object
+def _pairing_bound(A: np.ndarray, NU: np.ndarray) -> int:
+    """max(max|a|, 1) max(max|nu|, 1) N: a bound on every entry of A and NU,
+    on every product a nu and on every partial sum of a pairing. Integer or
+    object input only; floats would be truncated, so they raise."""
+    for M in (A, NU):
+        if M.dtype.kind not in "iuO":
+            raise TypeError(f"exact pairings need integer rows, got {M.dtype}")
+    return max(int(np.abs(A).max(initial=0)), 1) * max(int(np.abs(NU).max(initial=0)), 1) * A.shape[1]
 
 
 def pairings(A: np.ndarray, NU: np.ndarray) -> np.ndarray:
     """A @ NU.T exactly: coefficient rows against Veronese rows.
 
-    Each entry is bounded by max|a| max|nu| N; the product runs in int64 only
-    when that bound provably fits, otherwise in Python integers.
+    Three tiers, by the bound of `_pairing_bound` on every entry, product
+    and partial sum:
+    - below 2^53, one float64 GEMM (BLAS), returned as int64. Every input,
+      product and partial sum is then an integer below 2^53, which float64
+      holds exactly, so no step rounds, in any summation order, with or
+      without fused multiply-adds;
+    - below 2^63, an int64 product;
+    - otherwise Python integers, returned as an object array.
     """
-    dtype = _exact_dtype(A, NU)
+    worst = _pairing_bound(A, NU)
+    if worst < 2**53:
+        return (A.astype(np.float64) @ NU.astype(np.float64).T).astype(np.int64)
+    dtype = np.int64 if worst < 2**63 else object
     return A.astype(dtype, copy=False) @ NU.astype(dtype, copy=False).T
 
 
@@ -163,8 +175,9 @@ def coefficient_matrix(forms) -> np.ndarray:
 
 
 def row_pairings(A: np.ndarray, NU: np.ndarray) -> np.ndarray:
-    """<A[r], NU[r]> for each row r, exactly, under the rule of `pairings`."""
-    dtype = _exact_dtype(A, NU)
+    """<A[r], NU[r]> for each row r, exactly: int64 when the bound of
+    `pairings` is below 2^63, else Python integers."""
+    dtype = np.int64 if _pairing_bound(A, NU) < 2**63 else object
     return (A.astype(dtype, copy=False) * NU.astype(dtype, copy=False)).sum(axis=1)
 
 

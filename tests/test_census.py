@@ -653,6 +653,41 @@ def test_forms_with_a_target_point_skip_the_deciders(monkeypatch):
         assert report.arch_kinds["no"].get("s-lemma", 0) == certified
 
 
+def test_north_star_censuses_are_decided_by_points():
+    # full censuses of cubic surfaces at A = 2 and of cubic fourfolds at
+    # A = 3/2: with the trivial target every form has a grid point
+    report = local_census(3, 3, 2, 2, AdelicTarget.trivial(3))
+    assert report.total_forms == report.point_decided == 43720
+    assert (report.m_interval, report.e_interval) == ((87440, 87440), (0, 0))
+    assert report.all_resolved
+    report = local_census(3, 5, Fraction(3, 2), 3, AdelicTarget.trivial(5))
+    assert report.total_forms == report.point_decided == 3136
+    assert (report.m_interval, report.e_interval) == ((6272, 6272), (0, 0))
+
+
+@pytest.mark.parametrize("d, A, P", [(2, Fraction(3, 2), 3), (3, 1, 2)])
+def test_staged_point_pass_matches_the_whole_grid_product(monkeypatch, d, A, P):
+    # census-cap's cap: the staged, blocked pass finds the same forms as one
+    # product of every coefficient row with the whole grid
+    cap = AdelicTarget((), (3, -1, 2, 1), Fraction(1, 2))
+    rows = census._coefficient_rows(d, 3, A, 10**7)
+    _, V = _target_grid(monomial_basis(d, 3), cap)
+    whole = (pairings(rows, V) == 0).any(axis=1)
+    assert 0 < whole.sum() < len(rows)
+    assert census._point_hits(rows, V).tolist() == whole.tolist()
+    assert local_census(d, 3, A, P, cap).point_decided == whole.sum()
+    # small blocks and a short first stage give the same forms
+    monkeypatch.setattr(census, "_CELLS", 3 * len(V))
+    monkeypatch.setattr(census, "_HEAD", 2)
+    assert census._point_hits(rows, V).tolist() == whole.tolist()
+
+
+def test_first_moment_direct_is_the_same_in_small_blocks(monkeypatch):
+    t = AdelicTarget.trivial(3)
+    monkeypatch.setattr(census, "_CHUNK", 7)
+    assert first_moment_direct(2, 3, 2, 2, t) == 14892
+
+
 def test_s_lemma_certifies_a_quadric_without_a_zero_in_the_cap():
     # X0^2 + X1^2 - X2^2 > 0 where 3 X0^2 >= X1^2 + X2^2 (around (1, 0, 0) at sigma = 1/2)
     form = mkform(2, 2, m_200=1, m_020=1, m_002=-1)

@@ -192,3 +192,50 @@ def test_batch_matches_scalar():
     A = rng.integers(-9, 10, size=(5, 10))
     NU = veronese_batch(monomial_basis(2, 3), rng.integers(-3, 4, size=(5, 4)))
     assert row_pairings(A, NU).tolist() == np.diag(pairings(A, NU)).tolist()
+
+
+def _python_pairings(A, NU):
+    return [[sum(int(a) * int(v) for a, v in zip(row, nu)) for nu in NU.tolist()] for row in A.tolist()]
+
+
+def test_pairing_tiers_match_python_integers():
+    # (A, NU, dtype of pairings, dtype of row_pairings): the float64 tier (bound
+    # below 2^53) and the int64 tier both return int64, Python integers object
+    rng = np.random.default_rng(16)
+    top = (2**53 - 1) // (10 * 2**20)  # max|nu| with 2^20 * max|nu| * 10 just below 2^53
+    cases = [
+        (rng.integers(-9, 10, (7, 10)), rng.integers(-50, 51, (5, 10)), np.int64, np.int64),
+        (rng.integers(-(2**20), 2**20 + 1, (6, 10)), rng.integers(-top, top + 1, (6, 10)), np.int64, np.int64),
+        # bound 2^53 - 2^27, then exactly 2^53: both exact, both int64
+        (np.array([[2**26 - 1, -(2**26 - 1)]]), np.array([[2**26, 2**26 - 1], [-(2**26), 2**26]]), np.int64, np.int64),
+        (np.array([[2**26, -(2**26 - 1)]]), np.array([[2**26, 2**26 - 1], [-(2**26), 2**26]]), np.int64, np.int64),
+        # bound 2^63 - 2^32 stays int64, exactly 2^63 goes to Python integers
+        (np.array([[2**31 - 1, 2**31 - 1]]), np.array([[2**31, 2**31], [2**31, -(2**31)]]), np.int64, np.int64),
+        (np.array([[2**31, 2**31]]), np.array([[2**31, 2**31], [2**31, -(2**31)]]), object, object),
+        # object input: small entries take the float64 tier, huge ones stay exact
+        (np.array([[3, -4, 5]], dtype=object), np.array([[1, 2, 3], [-7, 0, 2]], dtype=object), np.int64, np.int64),
+        (np.array([[2**70, -1]], dtype=object), np.array([[1, 2**70], [3, 0]], dtype=object), object, object),
+        # a zero side does not hide entries too large for float64
+        (np.array([[2**1100, 1]], dtype=object), np.zeros((1, 2), dtype=np.int64), object, object),
+        # empty shapes
+        (np.zeros((0, 4), dtype=np.int64), rng.integers(-3, 4, (3, 4)), np.int64, np.int64),
+        (rng.integers(-3, 4, (3, 4)), np.zeros((0, 4), dtype=np.int64), np.int64, np.int64),
+        (np.zeros((2, 0), dtype=np.int64), np.zeros((3, 0), dtype=np.int64), np.int64, np.int64),
+    ]
+    for A, NU, dtype, row_dtype in cases:
+        out = pairings(A, NU)
+        assert out.shape == (len(A), len(NU)) and out.dtype == dtype, (A, NU)
+        assert out.tolist() == _python_pairings(A, NU), (A, NU)
+        k = min(len(A), len(NU))  # row_pairings on the common rows
+        rows = row_pairings(A[:k], NU[:k])
+        assert rows.dtype == row_dtype, (A, NU)
+        assert rows.tolist() == [sum(int(a) * int(v) for a, v in zip(r, s)) for r, s in zip(A.tolist(), NU.tolist())]
+
+
+def test_pairings_refuse_float_rows():
+    A, NU = np.array([[1.5, 2.0]]), np.array([[1, 1]])
+    for fn in (pairings, row_pairings):
+        with pytest.raises(TypeError):
+            fn(A, NU)
+        with pytest.raises(TypeError):
+            fn(NU, A)
