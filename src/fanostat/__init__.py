@@ -10,8 +10,8 @@ quantity as a testable operation. Submodules:
 - veronese:  degree-d monomial vectors, forms, height bounds
 - geom:      real cones, the archimedean projective metric, unit-ball
              volumes
-- intlinalg: exact integer linear algebra, LLL, Fincke-Pohst, Z^m balls
-- lattice:   the hyperplane lattice of a Veronese vector
+- intlinalg: exact integer determinants, Z^m balls
+- lattice:   the theta series of the hyperplane lattice of a Veronese vector
 - padic:     p-adic valuations and metric, Hensel/Newton lifting
 - localsolve: local solubility, ball classification, densities
 - counting:  reciprocal Veronese-norm sums and their predicted main term

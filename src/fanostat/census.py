@@ -5,14 +5,14 @@ Two headline computations, each with an exact side and a predicted side:
 1. the first moment: the total number of bounded-height rational points
    near an adelic target, summed over all hypersurfaces of height <= A,
    computed both directly (loop over forms, count points) and dually (loop
-   over points, count forms through the point via the hyperplane lattice of
-   the Veronese image): the two must agree exactly. The dual count c(x) of
-   forms through x depends only on the signed-permutation class of x (its
-   sorted absolute values): a signed permutation g of the variables acts on
-   coefficient vectors as a signed permutation, which keeps |a|, primitivity
-   and the +- pair, and f_a(gx) = f_{g.a}(x). So the dual strategy counts one
-   point per class, weighted by the number of target-filtered candidate
-   points in the class;
+   over points, count forms through the point by the theta series of the
+   hyperplane lattice nu(x)^perp): the two must agree exactly. The dual
+   count c(x) of forms through x depends only on the signed-permutation
+   class of x (its sorted absolute values): a signed permutation g of the
+   variables acts on coefficient vectors as a signed permutation, which
+   keeps |a|, primitivity and the +- pair, and f_a(gx) = f_{g.a}(x). So the
+   dual strategy counts one point per class, weighted by the number of
+   target-filtered candidate points in the class;
 
 2. the local census: the number M(A, P) of coefficient vectors admitting
    local points near the target at every place up to P, the correction
@@ -41,8 +41,8 @@ import numpy as np
 from .counting import Prediction, VolumeEstimate, veronese_reciprocal_volume
 from .errors import EnumerationBudgetExceeded
 from .geom import unit_ball_volume
-from .intlinalg import bareiss_det, canonical_sign_mask, fincke_pohst, integer_ball, lll_reduce
-from .lattice import hyperplane_lattice
+from .intlinalg import bareiss_det, canonical_sign_mask, integer_ball
+from .lattice import primitive_orthogonal_count
 from .localsolve import (
     _CELLS,
     _CHUNK,
@@ -159,10 +159,10 @@ def _zero_pairings(Amat: np.ndarray, NU: np.ndarray) -> int:
 def first_moment_dual(d: int, n: int, A, B, target: AdelicTarget, budget: int = 10**8) -> int:
     """Strategy 2: loop over points, count coefficient vectors through them.
 
-    A point x lies on the hypersurface of a exactly when a is in the
-    hyperplane lattice of nu(x); forms with |a| <= A through x are lattice
-    points of that rank N-1 lattice in the ball, counted by exact
-    enumeration and filtered to primitive vectors, up to sign.
+    A point x lies on the hypersurface of a exactly when <a, nu(x)> = 0, so
+    the forms with |a| <= A through x are the primitive vectors up to sign
+    of the hyperplane lattice nu(x)^perp in the ball, counted exactly by its
+    theta series (`primitive_orthogonal_count`; `budget` bounds its table).
 
     That count c(x) is the same for every point of a signed-permutation
     class (see the module docstring), so it is computed once per class, at
@@ -176,16 +176,11 @@ def first_moment_dual(d: int, n: int, A, B, target: AdelicTarget, budget: int = 
         return 0
     _, first, sizes = np.unique(np.sort(np.abs(pts), axis=1), axis=0, return_index=True, return_counts=True)
     basis = monomial_basis(d, n)
-    A2 = Fraction(A) ** 2
-    total = 0
-    for row, size in zip(pts[first], sizes):
-        lat = hyperplane_lattice(veronese(basis, tuple(int(v) for v in row)))
-        reduced = lll_reduce(lat.basis)
-        through = sum(
-            math.gcd(*vec) == 1 for vec, _sq in fincke_pohst(reduced, A2, budget=budget, canonical_sign=True)
-        )
-        total += through * int(size)
-    return total
+    K = math.floor(Fraction(A) ** 2)
+    return sum(
+        primitive_orthogonal_count(veronese(basis, tuple(int(v) for v in row)), K, budget) * int(size)
+        for row, size in zip(pts[first], sizes)
+    )
 
 
 def first_moment(d: int, n: int, A, B, target: AdelicTarget, budget: int = 10**8):

@@ -28,8 +28,7 @@ from fanostat.census import (
     real_density_interval,
 )
 from fanostat.errors import EnumerationBudgetExceeded
-from fanostat.intlinalg import fincke_pohst, lll_reduce
-from fanostat.lattice import hyperplane_lattice
+from fanostat.intlinalg import canonical_sign_mask, integer_ball
 from fanostat.localsolve import (
     AdelicTarget,
     DensityInterval,
@@ -135,6 +134,21 @@ def test_first_moment_strategies_agree_trivial():
     assert first_moment(2, 3, 2, 2, t) == first_moment_direct(2, 3, 2, 2, t)
 
 
+@pytest.mark.parametrize(
+    "d, n, A, B, expected",
+    [(3, 3, 2, 2, 691384), (3, 5, 1, 2, 330), (3, 5, Fraction(3, 2), 2, 18150), (3, 5, Fraction(3, 2), 3, 99450)],
+)
+def test_first_moment_strategies_agree_in_the_cubic_range(d, n, A, B, expected):
+    t = AdelicTarget.trivial(n)
+    assert first_moment_dual(d, n, A, B, t) == first_moment_direct(d, n, A, B, t) == expected
+
+
+def test_first_moment_dual_beyond_the_direct_range():
+    # 1,539,504 coefficient rows against 40 points: the value the lattice
+    # enumeration (LLL and Fincke-Pohst) gave
+    assert first_moment_dual(2, 3, 4, 4, AdelicTarget.trivial(3)) == 9998248
+
+
 def _target(places, xi_inf, sigma):
     return AdelicTarget(
         tuple((p, e_p, PadicApproxVector.from_integers(p, e_p, xi)) for p, e_p, xi in places), xi_inf, sigma
@@ -156,14 +170,14 @@ def test_first_moment_strategies_agree_nontrivial(target, expected):
 
 def _per_point_dual(d, n, A, B, target):
     """The candidate points of first_moment_dual and, for each, the number of
-    primitive coefficient vectors up to sign with |a| <= A through it: one
-    hyperplane lattice per point, no grouping."""
+    primitive coefficient vectors up to sign with |a| <= A through it: the
+    rows of the coefficient ball with an exact <a, nu(x)> = 0, one point at a
+    time, no grouping."""
     pts = _candidate_points(d, n, B, translate_local_conditions(target))
+    ball = integer_ball(dimension(d, n), Fraction(A) ** 2, include_zero=False)
+    ball = ball[(np.gcd.reduce(np.abs(ball), axis=1) == 1) & canonical_sign_mask(ball)].astype(object)
     basis = monomial_basis(d, n)
-    counts = []
-    for row in pts:
-        reduced = lll_reduce(hyperplane_lattice(veronese(basis, tuple(int(v) for v in row))).basis)
-        counts.append(sum(math.gcd(*vec) == 1 for vec, _ in fincke_pohst(reduced, Fraction(A) ** 2)))
+    counts = [int((ball @ np.array(veronese(basis, row), dtype=object) == 0).sum()) for row in pts.tolist()]
     return pts, counts
 
 

@@ -102,10 +102,7 @@ ENTRY_POINTS = (
     ("census", "first_moment_direct", TRACED),
     ("census", "first_moment_dual", TRACED),
     ("census", "enumerate_hypersurfaces", TRACED),
-    ("intlinalg", "lll_reduce", TRACED),
-    ("intlinalg", "fincke_pohst", TRACED),
     ("intlinalg", "integer_ball", TRACED),
-    ("lattice", "hyperplane_lattice", TRACED),
     ("veronese", "veronese", TRACED),
     ("veronese", "veronese_batch", TRACED),
     ("veronese", "evaluate_form", TRACED),
@@ -133,15 +130,12 @@ ENTRY_POINTS = (
     ("census", "quadric_bad_primes", "the primes where a quadric's verdict can fail"),
     ("counting", "veronese_reciprocal_sum", "the only exact check of the W of the first moment"),
     ("counting", "predicted_reciprocal_sum", "the main term that check compares against"),
-    ("intlinalg", "hnf_rows", "lattice identity in the LLL, kernel and enumeration tests"),
-    ("intlinalg", "saturate_rows", "primitivity of computed kernels"),
     # methods that no package code calls, each with who does
     ("localsolve", "AdelicTarget.trivial", "the workloads build their trivial targets with it"),
     ("localsolve", "CongruenceCone.congruence_ok", "the congruence half of a translated target, as tests check it"),
     ("localsolve", "BallClassification.boundary_upper", "the boundary-ball count the paper bounds"),
     ("localsolve", "BallClassification.paper_boundary_bound", "the paper's bound on that count"),
     ("veronese", "MonomialBasis.index", "tests build forms monomial by monomial with it"),
-    ("lattice", "IntegralLattice.det_squared", "the covolume identity of the hyperplane-lattice tests"),
     ("padic", "LiftCertificate.distance_exponent", "the distance bound e - l the lifting tests check"),
 )
 

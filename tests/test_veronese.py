@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fanostat.padic import poly_eval
 from fanostat.veronese import (
+    _line_restriction,
     dimension,
     evaluate_form,
     gradient_form,
@@ -133,6 +137,28 @@ def test_gradient_matches_finite_differences():
             fd = (evaluate_form(f, xp) - evaluate_form(f, xm)) / (2 * h)
             scale = max(1.0, abs(grad[i]))
             assert abs(fd - grad[i]) / scale < 1e-5
+
+
+@st.composite
+def _line_cases(draw):
+    d, n = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    size = dimension(d, n)
+    form = make_form(d, n, draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size).filter(any)))
+    x = draw(st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1))
+    return form, x, draw(st.integers(0, n))
+
+
+@settings(max_examples=100)
+@given(_line_cases())
+def test_line_restriction(case):
+    form, x, j = case
+    # t -> f(x + t e_j) has degree d, so d + 2 integer points pin it down
+    poly = _line_restriction(form, x, j)
+    d = form.basis.d
+    for t in range(-d - 1, d + 2):
+        shifted = list(x)
+        shifted[j] += t
+        assert poly_eval(poly, t) == evaluate_form(form, shifted)
 
 
 def test_form_string_roundtrip():
