@@ -12,17 +12,20 @@ Two headline computations, each with an exact side and a predicted side:
    variables acts on coefficient vectors as a signed permutation, which
    keeps |a|, primitivity and the +- pair, and f_a(gx) = f_{g.a}(x). So the
    dual strategy counts one point per class, weighted by the number of
-   target-filtered candidate points in the class;
+   candidate points in the class. Both strategies take the same candidate
+   points, filtered by the target in one `localsolve.target_mask`;
 
 2. the local census: the number M(A, P) of coefficient vectors admitting
    local points near the target at every place up to P, the correction
    E(A, P) of those failing at some larger prime, and the identity
    #soluble-hypersurfaces = (M - E)/2, against the product-of-densities
    prediction. A form with a rational point near the target (a primitive
-   integer zero x with x ≡ u c mod q in the real cap) is soluble near the
-   target at every place at once, so the census looks for such points first,
-   on the int64 coefficient rows of the whole family, and builds `Form`s
-   only for the forms where it finds none, which go to the local deciders.
+   integer zero x with x ≡ u c mod q in the real cap, `target_mask`) is
+   soluble near the target at every place at once, so the census looks for
+   such points first, on the int64 coefficient rows of the whole family,
+   and builds `Form`s only for the forms where it finds none, which go to
+   the local deciders. In a cap, quadrics are first tried for an exact
+   S-lemma certificate against `geom.cap_matrix`.
 
 Solubility verdicts are tri-state; counts touched by unknown verdicts are
 reported as intervals, never silently resolved.
@@ -40,7 +43,7 @@ import numpy as np
 
 from .counting import Prediction, VolumeEstimate, veronese_reciprocal_volume
 from .errors import EnumerationBudgetExceeded
-from .geom import unit_ball_volume
+from .geom import cap_matrix, unit_ball_volume
 from .intlinalg import bareiss_det, canonical_sign_mask, integer_ball
 from .lattice import primitive_orthogonal_count
 from .localsolve import (
@@ -49,15 +52,14 @@ from .localsolve import (
     DEFAULT_TAIL_CONSTANT,
     _cap_grid,
     AdelicTarget,
-    CongruenceCone,
     DensityInterval,
     TriState,
     decide_padic_batch,
     decide_real_solubility,
     local_density,
-    translate_local_conditions,
+    target_mask,
 )
-from .numtheory import euler_phi, factorize, jordan_totient, primes_up_to, unit_class_mask, zeta
+from .numtheory import euler_phi, factorize, jordan_totient, primes_up_to, zeta
 from .veronese import (
     Form,
     coefficient_matrix,
@@ -113,20 +115,18 @@ def enumerate_hypersurfaces(d: int, n: int, A, budget: int = 10**7):
 # N_V and the first moment
 
 
-def _candidate_points(d: int, n: int, B, cone: CongruenceCone, budget: int = 10**7):
-    """Canonical primitive x with H(x) <= B meeting the translated conditions."""
+def _candidate_points(d: int, n: int, B, target: AdelicTarget, budget: int = 10**7):
+    """Canonical primitive x with H(x) <= B meeting the target (`target_mask`)."""
     bound = int(height_bound_norm2(d, n, B))
     if bound < 1:
         return np.empty((0, n + 1), dtype=np.int64)
     pts = _primitive_ball(n + 1, bound, budget)
-    pts = pts[unit_class_mask(pts, cone.c, cone.q)]
-    return pts[np.array([cone.cone_ok(tuple(int(v) for v in row)) for row in pts], dtype=bool)]
+    return pts[target_mask(target, pts)]
 
 
 def count_rational_points(form: Form, B, target: AdelicTarget, budget: int = 10**7) -> int:
     """N_V: rational points up to sign with height <= B near the target."""
-    cone = translate_local_conditions(target)
-    pts = _candidate_points(form.basis.d, form.basis.n, B, cone, budget)
+    pts = _candidate_points(form.basis.d, form.basis.n, B, target, budget)
     if len(pts) == 0:
         return 0
     NU = veronese_batch(form.basis, pts)
@@ -142,8 +142,7 @@ def first_moment_direct(d: int, n: int, A, B, target: AdelicTarget, budget: int 
     `first_moment` checks the class-weighted dual count against.
     """
     coeffs = _coefficient_rows(d, n, A, budget)
-    cone = translate_local_conditions(target)
-    pts = _candidate_points(d, n, B, cone, budget)
+    pts = _candidate_points(d, n, B, target, budget)
     if len(pts) == 0 or len(coeffs) == 0:
         return 0
     NU = veronese_batch(monomial_basis(d, n), pts)
@@ -170,8 +169,7 @@ def first_moment_dual(d: int, n: int, A, B, target: AdelicTarget, budget: int = 
     target only filters points, never forms: the class sizes count the
     candidate points that passed the target, so any target works.
     """
-    cone = translate_local_conditions(target)
-    pts = _candidate_points(d, n, B, cone)
+    pts = _candidate_points(d, n, B, target)
     if len(pts) == 0:
         return 0
     _, first, sizes = np.unique(np.sort(np.abs(pts), axis=1), axis=0, return_index=True, return_counts=True)
@@ -293,21 +291,10 @@ _GOLDEN = (math.sqrt(5) - 1) / 2
 _GOLDEN_STEPS = 40  # shrinks the search interval by _GOLDEN**40, about 4e-9
 
 
-def _cap_matrix(xi, sigma):
-    """(Gn, g): G = Gn/g with Gn an integer matrix and g > 0, where
-    G = xi xi^T - K I and K = (1 - sigma^2)|xi|^2, exactly (also for a float
-    sigma). The real cap {d(x, xi) <= sigma} is {x : G(x) >= 0}."""
-    xi = [Fraction(c) for c in xi]
-    K = (1 - Fraction(sigma) ** 2) * sum(c * c for c in xi)
-    G = [[a * b - (K if i == j else 0) for j, b in enumerate(xi)] for i, a in enumerate(xi)]
-    g = math.lcm(*(v.denominator for row in G for v in row))
-    return [[int(v * g) for v in row] for row in G], g
-
-
 def _s_lemma_holds(mat, cap, sign: int, tau) -> bool:
     """Exact check of an S-lemma certificate (sign, tau) for the quadric
     with matrix 2M = `mat` on the cap {G >= 0}, G = Gn/g (`cap`, from
-    `_cap_matrix`): tau >= 0 and sign * 2M - tau G positive definite, by the
+    `geom.cap_matrix`): tau >= 0 and sign * 2M - tau G positive definite, by the
     leading principal minors of its integer multiple by g * den(tau)
     (`bareiss_det`). Then for x != 0 with G(x) >= 0,
     sign * 2 f(x) > tau G(x) >= 0, so f has no zero in the cap."""
@@ -326,7 +313,7 @@ def _s_lemma_certificates(mats, xi, sigma) -> list:
     "sign": s, "tau": tau} that the quadric has the sign s on the whole cap
     {d(x, xi) <= sigma}, sigma < 1, or None where none was found.
 
-    The cap is {G >= 0} (`_cap_matrix`) and G(xi) > 0, so by the strict
+    The cap is {G >= 0} (`geom.cap_matrix`) and G(xi) > 0, so by the strict
     S-lemma (Yakubovich; Polik and Terlaky, "A survey of the S-lemma", SIAM
     Review 2007) a quadric without a zero in the cap has some s = +-1 and
     tau >= 0 with s 2M - tau G positive definite. At x = xi that needs
@@ -339,7 +326,7 @@ def _s_lemma_certificates(mats, xi, sigma) -> list:
     eigenvalue by at most lam/2. The verdict rests only on the exact check
     `_s_lemma_holds`.
     """
-    cap = _cap_matrix(xi, sigma)
+    cap = cap_matrix(xi, sigma)
     m, Gf = len(cap[0]), np.array(cap[0], dtype=float) / cap[1]
     xi_f = np.array([float(c) for c in xi])
     norm2 = sum(Fraction(c) ** 2 for c in xi)
@@ -418,12 +405,10 @@ class CensusReport:
 
 def _target_grid(basis, target: AdelicTarget):
     """The points of the real decider's cap grid (`localsolve._cap_grid`)
-    that meet the translated target, and their Veronese rows: primitive, in
-    the cap, and x ≡ u c mod q for a unit u."""
-    cone = translate_local_conditions(target)
+    that meet the target (`target_mask`), and their Veronese rows."""
     points, _, _, V = _cap_grid(basis, tuple(target.xi_inf), Fraction(target.sigma_inf))
     X = np.array(points, dtype=np.int64).reshape(-1, basis.n + 1)
-    keep = (np.gcd.reduce(np.abs(X), axis=1) == 1) & unit_class_mask(X, cone.c, cone.q)
+    keep = target_mask(target, X)
     return X[keep], V[keep]
 
 

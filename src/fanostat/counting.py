@@ -1,9 +1,9 @@
 """Reciprocal Veronese-norm sums and their predicted main term.
 
 The exact side sums 1/|nu(x)| over primitive integer points x of a ball
-under cone and congruence constraints; points are filtered with integer
-arithmetic and |nu(x)|^2 stays an exact integer. The predicted side is the
-main term
+under cone and congruence constraints; points are filtered exactly
+(`numtheory.unit_class_mask`, `geom.cone_member`) and |nu(x)|^2 stays an
+exact integer. The predicted side is the main term
 
     W phi(q)/J_{n+1}(q) X^(n+1-d)/zeta(n+1),
 
@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnumerationBudgetExceeded
-from .geom import unit_ball_volume
+from .geom import cone_member, unit_ball_volume
 from .intlinalg import integer_ball
 from .numtheory import euler_phi, jordan_totient, unit_class_mask, zeta
 from .veronese import _exact_points, dimension
@@ -42,32 +42,6 @@ class Prediction:
     err: float
     formula: str
     inputs: dict = field(default_factory=dict)
-
-
-def _cone_mask_exact(pts: np.ndarray, xi, sigma: Fraction) -> np.ndarray:
-    """Exact vectorized cone test b^2(|x|^2|xi|^2 - <x,xi>^2) <= a^2|x|^2|xi|^2.
-
-    Runs in int64 when the worst-case magnitudes provably fit, otherwise in
-    Python big integers. A rational axis is scaled by its common denominator,
-    which leaves the cone unchanged.
-    """
-    a, b = sigma.numerator, sigma.denominator
-    axis = [Fraction(v) for v in xi]
-    den = math.lcm(*(v.denominator for v in axis))
-    xi_int = [int(v * den) for v in axis]
-    nxi = sum(v * v for v in xi_int)
-    worst = max(a * a, b * b) * int((np.abs(pts).max(initial=1)) ** 2) * pts.shape[1] * nxi
-    if worst * pts.shape[1] < 2**62:
-        nx = (pts * pts).sum(axis=1)
-        ip = pts @ np.array(xi_int, dtype=np.int64)
-        return b * b * (nx * nxi - ip * ip) <= a * a * nx * nxi
-    po = pts.astype(object)
-    nx = (po**2).sum(axis=1)
-    ip = (po * np.array(xi_int, dtype=object)).sum(axis=1)
-    return np.array(
-        [bool(b * b * (n * nxi - p * p) <= a * a * n * nxi) for n, p in zip(nx, ip)],
-        dtype=bool,
-    )
 
 
 def _veronese_norm_squared(d: int, pts: np.ndarray) -> np.ndarray:
@@ -109,10 +83,7 @@ def veronese_reciprocal_sum(d: int, n: int, c, q: int, xi, sigma, X, budget: int
     pts = integer_ball(n + 1, X2, include_zero=False)
     if len(pts) > budget:
         raise EnumerationBudgetExceeded("ball too large", len(pts))
-    pts = pts[(np.gcd.reduce(np.abs(pts), axis=1) == 1) & unit_class_mask(pts, c, q)]
-    if len(pts) == 0:
-        return 0.0
-    pts = pts[_cone_mask_exact(pts, xi, Fraction(sigma))]
+    pts = pts[(np.gcd.reduce(np.abs(pts), axis=1) == 1) & unit_class_mask(pts, c, q) & cone_member(xi, sigma, pts)]
     if len(pts) == 0:
         return 0.0
     return math.fsum(1.0 / math.sqrt(float(v)) for v in _veronese_norm_squared(d, pts))

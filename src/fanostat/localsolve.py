@@ -14,6 +14,12 @@ every decision routine returns a TriState:
 - unknown: carries the exhausted budget; over R also the boxes examined
   (`cells`) and the unexamined frontier (`pending`).
 
+The finite places of a target CRT into one congruence class (c, q)
+(`translate_local_conditions`), and `target_mask` is the one point filter
+of a target: over a whole integer array, x primitive, x ≡ u c mod q for a
+unit u, and x in the real cap by the exact `geom.cone_member`. The real
+decider's direction grid is cut to its cap by the same `cone_member`.
+
 Every question "which admissible residues x mod p^v have f(x) == 0?" (the
 p-adic decider, F_p point counts, ball classification) is answered on one
 int64 array of canonical residues (pivot, the first unit entry, equal to 1;
@@ -44,7 +50,6 @@ refines only the classes whose residue zeros are all singular mod p.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,8 +59,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnumerationBudgetExceeded, HypothesisFailed, NonConvergence, PreconditionFailed
-from .geom import Cone, cone_member, proj_distance_arch
-from .numtheory import crt_combine, primes_up_to, unit_classes
+from .geom import cap_constant, cone_member, integer_axis, proj_distance_arch
+from .intlinalg import canonical_sign_mask
+from .numtheory import crt_combine, primes_up_to, unit_class_mask
 from .padic import (
     ExactZeroCertificate,
     PadicApproxVector,
@@ -129,48 +135,29 @@ class AdelicTarget:
         return cls(tuple(), (1,) + (0,) * n, Fraction(sigma_inf))
 
 
-@dataclass(frozen=True)
-class CongruenceCone:
-    """The translated form of an adelic condition: x ≡ u c mod q for a unit u,
-    and x in the cone C(xi_inf, sigma_inf)."""
-
-    c: tuple
-    q: int
-    xi_inf: tuple
-    sigma_inf: object
-
-    def __post_init__(self):
-        if all(v == 0 for v in self.c):
-            raise ValueError("c must be nonzero")
-        g = math.gcd(*[abs(int(v)) for v in self.c])
-        if math.gcd(g, self.q) != 1:
-            raise ValueError("c must have content coprime to q")
-
-    def congruence_ok(self, x) -> bool:
-        return tuple(int(v) % self.q for v in x) in self.admissible_residues()
-
-    def cone_ok(self, x) -> bool:
-        return cone_member(Cone(self.xi_inf, self.sigma_inf), x)
-
-    def admissible_residues(self) -> set:
-        return unit_classes(self.c, self.q)
-
-
-def translate_local_conditions(target: AdelicTarget) -> CongruenceCone:
-    """CRT the finite-place targets into a single q-primitive congruence class.
+def translate_local_conditions(target: AdelicTarget) -> tuple:
+    """CRT the finite-place targets into a single q-primitive congruence class
+    (c, q); with no finite place, c = (1, 0, ..., 0) and q = 1.
 
     For primitive integer x the adelic proximity conditions are equivalent to
-    x ≡ u c mod q for a unit u together with the archimedean cone condition.
+    x ≡ u c mod q for a unit u together with the archimedean cone condition
+    x in C(xi_inf, sigma_inf); `target_mask` tests all three.
     """
     if not target.finite_places:
-        n = len(target.xi_inf) - 1
-        return CongruenceCone((1,) + (0,) * n, 1, tuple(target.xi_inf), target.sigma_inf)
+        return (1,) + (0,) * (len(target.xi_inf) - 1), 1
     pairs = []
     for p, e_p, xi in target.finite_places:
         mod = p**e_p
         pairs.append((tuple(e % mod for e in xi.entries), mod))
-    combined, q = crt_combine(pairs)
-    return CongruenceCone(tuple(combined), q, tuple(target.xi_inf), target.sigma_inf)
+    return crt_combine(pairs)
+
+
+def target_mask(target: AdelicTarget, X: np.ndarray) -> np.ndarray:
+    """Row mask of the integer array X: x is primitive, x ≡ u c mod q for a
+    unit u (`translate_local_conditions`) and x lies in the real cap."""
+    c, q = translate_local_conditions(target)
+    keep = (np.gcd.reduce(np.abs(X), axis=1) == 1) & unit_class_mask(X, c, q)
+    return keep & cone_member(target.xi_inf, target.sigma_inf, X)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +198,6 @@ class DensityInterval:
     def __post_init__(self):
         if not 0 <= self.lower <= self.upper <= 1:
             raise ValueError("density interval must satisfy 0 <= lo <= hi <= 1")
-
-    def width(self) -> Fraction:
-        return self.upper - self.lower
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +553,13 @@ def _cap_grid(basis, xi: tuple, sigma):
     w = +-v on the nonneg side of xi; whether w = -v; and the Veronese rows of
     the points. Cached, because a census asks for the same cap for every
     form; hence tuples and read-only arrays."""
-    cone = Cone(xi, sigma)
-    points = tuple(v for v in _direction_grid(basis.n, xi) if cone_member(cone, v))
-    flipped = np.array([sum(a * b for a, b in zip(v, xi)) < 0 for v in points], dtype=bool)
-    sides = tuple(tuple(-c for c in v) if flip else v for v, flip in zip(points, flipped))
-    V = veronese_batch(basis, np.array(points, dtype=np.int64).reshape(-1, basis.n + 1))
+    u = np.array(integer_axis(xi), dtype=object)  # raises on a zero axis
+    grid = _direction_grid(basis.n, xi)
+    X = grid[cone_member(xi, sigma, grid)]
+    flipped = np.asarray(X.astype(object) @ u < 0, dtype=bool)
+    points = tuple(map(tuple, X.tolist()))
+    sides = tuple(map(tuple, np.where(flipped[:, None], -X, X).tolist()))
+    V = veronese_batch(basis, X)
     flipped.flags.writeable = V.flags.writeable = False
     return points, sides, flipped, V
 
@@ -681,10 +667,9 @@ def _form_enclosure(terms, lo, hi):
 
 def _cap_terms(xi, sigma):
     """The entries of xi as outward intervals (c_lo, c_hi), and
-    K = (1 - sigma^2) |xi|^2 rounded down."""
+    K = (1 - sigma^2) |xi|^2 (`cap_constant`) rounded down."""
     c_lo, c_hi = np.array([_outward(c) for c in xi]).T
-    K = (1 - Fraction(sigma) ** 2) * sum(Fraction(c) ** 2 for c in xi)
-    return c_lo, c_hi, _outward(K)[0]
+    return c_lo, c_hi, _outward(cap_constant(xi, sigma))[0]
 
 
 def _outside_cap(cap, lo, hi):
@@ -714,22 +699,18 @@ def _outward(a) -> tuple:
     return math.nextafter(f, -math.inf), f
 
 
-def _direction_grid(n: int, xi_inf):
-    vals = range(-2, 3)
-    out = set()
-    for v in itertools.product(vals, repeat=n + 1):
-        if any(v):
-            g = math.gcd(*[abs(c) for c in v])
-            w = tuple(c // g for c in v)
-            first = next(c for c in w if c)
-            out.add(w if first > 0 else tuple(-c for c in w))
-    # include an integer approximation of the axis direction
+def _direction_grid(n: int, xi_inf) -> np.ndarray:
+    """The real decider's direction grid: the primitive rows of [-2, 2]^(n+1)
+    with first nonzero entry positive, and an integer approximation of the
+    axis, as one int64 array in lexicographic order."""
+    grid = np.indices((5,) * (n + 1), dtype=np.int64).reshape(n + 1, -1).T - 2
+    grid = grid[(np.gcd.reduce(np.abs(grid), axis=1) == 1) & canonical_sign_mask(grid)]
     scale = 8
     norm = math.sqrt(math.fsum(float(c) ** 2 for c in xi_inf))
-    approx = tuple(round(scale * float(c) / norm) for c in xi_inf)
+    approx = [round(scale * float(c) / norm) for c in xi_inf]
     if any(approx):
-        out.add(approx)
-    return sorted(out)
+        grid = np.unique(np.vstack([grid, approx]), axis=0)
+    return grid
 
 
 def _newton_in_cap(form: Form, v, xi_inf, sigma: float):

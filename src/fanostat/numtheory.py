@@ -3,9 +3,8 @@
 Everything here is integer-exact except ``zeta``, which carries an explicit
 tolerance. Factorization is trial division against a sieved prime table
 that grows on demand up to 10**6; a cofactor it cannot prove prime is an
-error, never a reported prime. The unit residue classes {u c mod q} behind
-every congruence condition x ≡ u c mod q are built here, as a set and as a
-numpy row mask.
+error, never a reported prime. Every congruence condition x ≡ u c mod q
+(u a unit) is tested here, as a numpy row mask over the unit classes.
 """
 
 from __future__ import annotations
@@ -181,18 +180,12 @@ def reduced_residues(q: int) -> list[int]:
     return [u for u in range(1, q) if math.gcd(u, q) == 1]
 
 
-def unit_classes(c, q: int) -> set:
-    """The residue vectors u*c mod q over the units u mod q: x lies in one of
-    these classes iff x ≡ u c mod q for a unit u."""
-    return {tuple((u * int(v)) % q for v in c) for u in reduced_residues(q)}
-
-
 def unit_class_mask(pts: np.ndarray, c, q: int) -> np.ndarray:
     """Row mask of an integer point array: x ≡ u c mod q for a unit u."""
     if q == 1:
         return np.ones(len(pts), dtype=bool)
     res = pts % q
     mask = np.zeros(len(pts), dtype=bool)
-    for a in unit_classes(c, q):
+    for a in {tuple((u * int(v)) % q for v in c) for u in reduced_residues(q)}:
         mask |= (res == np.array(a, dtype=np.int64)).all(axis=1)
     return mask

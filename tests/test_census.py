@@ -28,6 +28,7 @@ from fanostat.census import (
     real_density_interval,
 )
 from fanostat.errors import EnumerationBudgetExceeded
+from fanostat.geom import cap_matrix
 from fanostat.intlinalg import canonical_sign_mask, integer_ball
 from fanostat.localsolve import (
     AdelicTarget,
@@ -35,7 +36,6 @@ from fanostat.localsolve import (
     _cap_grid,
     decide_padic_solubility,
     decide_real_solubility,
-    translate_local_conditions,
 )
 from fanostat.numtheory import primes_up_to
 from fanostat.padic import PadicApproxVector
@@ -48,6 +48,8 @@ from fanostat.veronese import (
     pairings,
     veronese,
 )
+
+from test_geom import cone_oracle
 
 
 def mkform(d, n, **monos):
@@ -173,7 +175,7 @@ def _per_point_dual(d, n, A, B, target):
     primitive coefficient vectors up to sign with |a| <= A through it: the
     rows of the coefficient ball with an exact <a, nu(x)> = 0, one point at a
     time, no grouping."""
-    pts = _candidate_points(d, n, B, translate_local_conditions(target))
+    pts = _candidate_points(d, n, B, target)
     ball = integer_ball(dimension(d, n), Fraction(A) ** 2, include_zero=False)
     ball = ball[(np.gcd.reduce(np.abs(ball), axis=1) == 1) & canonical_sign_mask(ball)].astype(object)
     basis = monomial_basis(d, n)
@@ -388,14 +390,24 @@ def _value(form, x) -> int:
     return sum(a * math.prod(c**e for c, e in zip(x, exps)) for a, exps in zip(form.coeffs, monomials))
 
 
+def _meets_target(x, target) -> bool:
+    """Whether the integer point x is primitive, in the real cap (the cone
+    oracle) and x ≡ u xi_p mod p^e_p for a unit u at every finite place,
+    each check made on x alone in Python integers."""
+    if math.gcd(*x) != 1 or not cone_oracle(target.xi_inf, target.sigma_inf, x):
+        return False
+    for p, e, xi in target.finite_places:
+        mod = p**e
+        if not any(all((u * int(c) - v) % mod == 0 for c, v in zip(xi.entries, x)) for u in range(1, mod) if u % p):
+            return False
+    return True
+
+
 def _has_target_point(form, target) -> bool:
     """Whether a point of the real decider's cap grid is a primitive zero of
     the form meeting the target, each check made in Python integers."""
-    cone = translate_local_conditions(target)
     points = _cap_grid(form.basis, tuple(target.xi_inf), Fraction(target.sigma_inf))[0]
-    return any(
-        math.gcd(*x) == 1 and cone.congruence_ok(x) and cone.cone_ok(x) and _value(form, x) == 0 for x in points
-    )
+    return any(_meets_target(x, target) and _value(form, x) == 0 for x in points)
 
 
 def _fraction_det(rows) -> Fraction:
@@ -592,14 +604,13 @@ def test_point_pass_resolves_binary_quadrics_the_bad_prime_step_cannot():
 def _reverified_hits(d, n, A, target) -> int:
     """Re-verify in Python integers every (form, grid point) zero the census's
     point pass sees; return the number of forms with one."""
-    cone = translate_local_conditions(target)
     X, V = _target_grid(monomial_basis(d, n), target)
     forms = enumerate_hypersurfaces(d, n, A)
     hits = pairings(coefficient_matrix(forms), V) == 0 if forms else np.zeros((0, len(X)), dtype=bool)
     for form, row in zip(forms, hits):
         for x in X[row].tolist():
             assert _value(form, x) == 0, (form, x)
-            assert math.gcd(*x) == 1 and cone.congruence_ok(x) and cone.cone_ok(x), (form, x)
+            assert _meets_target(x, target), (form, x)
     return int(hits.any(axis=1).sum())
 
 
@@ -715,7 +726,7 @@ def test_s_lemma_certifies_a_quadric_without_a_zero_in_the_cap():
     # X0^2 + X1^2 + X2^2 has no real zero, and 2M - tau G stays positive
     # definite for a small negative tau, which proves nothing
     definite = quadric_matrix(mkform(2, 2, m_200=1, m_020=1, m_002=1))
-    cap = census._cap_matrix(xi, sigma)
+    cap = cap_matrix(xi, sigma)
     assert census._s_lemma_holds(definite, cap, 1, 0)
     assert not census._s_lemma_holds(definite, cap, 1, Fraction(-1, 100))
 
@@ -760,7 +771,7 @@ def test_s_lemma_certificates_are_sound_and_reverify(case):
     assert all(_value(form, x) != 0 for x in _cap_grid(form.basis, xi, Fraction(sigma))[0])
     assert _s_lemma_reverifies(form, xi, sigma, cert)
     # the flipped sign, a negative tau and a tau past xi's own bound are rejected
-    cap = census._cap_matrix(xi, sigma)
+    cap = cap_matrix(xi, sigma)
     sign, tau = cert["sign"], cert["tau"]
     norm2 = sum(c * c for c in xi)
     at_xi = sum(mat[i][j] * xi[i] * xi[j] for i in range(len(xi)) for j in range(len(xi)))

@@ -132,7 +132,6 @@ ENTRY_POINTS = (
     ("counting", "predicted_reciprocal_sum", "the main term that check compares against"),
     # methods that no package code calls, each with who does
     ("localsolve", "AdelicTarget.trivial", "the workloads build their trivial targets with it"),
-    ("localsolve", "CongruenceCone.congruence_ok", "the congruence half of a translated target, as tests check it"),
     ("localsolve", "BallClassification.boundary_upper", "the boundary-ball count the paper bounds"),
     ("localsolve", "BallClassification.paper_boundary_bound", "the paper's bound on that count"),
     ("veronese", "MonomialBasis.index", "tests build forms monomial by monomial with it"),
@@ -147,14 +146,18 @@ def _is_method(node) -> bool:
     )
 
 
+def _attributes(node):
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
 def _definitions():
     """The units of the reachability walk, each with its line and the syntax
     trees it references: (module, name) for every top-level function and class,
     (module, "Class.method") for every method but the dunders. A class unit
     holds only its decorators, bases, fields and dunder methods; a method
-    holds its own body. Also the names every module's top-level statements
-    other than definitions and imports reference."""
-    defs, top = {}, set()
+    holds its own body. Also every module's top-level statements other than
+    definitions and imports."""
+    defs, top = {}, []
     for path in MODULES:
         for node in _parse(path).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -168,7 +171,7 @@ def _definitions():
                         shell.append(item)
                 defs[path.stem, node.name] = node.lineno, shell
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                top.update(_referenced_names(node))
+                top.append(node)
     return defs, top
 
 
@@ -180,8 +183,12 @@ def test_public_symbols_are_reachable():
     # names resolve by name alone, in any module: the walk over-approximates
     # what is used, so whatever it misses is dead. A reached class reaches
     # its fields and dunders; a method is reached once its class is and
-    # reached code names it, or by an entry of its own
-    names = top | {name for _, name in entries if "." not in name}
+    # reached code names it as an attribute (x.method), or by an entry of its own
+    names = {name for _, name in entries if "." not in name}
+    attributes = set()
+    for tree in top:
+        names.update(_referenced_names(tree))
+        attributes.update(_attributes(tree))
     reached, grew = set(), True
     while grew:
         grew = False
@@ -189,10 +196,13 @@ def test_public_symbols_are_reachable():
             owner, _, own = name.rpartition(".")
             if (module, name) in reached:
                 continue
-            if (module, name) in entries or (own in names and (not owner or (module, owner) in reached)):
+            if (module, name) in entries or (
+                (own in attributes and (module, owner) in reached) if owner else own in names
+            ):
                 reached.add((module, name))
                 for tree in trees:
                     names.update(_referenced_names(tree))
+                    attributes.update(_attributes(tree))
                 grew = True
     dead = sorted(
         f"{module}.{name} ({module}.py:{line})"

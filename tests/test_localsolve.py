@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from fanostat import localsolve, padic
 from fanostat.errors import EnumerationBudgetExceeded, HypothesisFailed, PreconditionFailed
-from fanostat.geom import Cone, cone_member
 from fanostat.localsolve import (
     AdelicTarget,
     DensityInterval,
@@ -26,6 +25,7 @@ from fanostat.localsolve import (
     density_sandwich,
     fit_tail_constant,
     local_density,
+    target_mask,
     translate_local_conditions,
     _canonical_blocks,
     _residue_fibre,
@@ -51,6 +51,8 @@ from fanostat.veronese import (
     veronese_jet,
 )
 
+from test_geom import cone_oracle
+
 
 def mkform(d, n, **monos):
     """Form from keyword monomials, e.g. m_200=1 for the X0^2 coefficient."""
@@ -66,18 +68,20 @@ def test_adelic_target_and_translate_single_place():
     xi3 = PadicApproxVector.from_integers(3, 1, (1, 2, 0, 1))
     t = AdelicTarget(((3, 1, xi3),), (1, 0, 0, 0), Fraction(1))
     assert t.q == 3
-    cone = translate_local_conditions(t)
-    assert cone.q == 3
-    assert tuple(c % 3 for c in cone.c) == (1, 2, 0, 1)
+    c, q = translate_local_conditions(t)
+    assert q == 3
+    assert tuple(v % 3 for v in c) == (1, 2, 0, 1)
     # empty S: the cone alone
     t0 = AdelicTarget.trivial(3, Fraction(1, 2))
-    cone0 = translate_local_conditions(t0)
-    assert cone0.q == 1
-    assert cone0.congruence_ok((5, 7, 1, 2))
+    assert translate_local_conditions(t0) == ((1, 0, 0, 0), 1)
+    X = np.array([[5, 7, 1, 2], [7, 1, 1, 1], [2, 4, 0, 0], [0, 0, 0, 0]])
+    assert target_mask(t0, X).tolist() == [False, True, False, False]
+    assert target_mask(AdelicTarget.trivial(3), X).tolist() == [True, True, False, False]
 
 
 def test_translate_equivalence_randomized():
-    # direct d_p tests against (x ≡ uc mod q ∧ cone), 1000 instances
+    # target_mask over whole arrays against the direct d_p tests and the
+    # cone oracle, one point at a time; 1000 targets, 6 points each
     rng = random.Random(13)
     n = 2
     checked = 0
@@ -99,21 +103,18 @@ def test_translate_equivalence_randomized():
             continue
         sigma_inf = Fraction(rng.randint(1, 4), 4)
         target = AdelicTarget(tuple(places), xi_inf, sigma_inf)
-        cone = translate_local_conditions(target)
-        x = tuple(rng.randint(-15, 15) for _ in range(n + 1))
-        if not any(x) or math.gcd(*[abs(c) for c in x]) != 1:
-            continue
-        # direct side
-        direct = True
-        for p, e, xi in places:
-            lift = tuple(int(v) for v in xi.entries)
-            if proj_distance_padic(x, lift, p) > float(p) ** (-e) + 1e-12:
-                direct = False
-                break
-        if direct:
-            direct = cone_member(Cone(xi_inf, sigma_inf), x)
-        translated = cone.congruence_ok(x) and cone.cone_ok(x)
-        assert direct == translated, (x, [(p, e, xi.entries) for p, e, xi in places])
+        X = [tuple(rng.randint(-15, 15) for _ in range(n + 1)) for _ in range(6)]
+        mask = target_mask(target, np.array(X, dtype=np.int64)).tolist()
+        for x, translated in zip(X, mask):
+            if math.gcd(*x) != 1:
+                assert not translated, x
+                continue
+            direct = cone_oracle(xi_inf, sigma_inf, x)
+            for p, e, xi in places:
+                lift = tuple(int(v) for v in xi.entries)
+                if proj_distance_padic(x, lift, p) > float(p) ** (-e) + 1e-12:
+                    direct = False
+            assert direct == translated, (x, [(p, e, xi.entries) for p, e, xi in places])
         checked += 1
 
 
@@ -124,7 +125,7 @@ def test_tristate_discipline():
     with pytest.raises(ValueError):
         TriState("maybe")
     d = DensityInterval(Fraction(1, 3), Fraction(1, 2), "sandwich")
-    assert d.width() == Fraction(1, 6)
+    assert d.upper - d.lower == Fraction(1, 6)
     with pytest.raises(ValueError):
         DensityInterval(Fraction(2, 3), Fraction(1, 2), "sandwich")
 
@@ -333,13 +334,44 @@ def _box_outside_cap(box, xi, sigma) -> bool:
     return (ip * ip).hi < (nx * _Interval(localsolve._cap_terms(xi, sigma)[2])).lo
 
 
+def _old_direction_grid(n, xi_inf):
+    """The real decider's direction grid as a set: every nonzero v in
+    [-2, 2]^(n+1) divided by its gcd, with first nonzero entry positive,
+    and the axis approximation round(8 xi / |xi|); sorted."""
+    out = set()
+    for v in itertools.product(range(-2, 3), repeat=n + 1):
+        if any(v):
+            g = math.gcd(*v)
+            w = tuple(c // g for c in v)
+            first = next(c for c in w if c)
+            out.add(w if first > 0 else tuple(-c for c in w))
+    norm = math.sqrt(math.fsum(float(c) ** 2 for c in xi_inf))
+    approx = tuple(round(8 * float(c) / norm) for c in xi_inf)
+    if any(approx):
+        out.add(approx)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_direction_grid_matches_the_set_construction(n):
+    # (-3, 1, 0, ...) has a negative approximation, (-8, 3, 0, ...); those of
+    # e_0 and (1, -1, 0, ...), 8 e_0 and (6, -6, 0, ...), are not primitive
+    axes = [(1,) + (0,) * n, (-3, 1) + (0,) * (n - 1), (1, -1) + (0,) * (n - 1), (1, 2) + (0,) * (n - 1),
+            tuple(range(-2, n - 1)), (Fraction(1, 3),) + (1,) * n]
+    for xi in axes:
+        grid = localsolve._direction_grid(n, xi)
+        assert grid.dtype == np.int64
+        assert [tuple(v) for v in grid.tolist()] == _old_direction_grid(n, xi), xi
+    with pytest.raises(ValueError):  # a zero axis fails the cap's check, not the grid's division
+        decide_real_solubility(make_form(2, n, [1] * dimension(2, n)), (0,) * (n + 1), Fraction(1, 2))
+
+
 def _depth_first_decide(form, xi, sigma, budget):
     """The real decider one grid point and one box at a time: the yes paths
     in grid order, then a depth-first interval exclusion (a stack of boxes)."""
-    cone = Cone(tuple(xi), sigma)
     pos, neg = [], []
-    for v in localsolve._direction_grid(form.basis.n, xi):
-        if not cone_member(cone, v):
+    for v in _old_direction_grid(form.basis.n, xi):
+        if not cone_oracle(xi, sigma, v):
             continue
         val = evaluate_form(form, v)
         if val == 0:
@@ -607,7 +639,7 @@ def test_density_sandwich_values():
     assert iv.lower == (1 - Fraction(1, 3**9) - Fraction(1, 27)) / 3
     # width shrinks like p^-(e+n)
     iv2 = density_sandwich(2, 3, 7, 1)
-    assert iv2.width() == Fraction(1, 7**4)
+    assert iv2.upper - iv2.lower == Fraction(1, 7**4)
     with pytest.raises(ValueError):
         density_sandwich(2, 3, 3, 0)
 
