@@ -16,8 +16,7 @@ quantity as a testable operation. Submodules:
 - localsolve: local solubility, ball classification, densities
 - counting:  reciprocal Veronese-norm sums and their predicted main term
 - census:    hypersurface-family statistics (first moment, local census)
-- cli:       reproducible experiment runner (planned; not written yet, although
-             pyproject.toml already declares its entry point)
+- cli:       the `fanostat` command: one census per call, reported as JSON
 """
 
 __version__ = "0.1.0"

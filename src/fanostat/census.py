@@ -55,7 +55,7 @@ from .localsolve import (
     DensityInterval,
     TriState,
     decide_padic_batch,
-    decide_real_solubility,
+    decide_real_batch,
     local_density,
     target_mask,
 )
@@ -441,7 +441,8 @@ def _arch_verdicts(forms, target: AdelicTarget, budget: int = 4000, mats=None) -
     them). With sigma_inf = 1 the exact signature test decides every one. In
     a cap, sigma_inf < 1, a quadric with an S-lemma certificate that it keeps
     one sign on the cap (`_s_lemma_certificates`) is `no`. Every other
-    quadric, and every form of higher degree, goes to the real decider."""
+    quadric, and every form of higher degree, goes to the real decider, in
+    one `decide_real_batch` call."""
     certs = [None] * len(forms)
     if forms and forms[0].basis.d == 2:
         mats = mats or [quadric_matrix(f) for f in forms]
@@ -451,10 +452,8 @@ def _arch_verdicts(forms, target: AdelicTarget, budget: int = 4000, mats=None) -
                 for m in mats
             ]
         certs = _s_lemma_certificates(mats, target.xi_inf, target.sigma_inf)
-    return [
-        TriState.no(cert) if cert else decide_real_solubility(f, target.xi_inf, target.sigma_inf, subdivision_budget=budget)
-        for f, cert in zip(forms, certs)
-    ]
+    real = iter(decide_real_batch([f for f, cert in zip(forms, certs) if not cert], target.xi_inf, target.sigma_inf, budget))
+    return [TriState.no(cert) if cert else next(real) for cert in certs]
 
 
 def _finite_verdicts(forms, p: int, target: AdelicTarget, depth_budget: int) -> list:

@@ -38,6 +38,15 @@ the first level of a whole block of forms at once and then searches the
 deeper levels form by form; `decide_padic_solubility` is its one-form case,
 and `count_projective_points` reads the same table.
 
+The real decider works the same way on a block of forms on one basis
+(`decide_real_batch`): one exact product against the cached cap grid gives
+every form's grid zeros and sign changes, the cached derivative rows of the
+grid give the exact gradients Newton starts from, and the interval
+exclusion runs one breadth-first frontier of distinct boxes with the (form,
+box) pairs on top of it, so the cap test, the powers and the split of a box
+are computed once however many forms hold it. `decide_real_solubility` is
+its one-form case.
+
 Densities of the soluble locus in coefficient space are measured exactly by
 classifying coefficient balls mod p^v: a ball meets the soluble locus iff
 some admissible residue x has <a, nu(x)> == 0 mod p^v (the coefficient can
@@ -66,6 +75,7 @@ from .padic import (
     ExactZeroCertificate,
     PadicApproxVector,
     lift_hypersurface_point,
+    newton_hopeless,
     newton_real_root,
 )
 from .veronese import (
@@ -74,7 +84,6 @@ from .veronese import (
     coefficient_matrix,
     dimension,
     evaluate_form,
-    gradient_form,
     monomial_basis,
     pairings,
     row_pairings,
@@ -525,26 +534,89 @@ def decide_real_solubility(
     unknown: the next level would take the boxes examined past
     `subdivision_budget`, or a box to split is narrower than 1e-6. It reports
     the `reason`, the `cells` examined and the `pending` boxes of the
-    unexamined frontier. A `no` needs a search tree of at most
+    unexamined frontier, and for the second reason the first such box in
+    breadth-first order. A `no` needs a search tree of at most
     `subdivision_budget` boxes.
+
+    This is `decide_real_batch` for one form. The batch decides a block of
+    forms on one basis with the same steps, and it cannot change a verdict
+    or a certificate: every step reads a form only through exact products
+    (the grid values and the gradients are integers, the same in any order)
+    or through interval operations applied box by box and term by term; a
+    Newton line search is skipped only where it provably finds no root; and
+    the boxes a form examines depend only on that form, never on the others
+    in its block.
     """
+    return decide_real_batch([form], xi_inf, sigma_inf, subdivision_budget)[0]
+
+
+_PAIRS = _CHUNK << 3  # (form, grid point) or (form, box) pairs held at once: bounds peak memory
+
+
+def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000) -> list:
+    """`decide_real_solubility` for each of the forms (all on one basis).
+
+    The yes paths read one exact product of the coefficient rows of a block
+    of forms against the Veronese rows of the cached cap grid (`_cap_grid`):
+    its zeros and sign changes. Newton starts from the sides of the grid
+    with the exact gradients f's coefficient rows give against the cached
+    derivative rows of the sides (`_cap_jets`), and skips the sides where
+    its precondition fails along every coordinate (`newton_hopeless`). A
+    block holds at most _PAIRS form x grid-point pairs.
+
+    The forms left over go to the interval exclusion in groups of
+    max(1, _PAIRS // subdivision_budget), so a group holds at most about
+    _PAIRS (form, box) pairs at one level (`_exclusion_verdicts`).
+    """
+    if not forms:
+        return []
     xi, sigma = tuple(xi_inf), Fraction(sigma_inf)
-    # --- yes paths on a rational direction grid
-    points, sides, flipped, V = _cap_grid(form.basis, xi, sigma)
-    vals = pairings(coefficient_matrix([form]), V)[0]
-    zeros = np.flatnonzero(vals == 0)
-    if zeros.size:
-        return TriState.yes({"kind": "exact-zero", "point": points[zeros[0]]})
+    grid = _cap_grid(forms[0].basis, xi, sigma)
+    step = max(1, _PAIRS // max(len(grid[0]), 1))
+    out = []
+    for lo in range(0, len(forms), step):
+        out.extend(_grid_verdicts(forms[lo : lo + step], grid, xi, sigma))
+    rest = [k for k, res in enumerate(out) if res is None]
+    size = max(1, _PAIRS // max(subdivision_budget, 1))
+    for lo in range(0, len(rest), size):
+        group = rest[lo : lo + size]
+        for k, res in zip(group, _exclusion_verdicts([forms[k] for k in group], xi, sigma, subdivision_budget)):
+            out[k] = res
+    return out
+
+
+def _grid_verdicts(forms, grid, xi: tuple, sigma) -> list:
+    """The yes paths of `decide_real_batch` for forms on one basis: each
+    form's `yes`, or None where no grid point and no Newton line decides it."""
+    points, sides, flipped, V = grid
+    basis = forms[0].basis
+    A = coefficient_matrix(forms)
+    vals = pairings(A, V)
+    zero = vals == 0
     # signs on a single cap component (nonneg inner product side)
-    positive = (vals > 0) != (flipped & (form.basis.d % 2 == 1))
-    if positive.any() and not positive.all():
-        pos, neg = np.argmax(positive), np.argmin(positive)
-        return TriState.yes({"kind": "sign-change", "positive": sides[pos], "negative": sides[neg]})
-    for w in sides:
-        cert = _newton_in_cap(form, w, xi, float(sigma))
-        if cert is not None:
-            return TriState.yes(cert)
-    return _exclude_by_intervals(form, xi, sigma, subdivision_budget)
+    positive = (vals > 0) != (flipped & (basis.d % 2 == 1))
+    out = [None] * len(forms)
+    for k in np.flatnonzero(zero.any(axis=1)).tolist():
+        out[k] = TriState.yes({"kind": "exact-zero", "point": points[int(zero[k].argmax())]})
+    for k in np.flatnonzero(positive.any(axis=1) & ~positive.all(axis=1)).tolist():
+        if out[k] is None:
+            pos, neg = int(positive[k].argmax()), int(positive[k].argmin())
+            out[k] = TriState.yes({"kind": "sign-change", "positive": sides[pos], "negative": sides[neg]})
+    rest = [k for k, res in enumerate(out) if res is None]
+    if not rest or not sides:
+        return out
+    # the gradient of every form left at every side, exactly: (forms, sides, n + 1)
+    grads = np.stack([pairings(A[rest], J) for J in _cap_jets(basis, xi, sigma)], axis=2)
+    # a side is skipped where Newton's precondition fails along every coordinate
+    hopeless = newton_hopeless(vals[rest][:, :, None], grads).all(axis=2)
+    aperture = float(sigma)
+    for k, G, skip in zip(rest, grads, hopeless):
+        for w, g, no_root in zip(sides, G.tolist(), skip.tolist()):
+            cert = None if no_root else _newton_in_cap(forms[k], w, g, xi, aperture)
+            if cert is not None:
+                out[k] = TriState.yes(cert)
+                break
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -564,38 +636,85 @@ def _cap_grid(basis, xi: tuple, sigma):
     return points, sides, flipped, V
 
 
-def _exclude_by_intervals(form: Form, xi: tuple, sigma, budget: int) -> TriState:
-    """The breadth-first interval exclusion of `decide_real_solubility`."""
-    n1 = form.basis.n + 1
+@lru_cache(maxsize=32)
+def _cap_jets(basis, xi: tuple, sigma) -> np.ndarray:
+    """The derivative rows of the sides w of `_cap_grid`, (n + 1, sides, N)
+    (`veronese_jet_batch`): <a, row i at w> is df/dx_i(w). Cached beside the
+    grid; hence read-only."""
+    W = np.array(_cap_grid(basis, xi, sigma)[1], dtype=np.int64).reshape(-1, basis.n + 1)
+    J = veronese_jet_batch(basis, W)
+    J.flags.writeable = False
+    return J
+
+
+def _exclusion_verdicts(forms, xi: tuple, sigma, budget: int) -> list:
+    """The breadth-first interval exclusion of `decide_real_batch` for forms
+    on one basis, on one frontier of distinct boxes shared by the forms.
+
+    A level holds the distinct boxes and the (form, box) pairs on top of
+    them. A box's children depend only on the box, so each box is tested
+    against the cap, raised to its powers and split once, however many
+    forms hold it. Each form holds its own boxes in the order its one-form
+    search would (its boxes are a subsequence of the distinct ones, the
+    left children before the right ones), and keeps its own budget check,
+    `cells` and `pending`."""
+    n1 = forms[0].basis.n + 1
     lo, hi = np.full((2 * n1, n1), -1.0), np.full((2 * n1, n1), 1.0)
     for k in range(n1):  # the faces x_k = 1 and x_k = -1
         lo[2 * k, k] = hi[2 * k, k] = 1.0
         lo[2 * k + 1, k] = hi[2 * k + 1, k] = -1.0
-    terms, cap = _form_terms(form), _cap_terms(xi, sigma)
-    examined = 0
-    while len(lo):
-        if examined + len(lo) > budget:
-            return TriState.unknown({"reason": "subdivision budget", "cells": examined, "pending": len(lo)})
-        examined += len(lo)
-        keep = ~_outside_cap(cap, lo, hi)
-        lo, hi = lo[keep], hi[keep]
-        f_lo, f_hi = _form_enclosure(terms, lo, hi)
+    terms, cap = _block_terms(forms), _cap_terms(xi, sigma)
+    out = [None] * len(forms)
+    running = np.ones(len(forms), dtype=bool)
+    examined = np.zeros(len(forms), dtype=np.int64)
+    pf, pb = np.repeat(np.arange(len(forms)), len(lo)), np.tile(np.arange(len(lo)), len(forms))
+    while running.any():
+        count = np.bincount(pf, minlength=len(forms))
+        for k in np.flatnonzero(running & (count == 0)).tolist():
+            out[k] = TriState.no({"kind": "interval-exclusion", "cells": int(examined[k])})
+        over = running & (count > 0) & (examined + count > budget)
+        for k in np.flatnonzero(over).tolist():
+            out[k] = TriState.unknown({"reason": "subdivision budget", "cells": int(examined[k]), "pending": int(count[k])})
+        running &= (count > 0) & ~over
+        examined += np.where(running, count, 0)
+        keep = running[pf]
+        keep[keep] = ~_outside_cap(cap, lo, hi)[pb[keep]]
+        lo, hi, pf, pb = _held(lo, hi, pf[keep], pb[keep])
+        f_lo, f_hi = _block_enclosure(terms, lo, hi, pf, pb)
         keep = (f_lo <= 0.0) & (0.0 <= f_hi)
-        lo, hi = lo[keep], hi[keep]
+        lo, hi, pf, pb = _held(lo, hi, pf[keep], pb[keep])
         rows = np.arange(len(lo))
         j = (hi - lo).argmax(axis=1)
-        small = np.flatnonzero(hi[rows, j] - lo[rows, j] < 1e-6)
-        if small.size:
-            box = [(float(a), float(b)) for a, b in zip(lo[small[0]], hi[small[0]])]
-            return TriState.unknown(
-                {"reason": "cells too small to split", "cells": examined, "pending": 2 * len(lo), "box": box}
-            )
+        small = (hi[rows, j] - lo[rows, j] < 1e-6)[pb]
+        if small.any():
+            first = np.full(len(forms), len(lo))
+            np.minimum.at(first, pf[small], pb[small])
+            kept = np.bincount(pf, minlength=len(forms))
+            for k in np.flatnonzero(first < len(lo)).tolist():
+                box = [(float(a), float(b)) for a, b in zip(lo[first[k]], hi[first[k]])]
+                out[k] = TriState.unknown(
+                    {"reason": "cells too small to split", "cells": int(examined[k]), "pending": 2 * int(kept[k]), "box": box}
+                )
+            running &= first == len(lo)
+            keep = running[pf]
+            lo, hi, pf, pb = _held(lo, hi, pf[keep], pb[keep])
+            rows = np.arange(len(lo))
+            j = (hi - lo).argmax(axis=1)
         mid = 0.5 * (lo[rows, j] + hi[rows, j])
         left_hi, right_lo = hi.copy(), lo.copy()
         left_hi[rows, j] = mid
         right_lo[rows, j] = mid
         lo, hi = np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])
-    return TriState.no({"kind": "interval-exclusion", "cells": examined})
+        pf, pb = np.concatenate([pf, pf]), np.concatenate([pb, pb + len(rows)])
+    return out
+
+
+def _held(lo, hi, pf, pb):
+    """The boxes some pair (pf, pb) still holds, in their order, and the
+    pairs renumbered onto them."""
+    held = np.zeros(len(lo), dtype=bool)
+    held[pb] = True
+    return lo[held], hi[held], pf, (np.cumsum(held) - 1)[pb]
 
 
 # Outward-rounded interval arithmetic over arrays of boxes. Every operation
@@ -637,31 +756,60 @@ def _ipow(lo, hi, k: int):
     return r_lo, r_hi
 
 
-def _form_terms(form: Form):
-    """The monomials of f with nonzero coefficients, in basis order: each
-    coefficient as an outward interval (a_lo, a_hi), and the exponents E."""
-    nonzero = [m for m, a in enumerate(form.coeffs) if a != 0]
-    a_lo, a_hi = np.array([_outward(form.coeffs[m]) for m in nonzero]).T
-    return a_lo, a_hi, form.basis.exponent_matrix()[nonzero]
+def _block_terms(forms):
+    """The monomials of each form with nonzero coefficients, in basis order,
+    padded with zero terms to the widest form, T terms: the coefficients as
+    outward intervals a_lo, a_hi (T, forms); the factors of each term, one
+    per coordinate i with a nonzero exponent k, in coordinate order, as the
+    row k (n + 1) + i of a table of powers, -1 past the last one
+    (factor slots, T, forms); and the mask of the real terms (T, forms)."""
+    basis = forms[0].basis
+    n1 = basis.n + 1
+    factors_of = [[k * n1 + i for i, k in enumerate(e) if k] for e in basis.monomials]
+    nonzero = [[m for m, a in enumerate(form.coeffs) if a != 0] for form in forms]
+    width = max(map(len, nonzero))
+    a = np.zeros((2, width, len(forms)))
+    factors = np.full((min(basis.d, n1), width, len(forms)), -1)
+    for k, (form, cols) in enumerate(zip(forms, nonzero)):
+        a[:, : len(cols), k] = np.array([_outward(form.coeffs[m]) for m in cols]).T
+        for t, m in enumerate(cols):
+            factors[: len(factors_of[m]), t, k] = factors_of[m]
+    real = np.arange(width)[:, None] < np.array([len(cols) for cols in nonzero])
+    return a[0], a[1], factors, real
 
 
-def _form_enclosure(terms, lo, hi):
-    """Enclosures (f_lo, f_hi) of f on the boxes (rows of lo, hi): each of
-    the `_form_terms` is multiplied out coordinate by coordinate, skipping
-    the zero exponents, and the terms are summed in order from 0."""
-    a_lo, a_hi, E = terms
-    t_lo, t_hi = np.tile(a_lo, (len(lo), 1)), np.tile(a_hi, (len(lo), 1))
-    for i, exps in enumerate(E.T):
-        cols = np.flatnonzero(exps)
-        if not cols.size:
-            continue
-        ks = exps[cols].tolist()
-        powers = {k: _ipow(lo[:, i], hi[:, i], k) for k in set(ks)}
-        p_lo, p_hi = np.stack([powers[k] for k in ks], axis=2)
-        t_lo[:, cols], t_hi[:, cols] = _imul(t_lo[:, cols], t_hi[:, cols], p_lo, p_hi)
-    f_lo, f_hi = np.zeros(len(lo)), np.zeros(len(lo))
-    for m in range(len(E)):
-        f_lo, f_hi = _down(f_lo + t_lo[:, m]), _up(f_hi + t_hi[:, m])
+def _block_enclosure(terms, lo, hi, pf, pb):
+    """Enclosures (f_lo, f_hi) of form pf[r] on box pb[r] (rows of lo, hi)
+    for every pair r: each of the form's `_block_terms` is multiplied by its
+    factors in coordinate order, powers of the box's coordinates taken once
+    per box; then the real terms are summed in order from 0, the padding
+    skipped, so no zero term is ever rounded. Pairs go in slices of at most
+    _PAIRS << 2 pair terms."""
+    a_lo, a_hi, factors, real = terms
+    n1 = lo.shape[1]
+    table = np.ones((2, int(factors.max()) + 1, len(lo)))  # row k n1 + i: [lo_i, hi_i]^k on each box
+    for row in set(factors[factors >= 0].tolist()):
+        table[:, row] = _ipow(lo[:, row % n1], hi[:, row % n1], row // n1)
+    f_lo, f_hi = np.zeros(len(pf)), np.zeros(len(pf))
+    step = max(1, (_PAIRS << 2) // len(a_lo))
+    for s in range(0, len(pf), step):
+        F, B = pf[s : s + step], pb[s : s + step]
+        # the pair terms as flat arrays, term-major. Every real term has a
+        # first factor, and the padding terms take any (finite) row there;
+        # each later slot multiplies only the terms that have a factor in it
+        t_lo, t_hi, B = a_lo[:, F].ravel(), a_hi[:, F].ravel(), np.tile(B, len(a_lo))
+        rows = factors[0][:, F].ravel()
+        t_lo, t_hi = _imul(t_lo, t_hi, table[0][rows, B], table[1][rows, B])
+        for rows in factors[1:]:
+            rows = rows[:, F].ravel()
+            at = np.flatnonzero(rows >= 0)
+            rows, boxes = rows[at], B[at]
+            t_lo[at], t_hi[at] = _imul(t_lo[at], t_hi[at], table[0][rows, boxes], table[1][rows, boxes])
+        t_lo, t_hi = t_lo.reshape(len(a_lo), -1), t_hi.reshape(len(a_lo), -1)
+        s_lo, s_hi, r = f_lo[s : s + step], f_hi[s : s + step], real[:, F]
+        for m in range(len(r)):
+            np.copyto(s_lo, _down(s_lo + t_lo[m]), where=r[m])
+            np.copyto(s_hi, _up(s_hi + t_hi[m]), where=r[m])
     return f_lo, f_hi
 
 
@@ -713,10 +861,10 @@ def _direction_grid(n: int, xi_inf) -> np.ndarray:
     return grid
 
 
-def _newton_in_cap(form: Form, v, xi_inf, sigma: float):
-    """Certified 1-D Newton line search from a rational cap point."""
+def _newton_in_cap(form: Form, v, grads, xi_inf, sigma: float):
+    """Certified 1-D Newton line search from a rational cap point v, along
+    the two coordinates where the gradient `grads` of f at v is largest."""
     n = form.basis.n
-    grads = gradient_form(form, v)
     order = sorted(range(n + 1), key=lambda i: -abs(float(grads[i])))
     for j in order[:2]:
         if grads[j] == 0:

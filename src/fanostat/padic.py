@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import HypothesisFailed, NonConvergence, PreconditionFailed
 from .veronese import Form, _line_restriction, evaluate_form, gradient_form
 
@@ -171,6 +173,20 @@ def newton_margin(coeffs, alpha0: float) -> float:
     return 2.0 * max(_poly_bound_on_unit_ball(d1, alpha0), _poly_bound_on_unit_ball(d2, alpha0), 1.0)
 
 
+def newton_hopeless(f0, fp0):
+    """Mask where the precondition of `newton_real_root` certainly fails,
+    read from f(a0) and f'(a0) alone (floats or arrays of them): f'(a0) = 0,
+    or eta = |f(a0)| / f'(a0)^2 >= (1 + 2^-40) / G for G = 2 max(|f'(a0)|, 1).
+    `newton_margin`'s F bounds |f'| on a ball around a0, so F >= G and
+    eta >= 1/G >= 1/F; the margin 2^-40 lies far above the few roundings in
+    which this eta and 1/G can differ from the ones `newton_real_root` takes.
+    """
+    f0, fp0 = np.asarray(f0, dtype=np.float64), np.asarray(fp0, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        eta = np.abs(f0) / (fp0 * fp0)
+        return (fp0 == 0) | (eta >= (1 + 2.0**-40) / (2.0 * np.maximum(np.abs(fp0), 1.0)))
+
+
 def newton_real_root(coeffs, alpha0: float, tol: float = 1e-12, max_iter: int = 200):
     """Certified real Newton iteration.
 
@@ -184,8 +200,10 @@ def newton_real_root(coeffs, alpha0: float, tol: float = 1e-12, max_iter: int = 
     fp0 = poly_eval(dcoeffs, alpha0)
     if fp0 == 0:
         raise PreconditionFailed("f'(a0) = 0")
-    F = newton_margin(coeffs, alpha0)
     eta = abs(f0) / fp0**2
+    if newton_hopeless(f0, fp0):
+        raise PreconditionFailed(f"eta = {eta:.3g} >= 1/(2 max(|f'(a0)|, 1))")
+    F = newton_margin(coeffs, alpha0)
     if not eta < 1.0 / F:
         raise PreconditionFailed(f"eta = {eta:.3g} >= 1/F = {1.0 / F:.3g}")
     bound = (1.0 + F * eta) * abs(f0 / fp0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fanostat import census
+from fanostat import census, localsolve
 from fanostat.census import (
     _beyond_verdicts,
     _candidate_points,
@@ -651,17 +651,17 @@ def test_every_grid_hit_is_a_rational_point_near_the_target(case):
 
 
 def test_forms_with_a_target_point_skip_the_deciders(monkeypatch):
-    calls = {"real": 0, "padic": 0}
+    calls = {"real": 0, "padic": 0}  # forms sent to the real decider; p-adic decider calls
 
-    def counted(key, fn):
+    def counted(key, fn, forms):
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            calls[key] += len(args[0]) if forms else 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(census, "decide_real_solubility", counted("real", census.decide_real_solubility))
-    monkeypatch.setattr(census, "decide_padic_batch", counted("padic", census.decide_padic_batch))
+    monkeypatch.setattr(census, "decide_real_batch", counted("real", census.decide_real_batch, True))
+    monkeypatch.setattr(census, "decide_padic_batch", counted("padic", census.decide_padic_batch, False))
     # every cubic surface of height 1 has a point on the grid: no decider runs
     report = local_census(3, 3, 1, 2, AdelicTarget.trivial(3))
     assert report.point_decided == report.total_forms == 20
@@ -676,6 +676,22 @@ def test_forms_with_a_target_point_skip_the_deciders(monkeypatch):
         assert report.total_forms - report.point_decided == pointless
         assert calls["real"] == decided
         assert report.arch_kinds["no"].get("s-lemma", 0) == certified
+
+
+def test_cubic_cap_census_is_pinned_and_does_not_depend_on_grouping(monkeypatch):
+    # cubic surfaces of height 3/2 in census-cap's cap: 74 forms reach the
+    # real decider, which leaves 39 of them unknown at its budget of 4000
+    cap = AdelicTarget((), (3, -1, 2, 1), Fraction(1, 2))
+    report = local_census(3, 3, Fraction(3, 2), 2, cap)
+    assert (report.m_interval, report.e_interval) == ((656, 734), (0, 0))
+    assert report.arch_kinds == {
+        "yes": {"newton-line": 2, "point": 326},
+        "no": {"interval-exclusion": 33},
+        "unknown": {"subdivision budget": 39},
+    }
+    for group in (1, 2):  # forms per exclusion group at the census's budget of 4000
+        monkeypatch.setattr(localsolve, "_PAIRS", group * 4000)
+        assert local_census(3, 3, Fraction(3, 2), 2, cap) == report
 
 
 def test_north_star_censuses_are_decided_by_points():

@@ -98,6 +98,7 @@ ENTRY_POINTS = (
     ("veronese", "parse_form", "reads back the text str(form) writes"),
     ("veronese", "height", "the paper's height H(x) = |x|^(n+1-d), which height_bound_norm2 inverts"),
     ("veronese", "height_squared", "H(x)^2 exactly, to compare a point with a height bound"),
+    ("cli", "main", "the fanostat console script pyproject.toml declares"),
     # the names perfbench reads
     ("census", "first_moment_direct", TRACED),
     ("census", "first_moment_dual", TRACED),
@@ -111,6 +112,7 @@ ENTRY_POINTS = (
     ("localsolve", "decide_padic_solubility", TRACED),
     ("localsolve", "canonical_projective_residues", TRACED),
     ("localsolve", "decide_real_solubility", TRACED),
+    ("localsolve", "decide_real_batch", "the census decides its forms at the real place with it"),
     ("localsolve", "classify_balls", TRACED),
     ("localsolve", "AdelicTarget", "the workloads build their targets from it"),
     ("localsolve", "BallClassification", "the workloads read density intervals off it"),

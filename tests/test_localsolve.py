@@ -21,6 +21,7 @@ from fanostat.localsolve import (
     count_projective_points,
     decide_padic_batch,
     decide_padic_solubility,
+    decide_real_batch,
     decide_real_solubility,
     density_sandwich,
     fit_tail_constant,
@@ -383,7 +384,7 @@ def _depth_first_decide(form, xi, sigma, budget):
     if pos and neg:
         return TriState.yes({"kind": "sign-change", "positive": pos[0], "negative": neg[0]})
     for v in pos + neg:
-        cert = localsolve._newton_in_cap(form, v, xi, float(sigma))
+        cert = localsolve._newton_in_cap(form, v, gradient_form(form, v), xi, float(sigma))
         if cert is not None:
             return TriState.yes(cert)
     n1 = form.basis.n + 1
@@ -414,15 +415,6 @@ def _depth_first_decide(form, xi, sigma, budget):
 _SIGMAS = [Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10), Fraction(1)]
 
 
-@st.composite
-def _forms(draw, big=False):
-    d, n = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 2, 3]))
-    N = dimension(d, n)
-    entries = st.integers(-5, 5) | st.sampled_from([2**53 + 1, -(3**40)]) if big else st.integers(-5, 5)
-    coeffs = draw(st.lists(entries, min_size=N, max_size=N).filter(any))
-    return make_form(d, n, coeffs, primitive=False)
-
-
 def _dyadic_boxes(seed, n1, count=32):
     """Random boxes in [-1, 1]^n1 as (lo, hi), each coordinate's ends on a
     grid 2^-k Z with 10 <= k <= 21, as the subdivision makes them."""
@@ -433,19 +425,38 @@ def _dyadic_boxes(seed, n1, count=32):
     return a / scale, (a + w) / scale
 
 
+@st.composite
+def _blocks(draw):
+    """1..4 forms on one basis with mixed term counts, dense or with a few
+    nonzero terms, and coefficients past 2^53."""
+    d, n = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 2, 3]))
+    N = dimension(d, n)
+    entries = st.integers(-5, 5) | st.sampled_from([2**53 + 1, -(3**40)])
+    forms = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = draw(st.lists(entries, min_size=N, max_size=N).filter(any))
+        keep = draw(st.sets(st.integers(0, N - 1), min_size=1, max_size=N))
+        if any(coeffs[m] for m in keep):
+            coeffs = [a if m in keep else 0 for m, a in enumerate(coeffs)]
+        forms.append(make_form(d, n, coeffs, primitive=False))
+    return forms
+
+
 @settings(max_examples=20)
-@given(_forms(big=True), st.sampled_from(_SIGMAS), st.integers(0, 2**32), st.data())
-def test_batched_enclosures_match_the_scalar_oracle_bit_for_bit(form, sigma, seed, data):
-    n1 = form.basis.n + 1
+@given(_blocks(), st.sampled_from(_SIGMAS), st.integers(0, 2**32), st.data())
+def test_batched_enclosures_match_the_scalar_oracle_bit_for_bit(forms, sigma, seed, data):
+    n1 = forms[0].basis.n + 1
     lo, hi = _dyadic_boxes(seed, n1)
     xi = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n1, max_size=n1).filter(any)))
-    f_lo, f_hi = localsolve._form_enclosure(localsolve._form_terms(form), lo, hi)
+    # every (form, box) pair, in a shuffled order
+    pf, pb = np.divmod(np.random.default_rng(seed).permutation(len(forms) * len(lo)), len(lo))
+    f_lo, f_hi = localsolve._block_enclosure(localsolve._block_terms(forms), lo, hi, pf, pb)
     outside = localsolve._outside_cap(localsolve._cap_terms(xi, sigma), lo, hi)
+    for k, r, a, b in zip(pf.tolist(), pb.tolist(), f_lo, f_hi):
+        ref = _form_on_box(forms[k], [_Interval(x, y) for x, y in zip(lo[r], hi[r])])
+        assert (a.hex(), b.hex()) == (ref.lo.hex(), ref.hi.hex())
     for r in range(len(lo)):
-        box = [_Interval(a, b) for a, b in zip(lo[r], hi[r])]
-        ref = _form_on_box(form, box)
-        assert (f_lo[r].hex(), f_hi[r].hex()) == (ref.lo.hex(), ref.hi.hex())
-        assert outside[r] == _box_outside_cap(box, xi, sigma)
+        assert outside[r] == _box_outside_cap([_Interval(a, b) for a, b in zip(lo[r], hi[r])], xi, sigma)
 
 
 @st.composite
@@ -474,6 +485,100 @@ def test_decide_real_matches_the_depth_first_oracle(case):
     assert res.verdict == ref.verdict
     if res.verdict != "unknown":
         assert res.certificate == ref.certificate
+
+
+@st.composite
+def _decider_blocks(draw):
+    """1..6 forms on one basis: mixed term counts, quadrics leaning definite
+    (so the block mixes yes, no and unknown), one axis, aperture and budget."""
+    d, n = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2, 3]))
+    basis = monomial_basis(d, n)
+    forms = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=basis.size, max_size=basis.size))
+        keep = draw(st.sets(st.integers(0, basis.size - 1), min_size=1, max_size=basis.size))
+        coeffs = [a if m in keep else 0 for m, a in enumerate(coeffs)]
+        if d == 2:
+            shift = draw(st.integers(0, 6))
+            coeffs = [a + shift * (max(e) == 2) for a, e in zip(coeffs, basis.monomials)]
+        if any(coeffs):
+            forms.append(make_form(d, n, coeffs, primitive=False))
+    assume(forms)
+    xi = tuple(draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1).filter(any)))
+    sigma = draw(st.sampled_from(_SIGMAS + [0.6]))
+    return forms, xi, sigma, draw(st.sampled_from([1, 40, 300]))
+
+
+_EVERY_KIND = ((-5, -5, -5), (-4, -5, 4), (-4, -5, 5), (-3, -5, 2), (-3, -5, 3))  # no, small cells, newton, zero, sign
+
+
+@settings(max_examples=20)
+@given(_decider_blocks())
+@example(([make_form(2, 1, c, primitive=False) for c in _EVERY_KIND], (1, 0), Fraction(1, 2), 2000))
+def test_decide_real_batch_equals_one_form_calls_and_the_oracle(case):
+    forms, xi, sigma, budget = case
+    batch = decide_real_batch(forms, xi, sigma, budget)
+    assert len(batch) == len(forms)
+    for form, res in zip(forms, batch):
+        # the whole certificate: kind, point, reason, cells, pending and box
+        assert res == decide_real_solubility(form, xi, sigma, subdivision_budget=budget)
+        ref = _depth_first_decide(form, xi, sigma, budget)
+        assert res.verdict == ref.verdict
+        if res.verdict != "unknown":
+            assert res.certificate == ref.certificate
+
+
+def test_decide_real_batch_keeps_a_budget_overrun_to_its_form(monkeypatch):
+    # around (1, 0, 0) at sigma = 1/2: X0^2 + X1^2 = X2^2 needs one box more
+    # than the budget, the definite forms fewer, and X0^2 - 9 X1^2 changes
+    # sign on the grid
+    xi, sigma = (1, 0, 0), Fraction(1, 2)
+    cone = mkform(2, 2, m_200=1, m_020=1, m_002=-1)
+    definite = [mkform(2, 2, m_200=1, m_020=1, m_002=1), mkform(2, 2, m_200=3, m_011=1, m_002=2)]
+    sign = mkform(2, 2, m_200=1, m_020=-9)
+    cells = decide_real_solubility(cone, xi, sigma).certificate["cells"]
+    budget = cells - 1
+    alone = [decide_real_solubility(f, xi, sigma, budget) for f in definite + [sign]]
+    assert [r.verdict for r in alone] == ["no", "no", "yes"]
+    assert max(r.certificate["cells"] for r in alone[:2]) < budget
+    for group in (1, 2, 4):  # forms per exclusion group
+        monkeypatch.setattr(localsolve, "_PAIRS", group * budget)
+        first, *rest = decide_real_batch([cone] + definite + [sign], xi, sigma, budget)
+        assert first == decide_real_solubility(cone, xi, sigma, budget)
+        assert first.certificate["reason"] == "subdivision budget"
+        assert rest == alone
+
+
+def test_newton_is_skipped_only_where_it_finds_no_root():
+    # derandomised forms around random axes: wherever the batch skips a side
+    # as hopeless, the scalar line search from it finds no root
+    rng = random.Random(41)
+    skipped = tried = 0
+    for _ in range(30):
+        d, n = rng.choice([(2, 1), (2, 2), (3, 2), (3, 3)])
+        basis = monomial_basis(d, n)
+        rows = [[rng.randint(-5, 5) for _ in range(basis.size)] for _ in range(3)]
+        forms = [make_form(d, n, c, primitive=False) for c in rows if any(c)]
+        xi = tuple(rng.randint(-3, 3) or 1 for _ in range(n + 1))
+        sigma = rng.choice(_SIGMAS[1:])
+        points, sides, flipped, V = localsolve._cap_grid(basis, xi, sigma)
+        if not sides:
+            continue
+        vals = np.array([[evaluate_form(f, v) for v in points] for f in forms])
+        grads = np.array([[gradient_form(f, w) for w in sides] for f in forms])
+        hopeless = padic.newton_hopeless(vals[:, :, None], grads).all(axis=2)
+        for f, row in zip(forms, hopeless):
+            for w, skip in zip(sides, row.tolist()):
+                if skip:
+                    skipped += 1
+                    assert localsolve._newton_in_cap(f, w, gradient_form(f, w), xi, float(sigma)) is None
+                else:
+                    tried += 1
+    assert skipped > 0 and tried > 0, (skipped, tried)
+    # the newton-line examples of the oracle test are not skipped
+    for form, xi, sigma in ((make_form(2, 1, [5, 1, -3]), (3, -3), Fraction(1, 4)),
+                            (make_form(3, 2, [1, 2, 4, -5, -1, -5, -3, -4, -5, -3]), (-1, 1, 1), Fraction(1, 10))):
+        assert decide_real_solubility(form, xi, sigma, 40).certificate["kind"] == "newton-line"
 
 
 def test_decide_real_unknown_reports_cells_and_the_frontier():
@@ -527,7 +632,7 @@ def test_newton_line_search_lets_unexpected_errors_through(monkeypatch):
     monkeypatch.setattr(localsolve, "newton_real_root", broken)
     f = mkform(2, 2, m_200=2, m_020=1, m_002=-1)
     with pytest.raises(ZeroDivisionError):
-        localsolve._newton_in_cap(f, (1, 0, 1), (1, 0, 1), 1 / 3)
+        localsolve._newton_in_cap(f, (1, 0, 1), gradient_form(f, (1, 0, 1)), (1, 0, 1), 1 / 3)
 
 
 def test_classify_balls_matches_congruence_set_at_v_equals_e():
@@ -866,7 +971,7 @@ def test_try_lift_computes_the_gradient_once(monkeypatch):
         return gradient_form(form, x)
 
     monkeypatch.setattr(padic, "gradient_form", counted)
-    monkeypatch.setattr(localsolve, "gradient_form", counted)
+    monkeypatch.setattr(localsolve, "gradient_form", counted, raising=False)
     rng = random.Random(11)
     outcomes = {"lifted": 0, "refused": 0}
     for _ in range(40):
