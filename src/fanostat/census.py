@@ -404,10 +404,12 @@ class CensusReport:
 
 
 def _target_grid(basis, target: AdelicTarget):
-    """The points of the real decider's cap grid (`localsolve._cap_grid`)
-    that meet the target (`target_mask`), and their Veronese rows."""
+    """The points of the real decider's cap grid (`localsolve._cap_grid`),
+    made primitive, that meet the target (`target_mask`), and their Veronese
+    rows (a multiple of a point has the same zeros)."""
     points, _, _, V = _cap_grid(basis, tuple(target.xi_inf), Fraction(target.sigma_inf))
     X = np.array(points, dtype=np.int64).reshape(-1, basis.n + 1)
+    X //= np.gcd.reduce(np.abs(X), axis=1, keepdims=True)
     keep = target_mask(target, X)
     return X[keep], V[keep]
 

@@ -21,22 +21,20 @@ unit u, and x in the real cap by the exact `geom.cone_member`. The real
 decider's direction grid is cut to its cap by the same `cone_member`.
 
 Every question "which admissible residues x mod p^v have f(x) == 0?" (the
-p-adic decider, F_p point counts, ball classification) is answered on one
-int64 array of canonical residues (pivot, the first unit entry, equal to 1;
-entries before it in pZ), paired with the coefficients through
-`veronese.pairings`. The residues mod p^v above a canonical x mod p^e are
-exactly x + p^e s with s in [0, p^(v-e))^m and s_pivot = 0, so the decider
-lifts its frontier one such fibre at a time and sorts each level.
-
-The points of P^n(F_p) come from a residue table, cached per (basis, p):
-the canonical residues mod p in lexicographic order, their Veronese rows
-mod p, and the exact Veronese rows of their centred representatives (built
-in int64 only where the monomials provably fit). One product of a block of
-forms' coefficient rows against the table gives every form's zeros mod p
-and which of them are exact integer zeros, so `decide_padic_batch` decides
-the first level of a whole block of forms at once and then searches the
-deeper levels form by form; `decide_padic_solubility` is its one-form case,
-and `count_projective_points` reads the same table.
+p-adic decider, F_p point counts, ball classification) starts from one
+enumeration, the points of P^n(F_p) as canonical residues mod p (pivot, the
+first unit entry, equal to 1; entries before it in pZ) in lexicographic
+order, and reaches p^v through fibres: the residues mod p^v above a
+canonical x mod p^e are exactly x + p^e s with s in [0, p^(v-e))^m and
+s_pivot = 0. Zeros are found by one kernel, `_start_zeros`, on a residue
+table (the residues, their Veronese rows mod p^v and the exact Veronese rows
+of their centred representatives): one product of a block of forms'
+coefficient rows against it (`veronese.pairings`) gives every form's zeros
+mod p^v and which of them are exact integer zeros. `decide_padic_batch`
+decides the first level of a block of forms against the table of P^n(F_p),
+cached per (basis, p), and each deeper level form by form against uncached
+tables of the frontier fibres; `decide_padic_solubility` is its one-form
+case, and `count_projective_points` reads the same cached table.
 
 The real decider works the same way on a block of forms on one basis
 (`decide_real_batch`): one exact product against the cached cap grid gives
@@ -83,7 +81,6 @@ from .veronese import (
     _line_restriction,
     coefficient_matrix,
     dimension,
-    evaluate_form,
     monomial_basis,
     pairings,
     row_pairings,
@@ -233,42 +230,15 @@ def canonical_projective_residues(m: int, p: int, v: int):
 
     Canonical: entries before the pivot divisible by p, pivot entry 1.
     """
-    return [tuple(x) for x in np.concatenate(list(_canonical_blocks(m, p, v))).tolist()]
+    X = _residue_fibre(np.concatenate(list(_lexicographic_blocks(m, p))), p, 1, v)
+    X = X[np.lexsort((*X.T[::-1], np.argmax(X % p != 0, axis=1)))]
+    return [tuple(x) for x in X.tolist()]
 
 
 def _grid(radices, start: int, stop: int) -> np.ndarray:
     """Rows start..stop-1 of the product of range(r) over radices, in
     lexicographic order (the last coordinate varies fastest)."""
     return np.stack(np.unravel_index(np.arange(start, stop, dtype=np.int64), radices), axis=1)
-
-
-def _canonical_blocks(m: int, p: int, v: int):
-    """The canonical residues mod p^v in m coordinates, pivot by pivot and
-    lexicographic within a pivot, as read-only int64 arrays of _CHUNK rows
-    (the last one shorter)."""
-    total = sum(p ** ((v - 1) * pivot + v * (m - pivot - 1)) for pivot in range(m))
-    for start in range(0, total, _CHUNK):
-        yield _canonical_rows(m, p, v, start)
-
-
-@lru_cache(maxsize=32)
-def _canonical_rows(m: int, p: int, v: int, start: int) -> np.ndarray:
-    """Rows start.. (at most _CHUNK) of the canonical residues: for each
-    pivot, entries before it in p [0, p^(v-1)), the pivot 1, entries after
-    it in [0, p^v). Cached, because deciders and point counts ask for the
-    same few small tables many times; hence read-only."""
-    parts = []
-    for pivot in range(m):
-        radices = [p ** (v - 1)] * pivot + [1] + [p**v] * (m - pivot - 1)
-        size = math.prod(radices)
-        lo, hi = max(start, 0), min(start + _CHUNK, size)
-        if lo < hi:
-            G = _grid(radices, lo, hi)
-            parts.append(G * np.array([p] * pivot + [1] * (m - pivot)) + (np.arange(m) == pivot))
-        start -= size
-    X = np.concatenate(parts)
-    X.flags.writeable = False
-    return X
 
 
 def _residue_fibre(X, p: int, e: int, v: int) -> np.ndarray:
@@ -296,19 +266,11 @@ def _centred_rows(X: np.ndarray, mod: int) -> np.ndarray:
     return np.where(X > mod // 2, X - mod, X)
 
 
-def _residue_zeros(form: Form, blocks, mod: int) -> np.ndarray:
-    """The residues x in the arrays `blocks` with f(x) == 0 mod `mod`, in
-    lexicographic order; one block is evaluated at a time."""
-    a = np.array([[c % mod for c in form.coeffs]], dtype=np.int64)
-    Z = np.concatenate([X[pairings(a, veronese_batch(form.basis, X) % mod)[0] % mod == 0] for X in blocks])
-    return Z[np.lexsort(Z.T[::-1])]
-
-
 def _table(basis, X: np.ndarray, mod: int):
     """The residue table of the residues X mod `mod`: X, their Veronese rows
     mod `mod` and the exact Veronese rows of their centred representatives,
     all read-only; the rows in the narrowest integer type that holds them,
-    since tables are cached (`pairings` widens them again)."""
+    since the tables of P^n(F_p) are cached (`pairings` widens them again)."""
     table = (X, _narrow(veronese_batch(basis, X) % mod), _narrow(veronese_batch(basis, _centred_rows(X, mod))))
     for T in table:
         T.flags.writeable = False
@@ -326,37 +288,39 @@ def _narrow(M: np.ndarray) -> np.ndarray:
 
 
 def _residue_tables(basis, p: int):
-    """The residue table of every point of P^n(F_p), as canonical residues
-    in lexicographic order, in blocks of _CHUNK rows. A table of one block
-    is cached, because every form of a census asks for it at every prime;
-    larger ones are rebuilt block by block, so memory stays at one block."""
-    total = (p ** (basis.n + 1) - 1) // (p - 1)
-    if total <= _CHUNK:
+    """The residue table of every point of P^n(F_p) (`_lexicographic_blocks`),
+    in blocks of _CHUNK rows. A table of one block is cached, because every
+    form of a census asks for it at every prime; larger ones are rebuilt
+    block by block, so memory stays at one block."""
+    if (p ** (basis.n + 1) - 1) // (p - 1) <= _CHUNK:
         yield _small_residue_table(basis, p)
         return
-    for start in range(0, total, _CHUNK):
-        yield _table(basis, _lexicographic_rows(basis.n + 1, p, start), p)
+    for X in _lexicographic_blocks(basis.n + 1, p):
+        yield _table(basis, X, p)
 
 
 @lru_cache(maxsize=16)
 def _small_residue_table(basis, p: int):
-    return _table(basis, _lexicographic_rows(basis.n + 1, p, 0), p)
+    (X,) = _lexicographic_blocks(basis.n + 1, p)
+    return _table(basis, X, p)
 
 
-def _lexicographic_rows(m: int, p: int, start: int) -> np.ndarray:
-    """Rows start.. (at most _CHUNK) of the canonical residues mod p in m
-    coordinates in lexicographic order: the pivot from the last coordinate
-    to the first, zeros before it, 1 at it, entries in [0, p) after it."""
-    parts = []
-    for pivot in reversed(range(m)):
-        size = p ** (m - pivot - 1)
-        lo, hi = max(start, 0), min(start + _CHUNK, size)
-        if lo < hi:
-            G = _grid([1] * (pivot + 1) + [p] * (m - pivot - 1), lo, hi)
-            G[:, pivot] = 1
-            parts.append(G)
-        start -= size
-    return np.concatenate(parts)
+def _lexicographic_blocks(m: int, p: int):
+    """The canonical residues mod p in m coordinates, the points of
+    P^(m-1)(F_p), in lexicographic order: the pivot from the last coordinate
+    to the first, zeros before it, 1 at it, entries in [0, p) after it. In
+    blocks of _CHUNK rows (the last one shorter)."""
+    for start in range(0, (p**m - 1) // (p - 1), _CHUNK):
+        parts, offset = [], start
+        for pivot in reversed(range(m)):
+            size = p ** (m - pivot - 1)
+            lo, hi = max(offset, 0), min(offset + _CHUNK, size)
+            if lo < hi:
+                G = _grid([1] * (pivot + 1) + [p] * (m - pivot - 1), lo, hi)
+                G[:, pivot] = 1
+                parts.append(G)
+            offset -= size
+        yield np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +371,13 @@ def decide_padic_batch(
     first raised for it. The starting residues depend only on (p, n, e_p),
     so their budget check raises once for all forms.
 
-    The starting level is evaluated for a block of forms at once: one
-    product of their coefficient rows against the residue table (every
-    point of P^n(F_p), or xi's class) gives each form its zeros there and
-    which of them centre to exact integer zeros. A block holds at most
-    _CHUNK form x residue pairs. Each form then runs the level-by-level
-    search of `_search_levels` on its own zeros.
+    Every level goes through one kernel, `_start_zeros`. The starting level
+    is evaluated for a block of forms at once: one product of their
+    coefficient rows against the residue table (every point of P^n(F_p), or
+    xi's class) gives each form its zeros there and which of them centre to
+    exact integer zeros. A block holds at most _CHUNK form x residue pairs.
+    Each form then runs the level-by-level search of `_search_levels` on its
+    own zeros.
     """
     if e_p > 0 and xi is None:
         raise ValueError("a target residue is required when e_p >= 1")
@@ -429,16 +394,8 @@ def decide_padic_batch(
     for lo in range(0, len(forms), size):
         block = forms[lo : lo + size]
         rows, Z, E = _start_zeros(block, xi_class or _residue_tables(basis, p), p**v0)
-        cuts = np.searchsorted(rows, np.arange(len(block) + 1))
-        # a form whose first zero centres to an exact zero is decided at once
-        first, has = cuts[:-1], cuts[1:] > cuts[:-1]
-        done = np.zeros(len(block), dtype=bool)
-        done[has] = E[first[has]]
-        points = iter(_centred_rows(Z[first[done]], p**v0).tolist())
-        for form, a, b, now in zip(block, cuts.tolist(), cuts[1:].tolist(), done.tolist()):
-            if now:
-                out.append(TriState.yes(ExactZeroCertificate(p, tuple(next(points)), e_p)))
-                continue
+        cuts = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
+        for form, a, b in zip(block, cuts, cuts[1:]):
             try:
                 out.append(_search_levels(form, p, e_p, v0, Z[a:b], E[a:b], depth_budget, node_budget))
             except EnumerationBudgetExceeded as exc:
@@ -462,16 +419,16 @@ def _start_zeros(forms, tables, mod: int):
 def _search_levels(form: Form, p: int, e_p: int, v: int, Z, E, depth_budget: int, node_budget: int) -> TriState:
     """The level-by-level search of `decide_padic_solubility` from the zeros
     Z mod p^v (lexicographic order) and the mask E of those that centre to
-    exact integer zeros."""
+    exact integer zeros. Each deeper level takes the same kernel,
+    `_start_zeros`, over an uncached residue table of each frontier fibre,
+    and is sorted lexicographically."""
     n, v0, nodes = form.basis.n, v, 0
     while True:
         if len(Z) == 0:
             return TriState.no({"depth": v, "reason": "no admissible residue zero"})
-        residues = Z.tolist()
-        # the pivot entry is 1, so every point is primitive at p; which are
-        # exact zeros the table says at the first level, evaluate_form later
-        exact = E if v == v0 else (evaluate_form(form, _centered(x, p, v)) == 0 for x in residues)
-        for x, is_zero in zip(residues, exact):
+        # the pivot entry is 1, so every point is primitive at p; rows are
+        # converted as the search reaches them, since most forms stop at one
+        for x, is_zero in zip(map(np.ndarray.tolist, Z), E):
             if is_zero:
                 # an exact integer zero is a complete certificate by itself
                 return TriState.yes(ExactZeroCertificate(p, _centered(x, p, v), e_p))
@@ -483,9 +440,12 @@ def _search_levels(form: Form, p: int, e_p: int, v: int, Z, E, depth_budget: int
         nodes += len(Z) * p**n
         if nodes > node_budget:
             raise EnumerationBudgetExceeded("residue search too large", nodes)
-        # one fibre per frontier residue at a time: memory stays at one fibre
-        Z = _residue_zeros(form, (_residue_fibre(x, p, v, v + 1) for x in Z), p ** (v + 1))
         v += 1
+        # one fibre per frontier residue at a time: memory stays at one fibre
+        fibres = (_table(form.basis, _residue_fibre(x, p, v - 1, v), p**v) for x in Z)
+        _, Z, E = _start_zeros([form], fibres, p**v)
+        order = np.lexsort(Z.T[::-1])
+        Z, E = Z[order], E[order]
 
 
 def _centered(x, p: int, v: int) -> tuple:
@@ -983,7 +943,7 @@ def classify_balls(
     if e_p >= 1:
         X = _residue_fibre(canonical_residue(xi.entries, xi.p, e_p), p, e_p, k)
     else:
-        X = np.concatenate(list(_canonical_blocks(n + 1, p, k)))
+        X = np.concatenate(list(_lexicographic_blocks(n + 1, p)))
     # a job (parents, B, s, R, owner) holds the classes parents[i] + s B[r],
     # for every row r of B, each tested against the residues R[j] with
     # owner[j] == i; at the first level the one parent is 0

@@ -723,6 +723,19 @@ def test_staged_point_pass_matches_the_whole_grid_product(monkeypatch, d, A, P):
     assert census._point_hits(rows, V).tolist() == whole.tolist()
 
 
+def test_point_pass_meets_the_cap_axis():
+    # the grid holds census-cap's axis as 2 xi = (6, -2, 4, 2); divided by
+    # its gcd it meets the target, so a cubic vanishing at xi has a point
+    cap = AdelicTarget((), (3, -1, 2, 1), Fraction(1, 2))
+    basis = monomial_basis(3, 3)
+    rows = census._coefficient_rows(3, 3, 2, 10**7)
+    at_axis = rows[pairings(rows, np.array([veronese(basis, cap.xi_inf)], dtype=np.int64))[:, 0] == 0]
+    assert len(at_axis) > 0
+    X, V = _target_grid(basis, cap)
+    assert (3, -1, 2, 1) in map(tuple, X.tolist())
+    assert census._point_hits(at_axis, V).all()
+
+
 def test_first_moment_direct_is_the_same_in_small_blocks(monkeypatch):
     t = AdelicTarget.trivial(3)
     monkeypatch.setattr(census, "_CHUNK", 7)

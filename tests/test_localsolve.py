@@ -28,9 +28,7 @@ from fanostat.localsolve import (
     local_density,
     target_mask,
     translate_local_conditions,
-    _canonical_blocks,
     _residue_fibre,
-    _residue_zeros,
 )
 from fanostat.padic import (
     ExactZeroCertificate,
@@ -844,12 +842,18 @@ def test_residue_fibre_equals_canonicalised_lifts(p, m, v, data):
     assert _residue_fibre(x, p, e, v).tolist() == [list(c) for c in _scalar_fibre(x, p, e, v)]
 
 
-def test_canonical_blocks_cut_across_pivots():
-    # 125^2 + 25 * 125 + 5^4 = 19375 residues: two blocks, cut inside pivot 1
-    blocks = list(_canonical_blocks(3, 5, 3))
-    assert [len(X) for X in blocks] == [localsolve._CHUNK, 19375 - localsolve._CHUNK]
-    assert [tuple(x) for X in blocks for x in X.tolist()] == _scalar_canonical_residues(3, 5, 3)
-    assert not any(X.flags.writeable for X in blocks)  # shared through the cache
+def test_canonical_projective_residues_past_one_block():
+    # 125^2 + 25 * 125 + 5^4 = 19375 residues, more than one block of rows
+    reps = canonical_projective_residues(3, 5, 3)
+    assert len(reps) == 19375 > localsolve._CHUNK
+    assert reps == _scalar_canonical_residues(3, 5, 3)
+
+
+def test_lexicographic_blocks_stream_the_points_of_projective_space():
+    # P^6(F_5) has 19531 points: two blocks, the second cut inside a pivot
+    blocks = list(localsolve._lexicographic_blocks(7, 5))
+    assert [len(X) for X in blocks] == [localsolve._CHUNK, 19531 - localsolve._CHUNK]
+    assert [tuple(x) for X in blocks for x in X.tolist()] == sorted(_scalar_canonical_residues(7, 5, 1))
 
 
 @st.composite
@@ -863,22 +867,39 @@ def _small_forms(draw):
     return make_form(d, n, [c * p**k for c, k in zip(coeffs, scale)], primitive=False), p
 
 
+def _kernel_level(form, tables, mod):
+    """The zeros of the form among the residues of the tables, sorted, each
+    with whether it centres to an exact integer zero: the kernel of every
+    level of the p-adic search."""
+    _, Z, E = localsolve._start_zeros([form], tables, mod)
+    return sorted(zip(map(tuple, Z.tolist()), E.tolist()))
+
+
+def _scalar_level(form, residues, p, v):
+    """`_kernel_level` one residue at a time, by evaluate_form."""
+    return sorted(
+        (x, evaluate_form(form, localsolve._centered(x, p, v)) == 0)
+        for x in residues
+        if evaluate_form(form, x) % p**v == 0
+    )
+
+
 @settings(max_examples=40)
 @given(_small_forms())
 def test_frontier_levels_match_a_scalar_filter(case):
     f, p = case
     n = f.basis.n
-    frontier = _residue_zeros(f, _canonical_blocks(n + 1, p, 1), p)
-    expected = sorted(x for x in canonical_projective_residues(n + 1, p, 1) if evaluate_form(f, x) % p == 0)
+    level = _kernel_level(f, localsolve._residue_tables(f.basis, p), p)
+    expected = _scalar_level(f, _scalar_canonical_residues(n + 1, p, 1), p, 1)
     for v in range(1, 4):
-        assert [tuple(x) for x in frontier.tolist()] == expected
+        assert level == expected
         if not expected or len(expected) * p**n > 1000:
             break
         mod = p ** (v + 1)
-        expected = sorted(
-            c for x in expected for c in _scalar_fibre(x, p, v, v + 1) if evaluate_form(f, c) % mod == 0
-        )
-        frontier = _residue_zeros(f, [_residue_fibre(x, p, v, v + 1) for x in frontier], mod)
+        frontier = [x for x, _ in expected]
+        expected = _scalar_level(f, [c for x in frontier for c in _scalar_fibre(x, p, v, v + 1)], p, v + 1)
+        tables = [localsolve._table(f.basis, _residue_fibre(x, p, v, v + 1), mod) for x in frontier]
+        level = _kernel_level(f, tables, mod)
 
 
 @settings(max_examples=40)
@@ -915,9 +936,9 @@ def test_padic_search_checks_its_starting_residues_against_the_budget():
 
 
 def _per_form_decide(form, p, xi=None, e_p=0, depth_budget=3, node_budget=10**7):
-    """The per-form p-adic decider that the batched one replaced: the
-    starting zeros from the canonical blocks, sorted, and every exact-zero
-    check by evaluate_form."""
+    """The p-adic decider one form and one residue at a time: the starting
+    residues and the fibres from the scalar enumerations, every zero and
+    every exact-zero check by evaluate_form."""
     n = form.basis.n
     if e_p > 0 and xi is None:
         raise ValueError("a target residue is required when e_p >= 1")
@@ -926,17 +947,17 @@ def _per_form_decide(form, p, xi=None, e_p=0, depth_budget=3, node_budget=10**7)
     if start > node_budget or p**v >= 2**63:
         raise EnumerationBudgetExceeded("residue search too large", start)
     if e_p >= 1:
-        blocks = [np.array([canonical_residue(xi.entries, xi.p, e_p)])]
+        residues = [canonical_residue(xi.entries, xi.p, e_p)]
     else:
-        blocks = _canonical_blocks(n + 1, p, 1)
-    frontier = _residue_zeros(form, blocks, p**v)
+        residues = _scalar_canonical_residues(n + 1, p, 1)
+    frontier = sorted(x for x in residues if evaluate_form(form, x) % p**v == 0)
     nodes = 0
     while True:
-        if len(frontier) == 0:
+        if not frontier:
             return TriState.no({"depth": v, "reason": "no admissible residue zero"})
-        for x in map(tuple, frontier.tolist()):
+        for x in frontier:
             exact = localsolve._centered(x, p, v)
-            if any(exact) and evaluate_form(form, exact) == 0:
+            if evaluate_form(form, exact) == 0:
                 return TriState.yes(ExactZeroCertificate(p, exact, e_p))
             cert = localsolve._try_lift(form, x, p, v, e_p)
             if cert is not None:
@@ -946,7 +967,9 @@ def _per_form_decide(form, p, xi=None, e_p=0, depth_budget=3, node_budget=10**7)
         nodes += len(frontier) * p**n
         if nodes > node_budget:
             raise EnumerationBudgetExceeded("residue search too large", nodes)
-        frontier = _residue_zeros(form, (_residue_fibre(x, p, v, v + 1) for x in frontier), p ** (v + 1))
+        mod = p ** (v + 1)
+        lifts = [c for x in frontier for c in _scalar_fibre(x, p, v, v + 1)]
+        frontier = sorted(c for c in lifts if evaluate_form(form, c) % mod == 0)
         v += 1
 
 
@@ -1088,3 +1111,13 @@ def test_decide_padic_centred_rows_never_wrap_int64(d):
         res = decide_padic_solubility(f, 7, xi, e_p)
         assert res.certificate == ExactZeroCertificate(7, (1, 3), e_p)
         assert _outcome(res) == _caught(_per_form_decide, f, 7, xi, e_p)
+
+
+def test_decide_padic_finds_an_exact_zero_below_the_first_level():
+    # 10^42 x0^42 - x1^42 at p = 7: every unit is a zero mod 7 and mod 49
+    # (phi(49) = 42) and no lift applies (7 | 42), so the first exact zero is
+    # (1, 10), found at level 2; its monomial 10^42 is past 2^63
+    f = make_form(42, 1, [10**42] + [0] * 41 + [-1], primitive=False)
+    res = decide_padic_solubility(f, 7)
+    assert res.certificate == ExactZeroCertificate(7, (1, 10), 0)
+    assert _outcome(res) == _caught(_per_form_decide, f, 7)
