@@ -8,11 +8,11 @@ quantity as a testable operation. Submodules:
 - numtheory: primes and factorization, totients, CRT, unit residue
              classes, zeta
 - veronese:  degree-d monomial vectors, forms, height bounds
-- geom:      real cones, the archimedean projective metric, unit-ball
+- geom:      real cones and caps, their exact membership test, unit-ball
              volumes
 - intlinalg: exact integer determinants, Z^m balls
 - lattice:   the theta series of the hyperplane lattice of a Veronese vector
-- padic:     p-adic valuations and metric, Hensel/Newton lifting
+- padic:     p-adic valuations and metric, Hensel lifting
 - localsolve: local solubility, ball classification, densities
 - counting:  reciprocal Veronese-norm sums and their predicted main term
 - census:    hypersurface-family statistics (first moment, local census)

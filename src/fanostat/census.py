@@ -442,9 +442,11 @@ def _arch_verdicts(forms, target: AdelicTarget, budget: int = 4000, mats=None) -
     Quadrics are decided from their 2M (`mats`, when the caller already has
     them). With sigma_inf = 1 the exact signature test decides every one. In
     a cap, sigma_inf < 1, a quadric with an S-lemma certificate that it keeps
-    one sign on the cap (`_s_lemma_certificates`) is `no`. Every other
-    quadric, and every form of higher degree, goes to the real decider, in
-    one `decide_real_batch` call."""
+    one sign on the cap (`_s_lemma_certificates`) is `no`; the certificate
+    costs less than the chart search on the quadrics it decides. Every other
+    quadric, and every form of higher degree, goes to the real decider in one
+    `decide_real_batch` call with `budget` boxes: cap-grid points, odd degree
+    at sigma_inf = 1, then the Bernstein search of the cap's affine chart."""
     certs = [None] * len(forms)
     if forms and forms[0].basis.d == 2:
         mats = mats or [quadric_matrix(f) for f in forms]
@@ -534,7 +536,8 @@ def local_census(
     deciders in blocks of at most _CHUNK form x residue pairs per prime.
     They are decided place by place: the real verdict first
     (`_arch_verdicts`: a quadric by its signature, or in a cap by an S-lemma
-    certificate when it has one; every other form by the real decider), then
+    certificate when it has one; every other form by the real decider, whose
+    chart search has 4000 boxes per form), then
     each prime <= P or in the support for the forms not yet out of M, then
     the primes beyond P (`_beyond_verdicts`). At each prime a block's forms
     are decided together by `decide_padic_batch`, against one cached residue
@@ -627,8 +630,9 @@ def real_density_interval(
 
     Each sampled form gets its verdict from `_arch_verdicts`, as in the
     census: quadrics by their signature, or in a cap by an S-lemma
-    certificate where one exists, the rest by the real decider with
-    `budget` boxes. Unknown verdicts widen the interval."""
+    certificate where one exists, the rest by the real decider (cap-grid
+    points, odd degree at sigma = 1, the Bernstein chart search with
+    `budget` boxes). Unknown verdicts widen the interval."""
     rng = rng or np.random.default_rng(0)
     N = dimension(d, n)
     # one draw fills the rows in the order of one draw per sample; np.rint

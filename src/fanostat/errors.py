@@ -14,7 +14,7 @@ class EnumerationBudgetExceeded(FanostatError):
 
 
 class PreconditionFailed(FanostatError):
-    """A Newton/Hensel starting condition does not hold; iteration refused."""
+    """A Hensel starting condition does not hold; iteration refused."""
 
 
 class HypothesisFailed(FanostatError):

@@ -3,10 +3,10 @@
     C(xi, sigma) = { x : |x ^ xi| <= sigma |x| |xi| }
                  = { x : <x, xi>^2 >= K |x|^2 },  K = (1 - sigma^2) |xi|^2,
 
-the projective metric d(x, y) = |x ^ y| / (|x| |y|) = |sin(angle)| they are
-balls of, and unit-ball volumes. Wedge norms go through the Gram identity
-|x^y|^2 = |x|^2 |y|^2 - <x,y>^2, so nothing quadratic in the ambient
-dimension is ever materialized.
+the balls of the projective metric d(x, y) = |x ^ y| / (|x| |y|) =
+|sin(angle)|, and unit-ball volumes. Wedge norms go through the Gram
+identity |x^y|^2 = |x|^2 |y|^2 - <x,y>^2, so nothing quadratic in the
+ambient dimension is ever materialized.
 
 The cap {d(x, xi) <= sigma} is defined once, here: `cap_constant` is K and
 `cap_matrix` the quadratic form <x, xi>^2 - K |x|^2 whose nonnegative set it
@@ -15,7 +15,8 @@ rational it is. `cone_member` is the one exact membership test: a row mask
 of an integer array, computed in int64 where a bound in Python integers
 shows every product fits, and in Python integers otherwise. Every point
 filter of the census, the first moment, the reciprocal sums and the real
-decider's cap grid goes through it.
+decider's cap grid goes through it, and so does every point of a real
+certificate (`localsolve.verify_real_certificate`).
 """
 
 from __future__ import annotations
@@ -24,24 +25,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-
-
-def wedge_norm_squared(x, y):
-    nx = sum(c * c for c in x)
-    ny = sum(c * c for c in y)
-    ip = sum(a * b for a, b in zip(x, y))
-    w = nx * ny - ip * ip
-    return w if w > 0 else 0 * w
-
-
-def proj_distance_arch(x, y) -> float:
-    """d(x, y) = |x ^ y| / (|x| |y|) in [0, 1]; |sin| of the angle."""
-    nx = sum(c * c for c in x)
-    ny = sum(c * c for c in y)
-    if nx == 0 or ny == 0:
-        raise ValueError("projective distance needs nonzero vectors")
-    val = math.sqrt(float(wedge_norm_squared(x, y)) / float(nx * ny))
-    return min(val, 1.0)
 
 
 def cap_constant(xi, sigma) -> Fraction:

@@ -6,11 +6,12 @@ every decision routine returns a TriState:
 - yes: carries a certificate that re-verifies independently. At a prime p it
   is a LiftCertificate (a Hensel lift) or an ExactZeroCertificate (an exact
   integer zero); both record the radius p^-e_p around the caller's target
-  that `padic.verify_certificate` checks. Over R it is a Newton-line,
-  sign-change or exact-zero certificate;
+  that `padic.verify_certificate` checks. Over R it is an exact-zero,
+  sign-change or odd-degree certificate, which `verify_real_certificate`
+  checks;
 - no: carries the depth at which an exhaustive residue search emptied out
-  (sound: an exact zero would reduce), or an interval-arithmetic exclusion
-  certificate over the real cap;
+  (sound: an exact zero would reduce), or the boxes a Bernstein search of
+  the real cap examined;
 - unknown: carries the exhausted budget; over R also the boxes examined
   (`cells`) and the unexamined frontier (`pending`).
 
@@ -38,12 +39,11 @@ case, and `count_projective_points` reads the same cached table.
 
 The real decider works the same way on a block of forms on one basis
 (`decide_real_batch`): one exact product against the cached cap grid gives
-every form's grid zeros and sign changes, the cached derivative rows of the
-grid give the exact gradients Newton starts from, and the interval
-exclusion runs one breadth-first frontier of distinct boxes with the (form,
-box) pairs on top of it, so the cap test, the powers and the split of a box
-are computed once however many forms hold it. `decide_real_solubility` is
-its one-form case.
+every form's grid zeros and sign changes, and one product against the cached
+Bernstein tensors of the cap's affine chart starts a breadth-first search of
+one frontier of distinct boxes with the (form, box) pairs on top of it, so
+the cap test and the split of a box are computed once however many forms
+hold it. `decide_real_solubility` is its one-form case.
 
 Densities of the soluble locus in coefficient space are measured exactly by
 classifying coefficient balls mod p^v: a ball meets the soluble locus iff
@@ -57,6 +57,7 @@ refines only the classes whose residue zeros are all singular mod p.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,22 +66,20 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EnumerationBudgetExceeded, HypothesisFailed, NonConvergence, PreconditionFailed
-from .geom import cap_constant, cone_member, integer_axis, proj_distance_arch
-from .intlinalg import canonical_sign_mask
+from .errors import EnumerationBudgetExceeded, HypothesisFailed, PreconditionFailed
+from .geom import cone_member, integer_axis
+from .intlinalg import bareiss_det, canonical_sign_mask
 from .numtheory import crt_combine, primes_up_to, unit_class_mask
 from .padic import (
     ExactZeroCertificate,
     PadicApproxVector,
     lift_hypersurface_point,
-    newton_hopeless,
-    newton_real_root,
 )
 from .veronese import (
     Form,
-    _line_restriction,
     coefficient_matrix,
     dimension,
+    evaluate_form,
     monomial_basis,
     pairings,
     row_pairings,
@@ -278,12 +277,12 @@ def _table(basis, X: np.ndarray, mod: int):
 
 
 def _narrow(M: np.ndarray) -> np.ndarray:
-    """M as int16 or int32 when its entries fit, else unchanged."""
-    if M.dtype != object:
-        bound = int(np.abs(M).max(initial=0))
-        for dtype in (np.int16, np.int32):
-            if bound <= np.iinfo(dtype).max:
-                return M.astype(dtype)
+    """M as int16, int32 or int64, the first that holds its entries, else
+    unchanged."""
+    bound = int(np.abs(M).max(initial=0))
+    for dtype in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return M.astype(dtype)
     return M
 
 
@@ -480,103 +479,110 @@ def decide_real_solubility(
 ) -> TriState:
     """Does f vanish at a real point within projective distance sigma of xi?
 
-    yes: an exact rational zero in the cap, a certified sign change between
-    two cap points (intermediate value theorem along the connecting cap
-    geodesic), or a certified 1-D Newton root that stays in the cap. The cap
-    points are a fixed rational direction grid, tried in grid order.
-    no: outward-rounded interval arithmetic excludes zeros from the whole
-    cap, covering projective space by the 2(n+1) cube faces. The boxes are
-    refined breadth first, a whole level at a time: a box is dropped when it
-    misses the cap or f cannot vanish on it, and otherwise split in half on
-    its widest coordinate (the lowest index on ties). A box's children depend
-    only on the box, so the boxes examined, and with them the verdict and the
-    `cells` of a `no`, do not depend on the order of the search.
+    yes: an integer zero of f in the cap (`exact-zero`); two integer points
+    of the cap's convex side <w, xi> > 0 with f of opposite signs there
+    (`sign-change`), from the cached direction grid or from two corners of a
+    box of the chart search, which re-verifies its yes
+    (`verify_real_certificate`); or, at sigma = 1, odd degree (`odd-degree`).
+    no: the Bernstein search on the cap's affine chart (`_chart`) drops
+    every box (`bernstein-exclusion`, with the `cells` examined).
     unknown: the next level would take the boxes examined past
-    `subdivision_budget`, or a box to split is narrower than 1e-6. It reports
-    the `reason`, the `cells` examined and the `pending` boxes of the
-    unexamined frontier, and for the second reason the first such box in
-    breadth-first order. A `no` needs a search tree of at most
-    `subdivision_budget` boxes.
+    `subdivision_budget`; it reports the `reason`, the `cells` examined and
+    the `pending` boxes of that level.
 
-    This is `decide_real_batch` for one form. The batch decides a block of
-    forms on one basis with the same steps, and it cannot change a verdict
-    or a certificate: every step reads a form only through exact products
-    (the grid values and the gradients are integers, the same in any order)
-    or through interval operations applied box by box and term by term; a
-    Newton line search is skipped only where it provably finds no root; and
-    the boxes a form examines depend only on that form, never on the others
-    in its block.
+    The search (Garloff, "The Bernstein algorithm", Interval Computations
+    1993) splits a whole level at a time, at the midpoint of its widest axis
+    in chart coordinates (the lowest on ties), by de Casteljau. A box leaves
+    when every tensor Bernstein coefficient of q (q <= 0 is the cap) lies
+    above the rounding band, or every one of f beyond it with one sign; it
+    gives yes when two corners have q below the band and f beyond it with
+    opposite signs. The float64 coefficients stay within `_band` of the
+    exact integer ones (Farouki and Rajan, "On the numerical condition of
+    polynomials in Bernstein form", CAGD 1987), so every sign read is exact.
+
+    This is `decide_real_batch` for one form; a form's boxes, band, budget
+    check and first yes do not depend on the other forms of a batch.
     """
     return decide_real_batch([form], xi_inf, sigma_inf, subdivision_budget)[0]
 
 
-_PAIRS = _CHUNK << 3  # (form, grid point) or (form, box) pairs held at once: bounds peak memory
+_PAIRS = _CHUNK << 3  # (form, grid point) pairs held at once: bounds peak memory
 
 
 def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000) -> list:
     """`decide_real_solubility` for each of the forms (all on one basis).
 
-    The yes paths read one exact product of the coefficient rows of a block
-    of forms against the Veronese rows of the cached cap grid (`_cap_grid`):
-    its zeros and sign changes. Newton starts from the sides of the grid
-    with the exact gradients f's coefficient rows give against the cached
-    derivative rows of the sides (`_cap_jets`), and skips the sides where
-    its precondition fails along every coordinate (`newton_hopeless`). A
-    block holds at most _PAIRS form x grid-point pairs.
-
-    The forms left over go to the interval exclusion in groups of
-    max(1, _PAIRS // subdivision_budget), so a group holds at most about
-    _PAIRS (form, box) pairs at one level (`_exclusion_verdicts`).
+    One exact product of the coefficient rows of a block of at most _PAIRS
+    form x grid-point pairs against the Veronese rows of the cached cap grid
+    (`_cap_grid`) gives its grid zeros and sign changes. At sigma = 1 the
+    forms of odd degree left over are `odd-degree`; the others go to the
+    chart search (`_chart_verdicts`) in groups holding at most _CELLS
+    Bernstein coefficients a level, `subdivision_budget` boxes per form.
     """
     if not forms:
         return []
     xi, sigma = tuple(xi_inf), Fraction(sigma_inf)
-    grid = _cap_grid(forms[0].basis, xi, sigma)
-    step = max(1, _PAIRS // max(len(grid[0]), 1))
-    out = []
+    basis = forms[0].basis
+    points, sides, flipped, V = _cap_grid(basis, xi, sigma)
+    step = max(1, _PAIRS // max(len(points), 1))
+    out = [None] * len(forms)
     for lo in range(0, len(forms), step):
-        out.extend(_grid_verdicts(forms[lo : lo + step], grid, xi, sigma))
+        vals = pairings(coefficient_matrix(forms[lo : lo + step]), V)
+        zero = vals == 0
+        # signs on a single cap component (nonneg inner product side)
+        positive = (vals > 0) != (flipped & (basis.d % 2 == 1))
+        for k in np.flatnonzero(positive.any(axis=1) & ~positive.all(axis=1)).tolist():
+            pos, neg = int(positive[k].argmax()), int(positive[k].argmin())
+            out[lo + k] = TriState.yes({"kind": "sign-change", "positive": sides[pos], "negative": sides[neg]})
+        for k in np.flatnonzero(zero.any(axis=1)).tolist():
+            out[lo + k] = TriState.yes({"kind": "exact-zero", "point": points[int(zero[k].argmax())]})
     rest = [k for k, res in enumerate(out) if res is None]
-    size = max(1, _PAIRS // max(subdivision_budget, 1))
+    if sigma == 1 and basis.d % 2 == 1:
+        for k in rest:
+            out[k] = TriState.yes({"kind": "odd-degree"})
+        return out
+    size = max(1, _CELLS // (max(subdivision_budget, 1) * (basis.d + 1) ** basis.n))
     for lo in range(0, len(rest), size):
         group = rest[lo : lo + size]
-        for k, res in zip(group, _exclusion_verdicts([forms[k] for k in group], xi, sigma, subdivision_budget)):
+        for k, res in zip(group, _chart_verdicts([forms[k] for k in group], xi, sigma, subdivision_budget)):
             out[k] = res
     return out
 
 
-def _grid_verdicts(forms, grid, xi: tuple, sigma) -> list:
-    """The yes paths of `decide_real_batch` for forms on one basis: each
-    form's `yes`, or None where no grid point and no Newton line decides it."""
-    points, sides, flipped, V = grid
-    basis = forms[0].basis
-    A = coefficient_matrix(forms)
-    vals = pairings(A, V)
-    zero = vals == 0
-    # signs on a single cap component (nonneg inner product side)
-    positive = (vals > 0) != (flipped & (basis.d % 2 == 1))
-    out = [None] * len(forms)
-    for k in np.flatnonzero(zero.any(axis=1)).tolist():
-        out[k] = TriState.yes({"kind": "exact-zero", "point": points[int(zero[k].argmax())]})
-    for k in np.flatnonzero(positive.any(axis=1) & ~positive.all(axis=1)).tolist():
-        if out[k] is None:
-            pos, neg = int(positive[k].argmax()), int(positive[k].argmin())
-            out[k] = TriState.yes({"kind": "sign-change", "positive": sides[pos], "negative": sides[neg]})
-    rest = [k for k, res in enumerate(out) if res is None]
-    if not rest or not sides:
-        return out
-    # the gradient of every form left at every side, exactly: (forms, sides, n + 1)
-    grads = np.stack([pairings(A[rest], J) for J in _cap_jets(basis, xi, sigma)], axis=2)
-    # a side is skipped where Newton's precondition fails along every coordinate
-    hopeless = newton_hopeless(vals[rest][:, :, None], grads).all(axis=2)
-    aperture = float(sigma)
-    for k, G, skip in zip(rest, grads, hopeless):
-        for w, g, no_root in zip(sides, G.tolist(), skip.tolist()):
-            cert = None if no_root else _newton_in_cap(forms[k], w, g, xi, aperture)
-            if cert is not None:
-                out[k] = TriState.yes(cert)
-                break
-    return out
+def verify_real_certificate(form: Form, xi_inf, sigma_inf, cert) -> None:
+    """Re-check a real `yes` certificate from scratch, exactly; raises
+    HypothesisFailed on any failure.
+
+    - exact-zero: `point` is an integer point of the cap with f = 0;
+    - sign-change: `positive` and `negative` are integer points of the cap
+      with f > 0 and f < 0 there, and the segment between them stays in the
+      cap and off the origin: for sigma < 1 both lie on the side
+      <w, xi> > 0, which is convex; for sigma = 1 they are not antiparallel;
+    - odd-degree: sigma = 1 and an odd d, so f(-x) = -f(x).
+    """
+    sigma, kind = Fraction(sigma_inf), cert.get("kind")
+    if kind == "odd-degree":
+        if sigma != 1 or form.basis.d % 2 == 0:
+            raise HypothesisFailed("re-verify", "odd-degree needs sigma = 1 and an odd degree")
+        return
+    points = [cert.get(key) for key in {"exact-zero": ["point"], "sign-change": ["positive", "negative"]}.get(kind, [])]
+    if not points or not all(
+        isinstance(w, tuple) and len(w) == form.basis.n + 1 and all(type(c) is int for c in w) and any(w) for w in points
+    ):
+        raise HypothesisFailed("re-verify", f"{kind!r} needs nonzero integer points")
+    if not cone_member(xi_inf, sigma, np.array(points, dtype=object)).all():
+        raise HypothesisFailed("re-verify", "a point lies outside the cap")
+    values = [evaluate_form(form, w) for w in points]
+    if kind == "exact-zero" and values[0] != 0:
+        raise HypothesisFailed("re-verify", "point is not an exact zero of the form")
+    if kind == "sign-change":
+        (pos, neg), u = points, integer_axis(xi_inf)
+        antiparallel = sum(a * b for a, b in zip(pos, neg)) < 0 and all(
+            pos[i] * neg[j] == pos[j] * neg[i] for i in range(len(pos)) for j in range(i)
+        )
+        sides = [sum(a * b for a, b in zip(w, u)) for w in points]
+        if not values[0] > 0 > values[1] or (sigma < 1 and min(sides) <= 0) or antiparallel:
+            raise HypothesisFailed("re-verify", "f does not change sign along a segment in the cap")
 
 
 @lru_cache(maxsize=32)
@@ -596,217 +602,6 @@ def _cap_grid(basis, xi: tuple, sigma):
     return points, sides, flipped, V
 
 
-@lru_cache(maxsize=32)
-def _cap_jets(basis, xi: tuple, sigma) -> np.ndarray:
-    """The derivative rows of the sides w of `_cap_grid`, (n + 1, sides, N)
-    (`veronese_jet_batch`): <a, row i at w> is df/dx_i(w). Cached beside the
-    grid; hence read-only."""
-    W = np.array(_cap_grid(basis, xi, sigma)[1], dtype=np.int64).reshape(-1, basis.n + 1)
-    J = veronese_jet_batch(basis, W)
-    J.flags.writeable = False
-    return J
-
-
-def _exclusion_verdicts(forms, xi: tuple, sigma, budget: int) -> list:
-    """The breadth-first interval exclusion of `decide_real_batch` for forms
-    on one basis, on one frontier of distinct boxes shared by the forms.
-
-    A level holds the distinct boxes and the (form, box) pairs on top of
-    them. A box's children depend only on the box, so each box is tested
-    against the cap, raised to its powers and split once, however many
-    forms hold it. Each form holds its own boxes in the order its one-form
-    search would (its boxes are a subsequence of the distinct ones, the
-    left children before the right ones), and keeps its own budget check,
-    `cells` and `pending`."""
-    n1 = forms[0].basis.n + 1
-    lo, hi = np.full((2 * n1, n1), -1.0), np.full((2 * n1, n1), 1.0)
-    for k in range(n1):  # the faces x_k = 1 and x_k = -1
-        lo[2 * k, k] = hi[2 * k, k] = 1.0
-        lo[2 * k + 1, k] = hi[2 * k + 1, k] = -1.0
-    terms, cap = _block_terms(forms), _cap_terms(xi, sigma)
-    out = [None] * len(forms)
-    running = np.ones(len(forms), dtype=bool)
-    examined = np.zeros(len(forms), dtype=np.int64)
-    pf, pb = np.repeat(np.arange(len(forms)), len(lo)), np.tile(np.arange(len(lo)), len(forms))
-    while running.any():
-        count = np.bincount(pf, minlength=len(forms))
-        for k in np.flatnonzero(running & (count == 0)).tolist():
-            out[k] = TriState.no({"kind": "interval-exclusion", "cells": int(examined[k])})
-        over = running & (count > 0) & (examined + count > budget)
-        for k in np.flatnonzero(over).tolist():
-            out[k] = TriState.unknown({"reason": "subdivision budget", "cells": int(examined[k]), "pending": int(count[k])})
-        running &= (count > 0) & ~over
-        examined += np.where(running, count, 0)
-        keep = running[pf]
-        keep[keep] = ~_outside_cap(cap, lo, hi)[pb[keep]]
-        lo, hi, pf, pb = _held(lo, hi, pf[keep], pb[keep])
-        f_lo, f_hi = _block_enclosure(terms, lo, hi, pf, pb)
-        keep = (f_lo <= 0.0) & (0.0 <= f_hi)
-        lo, hi, pf, pb = _held(lo, hi, pf[keep], pb[keep])
-        rows = np.arange(len(lo))
-        j = (hi - lo).argmax(axis=1)
-        small = (hi[rows, j] - lo[rows, j] < 1e-6)[pb]
-        if small.any():
-            first = np.full(len(forms), len(lo))
-            np.minimum.at(first, pf[small], pb[small])
-            kept = np.bincount(pf, minlength=len(forms))
-            for k in np.flatnonzero(first < len(lo)).tolist():
-                box = [(float(a), float(b)) for a, b in zip(lo[first[k]], hi[first[k]])]
-                out[k] = TriState.unknown(
-                    {"reason": "cells too small to split", "cells": int(examined[k]), "pending": 2 * int(kept[k]), "box": box}
-                )
-            running &= first == len(lo)
-            keep = running[pf]
-            lo, hi, pf, pb = _held(lo, hi, pf[keep], pb[keep])
-            rows = np.arange(len(lo))
-            j = (hi - lo).argmax(axis=1)
-        mid = 0.5 * (lo[rows, j] + hi[rows, j])
-        left_hi, right_lo = hi.copy(), lo.copy()
-        left_hi[rows, j] = mid
-        right_lo[rows, j] = mid
-        lo, hi = np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])
-        pf, pb = np.concatenate([pf, pf]), np.concatenate([pb, pb + len(rows)])
-    return out
-
-
-def _held(lo, hi, pf, pb):
-    """The boxes some pair (pf, pb) still holds, in their order, and the
-    pairs renumbered onto them."""
-    held = np.zeros(len(lo), dtype=bool)
-    held[pb] = True
-    return lo[held], hi[held], pf, (np.cumsum(held) - 1)[pb]
-
-
-# Outward-rounded interval arithmetic over arrays of boxes. Every operation
-# rounds its result one ulp outward, in the order a scalar evaluation takes:
-# the enclosures are those of the term-by-term scalar evaluation bit for bit.
-
-
-def _down(x):
-    return np.nextafter(x, -np.inf)
-
-
-def _up(x):
-    return np.nextafter(x, np.inf)
-
-
-def _imul(a_lo, a_hi, b_lo, b_hi):
-    p, q, r, s = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi
-    return _down(np.minimum(np.minimum(p, q), np.minimum(r, s))), _up(np.maximum(np.maximum(p, q), np.maximum(r, s)))
-
-
-def _ipow(lo, hi, k: int):
-    """[lo, hi]^k for k >= 1, rounded outward as a scalar `x**k` would be.
-    Box coordinates are dyadics of at most 22 significant bits, so their
-    squares are exact products; higher powers go through Python's float `**`
-    (libm pow), which numpy's power and repeated products do not always
-    match."""
-    if k == 1:
-        p_lo, p_hi = lo, hi
-    elif k == 2:
-        p_lo, p_hi = lo * lo, hi * hi
-    else:
-        values, inverse = np.unique(np.stack([lo, hi]), return_inverse=True)
-        p_lo, p_hi = np.array([x**k for x in values.tolist()])[inverse].reshape(2, -1)
-    if k % 2 == 1:
-        return _down(p_lo), _up(p_hi)
-    nonneg, nonpos = lo >= 0, hi <= 0
-    r_lo = np.where(nonneg, _down(p_lo), np.where(nonpos, _down(p_hi), 0.0))
-    r_hi = np.where(nonneg, _up(p_hi), np.where(nonpos, _up(p_lo), _up(np.maximum(p_lo, p_hi))))
-    return r_lo, r_hi
-
-
-def _block_terms(forms):
-    """The monomials of each form with nonzero coefficients, in basis order,
-    padded with zero terms to the widest form, T terms: the coefficients as
-    outward intervals a_lo, a_hi (T, forms); the factors of each term, one
-    per coordinate i with a nonzero exponent k, in coordinate order, as the
-    row k (n + 1) + i of a table of powers, -1 past the last one
-    (factor slots, T, forms); and the mask of the real terms (T, forms)."""
-    basis = forms[0].basis
-    n1 = basis.n + 1
-    factors_of = [[k * n1 + i for i, k in enumerate(e) if k] for e in basis.monomials]
-    nonzero = [[m for m, a in enumerate(form.coeffs) if a != 0] for form in forms]
-    width = max(map(len, nonzero))
-    a = np.zeros((2, width, len(forms)))
-    factors = np.full((min(basis.d, n1), width, len(forms)), -1)
-    for k, (form, cols) in enumerate(zip(forms, nonzero)):
-        a[:, : len(cols), k] = np.array([_outward(form.coeffs[m]) for m in cols]).T
-        for t, m in enumerate(cols):
-            factors[: len(factors_of[m]), t, k] = factors_of[m]
-    real = np.arange(width)[:, None] < np.array([len(cols) for cols in nonzero])
-    return a[0], a[1], factors, real
-
-
-def _block_enclosure(terms, lo, hi, pf, pb):
-    """Enclosures (f_lo, f_hi) of form pf[r] on box pb[r] (rows of lo, hi)
-    for every pair r: each of the form's `_block_terms` is multiplied by its
-    factors in coordinate order, powers of the box's coordinates taken once
-    per box; then the real terms are summed in order from 0, the padding
-    skipped, so no zero term is ever rounded. Pairs go in slices of at most
-    _PAIRS << 2 pair terms."""
-    a_lo, a_hi, factors, real = terms
-    n1 = lo.shape[1]
-    table = np.ones((2, int(factors.max()) + 1, len(lo)))  # row k n1 + i: [lo_i, hi_i]^k on each box
-    for row in set(factors[factors >= 0].tolist()):
-        table[:, row] = _ipow(lo[:, row % n1], hi[:, row % n1], row // n1)
-    f_lo, f_hi = np.zeros(len(pf)), np.zeros(len(pf))
-    step = max(1, (_PAIRS << 2) // len(a_lo))
-    for s in range(0, len(pf), step):
-        F, B = pf[s : s + step], pb[s : s + step]
-        # the pair terms as flat arrays, term-major. Every real term has a
-        # first factor, and the padding terms take any (finite) row there;
-        # each later slot multiplies only the terms that have a factor in it
-        t_lo, t_hi, B = a_lo[:, F].ravel(), a_hi[:, F].ravel(), np.tile(B, len(a_lo))
-        rows = factors[0][:, F].ravel()
-        t_lo, t_hi = _imul(t_lo, t_hi, table[0][rows, B], table[1][rows, B])
-        for rows in factors[1:]:
-            rows = rows[:, F].ravel()
-            at = np.flatnonzero(rows >= 0)
-            rows, boxes = rows[at], B[at]
-            t_lo[at], t_hi[at] = _imul(t_lo[at], t_hi[at], table[0][rows, boxes], table[1][rows, boxes])
-        t_lo, t_hi = t_lo.reshape(len(a_lo), -1), t_hi.reshape(len(a_lo), -1)
-        s_lo, s_hi, r = f_lo[s : s + step], f_hi[s : s + step], real[:, F]
-        for m in range(len(r)):
-            np.copyto(s_lo, _down(s_lo + t_lo[m]), where=r[m])
-            np.copyto(s_hi, _up(s_hi + t_hi[m]), where=r[m])
-    return f_lo, f_hi
-
-
-def _cap_terms(xi, sigma):
-    """The entries of xi as outward intervals (c_lo, c_hi), and
-    K = (1 - sigma^2) |xi|^2 (`cap_constant`) rounded down."""
-    c_lo, c_hi = np.array([_outward(c) for c in xi]).T
-    return c_lo, c_hi, _outward(cap_constant(xi, sigma))[0]
-
-
-def _outside_cap(cap, lo, hi):
-    """Sound test that each box (rows of lo, hi) misses the cap
-    {d(x, xi) <= sigma}, given by its `_cap_terms`: outside iff
-    <x,xi>^2 < K |x|^2 for every x in the box."""
-    c_lo, c_hi, K = cap
-    p_lo, p_hi = _imul(lo, hi, c_lo, c_hi)
-    q_lo, q_hi = _imul(lo, hi, lo, hi)
-    ip_lo = ip_hi = nx_lo = nx_hi = np.zeros(len(lo))
-    for i in range(lo.shape[1]):
-        ip_lo, ip_hi = _down(ip_lo + p_lo[:, i]), _up(ip_hi + p_hi[:, i])
-        nx_lo, nx_hi = _down(nx_lo + q_lo[:, i]), _up(nx_hi + q_hi[:, i])
-    _, lhs_hi = _imul(ip_lo, ip_hi, ip_lo, ip_hi)
-    rhs_lo, _ = _imul(nx_lo, nx_hi, K, K)
-    return lhs_hi < rhs_lo
-
-
-def _outward(a) -> tuple:
-    """The floats (lo, hi) nearest to the rational (or float) a with
-    lo <= a <= hi; equal when a is a float."""
-    f = float(a)
-    if isinstance(a, float) or Fraction(f) == a:
-        return f, f
-    if Fraction(f) < a:
-        return f, math.nextafter(f, math.inf)
-    return math.nextafter(f, -math.inf), f
-
-
 def _direction_grid(n: int, xi_inf) -> np.ndarray:
     """The real decider's direction grid: the primitive rows of [-2, 2]^(n+1)
     with first nonzero entry positive, and an integer approximation of the
@@ -821,29 +616,162 @@ def _direction_grid(n: int, xi_inf) -> np.ndarray:
     return grid
 
 
-def _newton_in_cap(form: Form, v, grads, xi_inf, sigma: float):
-    """Certified 1-D Newton line search from a rational cap point v, along
-    the two coordinates where the gradient `grads` of f at v is largest."""
-    n = form.basis.n
-    order = sorted(range(n + 1), key=lambda i: -abs(float(grads[i])))
-    for j in order[:2]:
-        if grads[j] == 0:
-            continue
-        coeffs = _line_restriction(form, v, j)
-        try:
-            root, bound = newton_real_root(coeffs, 0.0)
-        except (PreconditionFailed, NonConvergence):
-            continue
-        # the exact zero z = v + alpha e_j with |alpha| <= bound; stay in cap?
-        nv = math.sqrt(float(sum(c * c for c in v)))
-        if bound >= 0.5 * nv:
-            continue
-        drift = bound / (nv - bound)  # d(v + t e_j, v) <= |t| |v| / (|v| (|v|-|t|))
-        base = proj_distance_arch(v, xi_inf)
-        if base + drift <= sigma - 1e-9:
-            point = tuple(float(c) + (root if i == j else 0.0) for i, c in enumerate(v))
-            return {"kind": "newton-line", "start": v, "axis": j, "point": point, "distance_bound": bound}
-    return None
+@lru_cache(maxsize=32)
+def _chart(basis, xi: tuple, sigma):
+    """The cap as integer affine patches x = c + L s over s in [0, 1]^n, with
+    the tensors of the chart search, cached like `_cap_grid`: the patches
+    (c, L); the box half-widths T, which set the widest axis; F, whose row m
+    holds the tensor Bernstein coefficients of x^m on each patch (degree d
+    per axis), so a coefficient row times F gives those of f; and Q, those
+    of q (degree 2), which is <= 0 exactly on the cap. Each tensor is the
+    exact one times a positive integer.
+
+    sigma < 1: one patch. With the integer axis u and k its first largest
+    entry, b_j = u_k e_j - u_j e_k (j != k) span u^perp, and every cap point
+    has one representative x = u + B t, with q = t^T G t - R^2 <= 0,
+    G = B^T B, R^2 = sigma^2 |u|^2 / (1 - sigma^2). That ellipsoid lies in
+    the box |t_j| <= T_j = ceil(R sqrt((G^-1)_jj)), and t = T (2 s - 1).
+    sigma = 1, for even d: the n + 1 faces x_k = 1, the other coordinates
+    2 s - 1, and q = -1; every point of P^n is +-x for an x on a face.
+    """
+    d, n = basis.d, basis.n
+    if sigma == 1:
+        T, Q, m = (1,) * n, np.full((n + 1, 3**n), -1), range(n + 1)
+        patches = [([2 * (i == k) - 1 for i in m], [[2 * (i == o) for o in m if o != k] for i in m]) for k in m]
+    else:
+        u = integer_axis(xi)
+        k = max(range(n + 1), key=lambda i: abs(u[i]))
+        B = [[u[k] * (i == j) - u[j] * (i == k) for j in range(n + 1) if j != k] for i in range(n + 1)]
+        G = [[sum(row[a] * row[b] for row in B) for b in range(n)] for a in range(n)]
+        R2 = sigma**2 * sum(c * c for c in u) / (1 - sigma**2)
+        minors = [bareiss_det([r[:j] + r[j + 1 :] for r in G[:j] + G[j + 1 :]]) for j in range(n)]
+        T = tuple(math.isqrt(math.ceil(R2 * m / bareiss_det(G)) - 1) + 1 for m in minors)
+        L = [[2 * t * b for b, t in zip(row, T)] for row in B]
+        patches = [([c - sum(b * t for b, t in zip(row, T)) for c, row in zip(u, B)], L)]
+        # den(R^2) q = den(R^2) (|x - u|^2 - R^2), with x - u = B t
+        squares = sum(_bernstein([(c - a, row)] * 2, 2, n) for c, a, row in zip(patches[0][0], u, L))
+        Q = _narrow(np.array([R2.denominator * squares - R2.numerator * _bernstein([], 2, n)]))
+    rows = [
+        np.concatenate([_bernstein([(c[i], L[i]) for i, e in enumerate(exps) for _ in range(e)], d, n) for c, L in patches])
+        for exps in basis.monomials
+    ]
+    F = _narrow(np.array(rows))
+    F.flags.writeable = Q.flags.writeable = False
+    return tuple((tuple(c), tuple(map(tuple, L))) for c, L in patches), T, F, Q
+
+
+def _bernstein(factors, k: int, n: int) -> np.ndarray:
+    """The tensor Bernstein coefficients on [0, 1]^n, degree k per axis, of
+    the product of at most k affine factors (c, v) = c + sum_j v_j s_j,
+    times lcm_a C(k, a) per axis: b_beta = sum over alpha <= beta of
+    prod_j C(beta_j, alpha_j) / C(k, alpha_j) a_alpha for the power-basis
+    coefficients a. Python integers, flat, the last axis fastest."""
+    P = np.zeros((k + 1,) * n, dtype=object)
+    P[(0,) * n] = 1
+    for c, v in factors:  # the degree is below k, so np.roll wraps zeros only
+        P = c * P + sum(vj * np.roll(P, 1, axis=j) for j, vj in enumerate(v))
+    D = math.lcm(*(math.comb(k, a) for a in range(k + 1)))
+    W = np.array([[math.comb(b, a) * (D // math.comb(k, a)) for a in range(k + 1)] for b in range(k + 1)], dtype=object)
+    for axis in range(n):
+        P = np.moveaxis(np.tensordot(W, P, axes=([1], [axis])), 0, axis)
+    return P.ravel()
+
+
+def _band(top, rounds: int):
+    """The rounding band: from an exact integer tensor of largest size `top`,
+    a float64 coefficient after `rounds` rounds of pairwise averages lies
+    within 2 (rounds + 1) u top of the exact one, u = 2^-53. The conversion
+    and each round err by at most u top, since every exact coefficient is a
+    convex combination of the first ones; the factor 2 covers the growth
+    (1 + u)^rounds and the band's own rounding."""
+    return (2 * (rounds + 1) * 2.0**-53) * top
+
+
+def _halves(T: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """The tensor Bernstein coefficients of degree k per axis in the rows of
+    T (flat, the last axis fastest) on the two halves of their boxes along
+    `axis`, by de Casteljau at the midpoint: k rounds of pairwise averages.
+    Every left half, then every right one. Exact on Fractions."""
+    rows, size = T.shape
+    pre = (k + 1) ** axis
+    T = T.reshape(rows, pre, k + 1, size // (pre * (k + 1)))
+    out = np.empty((2,) + T.shape, dtype=T.dtype)
+    out[0, :, :, 0], out[1, :, :, k] = T[:, :, 0], T[:, :, k]
+    for i in range(1, k + 1):
+        T = (T[:, :, :-1] + T[:, :, 1:]) / 2
+        out[0, :, :, i], out[1, :, :, k - i] = T[:, :, 0], T[:, :, -1]
+    return out.reshape(2 * rows, size)
+
+
+def _chart_verdicts(forms, xi: tuple, sigma, budget: int) -> list:
+    """The chart search of `decide_real_batch` for forms on one basis, on one
+    frontier of distinct boxes (their patch, position and q coefficients)
+    with the (form, box) pairs on top of it (f's coefficients). Each form
+    holds its boxes in the order its one-form search would (the left
+    children before the right ones), keeps its own band, budget check,
+    `cells` and `pending`, and takes its yes at its first box with a sign
+    change, from the first positive and the first negative corner."""
+    d, n = forms[0].basis.d, forms[0].basis.n
+    patches, T, rows, Q = _chart(forms[0].basis, xi, sigma)
+    exact = pairings(coefficient_matrix(forms), rows.T)
+    top, top_q = np.abs(exact).max(axis=1).astype(np.float64), float(np.abs(Q).max())
+    F, Q = np.asarray(exact, dtype=np.float64).reshape(-1, (d + 1) ** n), np.asarray(Q, dtype=np.float64)
+    corners = list(itertools.product((0, 1), repeat=n))
+    f_corners, q_corners = (np.ravel_multi_index((k * np.array(corners)).T, (k + 1,) * n) for k in (d, 2))
+    patch, offsets = np.arange(len(patches)), np.zeros((len(patches), n), dtype=np.int64)
+    pf, pb = np.repeat(np.arange(len(forms)), len(patches)), np.tile(patch, len(forms))
+    depth, widths = [0] * n, [float(t) for t in T]
+    out = [None] * len(forms)
+    running = np.ones(len(forms), dtype=bool)
+    examined = np.zeros(len(forms), dtype=np.int64)
+    while running.any():
+        count = np.bincount(pf, minlength=len(forms))
+        for k in np.flatnonzero(running & (count == 0)).tolist():
+            out[k] = TriState.no({"kind": "bernstein-exclusion", "cells": int(examined[k])})
+        over = running & (count > 0) & (examined + count > budget)
+        for k in np.flatnonzero(over).tolist():
+            out[k] = TriState.unknown({"reason": "subdivision budget", "cells": int(examined[k]), "pending": int(count[k])})
+        running &= (count > 0) & ~over
+        examined += np.where(running, count, 0)
+        band_q, band = _band(top_q, 2 * sum(depth)), _band(top, d * sum(depth))[pf]
+        lo, hi = F.min(axis=1, initial=np.inf), F.max(axis=1, initial=-np.inf)
+        keep = running[pf] & (Q.min(axis=1, initial=np.inf) <= band_q)[pb] & (lo <= band) & (hi >= -band)
+        # a sign change between two corners in the cap
+        rows = np.flatnonzero(keep & (lo < -band) & (hi > band))
+        vals, cut, in_cap = F[rows][:, f_corners], band[rows, None], (Q[:, q_corners] < -band_q)[pb[rows]]
+        pos, neg = (vals > cut) & in_cap, (vals < -cut) & in_cap
+        hits = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
+        for h in hits[np.unique(pf[rows[hits]], return_index=True)[1]].tolist():
+            k, box = int(pf[rows[h]]), int(pb[rows[h]])
+            where = (patches[patch[box]], offsets[box].tolist(), depth)
+            signs = {"positive": pos[h], "negative": neg[h]}
+            cert = {"kind": "sign-change", **{key: _corner(*where, corners[int(m.argmax())]) for key, m in signs.items()}}
+            verify_real_certificate(forms[k], xi, sigma, cert)
+            out[k], running[k] = TriState.yes(cert), False
+        keep &= running[pf]
+        held = np.zeros(len(Q), dtype=bool)
+        held[pb[keep]] = True
+        F, pf, pb = F[keep], pf[keep], (np.cumsum(held) - 1)[pb[keep]]
+        Q, patch, offsets = Q[held], patch[held], offsets[held]
+        # every box of the level has one shape: split its widest axis
+        j = widths.index(max(widths))
+        F, Q = _halves(F, d, j), _halves(Q, 2, j)
+        offsets = np.concatenate([offsets, offsets]).astype(object if max(depth) >= 62 else np.int64)
+        offsets[:, j] *= 2
+        offsets[len(patch) :, j] += 1
+        patch, pf, pb = np.concatenate([patch, patch]), np.concatenate([pf, pf]), np.concatenate([pb, pb + len(patch)])
+        depth[j] += 1
+        widths[j] /= 2
+    return out
+
+
+def _corner(patch, offsets, depth, bits) -> tuple:
+    """The primitive integer point c + L s at the corner `bits` of the box
+    s_j in [a_j, a_j + 1] / 2^depth_j, a = `offsets`, of the patch (c, L)."""
+    c, L = patch
+    s = [(a + b) << (max(depth) - e) for a, b, e in zip(offsets, bits, depth)]
+    w = [(ci << max(depth)) + sum(x * y for x, y in zip(row, s)) for ci, row in zip(c, L)]
+    return tuple(x // math.gcd(*w) for x in w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,11 @@
-"""p-adic arithmetic with explicit finite precision, and Newton/Hensel lifting.
+"""p-adic arithmetic with explicit finite precision, and Hensel lifting.
 
 p-adic numbers are integers mod p^v with the precision v carried alongside;
-every operation reports only digits its inputs justify. The three lifting
+every operation reports only digits its inputs justify. The two lifting
 procedures are:
 
 - hensel_lift: univariate, under the strict condition |f(a0)| < |f'(a0)|^2,
   returning a root mod p^target with |root - a0| <= |f(a0)/f'(a0)|;
-- newton_real_root: univariate over R, certified by eta = |f|/|f'|^2 < 1/F
-  with F = 2 max(max|f'|, max|f''|, 1) on the closed unit ball around the
-  start, concluding |root - a0| <= (1 + F eta)|f(a0)/f'(a0)| <= 2|f/f'|;
 - lift_hypersurface_point: multivariate via freezing all but the coordinate
   with the largest partial derivative, with the exact hypothesis checks
   e > 2l, l >= min valuation of the gradient, |f| <= p^-e.
@@ -24,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import HypothesisFailed, NonConvergence, PreconditionFailed
 from .veronese import Form, _line_restriction, evaluate_form, gradient_form
@@ -157,66 +152,6 @@ def hensel_lift(coeffs, alpha0: int, p: int, target_precision: int):
         raise NonConvergence("Hensel iteration failed to stabilize")
     root = alpha % p**target_precision
     return root, l, e0
-
-
-def _poly_bound_on_unit_ball(coeffs, alpha0: float) -> float:
-    """sum |c_i| (|a0| + 1)^i, an upper bound for |f| on B(a0, 1)."""
-    base = abs(alpha0) + 1.0
-    return math.fsum(abs(float(c)) * base**i for i, c in enumerate(coeffs))
-
-
-def newton_margin(coeffs, alpha0: float) -> float:
-    """F = 2 max(max|f'|, max|f''|, 1) over the closed unit ball around a0,
-    via coefficient over-estimates (sound upper bounds)."""
-    d1 = poly_derivative([float(c) for c in coeffs])
-    d2 = poly_derivative(d1)
-    return 2.0 * max(_poly_bound_on_unit_ball(d1, alpha0), _poly_bound_on_unit_ball(d2, alpha0), 1.0)
-
-
-def newton_hopeless(f0, fp0):
-    """Mask where the precondition of `newton_real_root` certainly fails,
-    read from f(a0) and f'(a0) alone (floats or arrays of them): f'(a0) = 0,
-    or eta = |f(a0)| / f'(a0)^2 >= (1 + 2^-40) / G for G = 2 max(|f'(a0)|, 1).
-    `newton_margin`'s F bounds |f'| on a ball around a0, so F >= G and
-    eta >= 1/G >= 1/F; the margin 2^-40 lies far above the few roundings in
-    which this eta and 1/G can differ from the ones `newton_real_root` takes.
-    """
-    f0, fp0 = np.asarray(f0, dtype=np.float64), np.asarray(fp0, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        eta = np.abs(f0) / (fp0 * fp0)
-        return (fp0 == 0) | (eta >= (1 + 2.0**-40) / (2.0 * np.maximum(np.abs(fp0), 1.0)))
-
-
-def newton_real_root(coeffs, alpha0: float, tol: float = 1e-12, max_iter: int = 200):
-    """Certified real Newton iteration.
-
-    Returns (root, distance_bound) with f(root) <= tol in absolute value and
-    |root - a0| <= distance_bound = (1 + F eta) |f(a0)/f'(a0)|, which is
-    < 2 |f(a0)/f'(a0)| whenever the precondition eta < 1/F holds.
-    """
-    fcoeffs = [float(c) for c in coeffs]
-    dcoeffs = poly_derivative(fcoeffs)
-    f0 = poly_eval(fcoeffs, alpha0)
-    fp0 = poly_eval(dcoeffs, alpha0)
-    if fp0 == 0:
-        raise PreconditionFailed("f'(a0) = 0")
-    eta = abs(f0) / fp0**2
-    if newton_hopeless(f0, fp0):
-        raise PreconditionFailed(f"eta = {eta:.3g} >= 1/(2 max(|f'(a0)|, 1))")
-    F = newton_margin(coeffs, alpha0)
-    if not eta < 1.0 / F:
-        raise PreconditionFailed(f"eta = {eta:.3g} >= 1/F = {1.0 / F:.3g}")
-    bound = (1.0 + F * eta) * abs(f0 / fp0)
-    alpha = alpha0
-    for _ in range(max_iter):
-        fa = poly_eval(fcoeffs, alpha)
-        if abs(fa) <= tol:
-            return alpha, bound
-        fpa = poly_eval(dcoeffs, alpha)
-        if fpa == 0:
-            raise NonConvergence("derivative vanished during iteration")
-        alpha = alpha - fa / fpa
-    raise NonConvergence("Newton iteration missed the tolerance budget")
 
 
 # ---------------------------------------------------------------------------

@@ -680,18 +680,36 @@ def test_forms_with_a_target_point_skip_the_deciders(monkeypatch):
 
 def test_cubic_cap_census_is_pinned_and_does_not_depend_on_grouping(monkeypatch):
     # cubic surfaces of height 3/2 in census-cap's cap: 74 forms reach the
-    # real decider, which leaves 39 of them unknown at its budget of 4000
+    # real decider, and at its budget of 4000 the chart search decides every
+    # one of them, 63 no and 11 yes
     cap = AdelicTarget((), (3, -1, 2, 1), Fraction(1, 2))
     report = local_census(3, 3, Fraction(3, 2), 2, cap)
-    assert (report.m_interval, report.e_interval) == ((656, 734), (0, 0))
+    assert (report.m_interval, report.e_interval) == ((674, 674), (0, 0))
     assert report.arch_kinds == {
-        "yes": {"newton-line": 2, "point": 326},
-        "no": {"interval-exclusion": 33},
-        "unknown": {"subdivision budget": 39},
+        "yes": {"sign-change": 11, "point": 326},
+        "no": {"bernstein-exclusion": 63},
+        "unknown": {},
     }
-    for group in (1, 2):  # forms per exclusion group at the census's budget of 4000
-        monkeypatch.setattr(localsolve, "_PAIRS", group * 4000)
+    for group in (1, 2):  # forms per chart group at the census's budget of 4000, 64 coefficients a box
+        monkeypatch.setattr(localsolve, "_CELLS", group * 4000 * 64)
         assert local_census(3, 3, Fraction(3, 2), 2, cap) == report
+
+
+_CAP_DIRECTIONS = sorted({(3, s1, 2 * s2, s3) for s1 in (-1, 1) for s2 in (-1, 1) for s3 in (-1, 1)})
+
+
+@pytest.mark.parametrize("xi", _CAP_DIRECTIONS)
+def test_every_census_cap_direction_is_decided(xi):
+    # census-cap's 8 directions, the sign patterns of (3, -1, 2, 1) up to
+    # sign: per direction the S-lemma proves 24 quadrics free of zeros in the
+    # cap, and the chart search decides the other 3 quadrics (yes) and the 4
+    # cubics without a target point (no), so nothing is left unresolved
+    cap = AdelicTarget((), xi, Fraction(1, 2))
+    quadrics, cubics = local_census(2, 3, Fraction(3, 2), 3, cap), local_census(3, 3, 1, 2, cap)
+    assert (quadrics.m_interval, quadrics.e_interval, quadrics.unresolved) == ((152, 152), (0, 0), 0)
+    assert quadrics.arch_kinds == {"yes": {"sign-change": 3, "point": 73}, "no": {"s-lemma": 24}, "unknown": {}}
+    assert (cubics.m_interval, cubics.e_interval, cubics.unresolved) == ((32, 32), (0, 0), 0)
+    assert cubics.arch_kinds == {"yes": {"point": 16}, "no": {"bernstein-exclusion": 4}, "unknown": {}}
 
 
 def test_north_star_censuses_are_decided_by_points():
@@ -791,7 +809,7 @@ def test_s_lemma_certificates_are_sound_and_reverify(case):
     mat = quadric_matrix(form)
     (cert,) = census._s_lemma_certificates([mat], xi, sigma)
     if cert is None:
-        # every form the interval exclusion decides has a certificate too
+        # every form the chart search proves free of cap zeros has a certificate too
         assert decide_real_solubility(form, xi, sigma, 4000).verdict != "no"
         return
     # a certified no never meets a real zero: not one of the decider's yes

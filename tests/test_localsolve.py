@@ -28,6 +28,7 @@ from fanostat.localsolve import (
     local_density,
     target_mask,
     translate_local_conditions,
+    verify_real_certificate,
     _residue_fibre,
 )
 from fanostat.padic import (
@@ -251,14 +252,15 @@ def test_decide_real_yes_exact_zero():
     f = mkform(2, 2, m_200=1, m_020=1, m_002=-1)
     res = decide_real_solubility(f, (0, 1, 1), Fraction(1, 4))
     assert res.verdict == "yes"
-    assert res.certificate["kind"] in ("exact-zero", "sign-change", "newton-line")
+    assert res.certificate["kind"] in ("exact-zero", "sign-change")
+    verify_real_certificate(f, (0, 1, 1), Fraction(1, 4), res.certificate)
 
 
 def test_decide_real_no_definite():
     f = mkform(2, 2, m_200=1, m_020=1, m_002=1)
     res = decide_real_solubility(f, (1, 0, 0), Fraction(1))
     assert res.verdict == "no"
-    assert res.certificate["kind"] == "interval-exclusion"
+    assert res.certificate["kind"] == "bernstein-exclusion"
 
 
 def test_decide_real_sign_change():
@@ -274,63 +276,6 @@ def test_decide_real_newton_path():
     f = mkform(2, 2, m_200=2, m_020=1, m_002=-1)  # 2x^2 + y^2 = z^2
     res = decide_real_solubility(f, (1, 0, 1), Fraction(1, 3))
     assert res.verdict == "yes"
-
-
-# --- the scalar interval oracle: one box at a time, depth first
-
-
-def _down(x):
-    return math.nextafter(x, -math.inf)
-
-
-def _up(x):
-    return math.nextafter(x, math.inf)
-
-
-class _Interval:
-    """Closed interval with outward rounding (sound over floats)."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi=None):
-        self.lo = float(lo)
-        self.hi = float(lo if hi is None else hi)
-
-    def __add__(self, other):
-        return _Interval(_down(self.lo + other.lo), _up(self.hi + other.hi))
-
-    def __mul__(self, other):
-        prods = [self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi]
-        return _Interval(_down(min(prods)), _up(max(prods)))
-
-    def power(self, k: int):
-        if k % 2 == 1 or self.lo >= 0:
-            return _Interval(_down(self.lo**k), _up(self.hi**k))
-        if self.hi <= 0:
-            return _Interval(_down(self.hi**k), _up(self.lo**k))
-        return _Interval(0.0, _up(max(self.lo**k, self.hi**k)))
-
-
-def _form_on_box(form, box) -> _Interval:
-    total = _Interval(0.0)
-    for a, exps in zip(form.coeffs, form.basis.monomials):
-        if a == 0:
-            continue
-        term = _Interval(*localsolve._outward(a))
-        for iv, e in zip(box, exps):
-            if e:
-                term = term * iv.power(e)
-        total = total + term
-    return total
-
-
-def _box_outside_cap(box, xi, sigma) -> bool:
-    ip = nx = _Interval(0.0)
-    for iv, c in zip(box, xi):
-        ip = ip + iv * _Interval(*localsolve._outward(c))
-        nx = nx + iv * iv
-    # outside iff <x,xi>^2 < (1 - sigma^2) |x|^2 |xi|^2 for every x in the box
-    return (ip * ip).hi < (nx * _Interval(localsolve._cap_terms(xi, sigma)[2])).lo
 
 
 def _old_direction_grid(n, xi_inf):
@@ -365,9 +310,32 @@ def test_direction_grid_matches_the_set_construction(n):
         decide_real_solubility(make_form(2, n, [1] * dimension(2, n)), (0,) * (n + 1), Fraction(1, 2))
 
 
-def _depth_first_decide(form, xi, sigma, budget):
-    """The real decider one grid point and one box at a time: the yes paths
-    in grid order, then a depth-first interval exclusion (a stack of boxes)."""
+_fractions = np.vectorize(Fraction, otypes=[object])
+
+
+def _bernstein_value(T, k, s):
+    """The polynomial with tensor Bernstein coefficients T (flat, degree k
+    per axis) at the point s of [0, 1]^n, exactly."""
+    total = 0
+    for flat, beta in enumerate(itertools.product(range(k + 1), repeat=len(s))):
+        term = Fraction(T[flat])
+        for b, x in zip(beta, s):
+            term *= math.comb(k, b) * x**b * (1 - x) ** (k - b)
+        total += term
+    return total
+
+
+def _chart_point(patch, s):
+    """c + L s for a patch (c, L) and a rational s."""
+    c, L = patch
+    return [ci + sum(a * b for a, b in zip(row, s)) for ci, row in zip(c, L)]
+
+
+def _exact_chart_decide(form, xi, sigma, budget):
+    """The real decider one grid point and one box at a time, in exact
+    rationals: the grid's yes paths in grid order, odd degree at sigma = 1,
+    then the chart search on a first-in first-out queue of boxes, each with
+    its Fraction Bernstein tensors of f and q, strict signs and no band."""
     pos, neg = [], []
     for v in _old_direction_grid(form.basis.n, xi):
         if not cone_oracle(xi, sigma, v):
@@ -381,80 +349,42 @@ def _depth_first_decide(form, xi, sigma, budget):
         (pos if sval > 0 else neg).append(w)
     if pos and neg:
         return TriState.yes({"kind": "sign-change", "positive": pos[0], "negative": neg[0]})
-    for v in pos + neg:
-        cert = localsolve._newton_in_cap(form, v, gradient_form(form, v), xi, float(sigma))
-        if cert is not None:
-            return TriState.yes(cert)
-    n1 = form.basis.n + 1
-    work = []
-    for k in range(n1):
-        for s in (1, -1):
-            work.append([_Interval(s) if i == k else _Interval(-1, 1) for i in range(n1)])
+    d, n = form.basis.d, form.basis.n
+    if Fraction(sigma) == 1 and d % 2 == 1:
+        return TriState.yes({"kind": "odd-degree"})
+    patches, T, F, Q = localsolve._chart(form.basis, tuple(xi), Fraction(sigma))
+    f = _fractions((np.array(form.coeffs, dtype=object) @ F.astype(object)).reshape(len(patches), -1))
+    queue = [(p, f[p : p + 1], _fractions(Q[p : p + 1]), [Fraction(0)] * n, [0] * n) for p in range(len(patches))]
     examined = 0
-    while work:
-        box = work.pop()
+    while queue:
+        p, fb, qb, lo, depth = queue.pop(0)
         examined += 1
         if examined > budget:
             return TriState.unknown({"reason": "subdivision budget"})
-        if _box_outside_cap(box, xi, sigma):
+        if (qb > 0).all() or (fb > 0).all() or (fb < 0).all():
             continue
-        fbox = _form_on_box(form, box)
-        if not fbox.lo <= 0.0 <= fbox.hi:
-            continue
-        j = max(range(n1), key=lambda i: box[i].hi - box[i].lo)
-        if box[j].hi - box[j].lo < 1e-6:
-            return TriState.unknown({"reason": "cells too small to split"})
-        mid = 0.5 * (box[j].lo + box[j].hi)
-        for part in (_Interval(box[j].lo, mid), _Interval(mid, box[j].hi)):
-            work.append(box[:j] + [part] + box[j + 1 :])
-    return TriState.no({"kind": "interval-exclusion", "cells": examined})
+        corners = {}
+        for bits in itertools.product((0, 1), repeat=n):
+            s = [a + Fraction(b, 2**e) for a, b, e in zip(lo, bits, depth)]
+            # a corner coefficient is the value at the corner
+            if qb[0, np.ravel_multi_index([2 * b for b in bits], (3,) * n)] <= 0:
+                value = fb[0, np.ravel_multi_index([d * b for b in bits], (d + 1,) * n)]
+                if value != 0:
+                    x = _chart_point(patches[p], s)
+                    scale = math.lcm(*(Fraction(c).denominator for c in x))
+                    corners.setdefault(value > 0, tuple(int(c * scale) for c in x))
+        if len(corners) == 2:
+            return TriState.yes({"kind": "sign-change", "positive": corners[True], "negative": corners[False]})
+        j = max(range(n), key=lambda a: (Fraction(T[a], 2 ** depth[a]), -a))
+        halves = (localsolve._halves(fb, d, j), localsolve._halves(qb, 2, j))
+        for side in (0, 1):
+            child_lo = [a + Fraction(side, 2 ** (e + 1)) if i == j else a for i, (a, e) in enumerate(zip(lo, depth))]
+            child_depth = [e + (i == j) for i, e in enumerate(depth)]
+            queue.append((p, halves[0][side : side + 1], halves[1][side : side + 1], child_lo, child_depth))
+    return TriState.no({"kind": "bernstein-exclusion"})
 
 
 _SIGMAS = [Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10), Fraction(1)]
-
-
-def _dyadic_boxes(seed, n1, count=32):
-    """Random boxes in [-1, 1]^n1 as (lo, hi), each coordinate's ends on a
-    grid 2^-k Z with 10 <= k <= 21, as the subdivision makes them."""
-    rng = np.random.default_rng(seed)
-    scale = 2.0 ** rng.integers(10, 22, size=(count, n1))
-    a = np.floor(rng.uniform(-1, 1, size=(count, n1)) * scale)
-    w = np.floor(rng.uniform(0, 1, size=(count, n1)) * (scale - a))
-    return a / scale, (a + w) / scale
-
-
-@st.composite
-def _blocks(draw):
-    """1..4 forms on one basis with mixed term counts, dense or with a few
-    nonzero terms, and coefficients past 2^53."""
-    d, n = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 2, 3]))
-    N = dimension(d, n)
-    entries = st.integers(-5, 5) | st.sampled_from([2**53 + 1, -(3**40)])
-    forms = []
-    for _ in range(draw(st.integers(1, 4))):
-        coeffs = draw(st.lists(entries, min_size=N, max_size=N).filter(any))
-        keep = draw(st.sets(st.integers(0, N - 1), min_size=1, max_size=N))
-        if any(coeffs[m] for m in keep):
-            coeffs = [a if m in keep else 0 for m, a in enumerate(coeffs)]
-        forms.append(make_form(d, n, coeffs, primitive=False))
-    return forms
-
-
-@settings(max_examples=20)
-@given(_blocks(), st.sampled_from(_SIGMAS), st.integers(0, 2**32), st.data())
-def test_batched_enclosures_match_the_scalar_oracle_bit_for_bit(forms, sigma, seed, data):
-    n1 = forms[0].basis.n + 1
-    lo, hi = _dyadic_boxes(seed, n1)
-    xi = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n1, max_size=n1).filter(any)))
-    # every (form, box) pair, in a shuffled order
-    pf, pb = np.divmod(np.random.default_rng(seed).permutation(len(forms) * len(lo)), len(lo))
-    f_lo, f_hi = localsolve._block_enclosure(localsolve._block_terms(forms), lo, hi, pf, pb)
-    outside = localsolve._outside_cap(localsolve._cap_terms(xi, sigma), lo, hi)
-    for k, r, a, b in zip(pf.tolist(), pb.tolist(), f_lo, f_hi):
-        ref = _form_on_box(forms[k], [_Interval(x, y) for x, y in zip(lo[r], hi[r])])
-        assert (a.hex(), b.hex()) == (ref.lo.hex(), ref.hi.hex())
-    for r in range(len(lo)):
-        assert outside[r] == _box_outside_cap([_Interval(a, b) for a, b in zip(lo[r], hi[r])], xi, sigma)
 
 
 @st.composite
@@ -471,18 +401,28 @@ def _decider_cases(draw):
     return make_form(d, n, coeffs, primitive=False), xi, sigma, budget
 
 
+def _agrees_with_the_oracle(form, xi, sigma, budget, res):
+    """A decided verdict is the exact oracle's, and a yes re-verifies. The
+    float search keeps every box the exact one keeps, within the same budget,
+    so it can decide no form that the oracle leaves open."""
+    if res.verdict == "yes":
+        verify_real_certificate(form, xi, sigma, res.certificate)
+    if res.verdict != "unknown":
+        ref = _exact_chart_decide(form, xi, sigma, budget)
+        assert ref.verdict == res.verdict, (form, xi, sigma, budget, res, ref)
+        if ref.verdict == "yes":
+            verify_real_certificate(form, xi, sigma, ref.certificate)
+
+
 @settings(max_examples=20)
 @given(_decider_cases())
-@example((make_form(2, 1, [5, 1, -3]), (3, -3), Fraction(1, 4), 40))  # newton-line
-@example((make_form(3, 2, [1, 2, 4, -5, -1, -5, -3, -4, -5, -3]), (-1, 1, 1), Fraction(1, 10), 40))  # flipped newton-line
-@example((make_form(2, 2, [1, 0, 0, 1, 0, -1]), (2, 1, 0), Fraction(2, 3), 600))  # no after 498 cells
-def test_decide_real_matches_the_depth_first_oracle(case):
+@example((make_form(2, 1, [5, 1, -3]), (3, -3), Fraction(1, 4), 40))  # a chart sign change
+@example((make_form(3, 2, [1, 2, 4, -5, -1, -5, -3, -4, -5, -3]), (-1, 1, 1), Fraction(1, 10), 40))  # flipped side
+@example((make_form(2, 2, [1, 0, 0, 1, 0, -1]), (2, 1, 0), Fraction(2, 3), 600))  # a chart no
+@example((make_form(4, 1, [1, 0, -3, 0, 1]), (1, 0), Fraction(1), 300))  # the faces at sigma = 1
+def test_decide_real_matches_the_exact_chart_oracle(case):
     form, xi, sigma, budget = case
-    res = decide_real_solubility(form, xi, sigma, subdivision_budget=budget)
-    ref = _depth_first_decide(form, xi, sigma, budget)
-    assert res.verdict == ref.verdict
-    if res.verdict != "unknown":
-        assert res.certificate == ref.certificate
+    _agrees_with_the_oracle(form, xi, sigma, budget, decide_real_solubility(form, xi, sigma, subdivision_budget=budget))
 
 
 @st.composite
@@ -507,23 +447,29 @@ def _decider_blocks(draw):
     return forms, xi, sigma, draw(st.sampled_from([1, 40, 300]))
 
 
-_EVERY_KIND = ((-5, -5, -5), (-4, -5, 4), (-4, -5, 5), (-3, -5, 2), (-3, -5, 3))  # no, small cells, newton, zero, sign
+# around (1, 0) at sigma = 1/2: definite; a double zero at t = 1/3, off every
+# dyadic box corner; a grid zero; a grid sign change; zeros at t = +-0.53,
+# between the grid points and the cap's edge t = +-0.58
+_EVERY_KIND = ((-5, -5, -5), (1, -6, 9), (-3, -5, 2), (-3, -5, 3), (2, 0, -7))
 
 
 @settings(max_examples=20)
 @given(_decider_blocks())
-@example(([make_form(2, 1, c, primitive=False) for c in _EVERY_KIND], (1, 0), Fraction(1, 2), 2000))
+@example(([make_form(2, 1, c, primitive=False) for c in _EVERY_KIND], (1, 0), Fraction(1, 2), 20))
 def test_decide_real_batch_equals_one_form_calls_and_the_oracle(case):
     forms, xi, sigma, budget = case
     batch = decide_real_batch(forms, xi, sigma, budget)
     assert len(batch) == len(forms)
     for form, res in zip(forms, batch):
-        # the whole certificate: kind, point, reason, cells, pending and box
+        # the whole certificate: kind, points, reason, cells and pending
         assert res == decide_real_solubility(form, xi, sigma, subdivision_budget=budget)
-        ref = _depth_first_decide(form, xi, sigma, budget)
-        assert res.verdict == ref.verdict
-        if res.verdict != "unknown":
-            assert res.certificate == ref.certificate
+        _agrees_with_the_oracle(form, xi, sigma, budget, res)
+
+
+def test_every_kind_of_the_batch_example_is_met():
+    forms = [make_form(2, 1, c, primitive=False) for c in _EVERY_KIND]
+    kinds = [res.certificate.get("kind", res.certificate.get("reason")) for res in decide_real_batch(forms, (1, 0), Fraction(1, 2), 20)]
+    assert kinds == ["bernstein-exclusion", "subdivision budget", "exact-zero", "sign-change", "sign-change"]
 
 
 def test_decide_real_batch_keeps_a_budget_overrun_to_its_form(monkeypatch):
@@ -539,44 +485,12 @@ def test_decide_real_batch_keeps_a_budget_overrun_to_its_form(monkeypatch):
     alone = [decide_real_solubility(f, xi, sigma, budget) for f in definite + [sign]]
     assert [r.verdict for r in alone] == ["no", "no", "yes"]
     assert max(r.certificate["cells"] for r in alone[:2]) < budget
-    for group in (1, 2, 4):  # forms per exclusion group
-        monkeypatch.setattr(localsolve, "_PAIRS", group * budget)
+    for group in (1, 2, 4):  # forms per chart group: 9 Bernstein coefficients per box of a quadric in P^2
+        monkeypatch.setattr(localsolve, "_CELLS", group * budget * 9)
         first, *rest = decide_real_batch([cone] + definite + [sign], xi, sigma, budget)
         assert first == decide_real_solubility(cone, xi, sigma, budget)
         assert first.certificate["reason"] == "subdivision budget"
         assert rest == alone
-
-
-def test_newton_is_skipped_only_where_it_finds_no_root():
-    # derandomised forms around random axes: wherever the batch skips a side
-    # as hopeless, the scalar line search from it finds no root
-    rng = random.Random(41)
-    skipped = tried = 0
-    for _ in range(30):
-        d, n = rng.choice([(2, 1), (2, 2), (3, 2), (3, 3)])
-        basis = monomial_basis(d, n)
-        rows = [[rng.randint(-5, 5) for _ in range(basis.size)] for _ in range(3)]
-        forms = [make_form(d, n, c, primitive=False) for c in rows if any(c)]
-        xi = tuple(rng.randint(-3, 3) or 1 for _ in range(n + 1))
-        sigma = rng.choice(_SIGMAS[1:])
-        points, sides, flipped, V = localsolve._cap_grid(basis, xi, sigma)
-        if not sides:
-            continue
-        vals = np.array([[evaluate_form(f, v) for v in points] for f in forms])
-        grads = np.array([[gradient_form(f, w) for w in sides] for f in forms])
-        hopeless = padic.newton_hopeless(vals[:, :, None], grads).all(axis=2)
-        for f, row in zip(forms, hopeless):
-            for w, skip in zip(sides, row.tolist()):
-                if skip:
-                    skipped += 1
-                    assert localsolve._newton_in_cap(f, w, gradient_form(f, w), xi, float(sigma)) is None
-                else:
-                    tried += 1
-    assert skipped > 0 and tried > 0, (skipped, tried)
-    # the newton-line examples of the oracle test are not skipped
-    for form, xi, sigma in ((make_form(2, 1, [5, 1, -3]), (3, -3), Fraction(1, 4)),
-                            (make_form(3, 2, [1, 2, 4, -5, -1, -5, -3, -4, -5, -3]), (-1, 1, 1), Fraction(1, 10))):
-        assert decide_real_solubility(form, xi, sigma, 40).certificate["kind"] == "newton-line"
 
 
 def test_decide_real_unknown_reports_cells_and_the_frontier():
@@ -590,21 +504,10 @@ def test_decide_real_unknown_reports_cells_and_the_frontier():
     assert res.certificate["reason"] == "subdivision budget"
     assert 0 < res.certificate["cells"] < cells <= res.certificate["cells"] + res.certificate["pending"]
     first = decide_real_solubility(f, xi, sigma, subdivision_budget=1).certificate
-    assert (first["cells"], first["pending"]) == (0, 6)  # the six faces of the cube
-
-
-def test_cap_constant_is_rounded_down():
-    # (1 - 4/9) 14 = 70/9; the float product (1 - sigma^2) |xi|^2 exceeds it
-    xi, sigma = (1, 2, 3), Fraction(2, 3)
-    assert (1.0 - float(sigma) ** 2) * 14.0 > Fraction(70, 9)
-    K = localsolve._cap_terms(xi, sigma)[2]
-    assert Fraction(K) <= Fraction(70, 9) < Fraction(math.nextafter(K, math.inf))
-    assert localsolve._cap_terms(xi, Fraction(1, 2))[2] == 10.5  # exact
-    for sigma in _SIGMAS:
-        for xi in itertools.product(range(-2, 3), repeat=3):
-            if any(xi):
-                exact = (1 - sigma**2) * sum(c * c for c in xi)
-                assert Fraction(localsolve._cap_terms(xi, sigma)[2]) <= exact
+    assert (first["cells"], first["pending"]) == (1, 2)  # the chart's one box, then its two halves
+    # at sigma = 1 the search starts from the three faces x_k = 1
+    first = decide_real_solubility(mkform(2, 2, m_200=1, m_020=1, m_002=1), xi, 1, subdivision_budget=1).certificate
+    assert (first["cells"], first["pending"]) == (0, 3)
 
 
 @pytest.mark.parametrize("d", [21, 22, 40])
@@ -616,21 +519,108 @@ def test_decide_real_grid_values_never_wrap_int64(d):
         assert decide_real_solubility(f, xi, Fraction(1, 10)).verdict == "no"
 
 
-def test_outward_brackets_large_coefficients():
-    for a in (2**53 + 1, -(2**53 + 1), 3**40, Fraction(1, 3)):
-        lo, hi = localsolve._outward(a)
-        assert Fraction(lo) < a < Fraction(hi) and math.nextafter(lo, math.inf) == hi
-    assert localsolve._outward(2**53) == (2.0**53, 2.0**53)
+@st.composite
+def _chart_cases(draw, sigmas, halvings=0):
+    """A form with coefficients past 2^53, an axis, an aperture, and up to
+    `halvings` random (axis, right half) steps."""
+    d, n = draw(st.sampled_from([2, 3])), draw(st.integers(1, 3))
+    basis = monomial_basis(d, n)
+    entries = st.integers(-5, 5) | st.sampled_from([2**53 + 1, -(3**40)])
+    coeffs = draw(st.lists(entries, min_size=basis.size, max_size=basis.size).filter(any))
+    xi = tuple(draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1).filter(any)))
+    sigma = Fraction(draw(st.sampled_from(sigmas)))
+    steps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 1)), max_size=halvings))
+    return make_form(d, n, coeffs, primitive=False), xi, sigma, steps
 
 
-def test_newton_line_search_lets_unexpected_errors_through(monkeypatch):
-    def broken(coeffs, alpha0):
-        raise ZeroDivisionError("a bug in the line search")
+@settings(max_examples=25)
+@given(_chart_cases([Fraction(1, 10), Fraction(1, 2), 0.6, 1], halvings=3), st.data())
+def test_chart_tensors_are_the_bernstein_forms_of_f_and_q(case, data):
+    # on every patch, at random rational points and after random halvings:
+    # the f tensor is (lcm_a C(d, a))^n f(c + L s), the q tensor is <= 0
+    # exactly on the cap, and every cap point's chart coordinates lie in the box
+    form, xi, sigma, steps = case
+    d, n = form.basis.d, form.basis.n
+    if sigma == 1 and d % 2 == 1:
+        sigma = Fraction(1, 2)  # the chart serves odd degrees only in a cap
+    patches, T, F, Q = localsolve._chart(form.basis, xi, sigma)
+    scale = math.lcm(*(math.comb(d, a) for a in range(d + 1))) ** n
+    f = _fractions((np.array(form.coeffs, dtype=object) @ F.astype(object)).reshape(len(patches), -1))
+    rationals = st.fractions(0, 1, max_denominator=12)
+    for p, patch in enumerate(patches):
+        ft, qt, box = f[p : p + 1], _fractions(Q[p : p + 1]), [(Fraction(0), Fraction(1))] * n
+        for axis, right in steps:
+            ft, qt = (localsolve._halves(A, k, axis)[right : right + 1] for A, k in ((ft, d), (qt, 2)))
+            a, b = box[axis]
+            box[axis] = (a + right * (b - a) / 2, a + (right + 1) * (b - a) / 2)
+        for _ in range(3):
+            s = [data.draw(rationals) for _ in range(n)]
+            x = _chart_point(patch, [a + v * (b - a) for v, (a, b) in zip(s, box)])
+            assert _bernstein_value(ft[0], d, s) == scale * evaluate_form(form, x)
+            in_cap = cone_oracle(xi, sigma, x)
+            assert (_bernstein_value(qt[0], 2, s) <= 0) == in_cap
+    if sigma < 1:
+        u = [int(c) for c in xi]
+        k = max(range(n + 1), key=lambda i: abs(u[i]))
+        for w in localsolve._cap_grid(form.basis, xi, sigma)[1]:
+            x = [Fraction(c * sum(a * a for a in u), sum(a * b for a, b in zip(w, u))) for c in w]
+            t = [(x[j] - u[j]) / u[k] for j in range(n + 1) if j != k]
+            assert all(abs(tj) <= Tj for tj, Tj in zip(t, T))
 
-    monkeypatch.setattr(localsolve, "newton_real_root", broken)
-    f = mkform(2, 2, m_200=2, m_020=1, m_002=-1)
-    with pytest.raises(ZeroDivisionError):
-        localsolve._newton_in_cap(f, (1, 0, 1), gradient_form(f, (1, 0, 1)), (1, 0, 1), 1 / 3)
+
+@settings(max_examples=40)
+@given(_chart_cases([Fraction(1, 10), Fraction(1, 2), 0.6], halvings=14))
+@example((make_form(3, 3, [2**53 + 1] + [1] * 19, primitive=False), (3, -1, 2, 1), Fraction(1, 2), [(0, 1), (2, 0)] * 5))
+def test_banded_float_signs_agree_with_fraction_de_casteljau(case):
+    # wherever float64 de Casteljau after S halvings puts a coefficient
+    # beyond the band, the Fraction one of the same exact tensor has that sign
+    form, xi, sigma, steps = case
+    _, _, F, Q = localsolve._chart(form.basis, xi, sigma)
+    exact_f = (np.array(form.coeffs, dtype=object) @ F.astype(object)).reshape(1, -1)
+    assert max(abs(int(v)) for v in exact_f.ravel()) > 2**53 or max(map(abs, form.coeffs)) <= 5
+    for T, k in ((exact_f, form.basis.d), (Q.astype(object), 2)):
+        top = float(max(abs(int(v)) for v in T.ravel()))
+        fl, fr = np.asarray(T, dtype=np.float64), _fractions(T)
+        for axis, right in steps:
+            fl, fr = (localsolve._halves(A, k, axis)[right : right + 1] for A in (fl, fr))
+        band = localsolve._band(top, k * len(steps))
+        for x, y in zip(fl.ravel().tolist(), fr.ravel().tolist()):
+            assert (x <= band or y > 0) and (x >= -band or y < 0), (x, y, band)
+            assert abs(Fraction(x) - y) <= band  # the band bounds the rounding error itself
+
+
+def test_verify_real_certificate_rejects_tampering():
+    # X1 X3 - X2^2 meets census-cap's cap around (3, -1, 2, 1) only where no
+    # grid point shows it: the chart search finds the sign change
+    xi, sigma = (3, -1, 2, 1), Fraction(1, 2)
+    f = mkform(2, 3, m_0101=1, m_0020=-1)
+    res = decide_real_solubility(f, xi, sigma, 4000)
+    assert res.verdict == "yes" and res.certificate["kind"] == "sign-change"
+    cert = res.certificate
+    verify_real_certificate(f, xi, sigma, cert)
+    pos, neg = cert["positive"], cert["negative"]
+    assert evaluate_form(f, (1, 0, 0, 0)) == 0 and not cone_oracle(xi, sigma, (1, 0, 0, 0))
+    tampered = [
+        {**cert, "positive": neg, "negative": pos},  # signs swapped
+        {**cert, "positive": (1, 0, 0, 0)},  # moved out of the cap
+        {**cert, "negative": tuple(-c for c in neg)},  # the cap's other side
+        {"kind": "exact-zero", "point": pos},  # f(pos) != 0
+        {"kind": "exact-zero", "point": (1, 0, 0, 0)},  # a zero, outside the cap
+        {"kind": "exact-zero", "point": tuple(float(c) for c in pos)},  # not integers
+        {"kind": "odd-degree"},  # an even degree
+        {"kind": "newton-line", "point": pos},  # no such certificate
+    ]
+    for bad in tampered:
+        with pytest.raises(HypothesisFailed):
+            verify_real_certificate(f, xi, sigma, bad)
+    # at sigma = 1 an odd degree suffices, and antiparallel points prove nothing
+    cubic = mkform(3, 1, m_30=1, m_03=1)
+    verify_real_certificate(cubic, (1, 0), 1, {"kind": "odd-degree"})
+    with pytest.raises(HypothesisFailed):
+        verify_real_certificate(cubic, (1, 0), Fraction(1, 2), {"kind": "odd-degree"})
+    with pytest.raises(HypothesisFailed):
+        verify_real_certificate(cubic, (1, 0), 1, {"kind": "sign-change", "positive": (1, 0), "negative": (-1, 0)})
+    verify_real_certificate(cubic, (1, 0), 1, {"kind": "sign-change", "positive": (1, 0), "negative": (-2, 1)})
 
 
 def test_classify_balls_matches_congruence_set_at_v_equals_e():

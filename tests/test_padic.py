@@ -9,9 +9,6 @@ from fanostat.padic import (
     PadicApproxVector,
     hensel_lift,
     lift_hypersurface_point,
-    newton_hopeless,
-    newton_margin,
-    newton_real_root,
     poly_derivative,
     poly_eval,
     proj_distance_padic,
@@ -81,63 +78,6 @@ def test_hensel_random_soundness():
             k = min(int(e0) - int(l), target)
             assert (root - a0) % p**k == 0
         checked += 1
-
-
-def test_newton_arch_examples():
-    root, bound = newton_real_root([-2, 0, 1], 1.5)
-    assert root == pytest.approx(math.sqrt(2), abs=1e-9)
-    assert abs(root - 1.5) <= bound <= 2 * (0.25 / 3.0)
-    root, bound = newton_real_root([-1, 1], 0.9)  # t - 1 from 0.9
-    assert root == pytest.approx(1.0)
-    with pytest.raises(PreconditionFailed):
-        newton_real_root([0, 0, 1], 0.0)  # t^2 at 0: f' = 0
-
-
-def test_newton_arch_random_soundness():
-    rng = random.Random(55)
-    checked = 0
-    while checked < 1000:
-        deg = rng.randint(2, 4)
-        coeffs = [rng.uniform(-3, 3) for _ in range(deg + 1)]
-        a0 = rng.uniform(-1.5, 1.5)
-        dcoeffs = poly_derivative(coeffs)
-        f0 = poly_eval(coeffs, a0)
-        fp0 = poly_eval(dcoeffs, a0)
-        if fp0 == 0:
-            continue
-        F = newton_margin(coeffs, a0)
-        if not abs(f0) / fp0**2 < 1.0 / F:
-            continue
-        root, bound = newton_real_root(coeffs, a0)
-        assert abs(poly_eval(coeffs, root)) <= 1e-9
-        assert abs(root - a0) <= bound + 1e-12
-        assert bound <= 2 * abs(f0 / fp0) + 1e-12
-        checked += 1
-
-
-def test_newton_hopeless_implies_the_precondition_fails():
-    # wherever the cheap test calls a start hopeless, eta >= 1/F with the
-    # full margin F, so newton_real_root would refuse it anyway; the array
-    # form agrees with the scalar one
-    rng = random.Random(57)
-    hopeless = hopeful = 0
-    f0s, fp0s, masks = [], [], []
-    for _ in range(3000):
-        deg = rng.randint(1, 4)
-        coeffs = [rng.choice([rng.randint(-9, 9), rng.uniform(-3, 3)]) for _ in range(deg + 1)]
-        a0 = rng.choice([0.0, rng.uniform(-1.5, 1.5)])
-        f0, fp0 = poly_eval(coeffs, a0), poly_eval(poly_derivative(coeffs), a0)
-        mask = bool(newton_hopeless(f0, fp0))
-        f0s.append(f0), fp0s.append(fp0), masks.append(mask)
-        if mask:
-            hopeless += 1
-            assert fp0 == 0 or not abs(f0) / fp0**2 < 1.0 / newton_margin(coeffs, a0)
-            with pytest.raises(PreconditionFailed):
-                newton_real_root(coeffs, a0)
-        else:
-            hopeful += 1
-    assert hopeless > 100 and hopeful > 100, (hopeless, hopeful)
-    assert newton_hopeless(f0s, fp0s).tolist() == masks
 
 
 def test_padic_vector_type():
