@@ -4,7 +4,7 @@
                  = { x : <x, xi>^2 >= K |x|^2 },  K = (1 - sigma^2) |xi|^2,
 
 the balls of the projective metric d(x, y) = |x ^ y| / (|x| |y|) =
-|sin(angle)|, and unit-ball volumes. Wedge norms go through the Gram
+|sin(angle)| (`proj_distance_arch`), and unit-ball volumes. Wedge norms go through the Gram
 identity |x^y|^2 = |x|^2 |y|^2 - <x,y>^2, so nothing quadratic in the
 ambient dimension is ever materialized.
 
@@ -25,6 +25,14 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+
+def proj_distance_arch(x, y) -> float:
+    """d(x, y) = |x ^ y| / (|x| |y|) in [0, 1]; |sin| of the angle."""
+    nx, ny, ip = sum(c * c for c in x), sum(c * c for c in y), sum(a * b for a, b in zip(x, y))
+    if nx == 0 or ny == 0:
+        raise ValueError("projective distance needs nonzero vectors")
+    return min(math.sqrt(max(float(nx * ny - ip * ip), 0.0) / float(nx * ny)), 1.0)
 
 
 def cap_constant(xi, sigma) -> Fraction:

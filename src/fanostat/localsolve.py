@@ -536,11 +536,9 @@ def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000)
             out[lo + k] = TriState.yes({"kind": "sign-change", "positive": sides[pos], "negative": sides[neg]})
         for k in np.flatnonzero(zero.any(axis=1)).tolist():
             out[lo + k] = TriState.yes({"kind": "exact-zero", "point": points[int(zero[k].argmax())]})
-    rest = [k for k, res in enumerate(out) if res is None]
     if sigma == 1 and basis.d % 2 == 1:
-        for k in rest:
-            out[k] = TriState.yes({"kind": "odd-degree"})
-        return out
+        return [TriState.yes({"kind": "odd-degree"}) if res is None else res for res in out]
+    rest = [k for k, res in enumerate(out) if res is None]
     size = max(1, _CELLS // (max(subdivision_budget, 1) * (basis.d + 1) ** basis.n))
     for lo in range(0, len(rest), size):
         group = rest[lo : lo + size]

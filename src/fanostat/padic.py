@@ -49,14 +49,8 @@ def proj_distance_padic(x, y, p: int) -> float:
     if all(c == 0 for c in x) or all(c == 0 for c in y):
         raise ValueError("projective distance needs nonzero vectors")
     n = len(x)
-    best = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = x[i] * y[j] - x[j] * y[i]
-            v = valuation(m, p)
-            if v < best:
-                best = v
-    if best is math.inf:
+    best = min((valuation(x[i] * y[j] - x[j] * y[i], p) for i in range(n) for j in range(i + 1, n)), default=math.inf)
+    if best == math.inf:
         return 0.0
     return float(p) ** (-(best - vec_valuation(x, p) - vec_valuation(y, p)))
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fanostat.geom import cap_constant, cone_member, unit_ball_volume
+from fanostat.geom import cap_constant, cone_member, proj_distance_arch, unit_ball_volume
 
 
 def cone_oracle(xi, sigma, x) -> bool:
@@ -23,6 +23,44 @@ def cone_oracle(xi, sigma, x) -> bool:
 
 def _member(xi, sigma, x) -> bool:
     return bool(cone_member(xi, sigma, np.array([x], dtype=np.int64))[0])
+
+
+def test_wedge_and_distance():
+    assert proj_distance_arch((1, 0), (0, 1)) == 1.0
+    assert proj_distance_arch((2, 3), (2, 3)) == 0.0
+    assert proj_distance_arch((1, 1), (1, 0)) == pytest.approx(1 / math.sqrt(2))
+    with pytest.raises(ValueError):
+        proj_distance_arch((0, 0), (1, 0))
+
+
+def test_distance_triangle_inequality():
+    rng = random.Random(5)
+    for _ in range(10**4):
+        dim = rng.randint(2, 5)
+        x, y, z = (
+            [rng.gauss(0, 1) for _ in range(dim)] for _ in range(3)
+        )
+        if min(map(lambda v: sum(c * c for c in v), (x, y, z))) < 1e-12:
+            continue
+        dxz = proj_distance_arch(x, z)
+        dxy = proj_distance_arch(x, y)
+        dyz = proj_distance_arch(y, z)
+        assert dxz <= dxy + dyz + 1e-12
+
+
+def test_cone_member_is_the_ball_of_the_projective_metric():
+    # away from the boundary, x is in the cap exactly when d(x, xi) <= sigma
+    rng = random.Random(7)
+    for _ in range(2000):
+        dim = rng.randint(2, 4)
+        xi = [rng.randint(-3, 3) for _ in range(dim)]
+        x = [rng.randint(-9, 9) for _ in range(dim)]
+        if not any(xi) or not any(x):
+            continue
+        sigma = Fraction(rng.randint(0, 10), 10)
+        dist = proj_distance_arch(x, xi)
+        if abs(dist - sigma) > 1e-9:
+            assert _member(xi, sigma, x) == (dist < sigma), (xi, sigma, x)
 
 
 def test_cone_membership():

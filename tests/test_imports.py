@@ -126,6 +126,7 @@ ENTRY_POINTS = (
     ("localsolve", "fit_tail_constant", "the fitted tail constant the sound-tail item decides"),
     # references the tests of kept code compare against
     ("padic", "proj_distance_padic", "the radius checks of lift certificates"),
+    ("geom", "proj_distance_arch", "the metric whose balls cone_member's caps are"),
     ("localsolve", "density_sandwich", "the bounds a measured density must sit between"),
     ("localsolve", "count_projective_points", "point counts across streamed residue tables"),
     ("census", "quadric_real_soluble", "the classical real verdict of a quadric"),
