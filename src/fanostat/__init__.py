@@ -12,7 +12,8 @@ quantity as a testable operation. Submodules:
              volumes
 - intlinalg: exact integer determinants, Z^m balls
 - lattice:   the theta series of the hyperplane lattice of a Veronese vector
-- padic:     p-adic valuations and metric, Hensel lifting
+- padic:     p-adic valuations and metric, Hensel certificates and their
+             re-verification
 - localsolve: local solubility, ball classification, densities
 - counting:  reciprocal Veronese-norm sums and their predicted main term
 - census:    hypersurface-family statistics (first moment, local census)

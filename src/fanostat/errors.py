@@ -13,17 +13,9 @@ class EnumerationBudgetExceeded(FanostatError):
         self.nodes = nodes
 
 
-class PreconditionFailed(FanostatError):
-    """A Hensel starting condition does not hold; iteration refused."""
-
-
 class HypothesisFailed(FanostatError):
     """A lemma hypothesis failed exact verification; names the broken inequality."""
 
     def __init__(self, which, message=""):
         super().__init__(message or which)
         self.which = which
-
-
-class NonConvergence(FanostatError):
-    """Iteration failed to reach the requested tolerance."""

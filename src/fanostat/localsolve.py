@@ -4,11 +4,11 @@ Solubility of f = 0 over Q_p near a target point is only semidecidable, so
 every decision routine returns a TriState:
 
 - yes: carries a certificate that re-verifies independently. At a prime p it
-  is a LiftCertificate (a Hensel lift) or an ExactZeroCertificate (an exact
-  integer zero); both record the radius p^-e_p around the caller's target
-  that `padic.verify_certificate` checks. Over R it is an exact-zero,
-  sign-change or odd-degree certificate, which `verify_real_certificate`
-  checks;
+  is a LiftCertificate (a residue zero meeting Hensel's hypotheses) or an
+  ExactZeroCertificate (an exact integer zero); both record the radius
+  p^-e_p around the caller's target that `padic.verify_certificate` checks.
+  Over R it is an exact-zero, sign-change or odd-degree certificate, which
+  `verify_real_certificate` checks;
 - no: carries the depth at which an exhaustive residue search emptied out
   (sound: an exact zero would reduce), or the boxes a Bernstein search of
   the real cap examined;
@@ -66,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EnumerationBudgetExceeded, HypothesisFailed, PreconditionFailed
+from .errors import EnumerationBudgetExceeded, HypothesisFailed
 from .geom import cone_member, integer_axis
 from .intlinalg import bareiss_det, canonical_sign_mask
 from .numtheory import crt_combine, primes_up_to, unit_class_mask
@@ -209,7 +209,7 @@ class DensityInterval:
 # canonical projective residues mod p^v, as int64 arrays
 
 _CHUNK = 1 << 14  # rows per residue or coefficient block: bounds peak memory
-_CELLS = _CHUNK << 7  # coefficient classes x residues per descendant batch: bounds peak memory
+_CELLS = _CHUNK << 7  # entries a batch holds at once (ball classes, point grids, Bernstein tensors): bounds peak memory
 
 
 def canonical_residue(x, p: int, v: int):
@@ -337,11 +337,12 @@ def decide_padic_solubility(
     """Does the hypersurface have a Q_p point within p^-e_p of xi?
 
     With xi None (or e_p = 0) this is plain Q_p-solubility. Searches residue
-    zeros level by level; `yes` once some residue centres to an exact integer
-    zero (ExactZeroCertificate) or satisfies the lifting hypotheses
-    (LiftCertificate), `no` once a level holds no admissible residue zero
-    (sound: exact zeros reduce), `unknown` when the depth budget runs out or
-    residues mod p^(v+1) would outgrow int64.
+    zeros level by level; `yes` once some residue zero x mod p^v centres to an
+    exact integer zero (ExactZeroCertificate) or has a partial derivative of
+    valuation l < v/2 with v - l >= e_p, so that Hensel's lemma puts a
+    Q_p-zero within p^-e_p of xi (LiftCertificate); `no` once a level holds
+    no admissible residue zero (sound: exact zeros reduce); `unknown` when the
+    depth budget runs out or residues mod p^(v+1) would outgrow int64.
     A `yes` certificate records radius e_p and re-verifies against xi with
     `padic.verify_certificate`.
 
@@ -454,16 +455,16 @@ def _centered(x, p: int, v: int) -> tuple:
 
 
 def _try_lift(form: Form, x, p: int, v: int, e_p: int):
-    """Certificate via the lifting lemma at e = v and l = l*, if the
-    hypotheses hold and the lifted point provably stays within p^-e_p of the
-    target; None otherwise.
+    """The LiftCertificate of the residue zero x mod p^v at l = l*, if
+    Hensel's hypotheses hold and the Q_p-zero they give provably lies within
+    p^-e_p of the target; None otherwise.
 
-    The lift is within p^-(v - l*) of the residue x, and x within p^-e_p of
-    the target, so the certificate records radius e_p, not v - l*;
+    That zero is within p^-(v - l*) of x, and x within p^-e_p of the target,
+    so the certificate records radius e_p, not v - l*;
     `lift_hypersurface_point` refuses it when e_p > v - l*."""
     try:
         return lift_hypersurface_point(form, PadicApproxVector.from_integers(p, v, x), v, radius=e_p)
-    except (HypothesisFailed, PreconditionFailed):
+    except HypothesisFailed:
         return None
 
 
@@ -506,13 +507,10 @@ def decide_real_solubility(
     return decide_real_batch([form], xi_inf, sigma_inf, subdivision_budget)[0]
 
 
-_PAIRS = _CHUNK << 3  # (form, grid point) pairs held at once: bounds peak memory
-
-
 def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000) -> list:
     """`decide_real_solubility` for each of the forms (all on one basis).
 
-    One exact product of the coefficient rows of a block of at most _PAIRS
+    One exact product of the coefficient rows of a block of at most _CELLS
     form x grid-point pairs against the Veronese rows of the cached cap grid
     (`_cap_grid`) gives its grid zeros and sign changes. At sigma = 1 the
     forms of odd degree left over are `odd-degree`; the others go to the
@@ -524,7 +522,7 @@ def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000)
     xi, sigma = tuple(xi_inf), Fraction(sigma_inf)
     basis = forms[0].basis
     points, sides, flipped, V = _cap_grid(basis, xi, sigma)
-    step = max(1, _PAIRS // max(len(points), 1))
+    step = max(1, _CELLS // max(len(points), 1))
     out = [None] * len(forms)
     for lo in range(0, len(forms), step):
         vals = pairings(coefficient_matrix(forms[lo : lo + step]), V)

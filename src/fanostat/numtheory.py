@@ -129,16 +129,6 @@ def zeta(s: float, tol: float = 1e-12) -> float:
     return total
 
 
-def mod_inverse(a: int, m: int) -> int:
-    """b with a*b == 1 mod m, 0 <= b < m; errors unless gcd(a, m) == 1."""
-    if m < 1:
-        raise ValueError("modulus must be positive")
-    try:
-        return pow(a, -1, m)
-    except ValueError as exc:
-        raise ValueError(f"{a} is not invertible mod {m}") from exc
-
-
 def crt_combine(pairs):
     """Combine residue vectors under pairwise coprime moduli.
 
@@ -161,7 +151,7 @@ def crt_combine(pairs):
         if g != 1:
             raise ValueError(f"moduli share a factor {g}")
         # standard incremental CRT on each component
-        inv = mod_inverse(modulus % m, m) if m > 1 else 0
+        inv = pow(modulus, -1, m)  # gcd 1 was checked; 0 when m = 1
         new = []
         for c, r in zip(combined, vec):
             t = ((r - c) * inv) % m

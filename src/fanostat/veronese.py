@@ -243,23 +243,6 @@ def evaluate_form(form: Form, x):
     return sum(a * v for a, v in zip(form.coeffs, nu))
 
 
-def _line_restriction(form: Form, x, j: int):
-    """Integer coefficients of t -> f(x + t e_j), constant term first."""
-    out = [0] * (form.basis.d + 1)
-    for a, exps in zip(form.coeffs, form.basis.monomials):
-        if a == 0:
-            continue
-        ej = exps[j]
-        # expand (x_j + t)^ej times the frozen part
-        frozen = a
-        for i, e in enumerate(exps):
-            if i != j and e:
-                frozen *= x[i] ** e
-        for k in range(ej + 1):
-            out[k] += frozen * math.comb(ej, k) * x[j] ** (ej - k)
-    return out
-
-
 def gradient_form(form: Form, x):
     """(df/dx_i)(x) for i = 0..n via <a, nu^(i)(x)>."""
     _, jets = veronese_jet(form.basis, x)

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanostat import localsolve, padic
-from fanostat.errors import EnumerationBudgetExceeded, HypothesisFailed, PreconditionFailed
+from fanostat.errors import EnumerationBudgetExceeded, HypothesisFailed
 from fanostat.localsolve import (
     AdelicTarget,
     DensityInterval,
@@ -35,7 +35,6 @@ from fanostat.padic import (
     ExactZeroCertificate,
     LiftCertificate,
     PadicApproxVector,
-    lift_hypersurface_point,
     proj_distance_padic,
     valuation,
     verify_certificate,
@@ -964,26 +963,30 @@ def _per_form_decide(form, p, xi=None, e_p=0, depth_budget=3, node_budget=10**7)
 
 
 def _gradient_first_lift(form, x, p, v, e_p):
-    """A lift attempt that checks the gradient hypotheses itself and then
-    calls `lift_hypersurface_point` with l = l* and sets the radius e_p
-    afterwards: the reference for `_try_lift`."""
+    """The reference for `_try_lift` on a residue zero x mod p^v: Hensel's
+    hypotheses checked here, then the certificate (x, v, l*) with radius e_p
+    built directly."""
     lstar = min(min(valuation(g % p**v, p), v) for g in gradient_form(form, x))
     if not (v > 2 * lstar) or v - lstar < e_p:
         return None
-    try:
-        return replace(lift_hypersurface_point(form, PadicApproxVector.from_integers(p, v, x), v, lstar), radius=e_p)
-    except (HypothesisFailed, PreconditionFailed):
-        return None
+    return LiftCertificate(p, tuple(x), v, lstar, e_p)
 
 
 def test_try_lift_computes_the_gradient_once(monkeypatch):
-    calls = []
+    # a refused residue costs one gradient and no value of f; a certificate
+    # costs a second gradient and one value, in its re-verification
+    calls, values = [], []
 
     def counted(form, x):
         calls.append(x)
         return gradient_form(form, x)
 
+    def counted_value(form, x):
+        values.append(x)
+        return evaluate_form(form, x)
+
     monkeypatch.setattr(padic, "gradient_form", counted)
+    monkeypatch.setattr(padic, "evaluate_form", counted_value)
     monkeypatch.setattr(localsolve, "gradient_form", counted, raising=False)
     rng = random.Random(11)
     outcomes = {"lifted": 0, "refused": 0}
@@ -996,9 +999,9 @@ def test_try_lift_computes_the_gradient_once(monkeypatch):
         for x in canonical_projective_residues(n + 1, p, v):
             if evaluate_form(form, x) % p**v:
                 continue
-            before = len(calls)
+            before = len(calls), len(values)
             cert = localsolve._try_lift(form, x, p, v, e_p)
-            assert len(calls) == before + 1, (form, x, p, v)
+            assert (len(calls), len(values)) == (before[0] + (2 if cert else 1), before[1] + bool(cert)), (form, x, p, v)
             assert cert == _gradient_first_lift(form, x, p, v, e_p), (form, x, p, v, e_p)
             outcomes["lifted" if cert else "refused"] += 1
     assert min(outcomes.values()) > 0, outcomes

@@ -10,7 +10,6 @@ from fanostat.numtheory import (
     euler_phi,
     factorize,
     jordan_totient,
-    mod_inverse,
     primes_up_to,
     reduced_residues,
     zeta,
@@ -86,18 +85,27 @@ def test_crt_roundtrip_and_errors():
         crt_combine([(1, 4), (2, 6)])
 
 
-def test_mod_inverse():
-    assert mod_inverse(3, 7) == 5
-    assert mod_inverse(1, 17) == 1
-    assert mod_inverse(5, 12) == 5  # 25 = 2*12 + 1
-    with pytest.raises(ValueError):
-        mod_inverse(4, 12)
+@given(st.integers(2, 40), st.integers(1, 40), st.integers(1, 40), st.integers(-1000, 1000), st.integers(-1000, 1000))
+def test_crt_combine_refuses_moduli_that_share_a_factor(g, a, b, r, s):
+    with pytest.raises(ValueError, match="share a factor"):
+        crt_combine([(r, g * a), (s, g * b)])
 
 
-@given(st.integers(min_value=1, max_value=5000), st.integers(min_value=2, max_value=400))
-def test_mod_inverse_property(a, m):
-    if math.gcd(a, m) == 1:
-        assert (a * mod_inverse(a, m)) % m == 1
+@st.composite
+def _coprime_moduli(draw):
+    moduli = []
+    for m in draw(st.lists(st.integers(1, 60), min_size=1, max_size=5)):
+        if all(math.gcd(m, k) == 1 for k in moduli):
+            moduli.append(m)
+    return moduli
+
+
+@given(_coprime_moduli(), st.data())
+def test_crt_combine_round_trip_property(moduli, data):
+    residues = [data.draw(st.integers(-(10**6), 10**6)) for _ in moduli]
+    combined, mod = crt_combine(list(zip(residues, moduli)))
+    assert mod == math.prod(moduli) and 0 <= combined < mod
+    assert all((combined - r) % m == 0 for r, m in zip(residues, moduli))
 
 
 def test_factorize_reconstructs():
