@@ -10,7 +10,7 @@ quantity as a testable operation. Submodules:
 - veronese:  degree-d monomial vectors, forms, height bounds
 - geom:      real cones and caps, their exact membership test, unit-ball
              volumes
-- intlinalg: exact integer determinants, Z^m balls
+- intlinalg: exact integer determinants, primitive Z^m balls up to sign
 - lattice:   the theta series of the hyperplane lattice of a Veronese vector
 - padic:     p-adic valuations and metric, Hensel certificates and their
              re-verification

@@ -44,7 +44,7 @@ import numpy as np
 from .counting import Prediction, VolumeEstimate, veronese_reciprocal_volume
 from .errors import EnumerationBudgetExceeded
 from .geom import cap_matrix, unit_ball_volume
-from .intlinalg import bareiss_det, canonical_sign_mask, integer_ball
+from .intlinalg import bareiss_det, integer_ball
 from .lattice import primitive_orthogonal_count
 from .localsolve import (
     _CELLS,
@@ -85,20 +85,10 @@ def height_threshold_exponent(n: int, d: int) -> Fraction:
 # enumerating the family
 
 
-def _primitive_ball(dim: int, bound: int, budget: int) -> np.ndarray:
-    """Primitive x in Z^dim with |x|^2 <= bound, one per +- pair (first
-    nonzero entry positive)."""
-    pts = integer_ball(dim, bound, include_zero=False)
-    if len(pts) > budget:
-        raise EnumerationBudgetExceeded("ball too large", len(pts))
-    pts = pts[np.gcd.reduce(np.abs(pts), axis=1) == 1]
-    return pts[canonical_sign_mask(pts)]
-
-
-def _coefficient_rows(d: int, n: int, A, budget: int) -> np.ndarray:
+def _coefficient_rows(d: int, n: int, A) -> np.ndarray:
     """One primitive coefficient vector per hypersurface of height <= A
-    (canonical sign), as the int64 rows of the primitive ball."""
-    return _primitive_ball(dimension(d, n), int(Fraction(A) ** 2), budget)
+    (first nonzero entry positive): the rows of `integer_ball`."""
+    return integer_ball(dimension(d, n), Fraction(A) ** 2)
 
 
 def _forms(basis, rows: np.ndarray) -> list:
@@ -106,34 +96,33 @@ def _forms(basis, rows: np.ndarray) -> list:
     return [Form(basis, tuple(row)) for row in rows.tolist()]
 
 
-def enumerate_hypersurfaces(d: int, n: int, A, budget: int = 10**7):
-    """One primitive coefficient vector per hypersurface (canonical sign)."""
-    return _forms(monomial_basis(d, n), _coefficient_rows(d, n, A, budget))
+def enumerate_hypersurfaces(d: int, n: int, A):
+    """A `Form` per hypersurface of height <= A, on its primitive coefficient
+    vector with first nonzero entry positive, in lexicographic order."""
+    return _forms(monomial_basis(d, n), _coefficient_rows(d, n, A))
 
 
 # ---------------------------------------------------------------------------
 # N_V and the first moment
 
 
-def _candidate_points(d: int, n: int, B, target: AdelicTarget, budget: int = 10**7):
-    """Canonical primitive x with H(x) <= B meeting the target (`target_mask`)."""
-    bound = int(height_bound_norm2(d, n, B))
-    if bound < 1:
-        return np.empty((0, n + 1), dtype=np.int64)
-    pts = _primitive_ball(n + 1, bound, budget)
+def _candidate_points(d: int, n: int, B, target: AdelicTarget):
+    """The primitive x with H(x) <= B, one per +- pair (first nonzero entry
+    positive), that meet the target (`target_mask`)."""
+    pts = integer_ball(n + 1, height_bound_norm2(d, n, B))
     return pts[target_mask(target, pts)]
 
 
-def count_rational_points(form: Form, B, target: AdelicTarget, budget: int = 10**7) -> int:
+def count_rational_points(form: Form, B, target: AdelicTarget) -> int:
     """N_V: rational points up to sign with height <= B near the target."""
-    pts = _candidate_points(form.basis.d, form.basis.n, B, target, budget)
+    pts = _candidate_points(form.basis.d, form.basis.n, B, target)
     if len(pts) == 0:
         return 0
     NU = veronese_batch(form.basis, pts)
     return _zero_pairings(coefficient_matrix([form]), NU)
 
 
-def first_moment_direct(d: int, n: int, A, B, target: AdelicTarget, budget: int = 10**7) -> int:
+def first_moment_direct(d: int, n: int, A, B, target: AdelicTarget) -> int:
     """Strategy 1: pair every coefficient vector with every point, count zeros.
 
     The coefficient rows of the primitive ball meet the Veronese rows of the
@@ -141,8 +130,8 @@ def first_moment_direct(d: int, n: int, A, B, target: AdelicTarget, budget: int 
     each. It uses no symmetry on purpose: it is the independent oracle that
     `first_moment` checks the class-weighted dual count against.
     """
-    coeffs = _coefficient_rows(d, n, A, budget)
-    pts = _candidate_points(d, n, B, target, budget)
+    coeffs = _coefficient_rows(d, n, A)
+    pts = _candidate_points(d, n, B, target)
     if len(pts) == 0 or len(coeffs) == 0:
         return 0
     NU = veronese_batch(monomial_basis(d, n), pts)
@@ -183,8 +172,9 @@ def first_moment_dual(d: int, n: int, A, B, target: AdelicTarget, budget: int = 
 
 def first_moment(d: int, n: int, A, B, target: AdelicTarget, budget: int = 10**8):
     """Both strategies; raises if they disagree (they cannot, exactness is
-    the point), returns the common value."""
-    direct = first_moment_direct(d, n, A, B, target, min(budget, 10**7))
+    the point), returns the common value. `budget` bounds the theta table
+    of the dual count."""
+    direct = first_moment_direct(d, n, A, B, target)
     dual = first_moment_dual(d, n, A, B, target, budget)
     if direct != dual:
         raise AssertionError(f"first-moment strategies disagree: {direct} vs {dual}")
@@ -510,7 +500,6 @@ def local_census(
     P: int,
     target: AdelicTarget,
     depth_budget: int = 3,
-    budget: int = 10**7,
 ) -> CensusReport:
     """Exact M(A, P), E(A, P) and the derived #V^loc, all as intervals.
 
@@ -548,7 +537,7 @@ def local_census(
     `yes` and `no`, and the reason of every `unknown`.
     """
     basis = monomial_basis(d, n)
-    coeffs = _coefficient_rows(d, n, A, budget)
+    coeffs = _coefficient_rows(d, n, A)
     finite_ps = sorted(set(target.support) | set(primes_up_to(P)))
     per_place = {p: {"yes": 0, "no": 0, "unknown": 0} for p in finite_ps}
     arch_tally = {"yes": 0, "no": 0, "unknown": 0}
@@ -669,9 +658,11 @@ def predicted_census(
     Product of local density intervals for p in S and p <= P_trunc, a tail
     interval [prod_{p > P_trunc}(1 - C/p^2), 1], the archimedean MC interval,
     and the volume factor. Two volume factors are reported: the asymptotic
-    V_N A^N/(2 zeta(N)) and the exact primitive-vector count divided by 2,
-    which is what the density product actually multiplies at finite A. The
-    tail constant C (default `localsolve.DEFAULT_TAIL_CONSTANT`) is a measured
+    V_N A^N/(2 zeta(N)) and the exact count of primitive vectors up to sign
+    (`primitive_orthogonal_count` at nu = 0: the family's size, counted
+    without enumerating it), which is what the density product actually
+    multiplies at finite A. `budget` bounds `local_density`. The tail
+    constant C (default `localsolve.DEFAULT_TAIL_CONSTANT`) is a measured
     value, not a proven bound, so it is reported as "tail_constant".
     """
     N = dimension(d, n)
@@ -696,7 +687,7 @@ def predicted_census(
         hi *= float(iv.upper)
     Af = float(Fraction(A))
     asympt = unit_ball_volume(N) * Af**N / (2 * zeta(N))
-    prim_half = len(_coefficient_rows(d, n, A, budget))
+    prim_half = primitive_orthogonal_count((0,) * N, math.floor(Fraction(A) ** 2))
     sigma = float(Fraction(target.sigma_inf))
     return {
         "finite_intervals": intervals,

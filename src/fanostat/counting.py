@@ -27,7 +27,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EnumerationBudgetExceeded
 from .geom import cone_member, unit_ball_volume
 from .intlinalg import integer_ball
 from .numtheory import euler_phi, jordan_totient, unit_class_mask, zeta
@@ -68,25 +67,21 @@ class VolumeEstimate:
     method: str
 
 
-def veronese_reciprocal_sum(d: int, n: int, c, q: int, xi, sigma, X, budget: int = 10**8) -> float:
+def veronese_reciprocal_sum(d: int, n: int, c, q: int, xi, sigma, X) -> float:
     """Exact-weighted sum of 1/|nu(x)| over primitive x within the constraints.
 
     Each term is 1/sqrt of the exact integer |nu(x)|^2; summation is
     compensated. Points are counted with both signs (the underlying set is a
-    union of lattice cosets, not a projective set).
+    union of lattice cosets, not a projective set): x and -x pass the same
+    filters and have the same term, so the sum runs over one row per +- pair
+    (`integer_ball`) and is doubled, which is exact, since `math.fsum` rounds
+    correctly.
     """
     if not n >= d >= 2:
         raise ValueError("need n >= d >= 2")
-    X2 = int(Fraction(X) ** 2)
-    if X2 < 1:
-        return 0.0
-    pts = integer_ball(n + 1, X2, include_zero=False)
-    if len(pts) > budget:
-        raise EnumerationBudgetExceeded("ball too large", len(pts))
-    pts = pts[(np.gcd.reduce(np.abs(pts), axis=1) == 1) & unit_class_mask(pts, c, q) & cone_member(xi, sigma, pts)]
-    if len(pts) == 0:
-        return 0.0
-    return math.fsum(1.0 / math.sqrt(float(v)) for v in _veronese_norm_squared(d, pts))
+    pts = integer_ball(n + 1, Fraction(X) ** 2)
+    pts = pts[unit_class_mask(pts, c, q) & cone_member(xi, sigma, pts)]
+    return 2 * math.fsum(1.0 / math.sqrt(float(v)) for v in _veronese_norm_squared(d, pts))
 
 
 def veronese_reciprocal_volume(

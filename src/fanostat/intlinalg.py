@@ -1,6 +1,6 @@
 """Exact integer primitives: the fraction-free (Bareiss) determinant, and
-the Z^m balls, built coordinate by coordinate in numpy, that the family and
-point enumerations are cut from.
+the primitive Z^m balls up to sign, built coordinate by coordinate in numpy,
+that are the family and point enumerations.
 """
 
 from __future__ import annotations
@@ -8,6 +8,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import EnumerationBudgetExceeded
+
+# the most rows, imprimitive ones included, that a level of `integer_ball`
+# may hold: the one size bound of the family and point enumerations
+MAX_BALL_ROWS = 10**7
 
 
 def bareiss_det(mat) -> int:
@@ -34,44 +40,40 @@ def bareiss_det(mat) -> int:
     return sign * a[-1][-1]
 
 
-def integer_ball(dim: int, norm2_bound, include_zero=True) -> np.ndarray:
-    """All x in Z^dim with |x|^2 <= norm2_bound, as a (k, dim) int64 array in
+def integer_ball(dim: int, norm2_bound) -> np.ndarray:
+    """The primitive x in Z^dim with |x|^2 <= norm2_bound and first nonzero
+    entry positive, one row per +- pair, as a (k, dim) int64 array in
     lexicographic order.
 
     The rows grow one coordinate at a time, each carrying the norm it has
-    left, so no partial row outside the ball is ever made. Each level keeps
-    only (parent, value) indices; the rows are read back once at the end.
+    left and the gcd of its entries so far; a row whose gcd is still 0 (no
+    nonzero entry yet) takes no negative value. So no partial row outside
+    the ball and no row of the negative half is ever made. Each level keeps
+    only (parent, value) indices; the primitive rows of the last level are
+    read back once at the end. Every row extends by 0, so the levels only
+    grow: the first of more than MAX_BALL_ROWS rows raises
+    EnumerationBudgetExceeded, before the row array is allocated.
     """
     bound = int(math.floor(norm2_bound))
-    if bound < 0:
-        return np.empty((0, dim), dtype=np.int64)
-    r = math.isqrt(bound)
+    r = math.isqrt(max(bound, 0))
     values = np.arange(-r, r + 1, dtype=np.int64)
     squares = values * values
     left = np.array([bound], dtype=np.int64)
+    gcd = np.zeros(1, dtype=np.int64)
     levels = []
     for _ in range(dim):
-        parent, value = np.nonzero(squares <= left[:, None])
+        fits = squares <= left[:, None]
+        fits[gcd == 0, :r] = False
+        parent, value = np.nonzero(fits)
+        if len(parent) > MAX_BALL_ROWS:
+            raise EnumerationBudgetExceeded("ball too large", len(parent))
         left = left[parent] - squares[value]
+        gcd = np.gcd(gcd[parent], values[value])
         levels.append((parent, value))
-    pts = np.empty((len(left), dim), dtype=np.int64)
-    rows = np.arange(len(left))
+    rows = np.flatnonzero(gcd == 1)
+    pts = np.empty((len(rows), dim), dtype=np.int64)
     for k in reversed(range(dim)):
         parent, value = levels[k]
         pts[:, k] = values[value[rows]]
         rows = parent[rows]
-    if not include_zero:
-        pts = pts[(pts != 0).any(axis=1)]
     return pts
-
-
-def canonical_sign_mask(pts: np.ndarray) -> np.ndarray:
-    """Mask selecting one representative of each +-pair (first nonzero > 0)."""
-    n = pts.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    decided = np.zeros(n, dtype=bool)
-    for j in range(pts.shape[1]):
-        col = pts[:, j]
-        mask |= (~decided) & (col > 0)
-        decided |= col != 0
-    return mask

@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import EnumerationBudgetExceeded, HypothesisFailed
 from .geom import cone_member, integer_axis
-from .intlinalg import bareiss_det, canonical_sign_mask
+from .intlinalg import bareiss_det
 from .numtheory import crt_combine, primes_up_to, unit_class_mask
 from .padic import (
     ExactZeroCertificate,
@@ -601,9 +601,11 @@ def _cap_grid(basis, xi: tuple, sigma):
 def _direction_grid(n: int, xi_inf) -> np.ndarray:
     """The real decider's direction grid: the primitive rows of [-2, 2]^(n+1)
     with first nonzero entry positive, and an integer approximation of the
-    axis, as one int64 array in lexicographic order."""
+    axis, as one int64 array in lexicographic order. The cube is cut
+    directly: the `integer_ball` that holds it grows faster with n."""
     grid = np.indices((5,) * (n + 1), dtype=np.int64).reshape(n + 1, -1).T - 2
-    grid = grid[(np.gcd.reduce(np.abs(grid), axis=1) == 1) & canonical_sign_mask(grid)]
+    first = grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)]
+    grid = grid[(np.gcd.reduce(np.abs(grid), axis=1) == 1) & (first > 0)]
     scale = 8
     norm = math.sqrt(math.fsum(float(c) ** 2 for c in xi_inf))
     approx = [round(scale * float(c) / norm) for c in xi_inf]

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from fanostat.counting import (
     veronese_reciprocal_volume,
 )
 from fanostat.geom import unit_ball_volume
-from fanostat.veronese import monomial_basis, row_pairings, veronese_batch
+from fanostat.veronese import monomial_basis, row_pairings, veronese, veronese_batch
 
 
 def two_sided_cap_volume_r3(sigma):
@@ -30,6 +31,36 @@ def test_reciprocal_sum_examples():
         veronese_reciprocal_sum(2, 2, (0, 0, 0), 1, (1, 0, 0), 1, X) for X in (2, 4, 8)
     ]
     assert vals[0] <= vals[1] <= vals[2]
+
+
+def _two_sided_reciprocal_sum(d, n, c, q, xi, sigma, X):
+    """The sum of 1/|nu(x)| over every primitive x in Z^(n+1), both signs,
+    with |x| <= X, x ≡ u c mod q for a unit u and <x, xi>^2 >= (1 - sigma^2)
+    |xi|^2 |x|^2, one term per x, |nu(x)|^2 from the Veronese vector."""
+    r = math.isqrt(math.floor(Fraction(X) ** 2))
+    classes = {tuple(u * v % q for v in c) for u in range(q) if math.gcd(u, q) == 1}
+    K = (1 - Fraction(sigma) ** 2) * sum(Fraction(v) ** 2 for v in xi)
+    basis = monomial_basis(d, n)
+    terms = []
+    for x in itertools.product(range(-r, r + 1), repeat=n + 1):
+        norm2 = sum(v * v for v in x)
+        if norm2 > Fraction(X) ** 2 or math.gcd(*x) != 1 or tuple(v % q for v in x) not in classes:
+            continue
+        if sum(a * b for a, b in zip(x, xi)) ** 2 >= K * norm2:
+            terms.append(1.0 / math.sqrt(float(sum(v * v for v in veronese(basis, x)))))
+    return math.fsum(terms), len(terms)
+
+
+@pytest.mark.parametrize("d, n, c, q, xi, sigma, X", [
+    (2, 3, (1, 1, 0, 2), 3, (3, -1, 2, 1), Fraction(1, 2), 9),
+    (3, 3, (1, 0, 1, 2), 4, (1, 1, 1, 1), Fraction(3, 4), Fraction(13, 2)),
+    (2, 2, (0, 0, 0), 1, (1, 0, 0), 1, 5),
+])
+def test_reciprocal_sum_is_the_two_sided_sum_bit_for_bit(d, n, c, q, xi, sigma, X):
+    # one row per +- pair, doubled, is the correctly rounded sum over both signs
+    expected, terms = _two_sided_reciprocal_sum(d, n, c, q, xi, sigma, X)
+    assert terms > 10
+    assert veronese_reciprocal_sum(d, n, c, q, xi, sigma, X) == expected
 
 
 def test_reciprocal_volume_properties():

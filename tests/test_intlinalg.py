@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from fanostat.intlinalg import bareiss_det, canonical_sign_mask, integer_ball
+from fanostat import intlinalg
+from fanostat.errors import EnumerationBudgetExceeded
+from fanostat.intlinalg import bareiss_det, integer_ball
 
 
 def test_bareiss_matches_numpy():
@@ -18,20 +21,29 @@ def test_bareiss_matches_numpy():
 
 
 def test_integer_ball_counts():
-    pts = integer_ball(2, 4)
-    assert len(pts) == 13
-    mask = canonical_sign_mask(pts)
-    assert mask.sum() == 6  # 12 nonzero points up to sign
-    # every row once, against brute force over the box, with and without 0
-    for dim in range(1, 6):
-        for bound in (0, 1, 2, 4, 5, 9):
-            r = math.isqrt(bound)
+    assert integer_ball(2, 4).tolist() == [[0, 1], [1, -1], [1, 0], [1, 1]]
+    # exactly the primitive x of the box with first nonzero entry positive,
+    # in lexicographic order, against brute force
+    for dim in range(1, 7):
+        for bound in (0, 1, 2, 4, 5, 9, Fraction(19, 2), -1):
+            r = math.isqrt(max(math.floor(bound), 0))
             box = itertools.product(range(-r, r + 1), repeat=dim)
-            brute = {x for x in box if sum(c * c for c in x) <= bound}
-            for include_zero in (True, False):
-                pts = integer_ball(dim, bound, include_zero=include_zero)
-                expected = brute if include_zero else brute - {(0,) * dim}
-                assert pts.dtype == np.int64 and pts.shape == (len(expected), dim)
-                assert {tuple(x) for x in pts.tolist()} == expected
-    assert integer_ball(3, Fraction(19, 2)).shape == (len(integer_ball(3, 9)), 3)
-    assert integer_ball(3, -1).shape == (0, 3)
+            expected = [
+                x for x in box
+                if sum(c * c for c in x) <= bound and math.gcd(*x) == 1 and next(c for c in x if c) > 0
+            ]
+            pts = integer_ball(dim, bound)
+            assert pts.dtype == np.int64 and pts.shape == (len(expected), dim)
+            assert [tuple(x) for x in pts.tolist()] == expected, (dim, bound)
+
+
+def test_integer_ball_raises_past_the_row_bound(monkeypatch):
+    # the half ball of |x|^2 <= 2 in Z^3 has 2, 5 and 10 rows at its levels,
+    # the zero row among them: 9 +- pairs, all primitive
+    assert len(integer_ball(3, 2)) == 9
+    monkeypatch.setattr(intlinalg, "MAX_BALL_ROWS", 10)
+    assert len(integer_ball(3, 2)) == 9
+    monkeypatch.setattr(intlinalg, "MAX_BALL_ROWS", 9)
+    with pytest.raises(EnumerationBudgetExceeded) as exc:
+        integer_ball(3, 2)
+    assert exc.value.nodes == 10

@@ -7,15 +7,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fanostat.errors import EnumerationBudgetExceeded
-from fanostat.intlinalg import canonical_sign_mask, integer_ball
+from fanostat.intlinalg import integer_ball
 from fanostat.lattice import primitive_orthogonal_count
 
 
 def _brute_count(nu, A):
     """Primitive a up to sign with |a| <= A and <a, nu> = 0: the rows of the
-    integer ball, filtered."""
-    ball = integer_ball(len(nu), Fraction(A) ** 2, include_zero=False)
-    ball = ball[(np.gcd.reduce(np.abs(ball), axis=1) == 1) & canonical_sign_mask(ball)]
+    integer ball with <a, nu> = 0."""
+    ball = integer_ball(len(nu), Fraction(A) ** 2)
     return int((ball.astype(object) @ np.array(nu, dtype=object) == 0).sum())
 
 
@@ -35,6 +34,13 @@ def _theta_cases(draw):
 def test_theta_count_matches_the_filtered_integer_ball(case):
     nu, A = case
     assert primitive_orthogonal_count(nu, math.floor(Fraction(A) ** 2)) == _brute_count(nu, A)
+
+
+@pytest.mark.parametrize("N, K", [(10, 4), (20, 4), (20, 6)])
+def test_theta_count_at_nu_zero_is_the_size_of_the_integer_ball(N, K):
+    # two independent counts of the primitive vectors up to sign: the theta
+    # table's Moebius recursion and the rows the enumeration builds
+    assert len(integer_ball(N, K)) == primitive_orthogonal_count((0,) * N, K)
 
 
 def test_theta_count_beyond_int64_cells():
