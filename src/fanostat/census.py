@@ -259,11 +259,15 @@ def _quadric_pairs(basis) -> tuple:
 
 
 def _is_positive_definite(mat) -> bool:
-    m = len(mat)
-    for k in range(1, m + 1):
-        sub = [row[:k] for row in mat[:k]]
-        if bareiss_det(sub) <= 0:
+    """Sylvester's criterion in one Bareiss elimination without pivoting:
+    its k-th pivot is the k-th leading principal minor of the integer `mat`."""
+    a, prev = [list(map(int, row)) for row in mat], 1
+    for k, top in enumerate(a):
+        if top[k] <= 0:
             return False
+        for row in a[k + 1 :]:
+            row[k + 1 :] = [(v * top[k] - row[k] * t) // prev for v, t in zip(row[k + 1 :], top[k + 1 :])]
+        prev = top[k]
     return True
 
 
@@ -277,16 +281,12 @@ def _indefinite(mat) -> bool:
     return not (_is_positive_definite(mat) or _is_positive_definite(neg))
 
 
-_GOLDEN = (math.sqrt(5) - 1) / 2
-_GOLDEN_STEPS = 40  # shrinks the search interval by _GOLDEN**40, about 4e-9
-
-
 def _s_lemma_holds(mat, cap, sign: int, tau) -> bool:
     """Exact check of an S-lemma certificate (sign, tau) for the quadric
     with matrix 2M = `mat` on the cap {G >= 0}, G = Gn/g (`cap`, from
-    `geom.cap_matrix`): tau >= 0 and sign * 2M - tau G positive definite, by the
-    leading principal minors of its integer multiple by g * den(tau)
-    (`bareiss_det`). Then for x != 0 with G(x) >= 0,
+    `geom.cap_matrix`): tau >= 0 and sign * 2M - tau G positive definite, by
+    Sylvester's criterion on its integer multiple by g * den(tau)
+    (`_is_positive_definite`). Then for x != 0 with G(x) >= 0,
     sign * 2 f(x) > tau G(x) >= 0, so f has no zero in the cap."""
     Gn, g = cap
     tau = Fraction(tau)
@@ -309,11 +309,15 @@ def _s_lemma_certificates(mats, xi, sigma) -> list:
     tau >= 0 with s 2M - tau G positive definite. At x = xi that needs
     s xi^T 2M xi > tau G(xi) >= 0, which fixes s and bounds tau below
     top = |xi^T 2M xi| / G(xi). The least eigenvalue of s 2M - tau G is
-    concave in tau, so floats maximise it over [0, top] by a golden-section
-    search, the whole block in each batched `eigvalsh`. A maximum lam > 0 at
-    tau gives the candidate: since |G|_2 <= |xi|^2, rounding tau to the
-    nearest Fraction with denominator at most |xi|^2/lam moves the least
-    eigenvalue by at most lam/2. The verdict rests only on the exact check
+    concave in tau, so the tau that work form an open interval whose ends in
+    (0, top) are roots of det(s 2M - tau G), eigenvalues of G^-1 s 2M (G has
+    the eigenvalues sigma^2 |xi|^2 and -(1 - sigma^2) |xi|^2). It holds the
+    midpoint of two consecutive cut points of 0, top and the real parts of
+    the roots clipped to [0, top]: one batched `eigvals` finds the roots, one
+    batched `eigvalsh` the least eigenvalue at every midpoint, and the best,
+    lam > 0 at tau, is the candidate. Since |G|_2 <= |xi|^2, rounding tau to
+    a dyadic with denominator 2^k >= |xi|^2/lam moves the least eigenvalue
+    by at most lam/2. The verdict rests only on the exact check
     `_s_lemma_holds`.
     """
     cap = cap_matrix(xi, sigma)
@@ -325,26 +329,18 @@ def _s_lemma_certificates(mats, xi, sigma) -> list:
     sign = np.where(at_xi < 0, -1, 1)
     S = sign[:, None, None] * Q
     top = np.abs(at_xi) / float(Fraction(sigma) ** 2 * norm2**2)
-
-    def least(tau):
-        return np.linalg.eigvalsh(S - tau[:, None, None] * Gf)[:, 0]
-
-    a, b = np.zeros_like(top), top
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = least(c), least(d)
-    for _ in range(_GOLDEN_STEPS):
-        right = fc < fd  # the maximum lies in [c, b]
-        a, b = np.where(right, c, a), np.where(right, b, d)
-        new = np.where(right, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
-        f_new = least(new)
-        c, d = np.where(right, d, new), np.where(right, new, c)
-        fc, fd = np.where(right, fd, f_new), np.where(right, f_new, fc)
-    tau, lam = np.where(fc > fd, c, d), np.maximum(fc, fd)
+    roots = np.linalg.eigvals(np.linalg.solve(Gf, S)).real
+    cuts = np.sort(np.column_stack([np.zeros_like(top), top, np.clip(roots, 0, top[:, None])]), axis=1)
+    mids = (cuts[:, :-1] + cuts[:, 1:]) / 2
+    least = np.linalg.eigvalsh(S[:, None] - mids[:, :, None, None] * Gf)[..., 0]
+    best = least.argmax(axis=1)[:, None]
+    tau, lam = np.take_along_axis(mids, best, 1)[:, 0], np.take_along_axis(least, best, 1)[:, 0]
     out = []
     for mat, s, t, value in zip(mats, sign.tolist(), tau.tolist(), lam.tolist()):
         cert = None
         if value > 0:
-            rounded = Fraction(t).limit_denominator(max(1, math.ceil(float(norm2) / value)))
+            den = 1 << max(0, math.frexp(float(norm2) / value)[1])  # den >= |xi|^2/lam
+            rounded = Fraction(round(Fraction(t) * den), den)
             if _s_lemma_holds(mat, cap, s, rounded):
                 cert = {"kind": "s-lemma", "sign": s, "tau": rounded}
         out.append(cert)

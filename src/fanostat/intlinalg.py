@@ -14,6 +14,7 @@ from .errors import EnumerationBudgetExceeded
 # the most rows, imprimitive ones included, that a level of `integer_ball`
 # may hold: the one size bound of the family and point enumerations
 MAX_BALL_ROWS = 10**7
+_READ_BLOCK = 4096  # rows `integer_ball` reads back at a time, through every level
 
 
 def bareiss_det(mat) -> int:
@@ -50,8 +51,8 @@ def integer_ball(dim: int, norm2_bound) -> np.ndarray:
     nonzero entry yet) takes no negative value. So no partial row outside
     the ball and no row of the negative half is ever made. Each level keeps
     only (parent, value) indices; the primitive rows of the last level are
-    read back once at the end. Every row extends by 0, so the levels only
-    grow: the first of more than MAX_BALL_ROWS rows raises
+    read back once at the end, in row blocks. Every row extends by 0, so
+    the levels only grow: the first of more than MAX_BALL_ROWS rows raises
     EnumerationBudgetExceeded, before the row array is allocated.
     """
     bound = int(math.floor(norm2_bound))
@@ -70,10 +71,12 @@ def integer_ball(dim: int, norm2_bound) -> np.ndarray:
         left = left[parent] - squares[value]
         gcd = np.gcd(gcd[parent], values[value])
         levels.append((parent, value))
-    rows = np.flatnonzero(gcd == 1)
-    pts = np.empty((len(rows), dim), dtype=np.int64)
-    for k in reversed(range(dim)):
-        parent, value = levels[k]
-        pts[:, k] = values[value[rows]]
-        rows = parent[rows]
+    keep = np.flatnonzero(gcd == 1)
+    pts = np.empty((len(keep), dim), dtype=np.int64)
+    for lo in range(0, len(keep), _READ_BLOCK):
+        rows = keep[lo : lo + _READ_BLOCK]
+        for k in reversed(range(dim)):
+            parent, value = levels[k]
+            pts[lo : lo + _READ_BLOCK, k] = values[value[rows]]
+            rows = parent[rows]
     return pts

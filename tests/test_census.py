@@ -29,7 +29,7 @@ from fanostat.census import (
 )
 from fanostat.errors import EnumerationBudgetExceeded
 from fanostat.geom import cap_matrix
-from fanostat.intlinalg import integer_ball
+from fanostat.intlinalg import bareiss_det, integer_ball
 from fanostat.localsolve import (
     AdelicTarget,
     DensityInterval,
@@ -356,15 +356,19 @@ def test_predicted_census_contains_exact_micro():
 def test_a_float_aperture_is_read_exactly_in_either_order():
     # just below sqrt(1/2): the zeros (1, +-1) of X0^2 - X1^2 lie at distance
     # exactly sqrt(1/2) from (1, 0), outside the cap, and a float aperture
-    # shares its cached cap grid with the equal Fraction
+    # shares its cached cap grid with the equal Fraction. The chart search
+    # cannot separate them from the cap, but the S-lemma can: the tau that
+    # work form the thin interval (2/(1 - sigma^2), 2/sigma^2) around 4
     sigma = math.nextafter(math.sqrt(0.5), 0)
     form = mkform(2, 1, m_20=1, m_02=-1)
     for order in ((sigma, Fraction(sigma)), (Fraction(sigma), sigma)):
         _cap_grid.cache_clear()
         for s in order:
             assert decide_real_solubility(form, (1, 0), s).verdict == "unknown"
+            (cert,) = census._s_lemma_certificates([quadric_matrix(form)], (1, 0), s)
+            assert _s_lemma_reverifies(form, (1, 0), s, cert)
             report = local_census(2, 1, Fraction(3, 2), 2, AdelicTarget((), (1, 0), s))
-            assert (report.m_interval, report.e_interval, report.point_decided) == ((8, 10), (0, 2), 4)
+            assert (report.m_interval, report.e_interval, report.point_decided) == ((8, 8), (0, 0), 4)
 
 
 def test_beyond_verdict_is_unknown_where_no_prime_can_be_decided():
@@ -827,3 +831,88 @@ def test_s_lemma_certificates_are_sound_and_reverify(case):
     for bad in [{"sign": -sign, "tau": tau}] + [{"sign": sign, "tau": t} for t in tampered]:
         assert not census._s_lemma_holds(mat, cap, bad["sign"], bad["tau"])
         assert not _s_lemma_reverifies(form, xi, sigma, {**cert, **bad})
+
+
+_GOLDEN = (math.sqrt(5) - 1) / 2
+
+
+def _golden_s_lemma_certificates(mats, xi, sigma) -> list:
+    """The S-lemma search by golden sections: 40 steps that maximise the
+    least eigenvalue of s 2M - tau G over tau in [0, top], all forms in each
+    batched `eigvalsh`, then the maximiser rounded by `limit_denominator`
+    and checked exactly. An oracle that the pencil roots must not lose to."""
+    cap = cap_matrix(xi, sigma)
+    m, Gf = len(cap[0]), np.array(cap[0], dtype=float) / cap[1]
+    xi_f = np.array([float(c) for c in xi])
+    norm2 = sum(Fraction(c) ** 2 for c in xi)
+    Q = np.array(mats, dtype=float).reshape(-1, m, m)
+    at_xi = np.einsum("i,kij,j->k", xi_f, Q, xi_f)
+    sign = np.where(at_xi < 0, -1, 1)
+    S = sign[:, None, None] * Q
+    top = np.abs(at_xi) / float(Fraction(sigma) ** 2 * norm2**2)
+
+    def least(tau):
+        return np.linalg.eigvalsh(S - tau[:, None, None] * Gf)[:, 0]
+
+    a, b = np.zeros_like(top), top
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = least(c), least(d)
+    for _ in range(40):
+        right = fc < fd  # the maximum lies in [c, b]
+        a, b = np.where(right, c, a), np.where(right, b, d)
+        new = np.where(right, a + _GOLDEN * (b - a), b - _GOLDEN * (b - a))
+        f_new = least(new)
+        c, d = np.where(right, d, new), np.where(right, new, c)
+        fc, fd = np.where(right, fd, f_new), np.where(right, f_new, fc)
+    tau, lam = np.where(fc > fd, c, d), np.maximum(fc, fd)
+    out = []
+    for mat, s, t, value in zip(mats, sign.tolist(), tau.tolist(), lam.tolist()):
+        cert = None
+        if value > 0:
+            rounded = Fraction(t).limit_denominator(max(1, math.ceil(float(norm2) / value)))
+            if census._s_lemma_holds(mat, cap, s, rounded):
+                cert = {"kind": "s-lemma", "sign": s, "tau": rounded}
+        out.append(cert)
+    return out
+
+
+def test_pencil_certifies_every_quadric_the_golden_search_does():
+    # census-cap's directions: (3, -1, 2, 1) up to the signs of its coordinates
+    cases = [((2, 3, Fraction(3, 2)), (3, a, 2 * b, c), sigma)
+             for a in (1, -1) for b in (1, -1) for c in (1, -1)
+             for sigma in (Fraction(1, 5), Fraction(1, 2), Fraction(3, 4))]
+    cases.append(((2, 3, Fraction(2)), (3, -1, 2, 1), Fraction(1, 2)))
+    certified = 0
+    for (d, n, A), xi, sigma in cases:
+        forms = census._forms(monomial_basis(d, n), census._coefficient_rows(d, n, A))
+        mats = [quadric_matrix(f) for f in forms]
+        certs = census._s_lemma_certificates(mats, xi, sigma)
+        for form, cert, old in zip(forms, certs, _golden_s_lemma_certificates(mats, xi, sigma)):
+            assert cert is not None or old is None, (form, xi, sigma, old)
+            if cert is not None:
+                assert _s_lemma_reverifies(form, xi, sigma, cert), (form, xi, sigma, cert)
+                certified += 1
+    assert certified > 0
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    n = draw(st.integers(0, 6))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        entry |= st.integers(2**63, 2**66) | st.integers(-(2**66), -(2**63))
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    # 16 dominates every row of entries in +-3, 2**70 every row: positive definite
+    shift = draw(st.sampled_from([0, 4, 16, 2**70]))
+    return [[upper[min(i, j), max(i, j)] + (shift if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200)
+@example([[0]])
+@example([[1, 1], [1, 1]])  # positive semidefinite and singular
+@example([[2, 1, 1], [1, 2, 1], [1, 1, -1]])  # leading minors 2, 3, -5
+@example([])
+@given(_symmetric_matrices())
+def test_one_pass_sylvester_is_every_leading_minor(mat):
+    minors = [bareiss_det([row[:k] for row in mat[:k]]) for k in range(1, len(mat) + 1)]
+    assert census._is_positive_definite(mat) == all(v > 0 for v in minors)

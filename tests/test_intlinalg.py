@@ -37,6 +37,17 @@ def test_integer_ball_counts():
             assert [tuple(x) for x in pts.tolist()] == expected, (dim, bound)
 
 
+def test_integer_ball_rows_do_not_depend_on_the_read_back_block(monkeypatch):
+    # every ball of the brute-force test fits in one block; smaller blocks,
+    # one that divides the row count among them, must give the same rows
+    whole = {args: integer_ball(*args) for args in [(4, 9), (6, 5), (3, Fraction(19, 2)), (2, 4)]}
+    assert len(whole[2, 4]) == 4
+    for block in (1, 2, 7, 64):
+        monkeypatch.setattr(intlinalg, "_READ_BLOCK", block)
+        for args, rows in whole.items():
+            assert np.array_equal(integer_ball(*args), rows), (args, block)
+
+
 def test_integer_ball_raises_past_the_row_bound(monkeypatch):
     # the half ball of |x|^2 <= 2 in Z^3 has 2, 5 and 10 rows at its levels,
     # the zero row among them: 9 +- pairs, all primitive
