@@ -51,6 +51,7 @@ from .localsolve import (
     _CHUNK,
     DEFAULT_TAIL_CONSTANT,
     _cap_grid,
+    _residue_tables,
     AdelicTarget,
     DensityInterval,
     TriState,
@@ -426,21 +427,25 @@ def _arch_verdicts(forms, target: AdelicTarget, budget: int = 4000, mats=None) -
     """Real verdicts of forms on one basis.
 
     Quadrics are decided from their 2M (`mats`, when the caller already has
-    them). With sigma_inf = 1 the exact signature test decides every one. In
-    a cap, sigma_inf < 1, a quadric with an S-lemma certificate that it keeps
-    one sign on the cap (`_s_lemma_certificates`) is `no`; the certificate
-    costs less than the chart search on the quadrics it decides. Every other
-    quadric, and every form of higher degree, goes to the real decider in one
-    `decide_real_batch` call with `budget` boxes: cap-grid points, odd degree
-    at sigma_inf = 1, then the Bernstein search of the cap's affine chart."""
+    them). With sigma_inf = 1 a quadric that takes both signs on the sign
+    grid, the points of {-1, 0, 1}^(n+1) up to sign, is indefinite, so `yes`;
+    the exact signature test decides the rest (the definite and semidefinite
+    ones, such as X0^2). In a cap, sigma_inf < 1, a quadric with an S-lemma
+    certificate that it keeps one sign on the cap (`_s_lemma_certificates`)
+    is `no`; the certificate costs less than the chart search on the
+    quadrics it decides. Every other quadric, and every form of higher
+    degree, goes to the real decider in one `decide_real_batch` call with
+    `budget` boxes: cap-grid points, odd degree at sigma_inf = 1, then the
+    Bernstein search of the cap's affine chart."""
     certs = [None] * len(forms)
     if forms and forms[0].basis.d == 2:
-        mats = mats or [quadric_matrix(f) for f in forms]
         if Fraction(target.sigma_inf) == 1:
-            return [
-                TriState.yes({"kind": "quadric-signature"}) if _indefinite(m) else TriState.no({"kind": "quadric-definite"})
-                for m in mats
-            ]
+            # the sign grid: the centred points of P^n(F_3), a cached residue table up to n = 8
+            vals = pairings(coefficient_matrix(forms), next(_residue_tables(forms[0].basis, 3))[2])
+            both = ((vals > 0).any(axis=1) & (vals < 0).any(axis=1)).tolist()
+            yes = [b or _indefinite(mats[k] if mats else quadric_matrix(forms[k])) for k, b in enumerate(both)]
+            return [TriState.yes({"kind": "quadric-signature"}) if y else TriState.no({"kind": "quadric-definite"}) for y in yes]
+        mats = mats or [quadric_matrix(f) for f in forms]
         certs = _s_lemma_certificates(mats, target.xi_inf, target.sigma_inf)
     real = iter(decide_real_batch([f for f, cert in zip(forms, certs) if not cert], target.xi_inf, target.sigma_inf, budget))
     return [TriState.no(cert) if cert else next(real) for cert in certs]
@@ -667,12 +672,11 @@ def predicted_census(
     for p in sorted(support | set(primes_up_to(P_trunc))):
         e_p, xi = target.place(p)
         intervals[p] = local_density(d, n, p, xi, e_p, depth=depth, budget=budget)
-    # tail over primes beyond the truncation, summed in ascending order: a
-    # numpy sum would reorder the terms and move the last bits of tail_lower
-    tail_sum = 0.0
-    for p in primes_up_to(10**5):
-        if p > P_trunc and p not in support:
-            tail_sum += 1.0 / p**2
+    # tail over primes beyond the truncation, added in ascending order from 0.0
+    # by cumsum: a numpy sum would reorder the terms and move tail_lower's bits
+    P = np.array(primes_up_to(10**5))
+    terms = 1.0 / P[(P > P_trunc) & ~np.isin(P, list(support))] ** 2
+    tail_sum = float(np.cumsum(np.append(0.0, terms))[-1])
     tail_sum += 1e-5  # integral remainder beyond the sieve, over-estimated
     tail_lo = max(0.0, 1.0 - float(tail_constant) * tail_sum)
     rho_inf = real_density_interval(d, n, target, mc_samples, rng)

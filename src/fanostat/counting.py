@@ -8,7 +8,8 @@ exact integer. The predicted side is the main term
     W phi(q)/J_{n+1}(q) X^(n+1-d)/zeta(n+1),
 
 where the volume factor W is the cone integral of 1/|nu| over the unit
-ball, estimated by Monte Carlo. `census.predicted_first_moment` uses the
+ball, estimated by Monte Carlo from Gaussian draws in row blocks, never
+normalised (h_d is homogeneous). `census.predicted_first_moment` uses the
 same W; `Prediction` and `VolumeEstimate` carry a value with its error bar.
 
 Both sides need only |nu(x)|^2, never nu(x) itself. The Veronese basis is
@@ -29,6 +30,7 @@ import numpy as np
 
 from .geom import cone_member, unit_ball_volume
 from .intlinalg import integer_ball
+from .localsolve import _CHUNK
 from .numtheory import euler_phi, jordan_totient, unit_class_mask, zeta
 from .veronese import _exact_points, dimension
 
@@ -100,24 +102,30 @@ def veronese_reciprocal_volume(
     |nu(w)|^2 is h_d(w_0^2, ..., w_n^2) (`_veronese_norm_squared`), so each
     sample costs d(n+1) multiply-adds and no (samples, N) Veronese matrix is
     built: at (d, n) = (3, 5), N = 56, that matrix alone would be 90 MB.
+
+    The Gaussian samples g are drawn _CHUNK rows at a time, the same values
+    as one (mc_samples, n+1) draw, and never normalised: h_d is homogeneous
+    of degree d, so with r^2 = |g|^2, 1/|nu(g/|g|)| = sqrt(r^(2d) / h_d(g^2)),
+    and g/|g| is in the cap iff r^2 - <g, xi>^2 <= sigma^2 r^2 (xi a unit).
     """
     if not n >= d >= 2:
         raise ValueError("need n >= d >= 2")
     rng = rng or np.random.default_rng(0)
     m = n + 1
-    dirs = rng.standard_normal((mc_samples, m))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     xi_f = np.array([float(v) for v in xi], dtype=float)
+    if mc_samples < 2 or not xi_f.any():
+        raise ValueError("need mc_samples >= 2 (the error bar) and a nonzero cap axis xi")
     xi_f /= np.linalg.norm(xi_f)
     s = float(Fraction(sigma))
-    ips = dirs @ xi_f
-    in_cap = 1.0 - ips**2 <= s * s * (1 + 1e-15)
-    values = np.where(in_cap, 1.0 / np.sqrt(_veronese_norm_squared(d, dirs)), 0.0)
-    area = m * unit_ball_volume(m)
-    scale = area / (m - d)
-    mean = values.mean()
+    values = np.empty(mc_samples)
+    for lo in range(0, mc_samples, _CHUNK):
+        g = rng.standard_normal((min(_CHUNK, mc_samples - lo), m))
+        r2 = (g * g) @ np.ones(m)
+        in_cap = r2 - (g @ xi_f) ** 2 <= s * s * (1 + 1e-15) * r2
+        values[lo : lo + len(g)] = np.where(in_cap, np.sqrt(r2**d / _veronese_norm_squared(d, g)), 0.0)
+    scale = m * unit_ball_volume(m) / (m - d)
     stderr = values.std(ddof=1) / math.sqrt(mc_samples)
-    return VolumeEstimate(scale * mean, scale * stderr, "monte-carlo-spherical")
+    return VolumeEstimate(scale * values.mean(), scale * stderr, "monte-carlo-spherical")
 
 
 def predicted_reciprocal_sum(

@@ -208,7 +208,7 @@ class DensityInterval:
 # ---------------------------------------------------------------------------
 # canonical projective residues mod p^v, as int64 arrays
 
-_CHUNK = 1 << 14  # rows per residue or coefficient block: bounds peak memory
+_CHUNK = 1 << 14  # rows per residue, coefficient or Monte-Carlo sample block: bounds peak memory
 _CELLS = _CHUNK << 7  # entries a batch holds at once (ball classes, point grids, Bernstein tensors): bounds peak memory
 
 
@@ -854,6 +854,15 @@ def classify_balls(
     Every count equals the one of testing each of the p^(vN) balls against
     every admissible residue mod p^v; the budget applies to that nominal
     p^(vN).
+
+    A descent level k >= 2 is linear in the new digit b (`_digit_level`). A
+    residue x over a zero of the parent a has <a, nu(x)> == p^(k-1) t mod
+    p^k, so <a + p^(k-1) b, nu(x)> == 0 mod p^k iff
+    t + <b, nu(x mod p)> == 0 mod p: every child is tested once per key
+    (x mod p, t), by one pairing of the p^N digits with the distinct
+    nu(x mod p), and two boolean products (keys x parents) give each child
+    its verdict. The jet test needs no digit, since p^(k-1) b vanishes mod
+    p^v_tilde and mod p, and reads only x mod p^(k-1), the parent's zero.
     """
     if v < 1 or (e_p > v):
         raise ValueError("need v >= max(e_p, 1)")
@@ -872,7 +881,7 @@ def classify_balls(
         X = np.concatenate(list(_lexicographic_blocks(n + 1, p)))
     # a job (parents, B, s, R, owner) holds the classes parents[i] + s B[r],
     # for every row r of B, each tested against the residues R[j] with
-    # owner[j] == i; at the first level the one parent is 0
+    # owner[j] == i (sorted); at the first level the one parent is 0
     root = np.zeros((1, N), dtype=np.int64)
     first = p ** (k * N)
     blocks = (_grid([p**k] * N, start, min(start + _CHUNK, first)) for start in range(0, first, _CHUNK))
@@ -884,50 +893,69 @@ def classify_balls(
         weight = p ** ((v - k) * N)
         descend = []
         for parents, B, s, R, owner in jobs:
-            starts = np.flatnonzero(np.diff(owner, prepend=-1))  # owner is sorted, no parent is empty
-            base = parents[owner]
-            zero = _class_pairings(base, B, s, veronese_batch(basis, R) % mod, mod) == 0
-            good = np.zeros_like(zero)
-            for DI in veronese_jet_batch(basis, R) % modt:
-                good |= _class_pairings(base, B, s, DI, modt) != 0
-            sure = np.logical_or.reduceat(zero & good, starts, axis=1)  # (rows of B, parents)
-            rest = np.logical_or.reduceat(zero, starts, axis=1) & ~sure
+            NU = veronese_batch(basis, R) % mod
+            if s == 1:  # the first level: every residue is its own key
+                Z = pairings(B, NU) % mod == 0
+                good = np.any([pairings(B, DI) % modt != 0 for DI in veronese_jet_batch(basis, R) % modt], axis=0)
+                sure = (Z & good).any(axis=1, keepdims=True)  # (rows of B, parents)
+                rest = Z.any(axis=1, keepdims=True) & ~sure
+                key = np.arange(len(R))
+            else:
+                Z, key, sure, rest = _digit_level(basis, parents, B, s, R, owner, NU, p, modt)
             omega0 += weight * int(sure.sum())
             omega1 += weight * int(sure.sum())
             if k == v:
                 omega1 += int(rest.sum())
                 continue
-            # each class that descends keeps its own zeros, numbered row-major like np.nonzero(rest)
-            label = np.full(rest.shape, -1)
-            label[rest] = np.arange(int(rest.sum()))
-            r, j = np.nonzero(zero & rest[:, owner])
+            # each class that descends keeps its own zeros: the columns of its
+            # parent where its row of Z vanishes, classes numbered like np.nonzero
             b, i = np.nonzero(rest)
-            descend.append((parents[i] + s * B[b], R[j], label[r, owner[j]]))
+            count = np.bincount(owner, minlength=len(parents))
+            cols = count[i]
+            pair = np.repeat(np.arange(len(b)), cols)
+            j = np.arange(len(pair)) + np.repeat(np.cumsum(count)[i] - count[i] - np.cumsum(cols) + cols, cols)
+            hit = Z[b[pair], key[j]]
+            descend.append((parents[i] + s * B[b], R[j[hit]], pair[hit]))
         if k == v:
             return BallClassification(p, v, e_p, v_tilde, omega0, omega1, n, N)
-        jobs = _children(descend, p, k)
+        jobs = _children(descend, p, k, k + 1 == v)
         k += 1
 
 
-def _class_pairings(base: np.ndarray, B: np.ndarray, s: int, NU: np.ndarray, mod: int) -> np.ndarray:
-    """<base[j] + s B[r], NU[j]> mod `mod` for every row r of B and column j,
-    exactly: the parent's share rides along as one more column of NU."""
-    shift = row_pairings(base, NU) % mod
-    if s % mod == 0:  # s B only adds multiples of `mod`
-        return np.broadcast_to(shift, (len(B), len(shift)))
-    ones = np.ones((len(B), 1), dtype=np.int64)
-    return pairings(np.hstack([s * B, ones]), np.hstack([NU, shift[:, None]])) % mod
+def _digit_level(basis, parents, B, s: int, R, owner, NU, p: int, modt: int):
+    """The tests of a descent level, s = p^(k-1) (see `classify_balls`):
+    Z[r, key[j]] tests child r of owner[j] at R[j], sure and rest are (rows
+    of B, parents). R holds fibres of p^n rows, each over a parent's zero."""
+    base = parents[owner]
+    t = row_pairings(base, NU) % (s * p) // s
+    width = p ** (R.shape[1] - 1)
+    jets = veronese_jet_batch(basis, R[::width]) % modt
+    good = np.repeat(np.any([row_pairings(base[::width], DI) % modt != 0 for DI in jets], axis=0), width)
+    _, first, inverse = np.unique(R % p @ p ** np.arange(R.shape[1]), return_index=True, return_inverse=True)
+    T = pairings(B, veronese_batch(basis, R[first] % p) % p) % p
+    Z = (T[:, :, None] == -np.arange(p) % p).reshape(len(B), -1)
+    key = inverse.reshape(-1) * p + t
+    # (key, parent) incidences of every column and of the certifying ones: float32 counts them exactly
+    seen, certifying = (np.zeros((Z.shape[1], len(parents)), dtype=np.float32) for _ in range(2))
+    seen[key, owner] = 1
+    certifying[key[good], owner[good]] = 1
+    Zf = Z.astype(np.float32)
+    sure = Zf @ certifying > 0
+    return Z, key, sure, (Zf @ seen > 0) & ~sure
 
 
-def _children(descend, p: int, k: int):
+def _children(descend, p: int, k: int, last: bool):
     """The jobs of level k + 1: each class a mod p^k that descends, with its
     zeros Z, has the children a + p^k b for b in [0, p)^N, tested against
     the fibres mod p^(k+1) over Z; classes are batched up to about _CELLS
-    children x residues."""
+    entries: children x residues, the zero tests their descending children
+    read, or at the `last` level, where no child descends, per zero a test
+    of each child and the N-wide rows of its fibre."""
     for classes, Z, owner in descend:
         digits = _grid([p] * classes.shape[1], 0, p ** classes.shape[1])
         width = p ** (Z.shape[1] - 1)  # fibre rows per zero
-        batch = np.cumsum(np.bincount(owner) * width * len(digits)) // _CELLS
+        cells = len(digits) + width * classes.shape[1] if last else len(digits) * width
+        batch = np.cumsum(np.bincount(owner) * cells) // _CELLS
         cuts = np.flatnonzero(np.diff(batch, prepend=-1))
         for lo, hi in zip(cuts, np.append(cuts[1:], len(classes))):
             zlo, zhi = np.searchsorted(owner, [lo, hi])

@@ -916,3 +916,70 @@ def _symmetric_matrices(draw):
 def test_one_pass_sylvester_is_every_leading_minor(mat):
     minors = [bareiss_det([row[:k] for row in mat[:k]]) for k in range(1, len(mat) + 1)]
     assert census._is_positive_definite(mat) == all(v > 0 for v in minors)
+
+
+@st.composite
+def _quadric_blocks(draw):
+    """Quadrics on one basis: small and past-2^63 coefficients, definite ones
+    (a dominant diagonal, of either sign) and semidefinite sums of squares."""
+    n = draw(st.integers(1, 4))
+    basis = monomial_basis(2, n)
+    diagonal = [basis.index(tuple(2 * (k == i) for k in range(n + 1))) for i in range(n + 1)]
+    small, big = st.integers(-3, 3), st.integers(2**63, 2**66) | st.integers(-(2**66), -(2**63))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["small", "big", "definite", "squares"]))
+        if kind == "squares":  # sum_k (l_k . x)^2, rank at most n
+            coeffs = [0] * basis.size
+            for _ in range(draw(st.integers(1, n))):
+                lin = draw(st.lists(small, min_size=n + 1, max_size=n + 1))
+                for t, exps in enumerate(basis.monomials):
+                    idx = [i for i, e in enumerate(exps) for _ in range(e)]
+                    coeffs[t] += lin[idx[0]] ** 2 if idx[0] == idx[1] else 2 * lin[idx[0]] * lin[idx[1]]
+        else:
+            coeffs = draw(st.lists(big if kind == "big" else small, min_size=basis.size, max_size=basis.size))
+        if kind == "definite":
+            shift = draw(st.sampled_from([4 * n + 4, 2**70]))
+            for t in diagonal:
+                coeffs[t] += shift
+        sign = draw(st.sampled_from([1, -1]))
+        rows.append([sign * c for c in coeffs])
+    return [make_form(2, n, c, primitive=False) for c in rows if any(c)]
+
+
+@settings(max_examples=150)
+@example([mkform(2, 3, m_2000=1)])  # X0^2: no sign change on the grid, soluble at X0 = 0
+@example([mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=1), mkform(2, 3, m_2000=-1, m_0200=-1)])
+@example([mkform(2, 1, m_20=1, m_11=-2, m_02=1), mkform(2, 1, m_20=2**64, m_11=1, m_02=2**64)])
+@example([mkform(2, 2, m_200=2**64 + 1, m_020=-1)])  # object tier of pairings
+@given(_quadric_blocks())
+def test_sign_grid_verdicts_are_the_signature_test(forms):
+    if not forms:
+        return
+    target = AdelicTarget.trivial(forms[0].basis.n)
+    mats = [quadric_matrix(f) for f in forms]
+    expected = [
+        ("yes", "quadric-signature") if census._indefinite(m) else ("no", "quadric-definite") for m in mats
+    ]
+    for given_mats in (None, mats):
+        got = census._arch_verdicts(forms, target, mats=given_mats)
+        assert [(r.verdict, r.certificate["kind"]) for r in got] == expected
+
+
+def _tail_lower_loop(P_trunc, support, tail_constant):
+    """predicted_census's tail_lower as a loop over the primes in ascending order."""
+    tail_sum = 0.0
+    for p in primes_up_to(10**5):
+        if p > P_trunc and p not in support:
+            tail_sum += 1.0 / p**2
+    tail_sum += 1e-5
+    return max(0.0, 1.0 - float(tail_constant) * tail_sum)
+
+
+@pytest.mark.parametrize("P_trunc, places", [(3, ()), (2, ((5, 1, (1, 2, 0)),)), (7, ((2, 1, (1, 0, 1)), (11, 1, (0, 1, 3)))), (1, ())])
+def test_predicted_census_tail_is_the_ascending_loop_bit_for_bit(P_trunc, places):
+    finite = tuple((p, e, PadicApproxVector.from_integers(p, e, xi)) for p, e, xi in places)
+    target = AdelicTarget(finite, (1, 0, 0), Fraction(1))
+    pred = predicted_census(2, 2, 1, target, P_trunc=P_trunc, mc_samples=20, rng=np.random.default_rng(0))
+    assert pred["tail_lower"] == _tail_lower_loop(P_trunc, target.support, pred["tail_constant"])
+    assert pred["tail_lower"] < 1

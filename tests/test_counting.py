@@ -12,6 +12,7 @@ from fanostat.counting import (
     veronese_reciprocal_volume,
 )
 from fanostat.geom import unit_ball_volume
+from fanostat.localsolve import _CHUNK
 from fanostat.veronese import monomial_basis, row_pairings, veronese, veronese_batch
 
 
@@ -162,3 +163,29 @@ def test_reciprocal_volume_matches_the_dense_veronese_reference(d, n, sigma):
     value, err = dense_reciprocal_volume(d, n, xi, sigma, 50000, np.random.default_rng(17))
     assert w.value == pytest.approx(value, rel=1e-12)
     assert w.err == pytest.approx(err, rel=1e-12)
+
+
+@pytest.mark.parametrize("samples", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+@pytest.mark.parametrize("d, n, sigma", [(2, 3, Fraction(1)), (2, 3, Fraction(1, 2)), (3, 5, Fraction(3, 4))])
+def test_blocked_draws_are_one_draw(samples, d, n, sigma):
+    # the volume draws its samples in blocks of _CHUNK rows: the same values,
+    # and the same generator state after, as one (samples, n + 1) draw
+    xi = (3, -1, 2, 1) + (1,) * (n - 3)
+    rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
+    w = veronese_reciprocal_volume(d, n, xi, sigma, samples, rng)
+    value, err = dense_reciprocal_volume(d, n, xi, sigma, samples, np.random.default_rng(29))
+    assert w.value == pytest.approx(value, rel=1e-12)
+    assert w.err == pytest.approx(err, rel=1e-12)
+    ref_rng.standard_normal((samples, n + 1))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_reciprocal_volume_refuses_a_zero_axis_and_a_single_sample():
+    with pytest.raises(ValueError):
+        veronese_reciprocal_volume(2, 3, (0, 0, 0, 0), Fraction(1, 2), 1000)
+    with pytest.raises(ValueError):
+        veronese_reciprocal_volume(2, 3, (1, 0, 0, 0), 1, 1)
+    with pytest.raises(ValueError):
+        predicted_reciprocal_sum(2, 3, (1, 0, 0, 0), 1, (0, 0, 0, 0), 1, 10, mc_samples=1000)
+    # two samples give a finite error bar
+    assert math.isfinite(veronese_reciprocal_volume(2, 3, (1, 0, 0, 0), 1, 2).err)

@@ -689,6 +689,11 @@ def _ball_cases(draw):
 @given(_ball_cases())
 @example((2, 2, 2, 3, 1, (1, 0, 1)))  # p | d, three levels
 @example((3, 1, 3, 2, 1, (1, 2)))  # p | d
+# classes descend through two or more digit levels, with a target and at p = 3
+@example((2, 1, 3, 3, 1, (1, 2)))
+@example((2, 1, 3, 3, 0, None))
+@example((2, 1, 2, 4, 2, (1, 3)))  # v = e_p + 2
+@example((3, 1, 2, 4, 1, (1, 1)))  # three descent levels
 def test_classify_balls_matches_the_brute_force_kernel(case):
     d, n, p, v, e_p, entries = case
     xi = PadicApproxVector.from_integers(p, e_p, entries) if e_p else None
@@ -696,18 +701,21 @@ def test_classify_balls_matches_the_brute_force_kernel(case):
     assert (res.omega0, res.omega1) == _brute_force_balls(d, n, p, v, xi, e_p)
 
 
-# (omega0, omega1) of the single-level kernel, which took 3-18 s per case
+# (omega0, omega1) of the single-level kernel, which took 3-18 s per case;
+# (2, 2, 2, 4) of the digit-by-digit kernel before its levels were linear in
+# the new digit (2^24 nominal balls, past the default budget)
 _PINNED_BALLS = {
     (2, 3, 2, 2): (996352, 1043072),
     (3, 2, 2, 2): (1017856, 1031296),
     (2, 2, 3, 2): (454896, 488592),
     (2, 2, 2, 3): (223328, 237440),
+    (2, 2, 2, 4): (14292992, 14855680),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_PINNED_BALLS))
 def test_classify_balls_keeps_the_pinned_counts(case):
-    res = classify_balls(*case)
+    res = classify_balls(*case, budget=2**24)
     assert (res.omega0, res.omega1) == _PINNED_BALLS[case]
 
 
