@@ -24,8 +24,8 @@ Two headline computations, each with an exact side and a predicted side:
    soluble near the target at every place at once, so the census looks for
    such points first, on the int64 coefficient rows of the whole family,
    and builds `Form`s only for the forms where it finds none, which go to
-   the local deciders. In a cap, quadrics are first tried for an exact
-   S-lemma certificate against `geom.cap_matrix`.
+   the local deciders: at the real place `localsolve.decide_real_batch`,
+   whose docstring gives the order of the real-place checks.
 
 Solubility verdicts are tri-state; counts touched by unknown verdicts are
 reported as intervals, never silently resolved.
@@ -36,14 +36,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .counting import Prediction, VolumeEstimate, veronese_reciprocal_volume
 from .errors import EnumerationBudgetExceeded
-from .geom import cap_matrix, unit_ball_volume
+from .geom import unit_ball_volume
 from .intlinalg import bareiss_det, integer_ball
 from .lattice import primitive_orthogonal_count
 from .localsolve import (
@@ -51,13 +50,13 @@ from .localsolve import (
     _CHUNK,
     DEFAULT_TAIL_CONSTANT,
     _cap_grid,
-    _residue_tables,
+    _indefinite,
     AdelicTarget,
     DensityInterval,
-    TriState,
     decide_padic_batch,
     decide_real_batch,
     local_density,
+    quadric_matrix,
     target_mask,
 )
 from .numtheory import euler_phi, factorize, jordan_totient, primes_up_to, zeta
@@ -231,121 +230,12 @@ def predicted_first_moment(
 
 
 # ---------------------------------------------------------------------------
-# quadric fast paths (exact, d = 2 only)
-
-
-def quadric_matrix(form: Form):
-    """2M for f = x^T M x: integer symmetric matrix."""
-    if form.basis.d != 2:
-        raise ValueError("quadric helpers need d = 2")
-    m = form.basis.n + 1
-    mat = [[0] * m for _ in range(m)]
-    for a, (i, j) in zip(form.coeffs, _quadric_pairs(form.basis)):
-        if i == j:
-            mat[i][i] = 2 * a
-        else:
-            mat[i][j] += a
-            mat[j][i] += a
-    return mat
-
-
-@lru_cache(maxsize=None)
-def _quadric_pairs(basis) -> tuple:
-    """The variables (i, j), i <= j, of each monomial X_i X_j of a quadric basis."""
-    pairs = []
-    for exps in basis.monomials:
-        idx = [i for i, e in enumerate(exps) for _ in range(e)]
-        pairs.append((idx[0], idx[1]))
-    return tuple(pairs)
-
-
-def _is_positive_definite(mat) -> bool:
-    """Sylvester's criterion in one Bareiss elimination without pivoting:
-    its k-th pivot is the k-th leading principal minor of the integer `mat`."""
-    a, prev = [list(map(int, row)) for row in mat], 1
-    for k, top in enumerate(a):
-        if top[k] <= 0:
-            return False
-        for row in a[k + 1 :]:
-            row[k + 1 :] = [(v * top[k] - row[k] * t) // prev for v, t in zip(row[k + 1 :], top[k + 1 :])]
-        prev = top[k]
-    return True
+# quadric verdicts (exact, d = 2 only)
 
 
 def quadric_real_soluble(form: Form) -> bool:
     """Exact: a real quadric has points iff its matrix is not definite."""
     return _indefinite(quadric_matrix(form))
-
-
-def _indefinite(mat) -> bool:
-    neg = [[-v for v in row] for row in mat]
-    return not (_is_positive_definite(mat) or _is_positive_definite(neg))
-
-
-def _s_lemma_holds(mat, cap, sign: int, tau) -> bool:
-    """Exact check of an S-lemma certificate (sign, tau) for the quadric
-    with matrix 2M = `mat` on the cap {G >= 0}, G = Gn/g (`cap`, from
-    `geom.cap_matrix`): tau >= 0 and sign * 2M - tau G positive definite, by
-    Sylvester's criterion on its integer multiple by g * den(tau)
-    (`_is_positive_definite`). Then for x != 0 with G(x) >= 0,
-    sign * 2 f(x) > tau G(x) >= 0, so f has no zero in the cap."""
-    Gn, g = cap
-    tau = Fraction(tau)
-    if sign not in (1, -1) or tau < 0:
-        return False
-    scale = sign * g * tau.denominator
-    return _is_positive_definite(
-        [[scale * q - tau.numerator * v for q, v in zip(qrow, grow)] for qrow, grow in zip(mat, Gn)]
-    )
-
-
-def _s_lemma_certificates(mats, xi, sigma) -> list:
-    """For each quadric matrix 2M, a certificate {"kind": "s-lemma",
-    "sign": s, "tau": tau} that the quadric has the sign s on the whole cap
-    {d(x, xi) <= sigma}, sigma < 1, or None where none was found.
-
-    The cap is {G >= 0} (`geom.cap_matrix`) and G(xi) > 0, so by the strict
-    S-lemma (Yakubovich; Polik and Terlaky, "A survey of the S-lemma", SIAM
-    Review 2007) a quadric without a zero in the cap has some s = +-1 and
-    tau >= 0 with s 2M - tau G positive definite. At x = xi that needs
-    s xi^T 2M xi > tau G(xi) >= 0, which fixes s and bounds tau below
-    top = |xi^T 2M xi| / G(xi). The least eigenvalue of s 2M - tau G is
-    concave in tau, so the tau that work form an open interval whose ends in
-    (0, top) are roots of det(s 2M - tau G), eigenvalues of G^-1 s 2M (G has
-    the eigenvalues sigma^2 |xi|^2 and -(1 - sigma^2) |xi|^2). It holds the
-    midpoint of two consecutive cut points of 0, top and the real parts of
-    the roots clipped to [0, top]: one batched `eigvals` finds the roots, one
-    batched `eigvalsh` the least eigenvalue at every midpoint, and the best,
-    lam > 0 at tau, is the candidate. Since |G|_2 <= |xi|^2, rounding tau to
-    a dyadic with denominator 2^k >= |xi|^2/lam moves the least eigenvalue
-    by at most lam/2. The verdict rests only on the exact check
-    `_s_lemma_holds`.
-    """
-    cap = cap_matrix(xi, sigma)
-    m, Gf = len(cap[0]), np.array(cap[0], dtype=float) / cap[1]
-    xi_f = np.array([float(c) for c in xi])
-    norm2 = sum(Fraction(c) ** 2 for c in xi)
-    Q = np.array(mats, dtype=float).reshape(-1, m, m)
-    at_xi = np.einsum("i,kij,j->k", xi_f, Q, xi_f)
-    sign = np.where(at_xi < 0, -1, 1)
-    S = sign[:, None, None] * Q
-    top = np.abs(at_xi) / float(Fraction(sigma) ** 2 * norm2**2)
-    roots = np.linalg.eigvals(np.linalg.solve(Gf, S)).real
-    cuts = np.sort(np.column_stack([np.zeros_like(top), top, np.clip(roots, 0, top[:, None])]), axis=1)
-    mids = (cuts[:, :-1] + cuts[:, 1:]) / 2
-    least = np.linalg.eigvalsh(S[:, None] - mids[:, :, None, None] * Gf)[..., 0]
-    best = least.argmax(axis=1)[:, None]
-    tau, lam = np.take_along_axis(mids, best, 1)[:, 0], np.take_along_axis(least, best, 1)[:, 0]
-    out = []
-    for mat, s, t, value in zip(mats, sign.tolist(), tau.tolist(), lam.tolist()):
-        cert = None
-        if value > 0:
-            den = 1 << max(0, math.frexp(float(norm2) / value)[1])  # den >= |xi|^2/lam
-            rounded = Fraction(round(Fraction(t) * den), den)
-            if _s_lemma_holds(mat, cap, s, rounded):
-                cert = {"kind": "s-lemma", "sign": s, "tau": rounded}
-        out.append(cert)
-    return out
 
 
 def quadric_bad_primes(form: Form) -> list:
@@ -391,12 +281,11 @@ class CensusReport:
 
 
 def _target_grid(basis, target: AdelicTarget):
-    """The points of the real decider's cap grid (`localsolve._cap_grid`),
-    made primitive, that meet the target (`target_mask`), and their Veronese
-    rows (a multiple of a point has the same zeros)."""
+    """The points of the real decider's cap grid (`localsolve._cap_grid`,
+    primitive rows) that meet the target (`target_mask`), and their Veronese
+    rows."""
     points, _, _, V = _cap_grid(basis, tuple(target.xi_inf), Fraction(target.sigma_inf))
     X = np.array(points, dtype=np.int64).reshape(-1, basis.n + 1)
-    X //= np.gcd.reduce(np.abs(X), axis=1, keepdims=True)
     keep = target_mask(target, X)
     return X[keep], V[keep]
 
@@ -421,34 +310,6 @@ def _point_hits(coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
         hit[miss] = (pairings(block[miss], grid[_HEAD:]) == 0).any(axis=1)
         hits[lo : lo + step] = hit
     return hits
-
-
-def _arch_verdicts(forms, target: AdelicTarget, budget: int = 4000, mats=None) -> list:
-    """Real verdicts of forms on one basis.
-
-    Quadrics are decided from their 2M (`mats`, when the caller already has
-    them). With sigma_inf = 1 a quadric that takes both signs on the sign
-    grid, the points of {-1, 0, 1}^(n+1) up to sign, is indefinite, so `yes`;
-    the exact signature test decides the rest (the definite and semidefinite
-    ones, such as X0^2). In a cap, sigma_inf < 1, a quadric with an S-lemma
-    certificate that it keeps one sign on the cap (`_s_lemma_certificates`)
-    is `no`; the certificate costs less than the chart search on the
-    quadrics it decides. Every other quadric, and every form of higher
-    degree, goes to the real decider in one `decide_real_batch` call with
-    `budget` boxes: cap-grid points, odd degree at sigma_inf = 1, then the
-    Bernstein search of the cap's affine chart."""
-    certs = [None] * len(forms)
-    if forms and forms[0].basis.d == 2:
-        if Fraction(target.sigma_inf) == 1:
-            # the sign grid: the centred points of P^n(F_3), a cached residue table up to n = 8
-            vals = pairings(coefficient_matrix(forms), next(_residue_tables(forms[0].basis, 3))[2])
-            both = ((vals > 0).any(axis=1) & (vals < 0).any(axis=1)).tolist()
-            yes = [b or _indefinite(mats[k] if mats else quadric_matrix(forms[k])) for k, b in enumerate(both)]
-            return [TriState.yes({"kind": "quadric-signature"}) if y else TriState.no({"kind": "quadric-definite"}) for y in yes]
-        mats = mats or [quadric_matrix(f) for f in forms]
-        certs = _s_lemma_certificates(mats, target.xi_inf, target.sigma_inf)
-    real = iter(decide_real_batch([f for f, cert in zip(forms, certs) if not cert], target.xi_inf, target.sigma_inf, budget))
-    return [TriState.no(cert) if cert else next(real) for cert in certs]
 
 
 def _finite_verdicts(forms, p: int, target: AdelicTarget, depth_budget: int) -> list:
@@ -524,14 +385,13 @@ def local_census(
 
     `Form`s are built only for the rows without a point, and go to the
     deciders in blocks of at most _CHUNK form x residue pairs per prime.
-    They are decided place by place: the real verdict first
-    (`_arch_verdicts`: a quadric by its signature, or in a cap by an S-lemma
-    certificate when it has one; every other form by the real decider, whose
-    chart search has 4000 boxes per form), then
-    each prime <= P or in the support for the forms not yet out of M, then
-    the primes beyond P (`_beyond_verdicts`). At each prime a block's forms
-    are decided together by `decide_padic_batch`, against one cached residue
-    table of P^n(F_p).
+    They are decided place by place: the real verdict first, by
+    `decide_real_batch` with 4000 chart boxes per form (its docstring gives
+    the order of the real-place checks), then each prime <= P or in the
+    support for the forms not yet out of M, then the primes beyond P
+    (`_beyond_verdicts`, quadrics from their 2M, built only here). At each
+    prime a block's forms are decided together by `decide_padic_batch`,
+    against one cached residue table of P^n(F_p).
 
     `arch_kinds` tallies the real verdicts by how they were reached: "point"
     for the forms with a target point, the certificate kind of every other
@@ -553,9 +413,8 @@ def local_census(
     size = max(1, _CHUNK // points)
     for lo in range(0, len(forms), size):
         block = forms[lo : lo + size]
-        mats = [quadric_matrix(f) for f in block] if d == 2 else [None] * len(block)  # 2M, built once
         verdicts = []
-        for res in _arch_verdicts(block, target, mats=mats):
+        for res in decide_real_batch(block, target.xi_inf, target.sigma_inf, 4000):
             verdicts.append(res.verdict)
             arch_tally[res.verdict] += 1
             kinds, kind = arch_kinds[res.verdict], res.certificate["reason" if res.verdict == "unknown" else "kind"]
@@ -568,7 +427,8 @@ def local_census(
                 per_place[p][verdict] += 1
                 certain[k] = certain[k] and verdict == "yes"
         inside = [k for k, verdict in enumerate(verdicts) if verdict != "no"]
-        beyond = _beyond_verdicts([block[k] for k in inside], [mats[k] for k in inside], P, target, depth_budget)
+        mats = [quadric_matrix(block[k]) if d == 2 else None for k in inside]  # 2M of the forms in M
+        beyond = _beyond_verdicts([block[k] for k in inside], mats, P, target, depth_budget)
         for k, far in zip(inside, beyond):
             m_yes += certain[k]
             m_unk += not certain[k]
@@ -618,11 +478,9 @@ def real_density_interval(
 ) -> DensityInterval:
     """MC interval for the spherical density of real-soluble-near-target forms.
 
-    Each sampled form gets its verdict from `_arch_verdicts`, as in the
-    census: quadrics by their signature, or in a cap by an S-lemma
-    certificate where one exists, the rest by the real decider (cap-grid
-    points, odd degree at sigma = 1, the Bernstein chart search with
-    `budget` boxes). Unknown verdicts widen the interval."""
+    Each sampled form gets its verdict from `decide_real_batch`, as in the
+    census, with `budget` chart boxes per form (its docstring gives the
+    order of the real-place checks). Unknown verdicts widen the interval."""
     rng = rng or np.random.default_rng(0)
     N = dimension(d, n)
     # one draw fills the rows in the order of one draw per sample; np.rint
@@ -630,7 +488,7 @@ def real_density_interval(
     rows = np.rint(rng.standard_normal((samples, N)) * 10**6).astype(np.int64).tolist()
     forms = [make_form(d, n, coeffs, primitive=False) for coeffs in rows if any(coeffs)]
     tally = {"yes": 0, "no": 0, "unknown": 0}
-    for res in _arch_verdicts(forms, target, budget):
+    for res in decide_real_batch(forms, target.xi_inf, target.sigma_inf, budget):
         tally[res.verdict] += 1
     yes, unk = tally["yes"], tally["unknown"]
     m = sum(tally.values())

@@ -8,10 +8,11 @@ every decision routine returns a TriState:
   ExactZeroCertificate (an exact integer zero); both record the radius
   p^-e_p around the caller's target that `padic.verify_certificate` checks.
   Over R it is an exact-zero, sign-change or odd-degree certificate, which
-  `verify_real_certificate` checks;
+  `verify_real_certificate` checks, or a quadric's signature;
 - no: carries the depth at which an exhaustive residue search emptied out
-  (sound: an exact zero would reduce), or the boxes a Bernstein search of
-  the real cap examined;
+  (sound: an exact zero would reduce); over R a quadric's signature, an
+  S-lemma certificate that `_s_lemma_holds` checks, or the boxes a
+  Bernstein search of the real cap examined;
 - unknown: carries the exhausted budget; over R also the boxes examined
   (`cells`) and the unexamined frontier (`pending`).
 
@@ -34,16 +35,18 @@ coefficient rows against it (`veronese.pairings`) gives every form's zeros
 mod p^v and which of them are exact integer zeros. `decide_padic_batch`
 decides the first level of a block of forms against the table of P^n(F_p),
 cached per (basis, p), and each deeper level form by form against uncached
-tables of the frontier fibres; `decide_padic_solubility` is its one-form
-case, and `count_projective_points` reads the same cached table.
+tables of the frontier fibres; `count_projective_points` reads the same
+cached table.
 
 The real decider works the same way on a block of forms on one basis
-(`decide_real_batch`): one exact product against the cached cap grid gives
-every form's grid zeros and sign changes, and one product against the cached
-Bernstein tensors of the cap's affine chart starts a breadth-first search of
-one frontier of distinct boxes with the (form, box) pairs on top of it, so
-the cap test and the split of a box are computed once however many forms
-hold it. `decide_real_solubility` is its one-form case.
+(`decide_real_batch`, whose docstring gives the order of the real-place
+checks): one exact product against the cached cap grid gives every form's
+grid zeros and sign changes; quadrics then take the exact signature, or in
+a cap an S-lemma certificate; and one product against the cached Bernstein
+tensors of the cap's affine chart starts a breadth-first search of one
+frontier of distinct boxes with the (form, box) pairs on top of it, so the
+cap test and the split of a box are computed once however many forms hold
+it.
 
 Densities of the soluble locus in coefficient space are measured exactly by
 classifying coefficient balls mod p^v: a ball meets the soluble locus iff
@@ -67,7 +70,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnumerationBudgetExceeded, HypothesisFailed
-from .geom import cone_member, integer_axis
+from .geom import cap_matrix, cone_member, integer_axis
 from .intlinalg import bareiss_det
 from .numtheory import crt_combine, primes_up_to, unit_class_mask
 from .padic import (
@@ -326,15 +329,17 @@ def _lexicographic_blocks(m: int, p: int):
 # p-adic membership decision
 
 
-def decide_padic_solubility(
-    form: Form,
+def decide_padic_batch(
+    forms,
     p: int,
     xi: Optional[PadicApproxVector] = None,
     e_p: int = 0,
     depth_budget: int = 3,
     node_budget: int = 10**7,
-) -> TriState:
-    """Does the hypersurface have a Q_p point within p^-e_p of xi?
+) -> list:
+    """Does each of the forms (all on one basis) have a Q_p point within
+    p^-e_p of xi? Its TriState, or the EnumerationBudgetExceeded that a
+    level past the first raised for it; a single form is a one-form list.
 
     With xi None (or e_p = 0) this is plain Q_p-solubility. Searches residue
     zeros level by level; `yes` once some residue zero x mod p^v centres to an
@@ -347,29 +352,10 @@ def decide_padic_solubility(
     `padic.verify_certificate`.
 
     Budget: the starting residues (every point of P^n(F_p), or xi's class)
-    must number at most node_budget on their own; each later level costs
-    p^n nodes per frontier residue, cumulatively.
-
-    This is `decide_padic_batch` for one form.
-    """
-    (verdict,) = decide_padic_batch([form], p, xi, e_p, depth_budget, node_budget)
-    if isinstance(verdict, EnumerationBudgetExceeded):
-        raise verdict
-    return verdict
-
-
-def decide_padic_batch(
-    forms,
-    p: int,
-    xi: Optional[PadicApproxVector] = None,
-    e_p: int = 0,
-    depth_budget: int = 3,
-    node_budget: int = 10**7,
-) -> list:
-    """`decide_padic_solubility` for each of the forms (all on one basis):
-    its TriState, or the EnumerationBudgetExceeded that a level past the
-    first raised for it. The starting residues depend only on (p, n, e_p),
-    so their budget check raises once for all forms.
+    must number at most node_budget on their own, or the call raises
+    EnumerationBudgetExceeded for all forms, since they depend only on
+    (p, n, e_p); each later level costs p^n nodes per frontier residue,
+    cumulatively, per form.
 
     Every level goes through one kernel, `_start_zeros`. The starting level
     is evaluated for a block of forms at once: one product of their
@@ -417,7 +403,7 @@ def _start_zeros(forms, tables, mod: int):
 
 
 def _search_levels(form: Form, p: int, e_p: int, v: int, Z, E, depth_budget: int, node_budget: int) -> TriState:
-    """The level-by-level search of `decide_padic_solubility` from the zeros
+    """The level-by-level search of `decide_padic_batch` from the zeros
     Z mod p^v (lexicographic order) and the mask E of those that centre to
     exact integer zeros. Each deeper level takes the same kernel,
     `_start_zeros`, over an uncached residue table of each frontier fibre,
@@ -472,24 +458,37 @@ def _try_lift(form: Form, x, p: int, v: int, e_p: int):
 # real membership decision
 
 
-def decide_real_solubility(
-    form: Form,
-    xi_inf,
-    sigma_inf,
-    subdivision_budget: int = 20000,
-) -> TriState:
-    """Does f vanish at a real point within projective distance sigma of xi?
+def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000) -> list:
+    """Does each of the forms (all on one basis) vanish at a real point
+    within projective distance sigma of xi? Its TriState; a single form is a
+    one-form list. Every form takes the first of these steps that decides
+    it, in this order, the one order of the checks at the real place:
 
-    yes: an integer zero of f in the cap (`exact-zero`); two integer points
-    of the cap's convex side <w, xi> > 0 with f of opposite signs there
-    (`sign-change`), from the cached direction grid or from two corners of a
-    box of the chart search, which re-verifies its yes
-    (`verify_real_certificate`); or, at sigma = 1, odd degree (`odd-degree`).
-    no: the Bernstein search on the cap's affine chart (`_chart`) drops
-    every box (`bernstein-exclusion`, with the `cells` examined).
-    unknown: the next level would take the boxes examined past
-    `subdivision_budget`; it reports the `reason`, the `cells` examined and
-    the `pending` boxes of that level.
+    1. the cap grid (`_cap_grid`): one exact product of the coefficient rows
+       of a block of at most _CELLS form x grid-point pairs against the
+       grid's Veronese rows. yes on an integer zero of f in the cap
+       (`exact-zero`), or on two grid points of the cap's convex side
+       <w, xi> >= 0 with f of opposite signs there (`sign-change`);
+    2. sigma = 1 and an odd degree: yes (`odd-degree`);
+    3. quadrics: at sigma = 1 the exact signature of 2M (`quadric_matrix`),
+       since a real quadric has a point iff it is not definite
+       (`quadric-signature` yes, `quadric-definite` no); in a cap, sigma < 1,
+       no on an S-lemma certificate that f keeps one sign on the cap
+       (`_s_lemma_certificates`, `s-lemma`), which costs less than the chart
+       search on the quadrics it decides;
+    4. the Bernstein search of the cap's affine chart (`_chart_verdicts`), in
+       groups holding at most _CELLS Bernstein coefficients a level,
+       `subdivision_budget` boxes per form. yes on two corners of a box with
+       f of opposite signs (`sign-change`); no when it drops every box
+       (`bernstein-exclusion`, with the `cells` examined); unknown when the
+       next level would take the boxes examined past the budget, with the
+       `reason`, the `cells` examined and the `pending` boxes of that level.
+
+    An `exact-zero`, `sign-change` or `odd-degree` yes re-verifies with
+    `verify_real_certificate`, an `s-lemma` no with `_s_lemma_holds`. The
+    steps cannot disagree: a form with an S-lemma certificate has no zero
+    and no sign change in the cap. A form's verdict does not depend on the
+    other forms.
 
     The search (Garloff, "The Bernstein algorithm", Interval Computations
     1993) splits a whole level at a time, at the midpoint of its widest axis
@@ -500,22 +499,6 @@ def decide_real_solubility(
     opposite signs. The float64 coefficients stay within `_band` of the
     exact integer ones (Farouki and Rajan, "On the numerical condition of
     polynomials in Bernstein form", CAGD 1987), so every sign read is exact.
-
-    This is `decide_real_batch` for one form; a form's boxes, band, budget
-    check and first yes do not depend on the other forms of a batch.
-    """
-    return decide_real_batch([form], xi_inf, sigma_inf, subdivision_budget)[0]
-
-
-def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000) -> list:
-    """`decide_real_solubility` for each of the forms (all on one basis).
-
-    One exact product of the coefficient rows of a block of at most _CELLS
-    form x grid-point pairs against the Veronese rows of the cached cap grid
-    (`_cap_grid`) gives its grid zeros and sign changes. At sigma = 1 the
-    forms of odd degree left over are `odd-degree`; the others go to the
-    chart search (`_chart_verdicts`) in groups holding at most _CELLS
-    Bernstein coefficients a level, `subdivision_budget` boxes per form.
     """
     if not forms:
         return []
@@ -524,19 +507,35 @@ def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000)
     points, sides, flipped, V = _cap_grid(basis, xi, sigma)
     step = max(1, _CELLS // max(len(points), 1))
     out = [None] * len(forms)
-    for lo in range(0, len(forms), step):
+    for lo in range(0, len(forms) if points else 0, step):
         vals = pairings(coefficient_matrix(forms[lo : lo + step]), V)
-        zero = vals == 0
-        # signs on a single cap component (nonneg inner product side)
-        positive = (vals > 0) != (flipped & (basis.d % 2 == 1))
-        for k in np.flatnonzero(positive.any(axis=1) & ~positive.all(axis=1)).tolist():
-            pos, neg = int(positive[k].argmax()), int(positive[k].argmin())
-            out[lo + k] = TriState.yes({"kind": "sign-change", "positive": sides[pos], "negative": sides[neg]})
-        for k in np.flatnonzero(zero.any(axis=1)).tolist():
-            out[lo + k] = TriState.yes({"kind": "exact-zero", "point": points[int(zero[k].argmax())]})
+        if basis.d % 2 == 1:  # the signs on the side <w, xi> >= 0
+            vals = np.where(flipped, -vals, vals)
+        # each form's first zero, first positive and first negative column
+        masks = (vals == 0, vals > 0, vals < 0)
+        firsts = [m.argmax(axis=1) for m in masks]
+        rows = np.arange(len(vals))
+        has_zero, has_pos, has_neg = (m[rows, j] for m, j in zip(masks, firsts))
+        zero, pos, neg = (j.tolist() for j in firsts)
+        for k in np.flatnonzero(has_zero | (has_pos & has_neg)).tolist():
+            if has_zero[k]:
+                out[lo + k] = TriState.yes({"kind": "exact-zero", "point": points[zero[k]]})
+            else:
+                out[lo + k] = TriState.yes({"kind": "sign-change", "positive": sides[pos[k]], "negative": sides[neg[k]]})
     if sigma == 1 and basis.d % 2 == 1:
         return [TriState.yes({"kind": "odd-degree"}) if res is None else res for res in out]
     rest = [k for k, res in enumerate(out) if res is None]
+    if basis.d == 2 and rest:
+        mats = [quadric_matrix(forms[k]) for k in rest]
+        if sigma == 1:
+            for k, mat in zip(rest, mats):
+                soluble = _indefinite(mat)
+                out[k] = TriState("yes" if soluble else "no", {"kind": "quadric-signature" if soluble else "quadric-definite"})
+        else:
+            for k, cert in zip(rest, _s_lemma_certificates(mats, xi, sigma)):
+                if cert:
+                    out[k] = TriState.no(cert)
+        rest = [k for k in rest if out[k] is None]
     size = max(1, _CELLS // (max(subdivision_budget, 1) * (basis.d + 1) ** basis.n))
     for lo in range(0, len(rest), size):
         group = rest[lo : lo + size]
@@ -600,9 +599,10 @@ def _cap_grid(basis, xi: tuple, sigma):
 
 def _direction_grid(n: int, xi_inf) -> np.ndarray:
     """The real decider's direction grid: the primitive rows of [-2, 2]^(n+1)
-    with first nonzero entry positive, and an integer approximation of the
-    axis, as one int64 array in lexicographic order. The cube is cut
-    directly: the `integer_ball` that holds it grows faster with n."""
+    with first nonzero entry positive, and the integer approximation
+    round(8 xi/|xi|) of the axis divided by its gcd, as one int64 array of
+    primitive rows in lexicographic order. The cube is cut directly: the
+    `integer_ball` that holds it grows faster with n."""
     grid = np.indices((5,) * (n + 1), dtype=np.int64).reshape(n + 1, -1).T - 2
     first = grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)]
     grid = grid[(np.gcd.reduce(np.abs(grid), axis=1) == 1) & (first > 0)]
@@ -610,7 +610,8 @@ def _direction_grid(n: int, xi_inf) -> np.ndarray:
     norm = math.sqrt(math.fsum(float(c) ** 2 for c in xi_inf))
     approx = [round(scale * float(c) / norm) for c in xi_inf]
     if any(approx):
-        grid = np.unique(np.vstack([grid, approx]), axis=0)
+        g = math.gcd(*approx)
+        grid = np.unique(np.vstack([grid, [c // g for c in approx]]), axis=0)
     return grid
 
 
@@ -771,6 +772,120 @@ def _corner(patch, offsets, depth, bits) -> tuple:
     w = [(ci << max(depth)) + sum(x * y for x, y in zip(row, s)) for ci, row in zip(c, L)]
     return tuple(x // math.gcd(*w) for x in w)
 
+
+# ---------------------------------------------------------------------------
+# quadrics at the real place (d = 2): the signature and the S-lemma
+
+
+def quadric_matrix(form: Form):
+    """2M for f = x^T M x: integer symmetric matrix."""
+    if form.basis.d != 2:
+        raise ValueError("quadric helpers need d = 2")
+    m = form.basis.n + 1
+    mat = [[0] * m for _ in range(m)]
+    for a, (i, j) in zip(form.coeffs, _quadric_pairs(form.basis)):
+        if i == j:
+            mat[i][i] = 2 * a
+        else:
+            mat[i][j] += a
+            mat[j][i] += a
+    return mat
+
+
+@lru_cache(maxsize=None)
+def _quadric_pairs(basis) -> tuple:
+    """The variables (i, j), i <= j, of each monomial X_i X_j of a quadric basis."""
+    pairs = []
+    for exps in basis.monomials:
+        idx = [i for i, e in enumerate(exps) for _ in range(e)]
+        pairs.append((idx[0], idx[1]))
+    return tuple(pairs)
+
+
+def _is_positive_definite(mat) -> bool:
+    """Sylvester's criterion in one Bareiss elimination without pivoting:
+    its k-th pivot is the k-th leading principal minor of the integer `mat`."""
+    a, prev = [list(map(int, row)) for row in mat], 1
+    for k, top in enumerate(a):
+        if top[k] <= 0:
+            return False
+        for row in a[k + 1 :]:
+            row[k + 1 :] = [(v * top[k] - row[k] * t) // prev for v, t in zip(row[k + 1 :], top[k + 1 :])]
+        prev = top[k]
+    return True
+
+
+def _indefinite(mat) -> bool:
+    """Whether the quadric with matrix 2M = `mat` has a real zero: 2M is
+    neither positive nor negative definite."""
+    neg = [[-v for v in row] for row in mat]
+    return not (_is_positive_definite(mat) or _is_positive_definite(neg))
+
+
+def _s_lemma_holds(mat, cap, sign: int, tau) -> bool:
+    """Exact check of an S-lemma certificate (sign, tau) for the quadric
+    with matrix 2M = `mat` on the cap {G >= 0}, G = Gn/g (`cap`, from
+    `geom.cap_matrix`): tau >= 0 and sign * 2M - tau G positive definite, by
+    Sylvester's criterion on its integer multiple by g * den(tau)
+    (`_is_positive_definite`). Then for x != 0 with G(x) >= 0,
+    sign * 2 f(x) > tau G(x) >= 0, so f has no zero in the cap."""
+    Gn, g = cap
+    tau = Fraction(tau)
+    if sign not in (1, -1) or tau < 0:
+        return False
+    scale = sign * g * tau.denominator
+    return _is_positive_definite(
+        [[scale * q - tau.numerator * v for q, v in zip(qrow, grow)] for qrow, grow in zip(mat, Gn)]
+    )
+
+
+def _s_lemma_certificates(mats, xi, sigma) -> list:
+    """For each quadric matrix 2M, a certificate {"kind": "s-lemma",
+    "sign": s, "tau": tau} that the quadric has the sign s on the whole cap
+    {d(x, xi) <= sigma}, sigma < 1, or None where none was found.
+
+    The cap is {G >= 0} (`geom.cap_matrix`) and G(xi) > 0, so by the strict
+    S-lemma (Yakubovich; Polik and Terlaky, "A survey of the S-lemma", SIAM
+    Review 2007) a quadric without a zero in the cap has some s = +-1 and
+    tau >= 0 with s 2M - tau G positive definite. At x = xi that needs
+    s xi^T 2M xi > tau G(xi) >= 0, which fixes s and bounds tau below
+    top = |xi^T 2M xi| / G(xi). The least eigenvalue of s 2M - tau G is
+    concave in tau, so the tau that work form an open interval whose ends in
+    (0, top) are roots of det(s 2M - tau G), eigenvalues of G^-1 s 2M (G has
+    the eigenvalues sigma^2 |xi|^2 and -(1 - sigma^2) |xi|^2). It holds the
+    midpoint of two consecutive cut points of 0, top and the real parts of
+    the roots clipped to [0, top]: one batched `eigvals` finds the roots, one
+    batched `eigvalsh` the least eigenvalue at every midpoint, and the best,
+    lam > 0 at tau, is the candidate. Since |G|_2 <= |xi|^2, rounding tau to
+    a dyadic with denominator 2^k >= |xi|^2/lam moves the least eigenvalue
+    by at most lam/2. The verdict rests only on the exact check
+    `_s_lemma_holds`.
+    """
+    cap = cap_matrix(xi, sigma)
+    m, Gf = len(cap[0]), np.array(cap[0], dtype=float) / cap[1]
+    xi_f = np.array([float(c) for c in xi])
+    norm2 = sum(Fraction(c) ** 2 for c in xi)
+    Q = np.array(mats, dtype=float).reshape(-1, m, m)
+    at_xi = np.einsum("i,kij,j->k", xi_f, Q, xi_f)
+    sign = np.where(at_xi < 0, -1, 1)
+    S = sign[:, None, None] * Q
+    top = np.abs(at_xi) / float(Fraction(sigma) ** 2 * norm2**2)
+    roots = np.linalg.eigvals(np.linalg.solve(Gf, S)).real
+    cuts = np.sort(np.column_stack([np.zeros_like(top), top, np.clip(roots, 0, top[:, None])]), axis=1)
+    mids = (cuts[:, :-1] + cuts[:, 1:]) / 2
+    least = np.linalg.eigvalsh(S[:, None] - mids[:, :, None, None] * Gf)[..., 0]
+    best = least.argmax(axis=1)[:, None]
+    tau, lam = np.take_along_axis(mids, best, 1)[:, 0], np.take_along_axis(least, best, 1)[:, 0]
+    out = []
+    for mat, s, t, value in zip(mats, sign.tolist(), tau.tolist(), lam.tolist()):
+        cert = None
+        if value > 0:
+            den = 1 << max(0, math.frexp(float(norm2) / value)[1])  # den >= |xi|^2/lam
+            rounded = Fraction(round(Fraction(t) * den), den)
+            if _s_lemma_holds(mat, cap, s, rounded):
+                cert = {"kind": "s-lemma", "sign": s, "tau": rounded}
+        out.append(cert)
+    return out
 
 # ---------------------------------------------------------------------------
 # coefficient-ball classification and densities

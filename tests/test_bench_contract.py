@@ -37,11 +37,12 @@ def test_parameters_bound_by_name_exist():
 def test_no_and_unknown_certificates_support_get():
     anisotropic = make_form(2, 3, [1, 0, 0, 0, 1, 0, 0, -3, 0, -3])  # X0^2+X1^2-3X2^2-3X3^2
     squares = make_form(2, 2, [1, 0, 0, 1, 0, 1])  # X0^2+X1^2+X2^2
+    quartic = make_form(4, 2, [1] + [0] * 9 + [1, 0, 0, 0, 1])  # X0^4+X1^4+X2^4: no quadric step, so one box leaves it unknown
     verdicts = [
-        (localsolve.decide_padic_solubility(anisotropic, 3), "no"),
-        (localsolve.decide_padic_solubility(squares, 2, depth_budget=1), "unknown"),
-        (localsolve.decide_real_solubility(squares, (1, 0, 0), Fraction(1)), "no"),
-        (localsolve.decide_real_solubility(squares, (1, 0, 0), Fraction(1), subdivision_budget=1), "unknown"),
+        (localsolve.decide_padic_batch([anisotropic], 3)[0], "no"),
+        (localsolve.decide_padic_batch([squares], 2, depth_budget=1)[0], "unknown"),
+        (localsolve.decide_real_batch([squares], (1, 0, 0), Fraction(1))[0], "no"),
+        (localsolve.decide_real_batch([quartic], (1, 0, 0), Fraction(1), subdivision_budget=1)[0], "unknown"),
     ]
     for res, expected in verdicts:
         assert res.verdict == expected

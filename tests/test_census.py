@@ -34,8 +34,10 @@ from fanostat.localsolve import (
     AdelicTarget,
     DensityInterval,
     _cap_grid,
-    decide_padic_solubility,
-    decide_real_solubility,
+    _chart_verdicts,
+    decide_padic_batch,
+    decide_real_batch,
+    verify_real_certificate,
 )
 from fanostat.numtheory import primes_up_to
 from fanostat.padic import PadicApproxVector
@@ -270,7 +272,7 @@ def real_density_reference(d, n, target, samples, rng, budget=1500):
         if any(coeffs):
             forms.append(make_form(d, n, coeffs, primitive=False))
     tally = {"yes": 0, "no": 0, "unknown": 0}
-    for res in census._arch_verdicts(forms, target, budget):
+    for res in decide_real_batch(forms, target.xi_inf, target.sigma_inf, budget):
         tally[res.verdict] += 1
     m = sum(tally.values())
     se = math.sqrt(0.25 / m)
@@ -306,14 +308,12 @@ def test_quadric_helpers():
 
 
 def test_quadric_sum_of_squares_insoluble_at_2():
-    from fanostat.localsolve import decide_padic_solubility
-
     f = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=1)
-    res = decide_padic_solubility(f, 2, depth_budget=5)
+    (res,) = decide_padic_batch([f], 2, depth_budget=5)
     assert res.verdict == "no"
     # and soluble at every odd prime (spot-check 3, 5)
     for p in (3, 5):
-        assert decide_padic_solubility(f, p, depth_budget=3).verdict == "yes"
+        assert decide_padic_batch([f], p, depth_budget=3)[0].verdict == "yes"
 
 
 def test_local_census_micro():
@@ -364,8 +364,9 @@ def test_a_float_aperture_is_read_exactly_in_either_order():
     for order in ((sigma, Fraction(sigma)), (Fraction(sigma), sigma)):
         _cap_grid.cache_clear()
         for s in order:
-            assert decide_real_solubility(form, (1, 0), s).verdict == "unknown"
-            (cert,) = census._s_lemma_certificates([quadric_matrix(form)], (1, 0), s)
+            assert _chart_verdicts([form], (1, 0), Fraction(s), 20000)[0].verdict == "unknown"
+            assert decide_real_batch([form], (1, 0), s)[0].certificate["kind"] == "s-lemma"
+            (cert,) = localsolve._s_lemma_certificates([quadric_matrix(form)], (1, 0), s)
             assert _s_lemma_reverifies(form, (1, 0), s, cert)
             report = local_census(2, 1, Fraction(3, 2), 2, AdelicTarget((), (1, 0), s))
             assert (report.m_interval, report.e_interval, report.point_decided) == ((8, 8), (0, 0), 4)
@@ -452,17 +453,19 @@ def _s_lemma_reverifies(form, xi, sigma, cert) -> bool:
 
 def _real_verdict(form, target):
     """(verdict, certificate kind or unknown reason) at the real place, one
-    form at a time: the signature of a quadric at sigma_inf = 1; in a cap, a
-    quadric's S-lemma certificate, re-verified here, else the real decider."""
-    if form.basis.d == 2 and Fraction(target.sigma_inf) == 1:
-        return ("yes", "quadric-signature") if quadric_real_soluble(form) else ("no", "quadric-definite")
-    if form.basis.d == 2:
-        (cert,) = census._s_lemma_certificates([quadric_matrix(form)], target.xi_inf, target.sigma_inf)
-        if cert is not None:
-            assert _s_lemma_reverifies(form, target.xi_inf, target.sigma_inf, cert), (form, cert)
-            return "no", "s-lemma"
-    res = decide_real_solubility(form, target.xi_inf, target.sigma_inf, 4000)
-    return res.verdict, res.certificate["reason" if res.verdict == "unknown" else "kind"]
+    form at a time: the real decider on the one-form list, its certificate
+    re-checked here (a grid or chart yes re-verified, the signature against
+    `quadric_real_soluble`, an S-lemma certificate with Fraction minors)."""
+    xi, sigma = target.xi_inf, target.sigma_inf
+    (res,) = decide_real_batch([form], xi, sigma, 4000)
+    kind = res.certificate["reason" if res.verdict == "unknown" else "kind"]
+    if kind in ("exact-zero", "sign-change", "odd-degree"):
+        verify_real_certificate(form, xi, sigma, res.certificate)
+    elif kind in ("quadric-signature", "quadric-definite"):
+        assert (res.verdict == "yes") == quadric_real_soluble(form), form
+    elif kind == "s-lemma":
+        assert _s_lemma_reverifies(form, xi, sigma, res.certificate), (form, res.certificate)
+    return res.verdict, kind
 
 
 def _per_form_census(d, n, A, P, target, depth_budget=3, points=True):
@@ -474,9 +477,10 @@ def _per_form_census(d, n, A, P, target, depth_budget=3, points=True):
     def finite(form, p):
         e_p, xi = target.place(p)
         try:
-            return decide_padic_solubility(form, p, xi, e_p, depth_budget=depth_budget).verdict
+            (res,) = decide_padic_batch([form], p, xi, e_p, depth_budget=depth_budget)
         except EnumerationBudgetExceeded:
             return "unknown"
+        return "unknown" if isinstance(res, EnumerationBudgetExceeded) else res.verdict
 
     forms = enumerate_hypersurfaces(d, n, A)
     finite_ps = sorted(set(target.support) | set(primes_up_to(P)))
@@ -670,14 +674,14 @@ def test_forms_with_a_target_point_skip_the_deciders(monkeypatch):
     assert report.point_decided == report.total_forms == 20
     assert calls == {"real": 0, "padic": 0}
     # in a cap of aperture 1/2, only the forms without a grid point reach the
-    # real place, and of the quadrics only those without an S-lemma certificate
-    # reach the real decider
+    # real decider, whose S-lemma step proves 24 of the 27 quadrics free of
+    # zeros in the cap
     cap = AdelicTarget((), (3, -1, 2, 1), Fraction(1, 2))
-    for d, A, P, pointless, decided, certified in ((2, Fraction(3, 2), 3, 27, 3, 24), (3, 1, 2, 4, 4, 0)):
+    for d, A, P, pointless, certified in ((2, Fraction(3, 2), 3, 27, 24), (3, 1, 2, 4, 0)):
         calls["real"] = 0
         report = local_census(d, 3, A, P, cap)
         assert report.total_forms - report.point_decided == pointless
-        assert calls["real"] == decided
+        assert calls["real"] == pointless
         assert report.arch_kinds["no"].get("s-lemma", 0) == certified
 
 
@@ -767,32 +771,32 @@ def test_s_lemma_certifies_a_quadric_without_a_zero_in_the_cap():
     # X0^2 + X1^2 - X2^2 > 0 where 3 X0^2 >= X1^2 + X2^2 (around (1, 0, 0) at sigma = 1/2)
     form = mkform(2, 2, m_200=1, m_020=1, m_002=-1)
     xi, sigma = (1, 0, 0), Fraction(1, 2)
-    (cert,) = census._s_lemma_certificates([quadric_matrix(form)], xi, sigma)
+    (cert,) = localsolve._s_lemma_certificates([quadric_matrix(form)], xi, sigma)
     assert cert["kind"] == "s-lemma" and cert["sign"] == 1
     assert _s_lemma_reverifies(form, xi, sigma, cert)
-    assert decide_real_solubility(form, xi, sigma).verdict == "no"
+    assert decide_real_batch([form], xi, sigma)[0].verdict == "no"
     # the quadric does meet the wider cap sigma = 3/4, at (1, 0, 1)/sqrt(2)
-    assert census._s_lemma_certificates([quadric_matrix(form)], xi, Fraction(3, 4)) == [None]
+    assert localsolve._s_lemma_certificates([quadric_matrix(form)], xi, Fraction(3, 4)) == [None]
     # X0^2 + X1^2 + X2^2 has no real zero, and 2M - tau G stays positive
     # definite for a small negative tau, which proves nothing
     definite = quadric_matrix(mkform(2, 2, m_200=1, m_020=1, m_002=1))
     cap = cap_matrix(xi, sigma)
-    assert census._s_lemma_holds(definite, cap, 1, 0)
-    assert not census._s_lemma_holds(definite, cap, 1, Fraction(-1, 100))
+    assert localsolve._s_lemma_holds(definite, cap, 1, 0)
+    assert not localsolve._s_lemma_holds(definite, cap, 1, Fraction(-1, 100))
 
 
 def test_s_lemma_verdict_rests_on_the_exact_check(monkeypatch):
     # floats that call every candidate positive definite propose a certificate
     # for every quadric; the exact check refuses it where the quadric meets the cap
-    monkeypatch.setattr(census.np.linalg, "eigvalsh", lambda a: np.ones(a.shape[:-1]))
+    monkeypatch.setattr(localsolve.np.linalg, "eigvalsh", lambda a: np.ones(a.shape[:-1]))
     meets = [
         (mkform(2, 2, m_200=1, m_020=1, m_002=-1), (1, 0, 0), Fraction(3, 4)),
         (mkform(2, 2, m_110=1), (2, 1, 1), Fraction(1, 2)),
         (mkform(2, 3, m_1001=1, m_0110=-1), (3, -1, 2, 1), Fraction(1, 2)),
     ]
     for form, xi, sigma in meets:
-        assert decide_real_solubility(form, xi, sigma).verdict == "yes"
-        assert census._s_lemma_certificates([quadric_matrix(form)], xi, sigma) == [None]
+        assert decide_real_batch([form], xi, sigma)[0].verdict == "yes"
+        assert localsolve._s_lemma_certificates([quadric_matrix(form)], xi, sigma) == [None]
 
 
 @st.composite
@@ -810,14 +814,14 @@ def _quadric_caps(draw):
 def test_s_lemma_certificates_are_sound_and_reverify(case):
     form, xi, sigma = case
     mat = quadric_matrix(form)
-    (cert,) = census._s_lemma_certificates([mat], xi, sigma)
+    (cert,) = localsolve._s_lemma_certificates([mat], xi, sigma)
     if cert is None:
         # every form the chart search proves free of cap zeros has a certificate too
-        assert decide_real_solubility(form, xi, sigma, 4000).verdict != "no"
+        assert _chart_verdicts([form], xi, Fraction(sigma), 4000)[0].verdict != "no"
         return
     # a certified no never meets a real zero: not one of the decider's yes
     # paths (with no box budget it runs only those), not a cap-grid zero
-    assert decide_real_solubility(form, xi, sigma, 0).verdict != "yes"
+    assert decide_real_batch([form], xi, sigma, 0)[0].verdict != "yes"
     assert all(_value(form, x) != 0 for x in _cap_grid(form.basis, xi, Fraction(sigma))[0])
     assert _s_lemma_reverifies(form, xi, sigma, cert)
     # the flipped sign, a negative tau and a tau past xi's own bound are rejected
@@ -826,10 +830,10 @@ def test_s_lemma_certificates_are_sound_and_reverify(case):
     norm2 = sum(c * c for c in xi)
     at_xi = sum(mat[i][j] * xi[i] * xi[j] for i in range(len(xi)) for j in range(len(xi)))
     too_far = Fraction(abs(at_xi)) / (Fraction(sigma) ** 2 * norm2**2) + 1  # xi^T (s 2M - tau G) xi < 0
-    assert census._s_lemma_holds(mat, cap, sign, tau)
+    assert localsolve._s_lemma_holds(mat, cap, sign, tau)
     tampered = (-tau - 1, Fraction(-1, 1000), too_far)
     for bad in [{"sign": -sign, "tau": tau}] + [{"sign": sign, "tau": t} for t in tampered]:
-        assert not census._s_lemma_holds(mat, cap, bad["sign"], bad["tau"])
+        assert not localsolve._s_lemma_holds(mat, cap, bad["sign"], bad["tau"])
         assert not _s_lemma_reverifies(form, xi, sigma, {**cert, **bad})
 
 
@@ -870,7 +874,7 @@ def _golden_s_lemma_certificates(mats, xi, sigma) -> list:
         cert = None
         if value > 0:
             rounded = Fraction(t).limit_denominator(max(1, math.ceil(float(norm2) / value)))
-            if census._s_lemma_holds(mat, cap, s, rounded):
+            if localsolve._s_lemma_holds(mat, cap, s, rounded):
                 cert = {"kind": "s-lemma", "sign": s, "tau": rounded}
         out.append(cert)
     return out
@@ -886,7 +890,7 @@ def test_pencil_certifies_every_quadric_the_golden_search_does():
     for (d, n, A), xi, sigma in cases:
         forms = census._forms(monomial_basis(d, n), census._coefficient_rows(d, n, A))
         mats = [quadric_matrix(f) for f in forms]
-        certs = census._s_lemma_certificates(mats, xi, sigma)
+        certs = localsolve._s_lemma_certificates(mats, xi, sigma)
         for form, cert, old in zip(forms, certs, _golden_s_lemma_certificates(mats, xi, sigma)):
             assert cert is not None or old is None, (form, xi, sigma, old)
             if cert is not None:
@@ -915,7 +919,7 @@ def _symmetric_matrices(draw):
 @given(_symmetric_matrices())
 def test_one_pass_sylvester_is_every_leading_minor(mat):
     minors = [bareiss_det([row[:k] for row in mat[:k]]) for k in range(1, len(mat) + 1)]
-    assert census._is_positive_definite(mat) == all(v > 0 for v in minors)
+    assert localsolve._is_positive_definite(mat) == all(v > 0 for v in minors)
 
 
 @st.composite
@@ -954,16 +958,40 @@ def _quadric_blocks(draw):
 @example([mkform(2, 2, m_200=2**64 + 1, m_020=-1)])  # object tier of pairings
 @given(_quadric_blocks())
 def test_sign_grid_verdicts_are_the_signature_test(forms):
+    # at sigma = 1 a quadric's yes on the cap grid re-verifies, and every
+    # verdict, from the grid or from the signature, is the signature test's
     if not forms:
         return
-    target = AdelicTarget.trivial(forms[0].basis.n)
-    mats = [quadric_matrix(f) for f in forms]
-    expected = [
-        ("yes", "quadric-signature") if census._indefinite(m) else ("no", "quadric-definite") for m in mats
-    ]
-    for given_mats in (None, mats):
-        got = census._arch_verdicts(forms, target, mats=given_mats)
-        assert [(r.verdict, r.certificate["kind"]) for r in got] == expected
+    xi = AdelicTarget.trivial(forms[0].basis.n).xi_inf
+    got = decide_real_batch(forms, xi, 1)
+    assert [r.verdict for r in got] == ["yes" if quadric_real_soluble(f) else "no" for f in forms]
+    for form, res in zip(forms, got):
+        kind = res.certificate["kind"]
+        if kind in ("exact-zero", "sign-change"):
+            verify_real_certificate(form, xi, 1, res.certificate)
+        else:
+            assert kind == ("quadric-signature" if res.verdict == "yes" else "quadric-definite")
+
+
+def test_real_verdicts_of_a_conic_census_are_the_signature_and_reverify():
+    # the 197 forms of local_census(2, 2, 3, 3) (trivial target) without a
+    # target point: the real decider agrees with the signature form by form,
+    # and the 90 yes it finds on the cap grid carry sign changes that re-verify
+    target = AdelicTarget.trivial(2)
+    basis = monomial_basis(2, 2)
+    rows = census._coefficient_rows(2, 2, 3)
+    forms = census._forms(basis, rows[~census._point_hits(rows, _target_grid(basis, target)[1])])
+    got = decide_real_batch(forms, target.xi_inf, target.sigma_inf, 4000)
+    assert [r.verdict for r in got] == ["yes" if quadric_real_soluble(f) else "no" for f in forms]
+    kinds = {}
+    for form, res in zip(forms, got):
+        kind = res.certificate["kind"]
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind in ("exact-zero", "sign-change"):
+            verify_real_certificate(form, target.xi_inf, target.sigma_inf, res.certificate)
+    assert kinds == {"sign-change": 90, "quadric-definite": 107}
+    report = local_census(2, 2, 3, 3, target)
+    assert report.arch_kinds == {"yes": {"sign-change": 90, "point": 1859}, "no": {"quadric-definite": 107}, "unknown": {}}
 
 
 def _tail_lower_loop(P_trunc, support, tail_constant):

@@ -109,9 +109,7 @@ ENTRY_POINTS = (
     ("veronese", "evaluate_form", TRACED),
     ("veronese", "gradient_form", TRACED),
     ("veronese", "make_form", "the benchmark contract checks that census binds it"),
-    ("localsolve", "decide_padic_solubility", TRACED),
     ("localsolve", "canonical_projective_residues", TRACED),
-    ("localsolve", "decide_real_solubility", TRACED),
     ("localsolve", "decide_real_batch", "the census decides its forms at the real place with it"),
     ("localsolve", "classify_balls", TRACED),
     ("localsolve", "AdelicTarget", "the workloads build their targets from it"),

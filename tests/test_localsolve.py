@@ -10,7 +10,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanostat import localsolve, padic
+from fanostat.census import quadric_real_soluble
 from fanostat.errors import EnumerationBudgetExceeded, HypothesisFailed
+from fanostat.geom import cap_matrix
 from fanostat.localsolve import (
     AdelicTarget,
     DensityInterval,
@@ -20,9 +22,7 @@ from fanostat.localsolve import (
     classify_balls,
     count_projective_points,
     decide_padic_batch,
-    decide_padic_solubility,
     decide_real_batch,
-    decide_real_solubility,
     density_sandwich,
     fit_tail_constant,
     local_density,
@@ -142,7 +142,7 @@ def test_decide_padic_yes_exact_zero():
     # X0^2+X1^2-X2^2-X3^2 at (1,0,1,0) mod 3: exact zero, unit gradient
     f = mkform(2, 3, m_2000=1, m_0200=1, m_0020=-1, m_0002=-1)
     xi = PadicApproxVector.from_integers(3, 1, (1, 0, 1, 0))
-    res = decide_padic_solubility(f, 3, xi, e_p=1)
+    (res,) = decide_padic_batch([f], 3, xi, e_p=1)
     assert res.verdict == "yes"
     verify_certificate(f, xi, res.certificate)
 
@@ -150,7 +150,7 @@ def test_decide_padic_yes_exact_zero():
 def test_decide_padic_no_anisotropic():
     # X0^2+X1^2-3X2^2-3X3^2 over Q_3: anisotropic; No at small depth
     f = mkform(2, 3, m_2000=1, m_0200=1, m_0020=-3, m_0002=-3)
-    res = decide_padic_solubility(f, 3, depth_budget=4)
+    (res,) = decide_padic_batch([f], 3, depth_budget=4)
     assert res.verdict == "no"
     assert res.certificate["depth"] <= 3
 
@@ -158,7 +158,7 @@ def test_decide_padic_no_anisotropic():
 def test_decide_padic_unknown_budget():
     # gradient vanishes mod 2 everywhere (char-2 square): budget 1 -> unknown
     f = mkform(2, 2, m_200=1, m_020=1, m_002=1)
-    res = decide_padic_solubility(f, 2, depth_budget=1)
+    (res,) = decide_padic_batch([f], 2, depth_budget=1)
     assert res.verdict in ("unknown", "no")
     if res.verdict == "unknown":
         assert res.certificate["depth"] == 1
@@ -166,8 +166,8 @@ def test_decide_padic_unknown_budget():
 
 def test_decide_padic_no_is_stable_in_depth():
     f = mkform(2, 3, m_2000=1, m_0200=1, m_0020=-3, m_0002=-3)
-    r1 = decide_padic_solubility(f, 3, depth_budget=3)
-    r2 = decide_padic_solubility(f, 3, depth_budget=5)
+    (r1,) = decide_padic_batch([f], 3, depth_budget=3)
+    (r2,) = decide_padic_batch([f], 3, depth_budget=5)
     assert r1.verdict == "no" and r2.verdict == "no"
     assert r2.certificate["depth"] >= r1.certificate["depth"]
     # once no, a deeper budget stays no (same exhaustion point)
@@ -202,7 +202,7 @@ _DEEP_TARGET = (
 
 def test_decide_padic_lift_certifies_target_radius():
     f, xi, e_p = _DEEP_TARGET
-    res = decide_padic_solubility(f, 2, xi, e_p)
+    (res,) = decide_padic_batch([f], 2, xi, e_p)
     assert res.verdict == "yes"
     cert = res.certificate
     assert isinstance(cert, LiftCertificate) and cert.radius == e_p
@@ -236,7 +236,7 @@ def _padic_targets(draw):
 def test_decide_padic_yes_reverifies_against_target(case):
     f, xi, e_p = case
     target = xi if e_p else None
-    res = decide_padic_solubility(f, xi.p, target, e_p)
+    (res,) = decide_padic_batch([f], xi.p, target, e_p)
     if res.verdict == "yes":
         assert isinstance(res.certificate, (LiftCertificate, ExactZeroCertificate))
         assert res.certificate.radius == e_p
@@ -249,23 +249,40 @@ def test_decide_padic_yes_reverifies_against_target(case):
 
 def test_decide_real_yes_exact_zero():
     f = mkform(2, 2, m_200=1, m_020=1, m_002=-1)
-    res = decide_real_solubility(f, (0, 1, 1), Fraction(1, 4))
+    (res,) = decide_real_batch([f], (0, 1, 1), Fraction(1, 4))
     assert res.verdict == "yes"
     assert res.certificate["kind"] in ("exact-zero", "sign-change")
     verify_real_certificate(f, (0, 1, 1), Fraction(1, 4), res.certificate)
 
 
 def test_decide_real_no_definite():
+    # the signature decides a definite quadric at sigma = 1; the chart search
+    # excludes it on its own too
     f = mkform(2, 2, m_200=1, m_020=1, m_002=1)
-    res = decide_real_solubility(f, (1, 0, 0), Fraction(1))
+    (res,) = decide_real_batch([f], (1, 0, 0), Fraction(1))
+    assert res.verdict == "no"
+    assert res.certificate["kind"] == "quadric-definite"
+    (res,) = localsolve._chart_verdicts([f], (1, 0, 0), Fraction(1), 20000)
     assert res.verdict == "no"
     assert res.certificate["kind"] == "bernstein-exclusion"
+
+
+def test_decide_real_batch_certifies_a_quadric_the_chart_search_cannot():
+    # the zeros (1, +-1) of X0^2 - X1^2 lie at distance exactly sqrt(1/2) from
+    # (1, 0), just outside the cap: no grid point changes sign, the chart
+    # search runs out of boxes, and the decider's S-lemma step proves no
+    sigma = math.nextafter(math.sqrt(0.5), 0)
+    form = mkform(2, 1, m_20=1, m_02=-1)
+    (res,) = decide_real_batch([form], (1, 0), sigma)
+    assert res.verdict == "no" and res.certificate["kind"] == "s-lemma"
+    sign, tau = res.certificate["sign"], res.certificate["tau"]
+    assert localsolve._s_lemma_holds(localsolve.quadric_matrix(form), cap_matrix((1, 0), sigma), sign, tau)
 
 
 def test_decide_real_sign_change():
     # f = X0^2 + X1^2 - 3 X2^2 changes sign near xi = (1,1,1)/sqrt(3)
     f = mkform(2, 2, m_200=1, m_020=1, m_002=-3)
-    res = decide_real_solubility(f, (1, 1, 1), Fraction(1, 2))
+    (res,) = decide_real_batch([f], (1, 1, 1), Fraction(1, 2))
     assert res.verdict == "yes"
 
 
@@ -273,14 +290,14 @@ def test_decide_real_newton_path():
     # f with an irrational zero near xi: grid has no exact zero, sign data
     # may certify; ensure some yes-certificate is produced
     f = mkform(2, 2, m_200=2, m_020=1, m_002=-1)  # 2x^2 + y^2 = z^2
-    res = decide_real_solubility(f, (1, 0, 1), Fraction(1, 3))
+    (res,) = decide_real_batch([f], (1, 0, 1), Fraction(1, 3))
     assert res.verdict == "yes"
 
 
 def _old_direction_grid(n, xi_inf):
     """The real decider's direction grid as a set: every nonzero v in
     [-2, 2]^(n+1) divided by its gcd, with first nonzero entry positive,
-    and the axis approximation round(8 xi / |xi|); sorted."""
+    and the axis approximation round(8 xi / |xi|) divided by its gcd; sorted."""
     out = set()
     for v in itertools.product(range(-2, 3), repeat=n + 1):
         if any(v):
@@ -291,14 +308,14 @@ def _old_direction_grid(n, xi_inf):
     norm = math.sqrt(math.fsum(float(c) ** 2 for c in xi_inf))
     approx = tuple(round(8 * float(c) / norm) for c in xi_inf)
     if any(approx):
-        out.add(approx)
+        out.add(tuple(c // math.gcd(*approx) for c in approx))
     return sorted(out)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_direction_grid_matches_the_set_construction(n):
     # (-3, 1, 0, ...) has a negative approximation, (-8, 3, 0, ...); those of
-    # e_0 and (1, -1, 0, ...), 8 e_0 and (6, -6, 0, ...), are not primitive
+    # e_0 and (1, -1, 0, ...), 8 e_0 and (6, -6, 0, ...), divide to grid rows
     axes = [(1,) + (0,) * n, (-3, 1) + (0,) * (n - 1), (1, -1) + (0,) * (n - 1), (1, 2) + (0,) * (n - 1),
             tuple(range(-2, n - 1)), (Fraction(1, 3),) + (1,) * n]
     for xi in axes:
@@ -306,7 +323,7 @@ def test_direction_grid_matches_the_set_construction(n):
         assert grid.dtype == np.int64
         assert [tuple(v) for v in grid.tolist()] == _old_direction_grid(n, xi), xi
     with pytest.raises(ValueError):  # a zero axis fails the cap's check, not the grid's division
-        decide_real_solubility(make_form(2, n, [1] * dimension(2, n)), (0,) * (n + 1), Fraction(1, 2))
+        decide_real_batch([make_form(2, n, [1] * dimension(2, n))], (0,) * (n + 1), Fraction(1, 2))
 
 
 _fractions = np.vectorize(Fraction, otypes=[object])
@@ -403,7 +420,21 @@ def _decider_cases(draw):
 def _agrees_with_the_oracle(form, xi, sigma, budget, res):
     """A decided verdict is the exact oracle's, and a yes re-verifies. The
     float search keeps every box the exact one keeps, within the same budget,
-    so it can decide no form that the oracle leaves open."""
+    so it can decide no form that the oracle leaves open. The oracle has no
+    quadric step: a verdict of that step is checked on its own (the
+    signature against `quadric_real_soluble`, an S-lemma certificate by
+    `_s_lemma_holds`) and must not contradict the oracle, and then the chart
+    search alone must agree with the oracle like the decider on any other form."""
+    kind = res.certificate.get("kind")
+    if kind in ("quadric-signature", "quadric-definite", "s-lemma"):
+        if kind == "s-lemma":
+            cert, mat = res.certificate, localsolve.quadric_matrix(form)
+            assert localsolve._s_lemma_holds(mat, cap_matrix(xi, sigma), cert["sign"], cert["tau"])
+        else:
+            assert (res.verdict == "yes") == quadric_real_soluble(form)
+        ref = _exact_chart_decide(form, xi, sigma, budget)
+        assert ref.verdict in (res.verdict, "unknown"), (form, xi, sigma, budget, res, ref)
+        (res,) = localsolve._chart_verdicts([form], tuple(xi), Fraction(sigma), budget)
     if res.verdict == "yes":
         verify_real_certificate(form, xi, sigma, res.certificate)
     if res.verdict != "unknown":
@@ -421,7 +452,7 @@ def _agrees_with_the_oracle(form, xi, sigma, budget, res):
 @example((make_form(4, 1, [1, 0, -3, 0, 1]), (1, 0), Fraction(1), 300))  # the faces at sigma = 1
 def test_decide_real_matches_the_exact_chart_oracle(case):
     form, xi, sigma, budget = case
-    _agrees_with_the_oracle(form, xi, sigma, budget, decide_real_solubility(form, xi, sigma, subdivision_budget=budget))
+    _agrees_with_the_oracle(form, xi, sigma, budget, decide_real_batch([form], xi, sigma, subdivision_budget=budget)[0])
 
 
 @st.composite
@@ -446,9 +477,10 @@ def _decider_blocks(draw):
     return forms, xi, sigma, draw(st.sampled_from([1, 40, 300]))
 
 
-# around (1, 0) at sigma = 1/2: definite; a double zero at t = 1/3, off every
-# dyadic box corner; a grid zero; a grid sign change; zeros at t = +-0.53,
-# between the grid points and the cap's edge t = +-0.58
+# around (1, 0) at sigma = 1/2: definite (an S-lemma no, a chart no on its
+# own); a double zero at t = 1/3, off every dyadic box corner; a grid zero; a
+# grid sign change; zeros at t = +-0.53, between the grid points and the
+# cap's edge t = +-0.58
 _EVERY_KIND = ((-5, -5, -5), (1, -6, 9), (-3, -5, 2), (-3, -5, 3), (2, 0, -7))
 
 
@@ -461,51 +493,59 @@ def test_decide_real_batch_equals_one_form_calls_and_the_oracle(case):
     assert len(batch) == len(forms)
     for form, res in zip(forms, batch):
         # the whole certificate: kind, points, reason, cells and pending
-        assert res == decide_real_solubility(form, xi, sigma, subdivision_budget=budget)
+        assert res == decide_real_batch([form], xi, sigma, subdivision_budget=budget)[0]
         _agrees_with_the_oracle(form, xi, sigma, budget, res)
 
 
 def test_every_kind_of_the_batch_example_is_met():
     forms = [make_form(2, 1, c, primitive=False) for c in _EVERY_KIND]
     kinds = [res.certificate.get("kind", res.certificate.get("reason")) for res in decide_real_batch(forms, (1, 0), Fraction(1, 2), 20)]
-    assert kinds == ["bernstein-exclusion", "subdivision budget", "exact-zero", "sign-change", "sign-change"]
+    assert kinds == ["s-lemma", "subdivision budget", "exact-zero", "sign-change", "sign-change"]
+    (chart,) = localsolve._chart_verdicts(forms[:1], (1, 0), Fraction(1, 2), 20)
+    assert chart.certificate["kind"] == "bernstein-exclusion"
 
 
 def test_decide_real_batch_keeps_a_budget_overrun_to_its_form(monkeypatch):
-    # around (1, 0, 0) at sigma = 1/2: X0^2 + X1^2 = X2^2 needs one box more
-    # than the budget, the definite forms fewer, and X0^2 - 9 X1^2 changes
-    # sign on the grid
+    # around (1, 0, 0) at sigma = 1/2, where X0 has no zero: X0 (X0^2 + X1^2 -
+    # X2^2) needs one box more than the budget, the definite forms times X0
+    # fewer, and X0 (X0^2 - 9 X1^2) changes sign on the grid
     xi, sigma = (1, 0, 0), Fraction(1, 2)
-    cone = mkform(2, 2, m_200=1, m_020=1, m_002=-1)
-    definite = [mkform(2, 2, m_200=1, m_020=1, m_002=1), mkform(2, 2, m_200=3, m_011=1, m_002=2)]
-    sign = mkform(2, 2, m_200=1, m_020=-9)
-    cells = decide_real_solubility(cone, xi, sigma).certificate["cells"]
+    cone = mkform(3, 2, m_300=1, m_120=1, m_102=-1)
+    definite = [mkform(3, 2, m_300=1, m_120=1, m_102=1), mkform(3, 2, m_300=3, m_111=1, m_102=2)]
+    sign = mkform(3, 2, m_300=1, m_120=-9)
+    cells = decide_real_batch([cone], xi, sigma)[0].certificate["cells"]
     budget = cells - 1
-    alone = [decide_real_solubility(f, xi, sigma, budget) for f in definite + [sign]]
+    alone = [decide_real_batch([f], xi, sigma, budget)[0] for f in definite + [sign]]
     assert [r.verdict for r in alone] == ["no", "no", "yes"]
     assert max(r.certificate["cells"] for r in alone[:2]) < budget
-    for group in (1, 2, 4):  # forms per chart group: 9 Bernstein coefficients per box of a quadric in P^2
-        monkeypatch.setattr(localsolve, "_CELLS", group * budget * 9)
+    for group in (1, 2, 4):  # forms per chart group: 16 Bernstein coefficients per box of a cubic in P^2
+        monkeypatch.setattr(localsolve, "_CELLS", group * budget * 16)
         first, *rest = decide_real_batch([cone] + definite + [sign], xi, sigma, budget)
-        assert first == decide_real_solubility(cone, xi, sigma, budget)
+        assert first == decide_real_batch([cone], xi, sigma, budget)[0]
         assert first.certificate["reason"] == "subdivision budget"
         assert rest == alone
 
 
 def test_decide_real_unknown_reports_cells_and_the_frontier():
-    # X0^2 + X1^2 = X2^2 stays at distance sin(pi/4) from (1, 0, 0)
+    # X0^2 + X1^2 = X2^2 stays at distance sin(pi/4) from (1, 0, 0): the
+    # decider proves it by the S-lemma, the chart search alone by its boxes
     f, xi, sigma = mkform(2, 2, m_200=1, m_020=1, m_002=-1), (1, 0, 0), Fraction(1, 2)
-    cells = decide_real_solubility(f, xi, sigma).certificate["cells"]
+    assert decide_real_batch([f], xi, sigma)[0].certificate["kind"] == "s-lemma"
+
+    def chart(form, budget, sigma=sigma):
+        return localsolve._chart_verdicts([form], xi, Fraction(sigma), budget)[0]
+
+    cells = chart(f, 20000).certificate["cells"]
     # a no needs the whole search tree inside the budget
-    assert decide_real_solubility(f, xi, sigma, subdivision_budget=cells).verdict == "no"
-    res = decide_real_solubility(f, xi, sigma, subdivision_budget=cells - 1)
+    assert chart(f, cells).verdict == "no"
+    res = chart(f, cells - 1)
     assert res.verdict == "unknown"
     assert res.certificate["reason"] == "subdivision budget"
     assert 0 < res.certificate["cells"] < cells <= res.certificate["cells"] + res.certificate["pending"]
-    first = decide_real_solubility(f, xi, sigma, subdivision_budget=1).certificate
+    first = chart(f, 1).certificate
     assert (first["cells"], first["pending"]) == (1, 2)  # the chart's one box, then its two halves
     # at sigma = 1 the search starts from the three faces x_k = 1
-    first = decide_real_solubility(mkform(2, 2, m_200=1, m_020=1, m_002=1), xi, 1, subdivision_budget=1).certificate
+    first = chart(mkform(2, 2, m_200=1, m_020=1, m_002=1), 1, sigma=1).certificate
     assert (first["cells"], first["pending"]) == (0, 3)
 
 
@@ -515,7 +555,7 @@ def test_decide_real_grid_values_never_wrap_int64(d):
     # has 8^d >= 2^63, which int64 Veronese rows would wrap to 0 or negative
     f = make_form(d, 1, [1] + [0] * (d - 1) + [1])
     for xi in ((1, 0), (0, 1)):
-        assert decide_real_solubility(f, xi, Fraction(1, 10)).verdict == "no"
+        assert decide_real_batch([f], xi, Fraction(1, 10))[0].verdict == "no"
 
 
 @st.composite
@@ -593,7 +633,7 @@ def test_verify_real_certificate_rejects_tampering():
     # grid point shows it: the chart search finds the sign change
     xi, sigma = (3, -1, 2, 1), Fraction(1, 2)
     f = mkform(2, 3, m_0101=1, m_0020=-1)
-    res = decide_real_solubility(f, xi, sigma, 4000)
+    (res,) = decide_real_batch([f], xi, sigma, 4000)
     assert res.verdict == "yes" and res.certificate["kind"] == "sign-change"
     cert = res.certificate
     verify_real_certificate(f, xi, sigma, cert)
@@ -915,18 +955,19 @@ def test_padic_search_checks_its_starting_residues_against_the_budget():
     # P^3(F_3) has 40 points, checked against the budget on their own; the 4
     # zeros mod 3 then cost 27 children each
     f = mkform(2, 3, m_2000=1, m_0200=1, m_0020=-3, m_0002=-3)
-    assert decide_padic_solubility(f, 3, node_budget=4 * 27).certificate["depth"] == 2
-    for budget in (39, 4 * 27 - 1):
-        with pytest.raises(EnumerationBudgetExceeded):
-            decide_padic_solubility(f, 3, node_budget=budget)
+    assert decide_padic_batch([f], 3, node_budget=4 * 27)[0].certificate["depth"] == 2
+    # the starting level raises for the whole call, a later level returns the overrun as the form's element
+    with pytest.raises(EnumerationBudgetExceeded):
+        decide_padic_batch([f], 3, node_budget=39)
+    assert isinstance(decide_padic_batch([f], 3, node_budget=4 * 27 - 1)[0], EnumerationBudgetExceeded)
     # a target's class is one starting residue, whatever p^n is
     xi = PadicApproxVector.from_integers(3, 1, (1, 0, 1, 0))
     g = mkform(2, 3, m_2000=1, m_0200=1, m_0020=-1, m_0002=-1)
-    assert decide_padic_solubility(g, 3, xi, 1, node_budget=1).verdict == "yes"
+    assert decide_padic_batch([g], 3, xi, 1, node_budget=1)[0].verdict == "yes"
     # about 10^18 points of P^3(F_p) are refused before any is built
     big = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=-1000003)
     with pytest.raises(EnumerationBudgetExceeded):
-        decide_padic_solubility(big, 1000003)
+        decide_padic_batch([big], 1000003)
 
 
 # --- the batched p-adic decider against the per-form decider ------------------
@@ -1073,7 +1114,8 @@ def test_decide_padic_batch_matches_the_per_form_oracle(case):
     except EnumerationBudgetExceeded as exc:  # the starting level, for every form
         got = [_outcome(exc)] * len(forms)
     assert got == want
-    assert [_caught(decide_padic_solubility, f, *args) for f in forms] == want
+    # each form alone, as a one-form list
+    assert [_caught(lambda f, *a: decide_padic_batch([f], *a)[0], f, *args) for f in forms] == want
 
 
 def test_decide_padic_batch_keeps_a_budget_overrun_to_its_form():
@@ -1082,8 +1124,8 @@ def test_decide_padic_batch_keeps_a_budget_overrun_to_its_form():
     assert isinstance(first, EnumerationBudgetExceeded)
     assert [r.verdict for r in rest] == ["yes", "yes"]
     assert [type(r.certificate) for r in rest] == [ExactZeroCertificate, LiftCertificate]
-    with pytest.raises(EnumerationBudgetExceeded):
-        decide_padic_solubility(forms[0], p, xi, e_p, depth, budget)
+    (alone,) = decide_padic_batch(forms[:1], p, xi, e_p, depth, budget)
+    assert isinstance(alone, EnumerationBudgetExceeded)
 
 
 def test_residue_tables_are_lexicographic_and_stream_in_blocks(monkeypatch):
@@ -1109,7 +1151,7 @@ def test_decide_padic_centred_rows_never_wrap_int64(d):
     # monomial 3^d >= 2^63 int64 Veronese rows of the centred residues would wrap
     f = make_form(d, 1, [3**d] + [0] * (d - 1) + [-1], primitive=False)
     for xi, e_p in ((None, 0), (PadicApproxVector.from_integers(7, 1, (1, 3)), 1)):
-        res = decide_padic_solubility(f, 7, xi, e_p)
+        (res,) = decide_padic_batch([f], 7, xi, e_p)
         assert res.certificate == ExactZeroCertificate(7, (1, 3), e_p)
         assert _outcome(res) == _caught(_per_form_decide, f, 7, xi, e_p)
 
@@ -1119,6 +1161,6 @@ def test_decide_padic_finds_an_exact_zero_below_the_first_level():
     # (phi(49) = 42) and no lift applies (7 | 42), so the first exact zero is
     # (1, 10), found at level 2; its monomial 10^42 is past 2^63
     f = make_form(42, 1, [10**42] + [0] * 41 + [-1], primitive=False)
-    res = decide_padic_solubility(f, 7)
+    (res,) = decide_padic_batch([f], 7)
     assert res.certificate == ExactZeroCertificate(7, (1, 10), 0)
     assert _outcome(res) == _caught(_per_form_decide, f, 7)

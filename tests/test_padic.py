@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from fanostat.errors import HypothesisFailed
-from fanostat.localsolve import decide_padic_solubility
+from fanostat.localsolve import decide_padic_batch
 from fanostat.padic import (
     ExactZeroCertificate,
     LiftCertificate,
@@ -217,7 +217,7 @@ def test_verify_certificate_rejects_tampering():
     # X0^2 + X1^2 + X2^2 has no Q_2-point, and at (1, 1, 0) its gradient
     # (2, 2, 0) has valuation 1: a claim of l = 0 must not pass
     sphere = make_form(2, 2, [1, 0, 0, 1, 0, 1])
-    assert decide_padic_solubility(sphere, 2, depth_budget=4).verdict == "no"
+    assert decide_padic_batch([sphere], 2, depth_budget=4)[0].verdict == "no"
     with pytest.raises(HypothesisFailed):
         verify_certificate(sphere, None, LiftCertificate(2, (1, 1, 0), e=1, l=0, radius=0))
     # X0^2 + X1^2 - 2 X2^2 vanishes at (1, 1, 1), where the gradient has valuation 1
