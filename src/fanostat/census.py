@@ -41,7 +41,6 @@ from typing import Optional
 import numpy as np
 
 from .counting import Prediction, VolumeEstimate, veronese_reciprocal_volume
-from .errors import EnumerationBudgetExceeded
 from .geom import unit_ball_volume
 from .intlinalg import bareiss_det, integer_ball
 from .lattice import primitive_orthogonal_count
@@ -58,8 +57,9 @@ from .localsolve import (
     local_density,
     quadric_matrix,
     target_mask,
+    translate_local_conditions,
 )
-from .numtheory import euler_phi, factorize, jordan_totient, primes_up_to, zeta
+from .numtheory import euler_phi, factorize, jordan_totient, primes_up_to, unit_class_mask, zeta
 from .veronese import (
     Form,
     coefficient_matrix,
@@ -281,12 +281,11 @@ class CensusReport:
 
 
 def _target_grid(basis, target: AdelicTarget):
-    """The points of the real decider's cap grid (`localsolve._cap_grid`,
-    primitive rows) that meet the target (`target_mask`), and their Veronese
-    rows."""
-    points, _, _, V = _cap_grid(basis, tuple(target.xi_inf), Fraction(target.sigma_inf))
-    X = np.array(points, dtype=np.int64).reshape(-1, basis.n + 1)
-    keep = target_mask(target, X)
+    """The cap grid's rows (`localsolve._cap_grid`) that meet the target, and
+    their Veronese rows. Of `target_mask`'s three tests only the unit class
+    is run: the grid's rows are primitive and in the cap by construction."""
+    _, X, V = _cap_grid(basis, tuple(target.xi_inf), Fraction(target.sigma_inf))
+    keep = unit_class_mask(X, *translate_local_conditions(target))
     return X[keep], V[keep]
 
 
@@ -313,36 +312,31 @@ def _point_hits(coeffs: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def _finite_verdicts(forms, p: int, target: AdelicTarget, depth_budget: int) -> list:
-    """The verdicts at p of forms on one basis; a node budget overrun is
-    "unknown"."""
+    """The verdicts at p of forms on one basis."""
     e_p, xi = target.place(p)
-    try:
-        out = decide_padic_batch(forms, p, xi, e_p, depth_budget=depth_budget)
-    except EnumerationBudgetExceeded:
-        return ["unknown"] * len(forms)
-    return ["unknown" if isinstance(r, EnumerationBudgetExceeded) else r.verdict for r in out]
+    return [res.verdict for res in decide_padic_batch(forms, p, xi, e_p, depth_budget=depth_budget)]
 
 
-def _beyond_verdicts(forms, mats, P: int, target: AdelicTarget, depth_budget: int) -> list:
+def _beyond_verdicts(forms, P: int, target: AdelicTarget, depth_budget: int) -> list:
     """For each form, the verdict over the primes beyond P, outside the
     target's support, where it may fail to be soluble: "yes-all", "fails"
     or "unknown".
 
-    For quadrics (mats hold 2M) those primes are the certified bad primes; a
-    det(2M) that cannot be factored gives "unknown". For d >= 3 only the
+    For quadrics those primes are the certified bad primes of 2M; a quadric
+    without a certified bad-prime set gives "unknown". For d >= 3 only the
     primes up to 2P + 10 are examined. The primes are decided in ascending
     order, each for every form that has it and has not failed yet, so each
     form sees its own primes in order and stops at its first "no".
     """
     verdicts = ["yes-all"] * len(forms)
     primes = []
-    for k, mat in enumerate(mats):
-        if mat is None:
+    for k, form in enumerate(forms):
+        if form.basis.d != 2:
             own = primes_up_to(2 * P + 10)
         else:
             try:
-                own = _bad_primes(mat)
-            except ValueError:  # factorize cannot prove a cofactor of det(2M) prime
+                own = _bad_primes(quadric_matrix(form))
+            except ValueError:  # a det(2M) cofactor factorize cannot prove prime, or a binary quadric (n = 1)
                 verdicts[k], own = "unknown", []
         primes.append({p for p in own if p > P and p not in target.support})
     for p in sorted(set().union(*primes)):
@@ -427,8 +421,7 @@ def local_census(
                 per_place[p][verdict] += 1
                 certain[k] = certain[k] and verdict == "yes"
         inside = [k for k, verdict in enumerate(verdicts) if verdict != "no"]
-        mats = [quadric_matrix(block[k]) if d == 2 else None for k in inside]  # 2M of the forms in M
-        beyond = _beyond_verdicts([block[k] for k in inside], mats, P, target, depth_budget)
+        beyond = _beyond_verdicts([block[k] for k in inside], P, target, depth_budget)
         for k, far in zip(inside, beyond):
             m_yes += certain[k]
             m_unk += not certain[k]
@@ -510,7 +503,6 @@ def predicted_census(
     mc_samples: int = 400,
     rng=None,
     budget: int = 10**7,
-    tail_constant: Fraction = DEFAULT_TAIL_CONSTANT,
 ) -> dict:
     """Interval-valued main term for #V^loc(A).
 
@@ -521,8 +513,9 @@ def predicted_census(
     (`primitive_orthogonal_count` at nu = 0: the family's size, counted
     without enumerating it), which is what the density product actually
     multiplies at finite A. `budget` bounds `local_density`. The tail
-    constant C (default `localsolve.DEFAULT_TAIL_CONSTANT`) is a measured
-    value, not a proven bound, so it is reported as "tail_constant".
+    constant C, `localsolve.DEFAULT_TAIL_CONSTANT` here and in
+    `local_density`, is a measured value, not a proven bound, so it is
+    reported as "tail_constant".
     """
     N = dimension(d, n)
     support = set(target.support)
@@ -536,7 +529,7 @@ def predicted_census(
     terms = 1.0 / P[(P > P_trunc) & ~np.isin(P, list(support))] ** 2
     tail_sum = float(np.cumsum(np.append(0.0, terms))[-1])
     tail_sum += 1e-5  # integral remainder beyond the sieve, over-estimated
-    tail_lo = max(0.0, 1.0 - float(tail_constant) * tail_sum)
+    tail_lo = max(0.0, 1.0 - float(DEFAULT_TAIL_CONSTANT) * tail_sum)
     rho_inf = real_density_interval(d, n, target, mc_samples, rng)
     lo = float(rho_inf.lower) * tail_lo
     hi = float(rho_inf.upper)
@@ -550,7 +543,7 @@ def predicted_census(
     return {
         "finite_intervals": intervals,
         "tail_lower": tail_lo,
-        "tail_constant": tail_constant,
+        "tail_constant": DEFAULT_TAIL_CONSTANT,
         "rho_inf": rho_inf,
         "density_product": (lo, hi),
         "asymptotic_factor": asympt,

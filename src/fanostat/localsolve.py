@@ -13,8 +13,9 @@ every decision routine returns a TriState:
   (sound: an exact zero would reduce); over R a quadric's signature, an
   S-lemma certificate that `_s_lemma_holds` checks, or the boxes a
   Bernstein search of the real cap examined;
-- unknown: carries the exhausted budget; over R also the boxes examined
-  (`cells`) and the unexamined frontier (`pending`).
+- unknown: carries the `reason` the search stopped: at a prime "node
+  budget", "depth budget" or "int64 range"; over R "subdivision budget",
+  with the boxes examined (`cells`) and the unexamined frontier (`pending`).
 
 The finite places of a target CRT into one congruence class (c, q)
 (`translate_local_conditions`), and `target_mask` is the one point filter
@@ -338,24 +339,24 @@ def decide_padic_batch(
     node_budget: int = 10**7,
 ) -> list:
     """Does each of the forms (all on one basis) have a Q_p point within
-    p^-e_p of xi? Its TriState, or the EnumerationBudgetExceeded that a
-    level past the first raised for it; a single form is a one-form list.
+    p^-e_p of xi? One TriState per form, never an exception for a budget; a
+    single form is a one-form list.
 
     With xi None (or e_p = 0) this is plain Q_p-solubility. Searches residue
     zeros level by level; `yes` once some residue zero x mod p^v centres to an
     exact integer zero (ExactZeroCertificate) or has a partial derivative of
     valuation l < v/2 with v - l >= e_p, so that Hensel's lemma puts a
     Q_p-zero within p^-e_p of xi (LiftCertificate); `no` once a level holds
-    no admissible residue zero (sound: exact zeros reduce); `unknown` when the
-    depth budget runs out or residues mod p^(v+1) would outgrow int64.
-    A `yes` certificate records radius e_p and re-verifies against xi with
-    `padic.verify_certificate`.
+    no admissible residue zero (sound: exact zeros reduce); `unknown` when a
+    budget or int64 stops it (below). A `yes` certificate records radius e_p
+    and re-verifies against xi with `padic.verify_certificate`.
 
     Budget: the starting residues (every point of P^n(F_p), or xi's class)
-    must number at most node_budget on their own, or the call raises
-    EnumerationBudgetExceeded for all forms, since they depend only on
-    (p, n, e_p); each later level costs p^n nodes per frontier residue,
-    cumulatively, per form.
+    depend only on (p, n, e_p), so past node_budget every form is unknown;
+    each later level costs p^n nodes per frontier residue, cumulatively, per
+    form. An `unknown` names its `reason`: "node budget" (with the `nodes`),
+    "depth budget" (the `depth` and `frontier` where the levels ran out) or
+    "int64 range" (a level's `modulus` p^v >= 2^63).
 
     Every level goes through one kernel, `_start_zeros`. The starting level
     is evaluated for a block of forms at once: one product of their
@@ -372,8 +373,10 @@ def decide_padic_batch(
     basis = forms[0].basis
     v0 = max(e_p, 1)
     start = 1 if e_p >= 1 else (p ** (basis.n + 1) - 1) // (p - 1)
-    if start > node_budget or p**v0 >= 2**63:
-        raise EnumerationBudgetExceeded("residue search too large", start)
+    if start > node_budget:
+        return [TriState.unknown({"reason": "node budget", "nodes": start}) for _ in forms]
+    if p**v0 >= 2**63:
+        return [TriState.unknown({"reason": "int64 range", "modulus": p**v0}) for _ in forms]
     xi_class = [_table(basis, np.array([canonical_residue(xi.entries, xi.p, e_p)]), p**e_p)] if e_p >= 1 else None
     size = max(1, _CHUNK // start)
     out = []
@@ -382,10 +385,7 @@ def decide_padic_batch(
         rows, Z, E = _start_zeros(block, xi_class or _residue_tables(basis, p), p**v0)
         cuts = np.searchsorted(rows, np.arange(len(block) + 1)).tolist()
         for form, a, b in zip(block, cuts, cuts[1:]):
-            try:
-                out.append(_search_levels(form, p, e_p, v0, Z[a:b], E[a:b], depth_budget, node_budget))
-            except EnumerationBudgetExceeded as exc:
-                out.append(exc)
+            out.append(_search_levels(form, p, e_p, v0, Z[a:b], E[a:b], depth_budget, node_budget))
     return out
 
 
@@ -421,11 +421,13 @@ def _search_levels(form: Form, p: int, e_p: int, v: int, Z, E, depth_budget: int
             cert = _try_lift(form, tuple(x), p, v, e_p)
             if cert is not None:
                 return TriState.yes(cert)
-        if v >= max(depth_budget, v0) or p ** (v + 1) >= 2**63:
-            return TriState.unknown({"depth": v, "frontier": len(Z)})
+        if v >= max(depth_budget, v0):
+            return TriState.unknown({"reason": "depth budget", "depth": v, "frontier": len(Z)})
+        if p ** (v + 1) >= 2**63:
+            return TriState.unknown({"reason": "int64 range", "modulus": p ** (v + 1)})
         nodes += len(Z) * p**n
         if nodes > node_budget:
-            raise EnumerationBudgetExceeded("residue search too large", nodes)
+            return TriState.unknown({"reason": "node budget", "nodes": nodes})
         v += 1
         # one fibre per frontier residue at a time: memory stays at one fibre
         fibres = (_table(form.basis, _residue_fibre(x, p, v - 1, v), p**v) for x in Z)
@@ -466,9 +468,9 @@ def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000)
 
     1. the cap grid (`_cap_grid`): one exact product of the coefficient rows
        of a block of at most _CELLS form x grid-point pairs against the
-       grid's Veronese rows. yes on an integer zero of f in the cap
-       (`exact-zero`), or on two grid points of the cap's convex side
-       <w, xi> >= 0 with f of opposite signs there (`sign-change`);
+       grid's Veronese rows, every point on the cap's convex side
+       <w, xi> >= 0. yes on an integer zero of f in the cap (`exact-zero`),
+       or on two grid points with f of opposite signs (`sign-change`);
     2. sigma = 1 and an odd degree: yes (`odd-degree`);
     3. quadrics: at sigma = 1 the exact signature of 2M (`quadric_matrix`),
        since a real quadric has a point iff it is not definite
@@ -504,13 +506,11 @@ def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000)
         return []
     xi, sigma = tuple(xi_inf), Fraction(sigma_inf)
     basis = forms[0].basis
-    points, sides, flipped, V = _cap_grid(basis, xi, sigma)
+    points, _, V = _cap_grid(basis, xi, sigma)
     step = max(1, _CELLS // max(len(points), 1))
     out = [None] * len(forms)
     for lo in range(0, len(forms) if points else 0, step):
         vals = pairings(coefficient_matrix(forms[lo : lo + step]), V)
-        if basis.d % 2 == 1:  # the signs on the side <w, xi> >= 0
-            vals = np.where(flipped, -vals, vals)
         # each form's first zero, first positive and first negative column
         masks = (vals == 0, vals > 0, vals < 0)
         firsts = [m.argmax(axis=1) for m in masks]
@@ -521,7 +521,7 @@ def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000)
             if has_zero[k]:
                 out[lo + k] = TriState.yes({"kind": "exact-zero", "point": points[zero[k]]})
             else:
-                out[lo + k] = TriState.yes({"kind": "sign-change", "positive": sides[pos[k]], "negative": sides[neg[k]]})
+                out[lo + k] = TriState.yes({"kind": "sign-change", "positive": points[pos[k]], "negative": points[neg[k]]})
     if sigma == 1 and basis.d % 2 == 1:
         return [TriState.yes({"kind": "odd-degree"}) if res is None else res for res in out]
     rest = [k for k, res in enumerate(out) if res is None]
@@ -582,19 +582,18 @@ def verify_real_certificate(form: Form, xi_inf, sigma_inf, cert) -> None:
 
 @lru_cache(maxsize=32)
 def _cap_grid(basis, xi: tuple, sigma):
-    """The direction-grid points v in the cap, in grid order; their sides
-    w = +-v on the nonneg side of xi; whether w = -v; and the Veronese rows of
-    the points. Cached, because a census asks for the same cap for every
-    form; hence tuples and read-only arrays."""
+    """The direction-grid points in the cap, each turned once to the side
+    <w, xi> >= 0 (w = +-v) and kept in grid order: as tuples, for
+    certificates; as one int64 array of primitive rows; and their Veronese
+    rows. Cached, because a census asks for the same cap for every form;
+    hence tuples and read-only arrays."""
     u = np.array(integer_axis(xi), dtype=object)  # raises on a zero axis
     grid = _direction_grid(basis.n, xi)
     X = grid[cone_member(xi, sigma, grid)]
-    flipped = np.asarray(X.astype(object) @ u < 0, dtype=bool)
-    points = tuple(map(tuple, X.tolist()))
-    sides = tuple(map(tuple, np.where(flipped[:, None], -X, X).tolist()))
+    X = np.where(np.asarray(X.astype(object) @ u < 0, dtype=bool)[:, None], -X, X)
     V = veronese_batch(basis, X)
-    flipped.flags.writeable = V.flags.writeable = False
-    return points, sides, flipped, V
+    X.flags.writeable = V.flags.writeable = False
+    return tuple(map(tuple, X.tolist())), X, V
 
 
 def _direction_grid(n: int, xi_inf) -> np.ndarray:
@@ -1104,12 +1103,12 @@ def local_density(
     e_p: int = 0,
     depth: int = 1,
     budget: int = 10**7,
-    tail_constant: Fraction = DEFAULT_TAIL_CONSTANT,
 ) -> DensityInterval:
     """rho_p interval: enumeration when affordable, else the 1 - C/p^2 tail.
 
-    The tail constant is a recorded measurement (insoluble mass times p^2,
-    maxed over the enumerable range), not a constant from first principles.
+    The tail constant C = DEFAULT_TAIL_CONSTANT is a recorded measurement
+    (insoluble mass times p^2, maxed over the enumerable range), not a
+    constant from first principles.
     """
     v = max(depth, e_p, 1)
     N = dimension(d, n)
@@ -1117,7 +1116,7 @@ def local_density(
         return classify_balls(d, n, p, v, xi, e_p, budget).rho_interval()
     if e_p > 0:
         raise EnumerationBudgetExceeded("targeted density out of enumeration range")
-    lo = 1 - tail_constant / p**2
+    lo = 1 - DEFAULT_TAIL_CONSTANT / p**2
     return DensityInterval(max(lo, Fraction(0)), Fraction(1), "tail-bound")
 
 

@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+_CAST_CELLS = 1 << 14  # float64 entries a `pairings` block holds: a whole product beside its int64 copy takes fresh pages
+
 
 def dimension(d: int, n: int) -> int:
     """Number of degree-d monomials in n+1 variables, binomial(n+d, d)."""
@@ -151,16 +153,20 @@ def pairings(A: np.ndarray, NU: np.ndarray) -> np.ndarray:
 
     Three tiers, by the bound of `_pairing_bound` on every entry, product
     and partial sum:
-    - below 2^53, one float64 GEMM (BLAS), returned as int64. Every input,
-      product and partial sum is then an integer below 2^53, which float64
-      holds exactly, so no step rounds, in any summation order, with or
-      without fused multiply-adds;
+    - below 2^53, float64 GEMMs (BLAS) of row blocks, cast into one int64
+      array. Every input, product and partial sum is then an integer below
+      2^53, which float64 holds exactly, so no step rounds, in any
+      summation order, with or without fused multiply-adds;
     - below 2^63, an int64 product;
     - otherwise Python integers, returned as an object array.
     """
     worst = _pairing_bound(A, NU)
     if worst < 2**53:
-        return (A.astype(np.float64) @ NU.astype(np.float64).T).astype(np.int64)
+        out = np.empty((len(A), len(NU)), dtype=np.int64)
+        NUf, step = NU.astype(np.float64).T, max(1, _CAST_CELLS // max(len(NU), 1))
+        for lo in range(0, len(A), step):
+            out[lo : lo + step] = A[lo : lo + step].astype(np.float64) @ NUf
+        return out
     dtype = np.int64 if worst < 2**63 else object
     return A.astype(dtype, copy=False) @ NU.astype(dtype, copy=False).T
 

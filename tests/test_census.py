@@ -27,7 +27,6 @@ from fanostat.census import (
     quadric_real_soluble,
     real_density_interval,
 )
-from fanostat.errors import EnumerationBudgetExceeded
 from fanostat.geom import cap_matrix
 from fanostat.intlinalg import bareiss_det, integer_ball
 from fanostat.localsolve import (
@@ -376,16 +375,16 @@ def test_beyond_verdict_is_unknown_where_no_prime_can_be_decided():
     t = AdelicTarget.trivial(3)
     # det(2M) leaves the cofactor 1000003 * 1000033, which factorize cannot prove prime
     f = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=-1000003 * 1000033)
-    assert _beyond_verdicts([f], [quadric_matrix(f)], 3, t, 3) == ["unknown"]
+    assert _beyond_verdicts([f], 3, t, 3) == ["unknown"]
     # the bad prime 1000003 has about 10^18 starting residues: over the node budget
     g = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=-1000003)
     assert quadric_bad_primes(g) == [2, 1000003]
-    assert _beyond_verdicts([g], [quadric_matrix(g)], 3, t, 3) == ["unknown"]
+    assert _beyond_verdicts([g], 3, t, 3) == ["unknown"]
     # decided cases: no bad prime above 3, and X0^2+X1^2-7(X2^2+X3^2), anisotropic at 7
     h = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=1)
-    assert _beyond_verdicts([h], [quadric_matrix(h)], 3, t, 3) == ["yes-all"]
+    assert _beyond_verdicts([h], 3, t, 3) == ["yes-all"]
     k = mkform(2, 3, m_2000=1, m_0200=1, m_0020=-7, m_0002=-7)
-    assert _beyond_verdicts([k], [quadric_matrix(k)], 3, t, 3) == ["fails"]
+    assert _beyond_verdicts([k], 3, t, 3) == ["fails"]
 
 
 def _value(form, x) -> int:
@@ -476,11 +475,8 @@ def _per_form_census(d, n, A, P, target, depth_budget=3, points=True):
 
     def finite(form, p):
         e_p, xi = target.place(p)
-        try:
-            (res,) = decide_padic_batch([form], p, xi, e_p, depth_budget=depth_budget)
-        except EnumerationBudgetExceeded:
-            return "unknown"
-        return "unknown" if isinstance(res, EnumerationBudgetExceeded) else res.verdict
+        (res,) = decide_padic_batch([form], p, xi, e_p, depth_budget=depth_budget)
+        return res.verdict
 
     forms = enumerate_hypersurfaces(d, n, A)
     finite_ps = sorted(set(target.support) | set(primes_up_to(P)))
@@ -749,8 +745,9 @@ def test_staged_point_pass_matches_the_whole_grid_product(monkeypatch, d, A, P):
 
 
 def test_point_pass_meets_the_cap_axis():
-    # the grid holds census-cap's axis as 2 xi = (6, -2, 4, 2); divided by
-    # its gcd it meets the target, so a cubic vanishing at xi has a point
+    # the grid holds census-cap's axis round(8 xi/|xi|) = (6, -2, 4, 2)
+    # divided by its gcd, xi = (3, -1, 2, 1) itself, which meets the target,
+    # so a cubic vanishing at xi has a point
     cap = AdelicTarget((), (3, -1, 2, 1), Fraction(1, 2))
     basis = monomial_basis(3, 3)
     rows = census._coefficient_rows(3, 3, 2)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fanostat import localsolve, padic
 from fanostat.census import quadric_real_soluble
-from fanostat.errors import EnumerationBudgetExceeded, HypothesisFailed
+from fanostat.errors import HypothesisFailed
 from fanostat.geom import cap_matrix
 from fanostat.localsolve import (
     AdelicTarget,
@@ -956,18 +956,20 @@ def test_padic_search_checks_its_starting_residues_against_the_budget():
     # zeros mod 3 then cost 27 children each
     f = mkform(2, 3, m_2000=1, m_0200=1, m_0020=-3, m_0002=-3)
     assert decide_padic_batch([f], 3, node_budget=4 * 27)[0].certificate["depth"] == 2
-    # the starting level raises for the whole call, a later level returns the overrun as the form's element
-    with pytest.raises(EnumerationBudgetExceeded):
-        decide_padic_batch([f], 3, node_budget=39)
-    assert isinstance(decide_padic_batch([f], 3, node_budget=4 * 27 - 1)[0], EnumerationBudgetExceeded)
+    # the starting level is charged for every form, even one an exact zero
+    # decides; a later level only for its own form
+    g = mkform(2, 3, m_2000=1, m_0200=1, m_0020=-1, m_0002=-1)
+    start = {"reason": "node budget", "nodes": 40}
+    assert decide_padic_batch([f, g], 3, node_budget=39) == [TriState.unknown(start)] * 2
+    (res,) = decide_padic_batch([f], 3, node_budget=4 * 27 - 1)
+    assert res == TriState.unknown({"reason": "node budget", "nodes": 4 * 27})
     # a target's class is one starting residue, whatever p^n is
     xi = PadicApproxVector.from_integers(3, 1, (1, 0, 1, 0))
-    g = mkform(2, 3, m_2000=1, m_0200=1, m_0020=-1, m_0002=-1)
     assert decide_padic_batch([g], 3, xi, 1, node_budget=1)[0].verdict == "yes"
     # about 10^18 points of P^3(F_p) are refused before any is built
     big = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=-1000003)
-    with pytest.raises(EnumerationBudgetExceeded):
-        decide_padic_batch([big], 1000003)
+    (res,) = decide_padic_batch([big], 1000003)
+    assert res.certificate == {"reason": "node budget", "nodes": (1000003**4 - 1) // 1000002}
 
 
 # --- the batched p-adic decider against the per-form decider ------------------
@@ -982,8 +984,10 @@ def _per_form_decide(form, p, xi=None, e_p=0, depth_budget=3, node_budget=10**7)
         raise ValueError("a target residue is required when e_p >= 1")
     v = v0 = max(e_p, 1)
     start = 1 if e_p >= 1 else (p ** (n + 1) - 1) // (p - 1)
-    if start > node_budget or p**v >= 2**63:
-        raise EnumerationBudgetExceeded("residue search too large", start)
+    if start > node_budget:
+        return TriState.unknown({"reason": "node budget", "nodes": start})
+    if p**v >= 2**63:
+        return TriState.unknown({"reason": "int64 range", "modulus": p**v})
     if e_p >= 1:
         residues = [canonical_residue(xi.entries, xi.p, e_p)]
     else:
@@ -1000,11 +1004,13 @@ def _per_form_decide(form, p, xi=None, e_p=0, depth_budget=3, node_budget=10**7)
             cert = localsolve._try_lift(form, x, p, v, e_p)
             if cert is not None:
                 return TriState.yes(cert)
-        if v >= max(depth_budget, v0) or p ** (v + 1) >= 2**63:
-            return TriState.unknown({"depth": v, "frontier": len(frontier)})
+        if v >= max(depth_budget, v0):
+            return TriState.unknown({"reason": "depth budget", "depth": v, "frontier": len(frontier)})
+        if p ** (v + 1) >= 2**63:
+            return TriState.unknown({"reason": "int64 range", "modulus": p ** (v + 1)})
         nodes += len(frontier) * p**n
         if nodes > node_budget:
-            raise EnumerationBudgetExceeded("residue search too large", nodes)
+            return TriState.unknown({"reason": "node budget", "nodes": nodes})
         mod = p ** (v + 1)
         lifts = [c for x in frontier for c in _scalar_fibre(x, p, v, v + 1)]
         frontier = sorted(c for c in lifts if evaluate_form(form, c) % mod == 0)
@@ -1057,17 +1063,8 @@ def test_try_lift_computes_the_gradient_once(monkeypatch):
 
 
 def _outcome(result):
-    """(verdict, repr(certificate)), or ("raise", message) for a budget overrun."""
-    if isinstance(result, EnumerationBudgetExceeded):
-        return "raise", str(result)
+    """(verdict, repr(certificate))."""
     return result.verdict, repr(result.certificate)
-
-
-def _caught(decide, form, *args):
-    try:
-        return _outcome(decide(form, *args))
-    except EnumerationBudgetExceeded as exc:
-        return _outcome(exc)
 
 
 @st.composite
@@ -1108,24 +1105,47 @@ _OVERRUN_BLOCK = (
 @given(_padic_blocks())
 def test_decide_padic_batch_matches_the_per_form_oracle(case):
     forms, *args = case
-    want = [_caught(_per_form_decide, f, *args) for f in forms]
-    try:
-        got = [_outcome(r) for r in decide_padic_batch(forms, *args)]
-    except EnumerationBudgetExceeded as exc:  # the starting level, for every form
-        got = [_outcome(exc)] * len(forms)
-    assert got == want
+    want = [_outcome(_per_form_decide(f, *args)) for f in forms]
+    assert [_outcome(r) for r in decide_padic_batch(forms, *args)] == want
     # each form alone, as a one-form list
-    assert [_caught(lambda f, *a: decide_padic_batch([f], *a)[0], f, *args) for f in forms] == want
+    assert [_outcome(decide_padic_batch([f], *args)[0]) for f in forms] == want
 
 
 def test_decide_padic_batch_keeps_a_budget_overrun_to_its_form():
     forms, p, xi, e_p, depth, budget = _OVERRUN_BLOCK
     first, *rest = decide_padic_batch(forms, p, xi, e_p, depth, budget)
-    assert isinstance(first, EnumerationBudgetExceeded)
+    assert first == TriState.unknown({"reason": "node budget", "nodes": 4 * 27})
     assert [r.verdict for r in rest] == ["yes", "yes"]
     assert [type(r.certificate) for r in rest] == [ExactZeroCertificate, LiftCertificate]
     (alone,) = decide_padic_batch(forms[:1], p, xi, e_p, depth, budget)
-    assert isinstance(alone, EnumerationBudgetExceeded)
+    assert alone == first
+
+
+def test_every_padic_unknown_names_its_reason():
+    # depth budget: X0^2 + X1^2 + X2^2 is anisotropic at 2, and its three
+    # zeros mod 2 are neither exact zeros nor Hensel-liftable
+    f = mkform(2, 2, m_200=1, m_020=1, m_002=1)
+    (res,) = decide_padic_batch([f], 2, depth_budget=1)
+    assert res == TriState.unknown({"reason": "depth budget", "depth": 1, "frontier": 3})
+    # node budget at the starting level: the 10^18 points of P^3(F_1000003)
+    big = mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=-1000003)
+    (res,) = decide_padic_batch([big], 1000003)
+    assert (res.verdict, res.certificate["reason"]) == ("unknown", "node budget")
+    # node budget at a later level, for the overrunning form alone
+    first, *rest = decide_padic_batch(*_OVERRUN_BLOCK)
+    assert (first.verdict, first.certificate["reason"]) == ("unknown", "node budget")
+    assert [r.verdict for r in rest] == ["yes", "yes"]
+    # int64 range: residues mod p^3 at the Mersenne prime p = 2^31 - 1 pass
+    # 2^63 at the start; mod p^2 they fit, and p^2 X0^2 + X1^2 keeps the
+    # singular zero (1, 0) mod p^2 for the next level, which would pass it
+    p = 2**31 - 1
+    point = PadicApproxVector.from_integers(p, 3, (1, 0, 0, 0))
+    (res,) = decide_padic_batch([big], p, point, 3)
+    assert res == TriState.unknown({"reason": "int64 range", "modulus": p**3})
+    g, point = make_form(2, 1, [p**2, 0, 1], primitive=False), PadicApproxVector.from_integers(p, 2, (1, 0))
+    (res,) = decide_padic_batch([g], p, point, 2)
+    assert res == TriState.unknown({"reason": "int64 range", "modulus": p**3})
+    assert _outcome(res) == _outcome(_per_form_decide(g, p, point, 2))
 
 
 def test_residue_tables_are_lexicographic_and_stream_in_blocks(monkeypatch):
@@ -1153,7 +1173,7 @@ def test_decide_padic_centred_rows_never_wrap_int64(d):
     for xi, e_p in ((None, 0), (PadicApproxVector.from_integers(7, 1, (1, 3)), 1)):
         (res,) = decide_padic_batch([f], 7, xi, e_p)
         assert res.certificate == ExactZeroCertificate(7, (1, 3), e_p)
-        assert _outcome(res) == _caught(_per_form_decide, f, 7, xi, e_p)
+        assert _outcome(res) == _outcome(_per_form_decide(f, 7, xi, e_p))
 
 
 def test_decide_padic_finds_an_exact_zero_below_the_first_level():
@@ -1163,4 +1183,4 @@ def test_decide_padic_finds_an_exact_zero_below_the_first_level():
     f = make_form(42, 1, [10**42] + [0] * 41 + [-1], primitive=False)
     (res,) = decide_padic_batch([f], 7)
     assert res.certificate == ExactZeroCertificate(7, (1, 10), 0)
-    assert _outcome(res) == _caught(_per_form_decide, f, 7)
+    assert _outcome(res) == _outcome(_per_form_decide(f, 7))

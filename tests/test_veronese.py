@@ -242,6 +242,9 @@ def test_pairing_tiers_match_python_integers():
         (np.array([[2**70, -1]], dtype=object), np.array([[1, 2**70], [3, 0]], dtype=object), object, object),
         # a zero side does not hide entries too large for float64
         (np.array([[2**1100, 1]], dtype=object), np.zeros((1, 2), dtype=np.int64), object, object),
+        # float64 products of more than one row block, and of one-row blocks
+        (rng.integers(-9, 10, (700, 10)), rng.integers(-50, 51, (30, 10)), np.int64, np.int64),
+        (rng.integers(-9, 10, (3, 4)), rng.integers(-50, 51, (16500, 4)), np.int64, np.int64),
         # empty shapes
         (np.zeros((0, 4), dtype=np.int64), rng.integers(-3, 4, (3, 4)), np.int64, np.int64),
         (rng.integers(-3, 4, (3, 4)), np.zeros((0, 4), dtype=np.int64), np.int64, np.int64),
