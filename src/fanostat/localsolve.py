@@ -43,11 +43,11 @@ The real decider works the same way on a block of forms on one basis
 (`decide_real_batch`, whose docstring gives the order of the real-place
 checks): one exact product against the cached cap grid gives every form's
 grid zeros and sign changes; quadrics then take the exact signature, or in
-a cap an S-lemma certificate; and one product against the cached Bernstein
-tensors of the cap's affine chart starts a breadth-first search of one
-frontier of distinct boxes with the (form, box) pairs on top of it, so the
-cap test and the split of a box are computed once however many forms hold
-it.
+a cap one trust-region solve (its multiplier a no, its minimiser a yes); and
+one product against the cached Bernstein tensors of the cap's affine chart
+starts a breadth-first search of one frontier of distinct boxes with the
+(form, box) pairs on top of it, so the cap test and the split of a box are
+computed once however many forms hold it.
 
 Densities of the soluble locus in coefficient space are measured exactly by
 classifying coefficient balls mod p^v: a ball meets the soluble locus iff
@@ -475,9 +475,9 @@ def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000)
     3. quadrics: at sigma = 1 the exact signature of 2M (`quadric_matrix`),
        since a real quadric has a point iff it is not definite
        (`quadric-signature` yes, `quadric-definite` no); in a cap, sigma < 1,
-       no on an S-lemma certificate that f keeps one sign on the cap
-       (`_s_lemma_certificates`, `s-lemma`), which costs less than the chart
-       search on the quadrics it decides;
+       the minimum of s f over it (`_trust_region`): no on the S-lemma
+       certificate of a positive one (`_s_lemma_certificates`, `s-lemma`),
+       else yes on integer points near its minimiser (`_cap_points`);
     4. the Bernstein search of the cap's affine chart (`_chart_verdicts`), in
        groups holding at most _CELLS Bernstein coefficients a level,
        `subdivision_budget` boxes per form. yes on two corners of a box with
@@ -490,7 +490,7 @@ def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000)
     `verify_real_certificate`, an `s-lemma` no with `_s_lemma_holds`. The
     steps cannot disagree: a form with an S-lemma certificate has no zero
     and no sign change in the cap. A form's verdict does not depend on the
-    other forms.
+    other forms. sigma must lie in (0, 1] (ValueError otherwise).
 
     The search (Garloff, "The Bernstein algorithm", Interval Computations
     1993) splits a whole level at a time, at the midpoint of its widest axis
@@ -502,9 +502,11 @@ def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000)
     exact integer ones (Farouki and Rajan, "On the numerical condition of
     polynomials in Bernstein form", CAGD 1987), so every sign read is exact.
     """
+    xi, sigma = tuple(xi_inf), Fraction(sigma_inf)
+    if not 0 < sigma <= 1:
+        raise ValueError("sigma_inf must lie in (0, 1]")
     if not forms:
         return []
-    xi, sigma = tuple(xi_inf), Fraction(sigma_inf)
     basis = forms[0].basis
     points, _, V = _cap_grid(basis, xi, sigma)
     step = max(1, _CELLS // max(len(points), 1))
@@ -533,8 +535,11 @@ def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000)
                 out[k] = TriState("yes" if soluble else "no", {"kind": "quadric-signature" if soluble else "quadric-definite"})
         else:
             for k, cert in zip(rest, _s_lemma_certificates(mats, xi, sigma)):
-                if cert:
-                    out[k] = TriState.no(cert)
+                out[k] = cert and TriState.no(cert)
+            left = [i for i, k in enumerate(rest) if out[k] is None]
+            found = _cap_points([forms[rest[i]] for i in left], [mats[i] for i in left], xi, sigma) if left else []
+            for i, cert in zip(left, found):
+                out[rest[i]] = cert and TriState.yes(cert)
         rest = [k for k in rest if out[k] is None]
     size = max(1, _CELLS // (max(subdivision_budget, 1) * (basis.d + 1) ** basis.n))
     for lo in range(0, len(rest), size):
@@ -838,52 +843,87 @@ def _s_lemma_holds(mat, cap, sign: int, tau) -> bool:
     )
 
 
-def _s_lemma_certificates(mats, xi, sigma) -> list:
-    """For each quadric matrix 2M, a certificate {"kind": "s-lemma",
-    "sign": s, "tau": tau} that the quadric has the sign s on the whole cap
-    {d(x, xi) <= sigma}, sigma < 1, or None where none was found.
+def _trust_region(mats, xi, sigma) -> tuple:
+    """The minimum of s f over the cap {d(x, xi) <= sigma}, sigma < 1, for
+    each quadric 2M by one batched trust-region solve (Moré and Sorensen,
+    1983): on the chart x = u + W z, |z| <= 1, 2 s f / scale = z^T A z +
+    2 b^T z + c, c >= 0; one `eigh` of A, Newton steps from the left on
+    1/|z(mu)| = 1, z(mu) = -(A + mu I)^-1 b, a top-up along the least
+    eigenvector in the hard case. Per form: s, mu, the minimum g = c - mu -
+    b^T (A + mu I)^-1 b, scale, and the minimiser u + W z."""
+    uf = np.array(integer_axis(xi), dtype=float)
+    R = np.linalg.norm(uf) * math.sqrt(Fraction(sigma) ** 2 / (1 - Fraction(sigma) ** 2))  # the cap: |x - u| <= R
+    W = R * np.linalg.qr(np.column_stack([uf, np.eye(len(uf))]))[0][:, 1:]  # R times a basis of u^perp
+    S = np.array(mats, dtype=float).reshape(-1, len(uf), len(uf))
+    sign = np.where(S @ uf @ uf < 0, -1.0, 1.0)
+    A, b, c = sign[:, None, None] * (W.T @ S @ W), sign[:, None] * (S @ uf @ W), sign * (S @ uf @ uf)
+    scale = np.maximum(c, np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(b).max(axis=1)))
+    lam, V = np.linalg.eigh(A / scale[:, None, None])
+    bt, c = np.einsum("kji,kj->ki", V, b) / scale[:, None], c / scale
+    mu = np.maximum(np.maximum(0.0, -lam[:, 0]), (np.abs(bt) - lam).max(axis=1))  # |z(mu)| >= 1 here
+    for _ in range(50):  # a bound; from the left Newton converges quadratically
+        D = np.maximum(lam + mu[:, None], 2.0**-40)  # below, the rounding noise of `eigh`
+        y = -bt / D
+        norm2, slope = (y * y).sum(axis=1), (y * y / D).sum(axis=1)
+        step = np.divide(norm2 * (np.sqrt(norm2) - 1), slope, out=np.zeros_like(mu), where=norm2 > 1)
+        if not (step > 2.0**-52 * mu).any():
+            break
+        mu = mu + step
+    dual = c - mu + (bt * y).sum(axis=1)
+    y[:, 0] += np.where((mu > 0) & (norm2 < 1), np.where(bt[:, 0] > 0, -1.0, 1.0), 0.0) * np.sqrt(np.maximum(1 - norm2, 0))
+    return sign.astype(int).tolist(), mu.tolist(), dual.tolist(), scale.tolist(), uf + (V @ y[:, :, None])[:, :, 0] @ W.T
 
-    The cap is {G >= 0} (`geom.cap_matrix`) and G(xi) > 0, so by the strict
-    S-lemma (Yakubovich; Polik and Terlaky, "A survey of the S-lemma", SIAM
-    Review 2007) a quadric without a zero in the cap has some s = +-1 and
-    tau >= 0 with s 2M - tau G positive definite. At x = xi that needs
-    s xi^T 2M xi > tau G(xi) >= 0, which fixes s and bounds tau below
-    top = |xi^T 2M xi| / G(xi). The least eigenvalue of s 2M - tau G is
-    concave in tau, so the tau that work form an open interval whose ends in
-    (0, top) are roots of det(s 2M - tau G), eigenvalues of G^-1 s 2M (G has
-    the eigenvalues sigma^2 |xi|^2 and -(1 - sigma^2) |xi|^2). It holds the
-    midpoint of two consecutive cut points of 0, top and the real parts of
-    the roots clipped to [0, top]: one batched `eigvals` finds the roots, one
-    batched `eigvalsh` the least eigenvalue at every midpoint, and the best,
-    lam > 0 at tau, is the candidate. Since |G|_2 <= |xi|^2, rounding tau to
-    a dyadic with denominator 2^k >= |xi|^2/lam moves the least eigenvalue
-    by at most lam/2. The verdict rests only on the exact check
-    `_s_lemma_holds`.
-    """
-    cap = cap_matrix(xi, sigma)
-    m, Gf = len(cap[0]), np.array(cap[0], dtype=float) / cap[1]
-    xi_f = np.array([float(c) for c in xi])
-    norm2 = sum(Fraction(c) ** 2 for c in xi)
-    Q = np.array(mats, dtype=float).reshape(-1, m, m)
-    at_xi = np.einsum("i,kij,j->k", xi_f, Q, xi_f)
-    sign = np.where(at_xi < 0, -1, 1)
-    S = sign[:, None, None] * Q
-    top = np.abs(at_xi) / float(Fraction(sigma) ** 2 * norm2**2)
-    roots = np.linalg.eigvals(np.linalg.solve(Gf, S)).real
-    cuts = np.sort(np.column_stack([np.zeros_like(top), top, np.clip(roots, 0, top[:, None])]), axis=1)
-    mids = (cuts[:, :-1] + cuts[:, 1:]) / 2
-    least = np.linalg.eigvalsh(S[:, None] - mids[:, :, None, None] * Gf)[..., 0]
-    best = least.argmax(axis=1)[:, None]
-    tau, lam = np.take_along_axis(mids, best, 1)[:, 0], np.take_along_axis(least, best, 1)[:, 0]
+
+def _s_lemma_certificates(mats, xi, sigma) -> list:
+    """For each quadric matrix 2M, an `s-lemma` certificate (sign s, tau)
+    that s f > 0 on the cap {d(x, xi) <= sigma}, sigma < 1, or None. On the
+    chart of `_trust_region`, s 2M - tau G (`geom.cap_matrix`) is scale
+    [[c - mu', b^T], [b, A + mu' I]], mu' = tau sigma^2 |u|^2 |xi|^2 / scale,
+    positive definite iff A + mu' I is and g(mu') > 0 (the S-lemma; Polik and
+    Terlaky 2007). g is concave with slope >= -1: tau at mu + g/2 is rounded
+    through its convergents, simplest first, each within g/2 checked exactly."""
+    cap, u = cap_matrix(xi, sigma), integer_axis(xi)
+    den = Fraction(sigma) ** 2 * sum(c * c for c in u) * sum(Fraction(c) ** 2 for c in xi)
+    certs = []
+    for mat, sign, mu, g, scale in zip(mats, *_trust_region(mats, xi, sigma)[:4]):
+        (a, b), (c, e), cert = (mu + g / 2).as_integer_ratio(), scale.as_integer_ratio(), None
+        a, b, h, k, h1, k1 = a * c * den.denominator, b * e * den.numerator, 1, 0, 0, 1  # tau = a/b
+        tau, margin = a / b, g / 2 * scale / float(den)
+        while g > 0 and b and cert is None:
+            (q, r), a = divmod(a, b), b
+            h, k, h1, k1, b = q * h + h1, q * k + k1, h, k, r
+            if (not b or abs(h / k - tau) <= margin) and _s_lemma_holds(mat, cap, sign, Fraction(h, k)):
+                cert = {"kind": "s-lemma", "sign": sign, "tau": Fraction(h, k)}
+        certs.append(cert)
+    return certs
+
+
+def _cap_points(forms, mats, xi, sigma) -> list:
+    """A yes certificate or None for each quadric (matrix 2M) in the cap
+    {d(x, xi) <= sigma}, sigma < 1, from its point x of `_trust_region`: with
+    u the primitive integer axis and w the primitive roundings of m x/|x|_inf
+    (small m meet a double zero of small height, m = 2^k a sign change),
+    `exact-zero` at u, else `sign-change` at the first w with f(w) f(u) < 0,
+    else `exact-zero` at one with f(w) = 0; one exact pass tests every w."""
+    ladder = np.array([*range(1, 16), *(1 << k for k in range(4, 21))], dtype=float)
+    basis, u, m = forms[0].basis, integer_axis(xi), len(ladder)
+    u = tuple(c // math.gcd(*u) for c in u)
+    coeffs, X = coefficient_matrix(forms), _trust_region(mats, xi, sigma)[4]
+    at_u = pairings(coeffs, veronese_batch(basis, np.array([u], dtype=object)))[:, 0]
+    rows = np.rint(X[:, None, :] / np.abs(X).max(axis=1)[:, None, None] * ladder[:, None]).astype(np.int64).reshape(-1, len(u))
+    rows //= np.gcd.reduce(np.abs(rows), axis=1)[:, None]
+    vals = row_pairings(np.repeat(coeffs, m, axis=0), veronese_batch(basis, rows))
+    ok = cone_member(xi, sigma, rows) & np.asarray(rows.astype(object) @ np.array(u, dtype=object) > 0, dtype=bool)
+    cuts = (np.asarray(vals * np.repeat(np.sign(at_u), m) < 0, dtype=bool) & ok).reshape(len(forms), m)
+    zeros = (np.asarray(vals == 0, dtype=bool) & ok).reshape(len(forms), m)
     out = []
-    for mat, s, t, value in zip(mats, sign.tolist(), tau.tolist(), lam.tolist()):
-        cert = None
-        if value > 0:
-            den = 1 << max(0, math.frexp(float(norm2) / value)[1])  # den >= |xi|^2/lam
-            rounded = Fraction(round(Fraction(t) * den), den)
-            if _s_lemma_holds(mat, cap, s, rounded):
-                cert = {"kind": "s-lemma", "sign": s, "tau": rounded}
-        out.append(cert)
+    for k, (form, value) in enumerate(zip(forms, at_u.tolist())):
+        w = u if value == 0 else tuple(rows[k * m + (cuts[k] if cuts[k].any() else zeros[k]).argmax()].tolist())
+        pos, neg = (u, w) if value > 0 else (w, u)
+        cert = {"kind": "sign-change", "positive": pos, "negative": neg} if value != 0 and cuts[k].any() else None
+        out.append(cert or ({"kind": "exact-zero", "point": w} if value == 0 or zeros[k].any() else None))
+        if out[-1]:
+            verify_real_certificate(form, xi, sigma, out[-1])  # a yes re-checked from scratch
     return out
 
 # ---------------------------------------------------------------------------

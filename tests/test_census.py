@@ -702,17 +702,43 @@ _CAP_DIRECTIONS = sorted({(3, s1, 2 * s2, s3) for s1 in (-1, 1) for s2 in (-1, 1
 
 
 @pytest.mark.parametrize("xi", _CAP_DIRECTIONS)
-def test_every_census_cap_direction_is_decided(xi):
+def test_every_census_cap_direction_is_decided(monkeypatch, xi):
     # census-cap's 8 directions, the sign patterns of (3, -1, 2, 1) up to
-    # sign: per direction the S-lemma proves 24 quadrics free of zeros in the
-    # cap, and the chart search decides the other 3 quadrics (yes) and the 4
-    # cubics without a target point (no), so nothing is left unresolved
+    # sign: per direction the quadric step's S-lemma proves 24 quadrics free
+    # of zeros in the cap and its minimiser gives the other 3 a sign change
+    # (yes), and the chart search decides the 4 cubics without a target point
+    # (no), so nothing is left unresolved
+    chart_degrees = []
+
+    def spy(forms, *args):
+        chart_degrees.extend(f.basis.d for f in forms)
+        return chart_verdicts(forms, *args)
+
+    chart_verdicts = localsolve._chart_verdicts
+    monkeypatch.setattr(localsolve, "_chart_verdicts", spy)
     cap = AdelicTarget((), xi, Fraction(1, 2))
     quadrics, cubics = local_census(2, 3, Fraction(3, 2), 3, cap), local_census(3, 3, 1, 2, cap)
     assert (quadrics.m_interval, quadrics.e_interval, quadrics.unresolved) == ((152, 152), (0, 0), 0)
     assert quadrics.arch_kinds == {"yes": {"sign-change": 3, "point": 73}, "no": {"s-lemma": 24}, "unknown": {}}
     assert (cubics.m_interval, cubics.e_interval, cubics.unresolved) == ((32, 32), (0, 0), 0)
     assert cubics.arch_kinds == {"yes": {"point": 16}, "no": {"bernstein-exclusion": 4}, "unknown": {}}
+    # no quadric reaches the chart search, at census-cap's aperture or the
+    # narrower and wider ones, where the chart search still serves the cubics
+    for sigma in (Fraction(1, 5), Fraction(3, 4)):
+        local_census(2, 3, Fraction(3, 2), 3, AdelicTarget((), xi, sigma))
+        local_census(3, 3, 1, 2, AdelicTarget((), xi, sigma))
+    assert 2 not in chart_degrees and 3 in chart_degrees
+
+
+def test_quadric_cap_census_at_height_two_is_decided_by_the_quadric_step():
+    # the quadrics of height 2 in census-cap's cap: the chart search left two
+    # of them unknown, slivers whose zeros lie near the cap's edge; the
+    # quadric step's minimiser proves both yes
+    report = local_census(2, 3, 2, 3, AdelicTarget((), (3, -1, 2, 1), Fraction(1, 2)))
+    assert report.unresolved == 0
+    assert report.m_interval == (3510, 3510)
+    assert report.vloc_interval == report.direct_vloc_interval == (1755, 1755)
+    assert report.arch_kinds == {"yes": {"sign-change": 173, "point": 1582}, "no": {"s-lemma": 505}, "unknown": {}}
 
 
 def test_north_star_censuses_are_decided_by_points():
@@ -783,9 +809,14 @@ def test_s_lemma_certifies_a_quadric_without_a_zero_in_the_cap():
 
 
 def test_s_lemma_verdict_rests_on_the_exact_check(monkeypatch):
-    # floats that call every candidate positive definite propose a certificate
-    # for every quadric; the exact check refuses it where the quadric meets the cap
-    monkeypatch.setattr(localsolve.np.linalg, "eigvalsh", lambda a: np.ones(a.shape[:-1]))
+    # floats that see every quadric's chart matrix as a large multiple of the
+    # identity put every minimum over the cap near s f(u) > 0 and propose a
+    # certificate for every quadric; the exact check refuses it where the
+    # quadric meets the cap
+    def eigh(a):
+        return np.full(a.shape[:-1], 1e6), np.broadcast_to(np.eye(a.shape[-1]), a.shape).copy()
+
+    monkeypatch.setattr(localsolve.np.linalg, "eigh", eigh)
     meets = [
         (mkform(2, 2, m_200=1, m_020=1, m_002=-1), (1, 0, 0), Fraction(3, 4)),
         (mkform(2, 2, m_110=1), (2, 1, 1), Fraction(1, 2)),
@@ -841,7 +872,7 @@ def _golden_s_lemma_certificates(mats, xi, sigma) -> list:
     """The S-lemma search by golden sections: 40 steps that maximise the
     least eigenvalue of s 2M - tau G over tau in [0, top], all forms in each
     batched `eigvalsh`, then the maximiser rounded by `limit_denominator`
-    and checked exactly. An oracle that the pencil roots must not lose to."""
+    and checked exactly. An oracle that the trust-region step must not lose to."""
     cap = cap_matrix(xi, sigma)
     m, Gf = len(cap[0]), np.array(cap[0], dtype=float) / cap[1]
     xi_f = np.array([float(c) for c in xi])

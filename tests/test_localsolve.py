@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from fanostat import localsolve, padic
 from fanostat.census import quadric_real_soluble
 from fanostat.errors import HypothesisFailed
-from fanostat.geom import cap_matrix
+from fanostat.geom import cap_matrix, integer_axis
 from fanostat.localsolve import (
     AdelicTarget,
     DensityInterval,
@@ -50,6 +50,7 @@ from fanostat.veronese import (
     veronese_jet,
 )
 
+from test_census import _s_lemma_reverifies
 from test_geom import cone_oracle
 
 
@@ -421,15 +422,20 @@ def _agrees_with_the_oracle(form, xi, sigma, budget, res):
     """A decided verdict is the exact oracle's, and a yes re-verifies. The
     float search keeps every box the exact one keeps, within the same budget,
     so it can decide no form that the oracle leaves open. The oracle has no
-    quadric step: a verdict of that step is checked on its own (the
-    signature against `quadric_real_soluble`, an S-lemma certificate by
-    `_s_lemma_holds`) and must not contradict the oracle, and then the chart
-    search alone must agree with the oracle like the decider on any other form."""
+    quadric step: a verdict of that step (the signature, and in a cap every
+    verdict of a quadric) is checked on its own (the signature against
+    `quadric_real_soluble`, an S-lemma certificate by `_s_lemma_holds`, a
+    yes by `verify_real_certificate`) and must not contradict the oracle, and
+    then the chart search alone must agree with the oracle like the decider
+    on any other form."""
     kind = res.certificate.get("kind")
-    if kind in ("quadric-signature", "quadric-definite", "s-lemma"):
+    in_cap = form.basis.d == 2 and Fraction(sigma) < 1 and res.verdict != "unknown"
+    if kind in ("quadric-signature", "quadric-definite") or in_cap:
         if kind == "s-lemma":
             cert, mat = res.certificate, localsolve.quadric_matrix(form)
             assert localsolve._s_lemma_holds(mat, cap_matrix(xi, sigma), cert["sign"], cert["tau"])
+        elif in_cap:
+            verify_real_certificate(form, xi, sigma, res.certificate)
         else:
             assert (res.verdict == "yes") == quadric_real_soluble(form)
         ref = _exact_chart_decide(form, xi, sigma, budget)
@@ -478,15 +484,19 @@ def _decider_blocks(draw):
 
 
 # around (1, 0) at sigma = 1/2: definite (an S-lemma no, a chart no on its
-# own); a double zero at t = 1/3, off every dyadic box corner; a grid zero; a
-# grid sign change; zeros at t = +-0.53, between the grid points and the
-# cap's edge t = +-0.58
+# own); a double zero at t = 1/3, off every dyadic box corner, which is the
+# quadric step's minimum; a grid zero; a grid sign change; zeros at
+# t = +-0.53, between the grid points and the cap's edge t = +-0.58
 _EVERY_KIND = ((-5, -5, -5), (1, -6, 9), (-3, -5, 2), (-3, -5, 3), (2, 0, -7))
+# X0 (X0 - 3 X1)^2: the same double zero on a cubic, which only the chart
+# search decides, and which it cannot settle in 20 boxes
+_TANGENT_CUBIC = (1, -6, 9, 0)
 
 
 @settings(max_examples=20)
 @given(_decider_blocks())
 @example(([make_form(2, 1, c, primitive=False) for c in _EVERY_KIND], (1, 0), Fraction(1, 2), 20))
+@example(([make_form(3, 1, _TANGENT_CUBIC, primitive=False)], (1, 0), Fraction(1, 2), 20))
 def test_decide_real_batch_equals_one_form_calls_and_the_oracle(case):
     forms, xi, sigma, budget = case
     batch = decide_real_batch(forms, xi, sigma, budget)
@@ -500,7 +510,11 @@ def test_decide_real_batch_equals_one_form_calls_and_the_oracle(case):
 def test_every_kind_of_the_batch_example_is_met():
     forms = [make_form(2, 1, c, primitive=False) for c in _EVERY_KIND]
     kinds = [res.certificate.get("kind", res.certificate.get("reason")) for res in decide_real_batch(forms, (1, 0), Fraction(1, 2), 20)]
-    assert kinds == ["s-lemma", "subdivision budget", "exact-zero", "sign-change", "sign-change"]
+    # the quadric step's minimum of the tangent quadric is its double zero (3, 1)
+    assert kinds == ["s-lemma", "exact-zero", "exact-zero", "sign-change", "sign-change"]
+    assert decide_real_batch(forms[1:2], (1, 0), Fraction(1, 2), 20)[0].certificate["point"] == (3, 1)
+    (cubic,) = decide_real_batch([make_form(3, 1, _TANGENT_CUBIC, primitive=False)], (1, 0), Fraction(1, 2), 20)
+    assert cubic.certificate["reason"] == "subdivision budget"
     (chart,) = localsolve._chart_verdicts(forms[:1], (1, 0), Fraction(1, 2), 20)
     assert chart.certificate["kind"] == "bernstein-exclusion"
 
@@ -547,6 +561,69 @@ def test_decide_real_unknown_reports_cells_and_the_frontier():
     # at sigma = 1 the search starts from the three faces x_k = 1
     first = chart(mkform(2, 2, m_200=1, m_020=1, m_002=1), 1, sigma=1).certificate
     assert (first["cells"], first["pending"]) == (0, 3)
+
+
+@st.composite
+def _cap_quadrics(draw):
+    """1..5 quadrics on one basis, n = 1..4, leaning definite, in a random cap."""
+    n = draw(st.integers(1, 4))
+    basis = monomial_basis(2, n)
+    forms = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=basis.size, max_size=basis.size))
+        shift = draw(st.integers(0, 4))
+        coeffs = [a + shift * (max(e) == 2) for a, e in zip(coeffs, basis.monomials)]
+        if any(coeffs):
+            forms.append(make_form(2, n, coeffs, primitive=False))
+    assume(forms)
+    xi = tuple(draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1).filter(any)))
+    return forms, xi, draw(st.sampled_from(_SIGMAS[:-1] + [0.6]))
+
+
+def _off_the_cap(u) -> tuple:
+    """A nonzero integer point orthogonal to the axis u, so outside every cap sigma < 1."""
+    i = next(k for k, c in enumerate(u) if c)
+    j = (i + 1) % len(u)
+    return tuple(u[j] if k == i else -u[i] if k == j else 0 for k in range(len(u)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cap_quadrics())
+@example(([make_form(2, 1, c, primitive=False) for c in _EVERY_KIND], (1, 0), Fraction(1, 2)))
+@example(([mkform(2, 3, m_0101=1, m_0020=-1), mkform(2, 3, m_2000=1, m_0200=1, m_0020=1, m_0002=-1)], (3, -1, 2, 1), Fraction(1, 2)))
+def test_quadric_step_verdicts_reverify_and_agree_with_the_oracle(case):
+    # the quadric step on its own, every form's no and yes side: a no
+    # re-verifies with Fraction minors, a yes with verify_real_certificate,
+    # no form gets both, the exact chart oracle contradicts neither, and a
+    # tampered certificate (tau negated, a point moved out of the cap) fails
+    forms, xi, sigma = case
+    mats = [localsolve.quadric_matrix(f) for f in forms]
+    nos = localsolve._s_lemma_certificates(mats, xi, sigma)
+    yeses = localsolve._cap_points(forms, mats, xi, sigma)
+    away = _off_the_cap(integer_axis(xi))
+    for form, mat, no, yes in zip(forms, mats, nos, yeses):
+        assert no is None or yes is None, (form, no, yes)
+        if no is not None:
+            assert _s_lemma_reverifies(form, xi, sigma, no)
+            assert not _s_lemma_reverifies(form, xi, sigma, {**no, "tau": -no["tau"]}) or no["tau"] == 0
+            assert not localsolve._s_lemma_holds(mat, cap_matrix(xi, sigma), no["sign"], -no["tau"] - 1)
+        if yes is not None:
+            verify_real_certificate(form, xi, sigma, yes)
+            key = "point" if yes["kind"] == "exact-zero" else "negative"
+            with pytest.raises(HypothesisFailed):
+                verify_real_certificate(form, xi, sigma, {**yes, key: away})
+        if no is not None or yes is not None:
+            ref = _exact_chart_decide(form, xi, sigma, 40)
+            assert ref.verdict in ("no" if no is not None else "yes", "unknown"), (form, xi, sigma, no, yes, ref)
+
+
+@pytest.mark.parametrize("sigma", [0, Fraction(-1, 2), 1.5, Fraction(3, 2)])
+def test_decide_real_batch_refuses_an_aperture_outside_the_unit_interval(sigma):
+    # an aperture outside (0, 1] is refused before any step runs, with or without forms
+    form = mkform(2, 2, m_200=1, m_020=1, m_002=-1)
+    for forms in ([form], []):
+        with pytest.raises(ValueError):
+            decide_real_batch(forms, (1, 0, 0), sigma)
 
 
 @pytest.mark.parametrize("d", [21, 22, 40])
