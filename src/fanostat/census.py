@@ -239,18 +239,14 @@ def quadric_real_soluble(form: Form) -> bool:
 
 
 def quadric_bad_primes(form: Form) -> list:
-    """Finite places where plain Q_p-solubility can fail, certified."""
-    return _bad_primes(quadric_matrix(form))
-
-
-def _bad_primes(mat) -> list:
-    """quadric_bad_primes from the quadric's matrix 2M.
+    """Finite places where plain Q_p-solubility can fail, certified.
 
     Degenerate quadrics vanish on their rational kernel, so they are soluble
     everywhere. Nondegenerate quadrics in >= 3 variables are soluble at every
     odd p not dividing det(2M): the reduction is nondegenerate, has a point
     by Chevalley-Warning, the point is smooth, and it lifts.
     """
+    mat = quadric_matrix(form)
     if len(mat) < 3:
         raise ValueError("certified bad-prime sets need >= 3 variables")
     det = bareiss_det(mat)
@@ -335,7 +331,7 @@ def _beyond_verdicts(forms, P: int, target: AdelicTarget, depth_budget: int) -> 
             own = primes_up_to(2 * P + 10)
         else:
             try:
-                own = _bad_primes(quadric_matrix(form))
+                own = quadric_bad_primes(form)
             except ValueError:  # a det(2M) cofactor factorize cannot prove prime, or a binary quadric (n = 1)
                 verdicts[k], own = "unknown", []
         primes.append({p for p in own if p > P and p not in target.support})

@@ -42,8 +42,9 @@ cached table.
 The real decider works the same way on a block of forms on one basis
 (`decide_real_batch`, whose docstring gives the order of the real-place
 checks): one exact product against the cached cap grid gives every form's
-grid zeros and sign changes; quadrics then take the exact signature, or in
-a cap one trust-region solve (its multiplier a no, its minimiser a yes); and
+grid zeros and sign changes; quadrics then take one step,
+`_quadric_verdicts`: the exact signature, or in a cap one trust-region
+solve for the whole batch (its multiplier a no, its minimiser a yes); and
 one product against the cached Bernstein tensors of the cap's affine chart
 starts a breadth-first search of one frontier of distinct boxes with the
 (form, box) pairs on top of it, so the cap test and the split of a box are
@@ -472,12 +473,12 @@ def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000)
        <w, xi> >= 0. yes on an integer zero of f in the cap (`exact-zero`),
        or on two grid points with f of opposite signs (`sign-change`);
     2. sigma = 1 and an odd degree: yes (`odd-degree`);
-    3. quadrics: at sigma = 1 the exact signature of 2M (`quadric_matrix`),
-       since a real quadric has a point iff it is not definite
-       (`quadric-signature` yes, `quadric-definite` no); in a cap, sigma < 1,
-       the minimum of s f over it (`_trust_region`): no on the S-lemma
-       certificate of a positive one (`_s_lemma_certificates`, `s-lemma`),
-       else yes on integer points near its minimiser (`_cap_points`);
+    3. quadrics (`_quadric_verdicts`): at sigma = 1 the exact signature of
+       2M (`quadric_matrix`), since a real quadric has a point iff it is not
+       definite (`quadric-signature` yes, `quadric-definite` no); in a cap,
+       sigma < 1, one trust-region solve of the minimum of s f over it for
+       the whole batch: no on the S-lemma certificate its multiplier gives
+       (`s-lemma`), else yes on integer points near its minimiser;
     4. the Bernstein search of the cap's affine chart (`_chart_verdicts`), in
        groups holding at most _CELLS Bernstein coefficients a level,
        `subdivision_budget` boxes per form. yes on two corners of a box with
@@ -528,18 +529,8 @@ def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000)
         return [TriState.yes({"kind": "odd-degree"}) if res is None else res for res in out]
     rest = [k for k, res in enumerate(out) if res is None]
     if basis.d == 2 and rest:
-        mats = [quadric_matrix(forms[k]) for k in rest]
-        if sigma == 1:
-            for k, mat in zip(rest, mats):
-                soluble = _indefinite(mat)
-                out[k] = TriState("yes" if soluble else "no", {"kind": "quadric-signature" if soluble else "quadric-definite"})
-        else:
-            for k, cert in zip(rest, _s_lemma_certificates(mats, xi, sigma)):
-                out[k] = cert and TriState.no(cert)
-            left = [i for i, k in enumerate(rest) if out[k] is None]
-            found = _cap_points([forms[rest[i]] for i in left], [mats[i] for i in left], xi, sigma) if left else []
-            for i, cert in zip(left, found):
-                out[rest[i]] = cert and TriState.yes(cert)
+        for k, res in zip(rest, _quadric_verdicts([forms[k] for k in rest], xi, sigma)):
+            out[k] = res
         rest = [k for k in rest if out[k] is None]
     size = max(1, _CELLS // (max(subdivision_budget, 1) * (basis.d + 1) ** basis.n))
     for lo in range(0, len(rest), size):
@@ -850,7 +841,13 @@ def _trust_region(mats, xi, sigma) -> tuple:
     2 b^T z + c, c >= 0; one `eigh` of A, Newton steps from the left on
     1/|z(mu)| = 1, z(mu) = -(A + mu I)^-1 b, a top-up along the least
     eigenvector in the hard case. Per form: s, mu, the minimum g = c - mu -
-    b^T (A + mu I)^-1 b, scale, and the minimiser u + W z."""
+    b^T (A + mu I)^-1 b, scale, and the minimiser u + W z.
+
+    Newton's stopping test is global to the batch, so a form's floats can
+    move in their last bits with its batch. In the batches of every quadric
+    surface of height 3/2 and of height 2, in census-cap's 8 directions at
+    sigma in {1/5, 1/2, 3/4}, the S-lemma leaves 4,840 open; 8 of them get
+    other minimiser bits when solved apart, and none another certificate."""
     uf = np.array(integer_axis(xi), dtype=float)
     R = np.linalg.norm(uf) * math.sqrt(Fraction(sigma) ** 2 / (1 - Fraction(sigma) ** 2))  # the cap: |x - u| <= R
     W = R * np.linalg.qr(np.column_stack([uf, np.eye(len(uf))]))[0][:, 1:]  # R times a basis of u^perp
@@ -874,18 +871,30 @@ def _trust_region(mats, xi, sigma) -> tuple:
     return sign.astype(int).tolist(), mu.tolist(), dual.tolist(), scale.tolist(), uf + (V @ y[:, :, None])[:, :, 0] @ W.T
 
 
-def _s_lemma_certificates(mats, xi, sigma) -> list:
-    """For each quadric matrix 2M, an `s-lemma` certificate (sign s, tau)
-    that s f > 0 on the cap {d(x, xi) <= sigma}, sigma < 1, or None. On the
-    chart of `_trust_region`, s 2M - tau G (`geom.cap_matrix`) is scale
-    [[c - mu', b^T], [b, A + mu' I]], mu' = tau sigma^2 |u|^2 |xi|^2 / scale,
-    positive definite iff A + mu' I is and g(mu') > 0 (the S-lemma; Polik and
-    Terlaky 2007). g is concave with slope >= -1: tau at mu + g/2 is rounded
-    through its convergents, simplest first, each within g/2 checked exactly."""
+def _quadric_verdicts(forms, xi, sigma) -> list:
+    """Step 3 of `decide_real_batch`: a TriState, or None if still open, for
+    each quadric on one basis. At sigma = 1 the exact signature of 2M. In a
+    cap, sigma < 1, one `_trust_region` solve for the batch gives both sides.
+    no: on its chart s 2M - tau G (`geom.cap_matrix`) is scale [[c - mu',
+    b^T], [b, A + mu' I]], mu' = tau sigma^2 |u|^2 |xi|^2 / scale, positive
+    definite iff A + mu' I is and g(mu') > 0 (the S-lemma; Polik and Terlaky
+    2007); g is concave with slope >= -1, so tau at mu + g/2 is rounded
+    through its convergents, simplest first, each within g/2 checked by
+    `_s_lemma_holds`. yes, for the forms still open: with u the primitive
+    integer axis and w the primitive roundings of m x/|x|_inf of the
+    minimiser x (small m meet a double zero of small height, m = 2^k a sign
+    change), `exact-zero` at u, else `sign-change` at the first w with
+    f(w) f(u) < 0, else `exact-zero` at one with f(w) = 0; one exact pass
+    tests every w, and `verify_real_certificate` re-checks the yes."""
+    mats = [quadric_matrix(form) for form in forms]
+    if sigma == 1:
+        soluble = [_indefinite(mat) for mat in mats]
+        return [TriState("yes" if s else "no", {"kind": "quadric-signature" if s else "quadric-definite"}) for s in soluble]
     cap, u = cap_matrix(xi, sigma), integer_axis(xi)
     den = Fraction(sigma) ** 2 * sum(c * c for c in u) * sum(Fraction(c) ** 2 for c in xi)
-    certs = []
-    for mat, sign, mu, g, scale in zip(mats, *_trust_region(mats, xi, sigma)[:4]):
+    signs, mus, gs, scales, X = _trust_region(mats, xi, sigma)
+    out = []
+    for mat, sign, mu, g, scale in zip(mats, signs, mus, gs, scales):
         (a, b), (c, e), cert = (mu + g / 2).as_integer_ratio(), scale.as_integer_ratio(), None
         a, b, h, k, h1, k1 = a * c * den.denominator, b * e * den.numerator, 1, 0, 0, 1  # tau = a/b
         tau, margin = a / b, g / 2 * scale / float(den)
@@ -894,37 +903,31 @@ def _s_lemma_certificates(mats, xi, sigma) -> list:
             h, k, h1, k1, b = q * h + h1, q * k + k1, h, k, r
             if (not b or abs(h / k - tau) <= margin) and _s_lemma_holds(mat, cap, sign, Fraction(h, k)):
                 cert = {"kind": "s-lemma", "sign": sign, "tau": Fraction(h, k)}
-        certs.append(cert)
-    return certs
-
-
-def _cap_points(forms, mats, xi, sigma) -> list:
-    """A yes certificate or None for each quadric (matrix 2M) in the cap
-    {d(x, xi) <= sigma}, sigma < 1, from its point x of `_trust_region`: with
-    u the primitive integer axis and w the primitive roundings of m x/|x|_inf
-    (small m meet a double zero of small height, m = 2^k a sign change),
-    `exact-zero` at u, else `sign-change` at the first w with f(w) f(u) < 0,
-    else `exact-zero` at one with f(w) = 0; one exact pass tests every w."""
+        out.append(cert and TriState.no(cert))
+    left = [j for j, res in enumerate(out) if res is None]
+    if not left:
+        return out
     ladder = np.array([*range(1, 16), *(1 << k for k in range(4, 21))], dtype=float)
-    basis, u, m = forms[0].basis, integer_axis(xi), len(ladder)
-    u = tuple(c // math.gcd(*u) for c in u)
-    coeffs, X = coefficient_matrix(forms), _trust_region(mats, xi, sigma)[4]
+    basis, m = forms[0].basis, len(ladder)
+    u = tuple(c // math.gcd(*u) for c in u)  # the primitive integer axis
+    coeffs, X = coefficient_matrix([forms[j] for j in left]), X[left]
     at_u = pairings(coeffs, veronese_batch(basis, np.array([u], dtype=object)))[:, 0]
     rows = np.rint(X[:, None, :] / np.abs(X).max(axis=1)[:, None, None] * ladder[:, None]).astype(np.int64).reshape(-1, len(u))
     rows //= np.gcd.reduce(np.abs(rows), axis=1)[:, None]
     vals = row_pairings(np.repeat(coeffs, m, axis=0), veronese_batch(basis, rows))
     ok = cone_member(xi, sigma, rows) & np.asarray(rows.astype(object) @ np.array(u, dtype=object) > 0, dtype=bool)
-    cuts = (np.asarray(vals * np.repeat(np.sign(at_u), m) < 0, dtype=bool) & ok).reshape(len(forms), m)
-    zeros = (np.asarray(vals == 0, dtype=bool) & ok).reshape(len(forms), m)
-    out = []
-    for k, (form, value) in enumerate(zip(forms, at_u.tolist())):
-        w = u if value == 0 else tuple(rows[k * m + (cuts[k] if cuts[k].any() else zeros[k]).argmax()].tolist())
+    cuts = (np.asarray(vals * np.repeat(np.sign(at_u), m) < 0, dtype=bool) & ok).reshape(len(left), m)
+    zeros = (np.asarray(vals == 0, dtype=bool) & ok).reshape(len(left), m)
+    for i, (j, value) in enumerate(zip(left, at_u.tolist())):
+        w = u if value == 0 else tuple(rows[i * m + (cuts[i] if cuts[i].any() else zeros[i]).argmax()].tolist())
         pos, neg = (u, w) if value > 0 else (w, u)
-        cert = {"kind": "sign-change", "positive": pos, "negative": neg} if value != 0 and cuts[k].any() else None
-        out.append(cert or ({"kind": "exact-zero", "point": w} if value == 0 or zeros[k].any() else None))
-        if out[-1]:
-            verify_real_certificate(form, xi, sigma, out[-1])  # a yes re-checked from scratch
+        cert = {"kind": "sign-change", "positive": pos, "negative": neg} if value != 0 and cuts[i].any() else None
+        cert = cert or ({"kind": "exact-zero", "point": w} if value == 0 or zeros[i].any() else None)
+        if cert:
+            verify_real_certificate(forms[j], xi, sigma, cert)  # a yes re-checked from scratch
+            out[j] = TriState.yes(cert)
     return out
+
 
 # ---------------------------------------------------------------------------
 # coefficient-ball classification and densities

@@ -365,7 +365,7 @@ def test_a_float_aperture_is_read_exactly_in_either_order():
         for s in order:
             assert _chart_verdicts([form], (1, 0), Fraction(s), 20000)[0].verdict == "unknown"
             assert decide_real_batch([form], (1, 0), s)[0].certificate["kind"] == "s-lemma"
-            (cert,) = localsolve._s_lemma_certificates([quadric_matrix(form)], (1, 0), s)
+            (cert,) = _s_lemma_nos([form], (1, 0), s)
             assert _s_lemma_reverifies(form, (1, 0), s, cert)
             report = local_census(2, 1, Fraction(3, 2), 2, AdelicTarget((), (1, 0), s))
             assert (report.m_interval, report.e_interval, report.point_decided) == ((8, 8), (0, 0), 4)
@@ -385,6 +385,13 @@ def test_beyond_verdict_is_unknown_where_no_prime_can_be_decided():
     assert _beyond_verdicts([h], 3, t, 3) == ["yes-all"]
     k = mkform(2, 3, m_2000=1, m_0200=1, m_0020=-7, m_0002=-7)
     assert _beyond_verdicts([k], 3, t, 3) == ["fails"]
+
+
+def _s_lemma_nos(forms, xi, sigma) -> list:
+    """The `s-lemma` certificate the quadric step of the real decider gives
+    each form in a cap, sigma < 1, or None."""
+    verdicts = localsolve._quadric_verdicts(forms, xi, sigma)
+    return [res.certificate if res is not None and res.verdict == "no" else None for res in verdicts]
 
 
 def _value(form, x) -> int:
@@ -730,6 +737,24 @@ def test_every_census_cap_direction_is_decided(monkeypatch, xi):
     assert 2 not in chart_degrees and 3 in chart_degrees
 
 
+def test_cap_quadrics_take_one_trust_region_solve(monkeypatch):
+    # around census-cap's direction (3, 1, -2, -1) at aperture 1/2 the 27
+    # quadrics without a target point reach the quadric step, and one solve
+    # for all 27 gives both the S-lemma no of 24 and the minimisers that
+    # prove the other 3 yes
+    sizes = []
+
+    def spy(mats, *args):
+        sizes.append(len(mats))
+        return trust_region(mats, *args)
+
+    trust_region = localsolve._trust_region
+    monkeypatch.setattr(localsolve, "_trust_region", spy)
+    report = local_census(2, 3, Fraction(3, 2), 3, AdelicTarget((), (3, 1, -2, -1), Fraction(1, 2)))
+    assert sizes == [27]
+    assert report.arch_kinds == {"yes": {"sign-change": 3, "point": 73}, "no": {"s-lemma": 24}, "unknown": {}}
+
+
 def test_quadric_cap_census_at_height_two_is_decided_by_the_quadric_step():
     # the quadrics of height 2 in census-cap's cap: the chart search left two
     # of them unknown, slivers whose zeros lie near the cap's edge; the
@@ -794,12 +819,12 @@ def test_s_lemma_certifies_a_quadric_without_a_zero_in_the_cap():
     # X0^2 + X1^2 - X2^2 > 0 where 3 X0^2 >= X1^2 + X2^2 (around (1, 0, 0) at sigma = 1/2)
     form = mkform(2, 2, m_200=1, m_020=1, m_002=-1)
     xi, sigma = (1, 0, 0), Fraction(1, 2)
-    (cert,) = localsolve._s_lemma_certificates([quadric_matrix(form)], xi, sigma)
+    (cert,) = _s_lemma_nos([form], xi, sigma)
     assert cert["kind"] == "s-lemma" and cert["sign"] == 1
     assert _s_lemma_reverifies(form, xi, sigma, cert)
     assert decide_real_batch([form], xi, sigma)[0].verdict == "no"
     # the quadric does meet the wider cap sigma = 3/4, at (1, 0, 1)/sqrt(2)
-    assert localsolve._s_lemma_certificates([quadric_matrix(form)], xi, Fraction(3, 4)) == [None]
+    assert _s_lemma_nos([form], xi, Fraction(3, 4)) == [None]
     # X0^2 + X1^2 + X2^2 has no real zero, and 2M - tau G stays positive
     # definite for a small negative tau, which proves nothing
     definite = quadric_matrix(mkform(2, 2, m_200=1, m_020=1, m_002=1))
@@ -824,7 +849,7 @@ def test_s_lemma_verdict_rests_on_the_exact_check(monkeypatch):
     ]
     for form, xi, sigma in meets:
         assert decide_real_batch([form], xi, sigma)[0].verdict == "yes"
-        assert localsolve._s_lemma_certificates([quadric_matrix(form)], xi, sigma) == [None]
+        assert _s_lemma_nos([form], xi, sigma) == [None]
 
 
 @st.composite
@@ -842,7 +867,7 @@ def _quadric_caps(draw):
 def test_s_lemma_certificates_are_sound_and_reverify(case):
     form, xi, sigma = case
     mat = quadric_matrix(form)
-    (cert,) = localsolve._s_lemma_certificates([mat], xi, sigma)
+    (cert,) = _s_lemma_nos([form], xi, sigma)
     if cert is None:
         # every form the chart search proves free of cap zeros has a certificate too
         assert _chart_verdicts([form], xi, Fraction(sigma), 4000)[0].verdict != "no"
@@ -908,7 +933,7 @@ def _golden_s_lemma_certificates(mats, xi, sigma) -> list:
     return out
 
 
-def test_pencil_certifies_every_quadric_the_golden_search_does():
+def test_trust_region_certifies_every_quadric_the_golden_search_does():
     # census-cap's directions: (3, -1, 2, 1) up to the signs of its coordinates
     cases = [((2, 3, Fraction(3, 2)), (3, a, 2 * b, c), sigma)
              for a in (1, -1) for b in (1, -1) for c in (1, -1)
@@ -918,7 +943,7 @@ def test_pencil_certifies_every_quadric_the_golden_search_does():
     for (d, n, A), xi, sigma in cases:
         forms = census._forms(monomial_basis(d, n), census._coefficient_rows(d, n, A))
         mats = [quadric_matrix(f) for f in forms]
-        certs = localsolve._s_lemma_certificates(mats, xi, sigma)
+        certs = _s_lemma_nos(forms, xi, sigma)
         for form, cert, old in zip(forms, certs, _golden_s_lemma_certificates(mats, xi, sigma)):
             assert cert is not None or old is None, (form, xi, sigma, old)
             if cert is not None:

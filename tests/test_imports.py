@@ -128,7 +128,6 @@ ENTRY_POINTS = (
     ("localsolve", "density_sandwich", "the bounds a measured density must sit between"),
     ("localsolve", "count_projective_points", "point counts across streamed residue tables"),
     ("census", "quadric_real_soluble", "the classical real verdict of a quadric"),
-    ("census", "quadric_bad_primes", "the primes where a quadric's verdict can fail"),
     ("counting", "veronese_reciprocal_sum", "the only exact check of the W of the first moment"),
     ("counting", "predicted_reciprocal_sum", "the main term that check compares against"),
     # methods that no package code calls, each with who does

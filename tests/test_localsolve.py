@@ -594,27 +594,27 @@ def _off_the_cap(u) -> tuple:
 def test_quadric_step_verdicts_reverify_and_agree_with_the_oracle(case):
     # the quadric step on its own, every form's no and yes side: a no
     # re-verifies with Fraction minors, a yes with verify_real_certificate,
-    # no form gets both, the exact chart oracle contradicts neither, and a
-    # tampered certificate (tau negated, a point moved out of the cap) fails
+    # the exact chart oracle contradicts neither, and a tampered certificate
+    # (tau negated, a point moved out of the cap) fails; one verdict a form,
+    # so no form gets both
     forms, xi, sigma = case
-    mats = [localsolve.quadric_matrix(f) for f in forms]
-    nos = localsolve._s_lemma_certificates(mats, xi, sigma)
-    yeses = localsolve._cap_points(forms, mats, xi, sigma)
     away = _off_the_cap(integer_axis(xi))
-    for form, mat, no, yes in zip(forms, mats, nos, yeses):
-        assert no is None or yes is None, (form, no, yes)
-        if no is not None:
-            assert _s_lemma_reverifies(form, xi, sigma, no)
-            assert not _s_lemma_reverifies(form, xi, sigma, {**no, "tau": -no["tau"]}) or no["tau"] == 0
-            assert not localsolve._s_lemma_holds(mat, cap_matrix(xi, sigma), no["sign"], -no["tau"] - 1)
-        if yes is not None:
-            verify_real_certificate(form, xi, sigma, yes)
-            key = "point" if yes["kind"] == "exact-zero" else "negative"
+    for form, res in zip(forms, localsolve._quadric_verdicts(forms, xi, sigma)):
+        if res is None:
+            continue
+        cert = res.certificate
+        if res.verdict == "no":
+            mat = localsolve.quadric_matrix(form)
+            assert _s_lemma_reverifies(form, xi, sigma, cert)
+            assert not _s_lemma_reverifies(form, xi, sigma, {**cert, "tau": -cert["tau"]}) or cert["tau"] == 0
+            assert not localsolve._s_lemma_holds(mat, cap_matrix(xi, sigma), cert["sign"], -cert["tau"] - 1)
+        else:
+            verify_real_certificate(form, xi, sigma, cert)
+            key = "point" if cert["kind"] == "exact-zero" else "negative"
             with pytest.raises(HypothesisFailed):
-                verify_real_certificate(form, xi, sigma, {**yes, key: away})
-        if no is not None or yes is not None:
-            ref = _exact_chart_decide(form, xi, sigma, 40)
-            assert ref.verdict in ("no" if no is not None else "yes", "unknown"), (form, xi, sigma, no, yes, ref)
+                verify_real_certificate(form, xi, sigma, {**cert, key: away})
+        ref = _exact_chart_decide(form, xi, sigma, 40)
+        assert ref.verdict in (res.verdict, "unknown"), (form, xi, sigma, res, ref)
 
 
 @pytest.mark.parametrize("sigma", [0, Fraction(-1, 2), 1.5, Fraction(3, 2)])
