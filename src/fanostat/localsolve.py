@@ -46,9 +46,12 @@ grid zeros and sign changes; quadrics then take one step,
 `_quadric_verdicts`: the exact signature, or in a cap one trust-region
 solve for the whole batch (its multiplier a no, its minimiser a yes); and
 one product against the cached Bernstein tensors of the cap's affine chart
-starts a breadth-first search of one frontier of distinct boxes with the
-(form, box) pairs on top of it, so the cap test and the split of a box are
-computed once however many forms hold it.
+starts a breadth-first search of every form left on one flat frontier, a
+column per (form, box) with the box's coefficients of f and of q: a level is
+a few whole-array passes, its split one matrix product per tensor, and the
+frontier splits in two by forms whenever a level would pass its share of
+_CELLS coefficients. The yes certificates of a step are re-checked
+together, in one exact array pass (`_real_certificate_faults`).
 
 Densities of the soluble locus in coefficient space are measured exactly by
 classifying coefficient balls mod p^v: a ball meets the soluble locus iff
@@ -84,7 +87,6 @@ from .veronese import (
     Form,
     coefficient_matrix,
     dimension,
-    evaluate_form,
     monomial_basis,
     pairings,
     row_pairings,
@@ -479,8 +481,9 @@ def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000)
        sigma < 1, one trust-region solve of the minimum of s f over it for
        the whole batch: no on the S-lemma certificate its multiplier gives
        (`s-lemma`), else yes on integer points near its minimiser;
-    4. the Bernstein search of the cap's affine chart (`_chart_verdicts`), in
-       groups holding at most _CELLS Bernstein coefficients a level,
+    4. the Bernstein search of the cap's affine chart (`_chart_verdicts`),
+       every form left on one frontier of boxes, which splits in two by
+       forms whenever a level would pass its share of _CELLS coefficients;
        `subdivision_budget` boxes per form. yes on two corners of a box with
        f of opposite signs (`sign-change`); no when it drops every box
        (`bernstein-exclusion`, with the `cells` examined); unknown when the
@@ -495,7 +498,8 @@ def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000)
 
     The search (Garloff, "The Bernstein algorithm", Interval Computations
     1993) splits a whole level at a time, at the midpoint of its widest axis
-    in chart coordinates (the lowest on ties), by de Casteljau. A box leaves
+    in chart coordinates (the lowest on ties), by de Casteljau as one matrix
+    product (`_halves`). A box leaves
     when every tensor Bernstein coefficient of q (q <= 0 is the cap) lies
     above the rounding band, or every one of f beyond it with one sign; it
     gives yes when two corners have q below the band and f beyond it with
@@ -532,17 +536,31 @@ def decide_real_batch(forms, xi_inf, sigma_inf, subdivision_budget: int = 20000)
         for k, res in zip(rest, _quadric_verdicts([forms[k] for k in rest], xi, sigma)):
             out[k] = res
         rest = [k for k in rest if out[k] is None]
-    size = max(1, _CELLS // (max(subdivision_budget, 1) * (basis.d + 1) ** basis.n))
-    for lo in range(0, len(rest), size):
-        group = rest[lo : lo + size]
-        for k, res in zip(group, _chart_verdicts([forms[k] for k in group], xi, sigma, subdivision_budget)):
+    if rest:
+        for k, res in zip(rest, _chart_verdicts([forms[k] for k in rest], xi, sigma, subdivision_budget)):
             out[k] = res
     return out
 
 
 def verify_real_certificate(form: Form, xi_inf, sigma_inf, cert) -> None:
     """Re-check a real `yes` certificate from scratch, exactly; raises
-    HypothesisFailed on any failure.
+    HypothesisFailed on any failure. The one-form case of
+    `_real_certificate_faults`, which lists the checks."""
+    _reverify([form], xi_inf, sigma_inf, [cert])
+
+
+def _reverify(forms, xi_inf, sigma_inf, certs) -> None:
+    """Raise HypothesisFailed on the first fault `_real_certificate_faults`
+    finds among the certificates."""
+    fault = next(filter(None, _real_certificate_faults(forms, xi_inf, sigma_inf, certs)), None)
+    if fault:
+        raise HypothesisFailed("re-verify", fault)
+
+
+def _real_certificate_faults(forms, xi_inf, sigma_inf, certs) -> list:
+    """Re-check real `yes` certificates, one per form (all on one basis),
+    from scratch and exactly, in one array pass: the fault of each, a
+    string, or None where it holds.
 
     - exact-zero: `point` is an integer point of the cap with f = 0;
     - sign-change: `positive` and `negative` are integer points of the cap
@@ -550,30 +568,50 @@ def verify_real_certificate(form: Form, xi_inf, sigma_inf, cert) -> None:
       cap and off the origin: for sigma < 1 both lie on the side
       <w, xi> > 0, which is convex; for sigma = 1 they are not antiparallel;
     - odd-degree: sigma = 1 and an odd d, so f(-x) = -f(x).
-    """
-    sigma, kind = Fraction(sigma_inf), cert.get("kind")
-    if kind == "odd-degree":
-        if sigma != 1 or form.basis.d % 2 == 0:
-            raise HypothesisFailed("re-verify", "odd-degree needs sigma = 1 and an odd degree")
-        return
-    points = [cert.get(key) for key in {"exact-zero": ["point"], "sign-change": ["positive", "negative"]}.get(kind, [])]
-    if not points or not all(
-        isinstance(w, tuple) and len(w) == form.basis.n + 1 and all(type(c) is int for c in w) and any(w) for w in points
-    ):
-        raise HypothesisFailed("re-verify", f"{kind!r} needs nonzero integer points")
-    if not cone_member(xi_inf, sigma, np.array(points, dtype=object)).all():
-        raise HypothesisFailed("re-verify", "a point lies outside the cap")
-    values = [evaluate_form(form, w) for w in points]
-    if kind == "exact-zero" and values[0] != 0:
-        raise HypothesisFailed("re-verify", "point is not an exact zero of the form")
-    if kind == "sign-change":
-        (pos, neg), u = points, integer_axis(xi_inf)
-        antiparallel = sum(a * b for a, b in zip(pos, neg)) < 0 and all(
-            pos[i] * neg[j] == pos[j] * neg[i] for i in range(len(pos)) for j in range(i)
-        )
-        sides = [sum(a * b for a, b in zip(w, u)) for w in points]
-        if not values[0] > 0 > values[1] or (sigma < 1 and min(sides) <= 0) or antiparallel:
-            raise HypothesisFailed("re-verify", "f does not change sign along a segment in the cap")
+
+    Every point goes through one `cone_member` and one exact `row_pairings`
+    of its form's coefficients against its Veronese row; the sides and the
+    antiparallel test are taken in Python integers."""
+    sigma = Fraction(sigma_inf)
+    faults, points, owners = [None] * len(certs), [], []
+    for i, (form, cert) in enumerate(zip(forms, certs)):
+        kind = cert.get("kind")
+        ws = [cert.get(key) for key in {"exact-zero": ["point"], "sign-change": ["positive", "negative"]}.get(kind, [])]
+        if kind == "odd-degree":
+            if sigma != 1 or form.basis.d % 2 == 0:
+                faults[i] = "odd-degree needs sigma = 1 and an odd degree"
+        elif ws and all(
+            isinstance(w, tuple) and len(w) == form.basis.n + 1 and all(type(c) is int for c in w) and any(w) for w in ws
+        ):
+            points += [ws[0], ws[-1]]  # an exact zero's point twice
+            owners.append(i)
+        else:
+            faults[i] = f"{kind!r} needs nonzero integer points"
+    if not owners:
+        return faults
+    basis = forms[0].basis
+    try:
+        X = np.array(points, dtype=np.int64)
+    except OverflowError:
+        X = np.array(points, dtype=object)
+    A = np.repeat(coefficient_matrix([forms[i] for i in owners]), 2, axis=0)
+    values = row_pairings(A, veronese_batch(basis, X)).reshape(-1, 2).tolist()
+    in_cap = cone_member(xi_inf, sigma, X).reshape(-1, 2).all(axis=1).tolist()
+    W = X.astype(object).reshape(-1, 2, basis.n + 1)
+    if sigma < 1:
+        apart = ((W @ np.array(integer_axis(xi_inf), dtype=object)).min(axis=1) > 0).tolist()
+    else:  # not antiparallel: <pos, neg> >= 0, or some 2 x 2 minor of (pos, neg) is not 0
+        pos, neg = W[:, 0], W[:, 1]
+        minors = pos[:, :, None] * neg[:, None, :] - pos[:, None, :] * neg[:, :, None]
+        apart = (((pos * neg).sum(axis=1) >= 0) | (minors != 0).any(axis=(1, 2))).tolist()
+    for i, cap, (a, b), ok in zip(owners, in_cap, values, apart):
+        if not cap:
+            faults[i] = "a point lies outside the cap"
+        elif certs[i]["kind"] == "exact-zero" and a != 0:
+            faults[i] = "point is not an exact zero of the form"
+        elif certs[i]["kind"] == "sign-change" and not (a > 0 > b and ok):
+            faults[i] = "f does not change sign along a segment in the cap"
+    return faults
 
 
 @lru_cache(maxsize=32)
@@ -673,89 +711,164 @@ def _bernstein(factors, k: int, n: int) -> np.ndarray:
 
 def _band(top, rounds: int):
     """The rounding band: from an exact integer tensor of largest size `top`,
-    a float64 coefficient after `rounds` rounds of pairwise averages lies
-    within 2 (rounds + 1) u top of the exact one, u = 2^-53. The conversion
-    and each round err by at most u top, since every exact coefficient is a
-    convex combination of the first ones; the factor 2 covers the growth
-    (1 + u)^rounds and the band's own rounding."""
+    a float64 coefficient after s splits of degree k, rounds = k s, lies
+    within 2 (rounds + 1) u top of the exact one, u = 2^-53.
+
+    Every exact coefficient is a convex combination of the first ones, so it
+    is at most top in size, and the conversion errs by at most u top. A split
+    (`_halves`) gives each coefficient as a (k + 1)-term dot product with
+    nonnegative weights summing to 1: the exact split of the computed inputs
+    carries their error e over at most unchanged, and the dot product rounds
+    by at most gamma_(k+1) (top + e), gamma_m = m u / (1 - m u), in any
+    summation order, fused or not (the enclosure of Farouki and Rajan, "On
+    the numerical condition of polynomials in Bernstein form", CAGD 1987).
+    After s splits that is (1 + (k + 1) s) u top up to terms in u^2, within
+    2 (k s + 1) u top, since (k + 1) s + 1 <= 2 k s + 2 for k >= 1; the
+    slack ((k - 1) s + 1) u top covers the terms in u^2 and the band's own
+    rounding."""
     return (2 * (rounds + 1) * 2.0**-53) * top
 
 
+@lru_cache(maxsize=None)
+def _split_matrix(k: int, dtype) -> np.ndarray:
+    """De Casteljau at the midpoint, degree k, as one (2k + 2, k + 1) matrix:
+    row i gives the i-th Bernstein coefficient of the left half, C(i, j) / 2^i
+    times coefficient j <= i, row k + 1 + i that of the right half,
+    C(k - i, j - i) / 2^(k - i) times coefficient j >= i. Built from
+    Fractions and cast to `dtype`: Fractions for object arrays, the same
+    dyadic rationals as floats for float64 ones. Read-only, since cached."""
+    left = [[Fraction(math.comb(i, j), 2**i) for j in range(k + 1)] for i in range(k + 1)]
+    right = [[Fraction(math.comb(k - i, j - i) if j >= i else 0, 2 ** (k - i)) for j in range(k + 1)] for i in range(k + 1)]
+    S = np.array(left + right, dtype=object).astype(dtype)
+    S.flags.writeable = False
+    return S
+
+
 def _halves(T: np.ndarray, k: int, axis: int) -> np.ndarray:
-    """The tensor Bernstein coefficients of degree k per axis in the rows of
-    T (flat, the last axis fastest) on the two halves of their boxes along
-    `axis`, by de Casteljau at the midpoint: k rounds of pairwise averages.
-    Every left half, then every right one. Exact on Fractions."""
-    rows, size = T.shape
+    """The tensor Bernstein coefficients of degree k per axis in the columns
+    of T (one box a column, flat, the last axis fastest) on the two halves
+    of their boxes along `axis`: one matrix product of `_split_matrix`
+    against that axis. Every left half, then every right one. Exact on
+    Fractions, within `_band` on floats.
+
+    numpy hands a product with one column to a matrix-vector kernel, whose
+    roundings differ from those of the matrix-matrix one, so a lone column
+    goes in twice: a box's halves then do not depend on the other boxes."""
+    size, boxes = T.shape
     pre = (k + 1) ** axis
-    T = T.reshape(rows, pre, k + 1, size // (pre * (k + 1)))
-    out = np.empty((2,) + T.shape, dtype=T.dtype)
-    out[0, :, :, 0], out[1, :, :, k] = T[:, :, 0], T[:, :, k]
-    for i in range(1, k + 1):
-        T = (T[:, :, :-1] + T[:, :, 1:]) / 2
-        out[0, :, :, i], out[1, :, :, k - i] = T[:, :, 0], T[:, :, -1]
-    return out.reshape(2 * rows, size)
+    post = size // (pre * (k + 1))
+    S, X = _split_matrix(k, T.dtype), T.reshape(pre, k + 1, post * boxes)
+    H = (S @ np.concatenate([X, X], axis=2))[:, :, :1] if X.shape[2] == 1 else S @ X
+    return H.reshape(pre, 2, k + 1, post, boxes).transpose(0, 2, 3, 1, 4).reshape(size, 2 * boxes)
 
 
 def _chart_verdicts(forms, xi: tuple, sigma, budget: int) -> list:
     """The chart search of `decide_real_batch` for forms on one basis, on one
-    frontier of distinct boxes (their patch, position and q coefficients)
-    with the (form, box) pairs on top of it (f's coefficients). Each form
+    flat frontier: a column per (form, box) holds the box's float Bernstein
+    coefficients of f and of q, and one int64 array the box's form, patch
+    and offsets (Python integers once an axis is halved 62 times). A level
+    is one `bincount` of the columns by form, one keep mask, one compaction,
+    the two splits of `_halves` and one duplication of the index columns;
+    corners are read only when some column straddles the band. Each form
     holds its boxes in the order its one-form search would (the left
     children before the right ones), keeps its own band, budget check,
     `cells` and `pending`, and takes its yes at its first box with a sign
-    change, from the first positive and the first negative corner."""
-    d, n = forms[0].basis.d, forms[0].basis.n
-    patches, T, rows, Q = _chart(forms[0].basis, xi, sigma)
-    exact = pairings(coefficient_matrix(forms), rows.T)
-    top, top_q = np.abs(exact).max(axis=1).astype(np.float64), float(np.abs(Q).max())
-    F, Q = np.asarray(exact, dtype=np.float64).reshape(-1, (d + 1) ** n), np.asarray(Q, dtype=np.float64)
+    change, from the first positive and the first negative corner; a
+    level's yes certificates are re-checked together (`_reverify`).
+
+    Memory: a level holds at most _CELLS / 10 coefficients before its
+    split, which holds five times that at once (the boxes, the matrix
+    product and the halves), so a level stays within half of _CELLS; levels
+    that small also stay in cache. The forms start in blocks whose first
+    level fits. Whenever a frontier's next level would pass the bound, the
+    frontier splits in two by forms, about half its boxes each, and the
+    parts are finished one after the other, the later one waiting as it
+    stands, so at most one part per halving of the forms waits. A single
+    form is not split: its budget bounds its boxes."""
+    basis = forms[0].basis
+    d, n = basis.d, basis.n
+    patches, T, rows, Q0 = _chart(basis, xi, sigma)
+    width = (d + 1) ** n + 3**n  # the coefficients of a box
     corners = list(itertools.product((0, 1), repeat=n))
-    f_corners, q_corners = (np.ravel_multi_index((k * np.array(corners)).T, (k + 1,) * n) for k in (d, 2))
-    patch, offsets = np.arange(len(patches)), np.zeros((len(patches), n), dtype=np.int64)
-    pf, pb = np.repeat(np.arange(len(forms)), len(patches)), np.tile(patch, len(forms))
-    depth, widths = [0] * n, [float(t) for t in T]
+    f_corners, q_corners = (np.ravel_multi_index((k * np.array(corners)).T, (k + 1,) * n)[:, None] for k in (d, 2))
+    top_q, Q0 = float(np.abs(Q0).max()), np.asarray(Q0, dtype=np.float64).T
+    top, examined = np.zeros(len(forms)), np.zeros(len(forms), dtype=np.int64)
     out = [None] * len(forms)
-    running = np.ones(len(forms), dtype=bool)
-    examined = np.zeros(len(forms), dtype=np.int64)
-    while running.any():
-        count = np.bincount(pf, minlength=len(forms))
-        for k in np.flatnonzero(running & (count == 0)).tolist():
-            out[k] = TriState.no({"kind": "bernstein-exclusion", "cells": int(examined[k])})
-        over = running & (count > 0) & (examined + count > budget)
-        for k in np.flatnonzero(over).tolist():
-            out[k] = TriState.unknown({"reason": "subdivision budget", "cells": int(examined[k]), "pending": int(count[k])})
-        running &= (count > 0) & ~over
-        examined += np.where(running, count, 0)
-        band_q, band = _band(top_q, 2 * sum(depth)), _band(top, d * sum(depth))[pf]
-        lo, hi = F.min(axis=1, initial=np.inf), F.max(axis=1, initial=-np.inf)
-        keep = running[pf] & (Q.min(axis=1, initial=np.inf) <= band_q)[pb] & (lo <= band) & (hi >= -band)
-        # a sign change between two corners in the cap
-        rows = np.flatnonzero(keep & (lo < -band) & (hi > band))
-        vals, cut, in_cap = F[rows][:, f_corners], band[rows, None], (Q[:, q_corners] < -band_q)[pb[rows]]
-        pos, neg = (vals > cut) & in_cap, (vals < -cut) & in_cap
-        hits = np.flatnonzero(pos.any(axis=1) & neg.any(axis=1))
-        for h in hits[np.unique(pf[rows[hits]], return_index=True)[1]].tolist():
-            k, box = int(pf[rows[h]]), int(pb[rows[h]])
-            where = (patches[patch[box]], offsets[box].tolist(), depth)
-            signs = {"positive": pos[h], "negative": neg[h]}
-            cert = {"kind": "sign-change", **{key: _corner(*where, corners[int(m.argmax())]) for key, m in signs.items()}}
-            verify_real_certificate(forms[k], xi, sigma, cert)
-            out[k], running[k] = TriState.yes(cert), False
-        keep &= running[pf]
-        held = np.zeros(len(Q), dtype=bool)
-        held[pb[keep]] = True
-        F, pf, pb = F[keep], pf[keep], (np.cumsum(held) - 1)[pb[keep]]
-        Q, patch, offsets = Q[held], patch[held], offsets[held]
-        # every box of the level has one shape: split its widest axis
-        j = widths.index(max(widths))
-        F, Q = _halves(F, d, j), _halves(Q, 2, j)
-        offsets = np.concatenate([offsets, offsets]).astype(object if max(depth) >= 62 else np.int64)
-        offsets[:, j] *= 2
-        offsets[len(patch) :, j] += 1
-        patch, pf, pb = np.concatenate([patch, patch]), np.concatenate([pf, pf]), np.concatenate([pb, pb + len(patch)])
-        depth[j] += 1
-        widths[j] /= 2
+    step = max(1, _CELLS // (10 * len(patches) * width))
+    for lo in range(0, len(forms), step):
+        block = np.arange(lo, min(lo + step, len(forms)))
+        exact = pairings(coefficient_matrix(forms[lo : lo + step]), rows.T)
+        top[block] = np.abs(exact).max(axis=1)
+        ids = np.zeros((n + 2, len(block) * len(patches)), dtype=np.int64)
+        ids[0], ids[1] = np.repeat(block, len(patches)), np.tile(np.arange(len(patches)), len(block))
+        mine = np.zeros(len(forms), dtype=bool)
+        mine[block] = True
+        # a frontier: its boxes, its forms still open, and the axis j its
+        # boxes split along next (None before its first level)
+        F = np.asarray(exact, dtype=np.float64).reshape(len(block) * len(patches), -1).T
+        parts = [(F, np.tile(Q0, len(block)), ids, mine, (0,) * n, None)]
+        while parts:
+            F, Q, ids, mine, depth, j = parts.pop()
+            while True:
+                if j is not None:
+                    F, Q = _halves(F, d, j), _halves(Q, 2, j)
+                    ids = np.concatenate([ids, ids], axis=1).astype(object if depth[j] >= 62 else ids.dtype, copy=False)
+                    ids[2 + j] *= 2
+                    ids[2 + j, ids.shape[1] // 2 :] += 1
+                    depth = depth[:j] + (depth[j] + 1,) + depth[j + 1 :]
+                form = ids[0].astype(np.int64, copy=False)
+                count = np.bincount(form, minlength=len(forms))
+                ended = mine & ((count == 0) | (examined + count > budget))
+                dropped = ended.any()
+                if dropped:
+                    for k in np.flatnonzero(ended).tolist():
+                        cells, pending = int(examined[k]), int(count[k])
+                        if pending:
+                            out[k] = TriState.unknown({"reason": "subdivision budget", "cells": cells, "pending": pending})
+                        else:
+                            out[k] = TriState.no({"kind": "bernstein-exclusion", "cells": cells})
+                    mine &= ~ended
+                if not mine.any():
+                    break
+                examined += count
+                band_q, band = _band(top_q, 2 * sum(depth)), _band(top, d * sum(depth))[form]
+                lo_f, hi_f = F.min(axis=0), F.max(axis=0)
+                keep = (Q.min(axis=0) <= band_q) & (lo_f <= band) & (hi_f >= -band)
+                if dropped:
+                    keep &= mine[form]
+                straddle = np.flatnonzero(keep & (lo_f < -band) & (hi_f > band))
+                if len(straddle):
+                    # the values of f at the box corners in the cap, 0 at the others
+                    at = np.where(Q[q_corners, straddle] < -band_q, F[f_corners, straddle], 0.0)
+                    cut = band[straddle]
+                    hits = np.flatnonzero((at > cut).any(axis=0) & (at < -cut).any(axis=0))
+                    if len(hits):
+                        # each form's first box with a sign change
+                        hits = hits[np.unique(form[straddle[hits]], return_index=True)[1]]
+                        done, certs = form[straddle[hits]], []
+                        for h, r in zip(hits.tolist(), straddle[hits].tolist()):
+                            where = (patches[ids[1, r]], ids[2:, r].tolist(), depth)
+                            pos, neg = (corners[int(m.argmax())] for m in (at[:, h] > cut[h], at[:, h] < -cut[h]))
+                            certs.append(
+                                {"kind": "sign-change", "positive": _corner(*where, pos), "negative": _corner(*where, neg)}
+                            )
+                        _reverify([forms[k] for k in done.tolist()], xi, sigma, certs)
+                        for k, cert in zip(done.tolist(), certs):
+                            out[k] = TriState.yes(cert)
+                        mine[done] = False
+                        keep &= mine[form]
+                F, Q, ids, form = F[:, keep], Q[:, keep], ids[:, keep], form[keep]
+                # every box of the level has one shape: split its widest axis
+                j = max(range(n), key=lambda a: (math.ldexp(T[a], -depth[a]), -a))
+                while 10 * len(form) * width > _CELLS and np.count_nonzero(mine) > 1:
+                    members = np.flatnonzero(mine)
+                    held = np.cumsum(np.bincount(form, minlength=len(forms))[members])
+                    later = mine.copy()
+                    later[members[: min(int(np.searchsorted(held, held[-1] / 2)) + 1, len(members) - 1)]] = False
+                    mine &= ~later
+                    sel = later[form]
+                    parts.append((F[:, sel], Q[:, sel], ids[:, sel], later, depth, j))
+                    F, Q, ids, form = F[:, ~sel], Q[:, ~sel], ids[:, ~sel], form[~sel]
     return out
 
 
@@ -885,7 +998,7 @@ def _quadric_verdicts(forms, xi, sigma) -> list:
     minimiser x (small m meet a double zero of small height, m = 2^k a sign
     change), `exact-zero` at u, else `sign-change` at the first w with
     f(w) f(u) < 0, else `exact-zero` at one with f(w) = 0; one exact pass
-    tests every w, and `verify_real_certificate` re-checks the yes."""
+    tests every w, and one more (`_reverify`) re-checks every yes."""
     mats = [quadric_matrix(form) for form in forms]
     if sigma == 1:
         soluble = [_indefinite(mat) for mat in mats]
@@ -918,14 +1031,17 @@ def _quadric_verdicts(forms, xi, sigma) -> list:
     ok = cone_member(xi, sigma, rows) & np.asarray(rows.astype(object) @ np.array(u, dtype=object) > 0, dtype=bool)
     cuts = (np.asarray(vals * np.repeat(np.sign(at_u), m) < 0, dtype=bool) & ok).reshape(len(left), m)
     zeros = (np.asarray(vals == 0, dtype=bool) & ok).reshape(len(left), m)
+    found = {}
     for i, (j, value) in enumerate(zip(left, at_u.tolist())):
         w = u if value == 0 else tuple(rows[i * m + (cuts[i] if cuts[i].any() else zeros[i]).argmax()].tolist())
         pos, neg = (u, w) if value > 0 else (w, u)
         cert = {"kind": "sign-change", "positive": pos, "negative": neg} if value != 0 and cuts[i].any() else None
         cert = cert or ({"kind": "exact-zero", "point": w} if value == 0 or zeros[i].any() else None)
         if cert:
-            verify_real_certificate(forms[j], xi, sigma, cert)  # a yes re-checked from scratch
-            out[j] = TriState.yes(cert)
+            found[j] = cert
+    _reverify([forms[j] for j in found], xi, sigma, list(found.values()))  # every yes re-checked from scratch
+    for j, cert in found.items():
+        out[j] = TriState.yes(cert)
     return out
 
 

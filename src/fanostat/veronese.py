@@ -159,7 +159,12 @@ def pairings(A: np.ndarray, NU: np.ndarray) -> np.ndarray:
       summation order, with or without fused multiply-adds;
     - below 2^63, an int64 product;
     - otherwise Python integers, returned as an object array.
+
+    No coefficient rows, `coefficient_matrix([])` included, give a
+    (0, len(NU)) int64 array.
     """
+    if not len(A):
+        return np.zeros((0, len(NU)), dtype=np.int64)
     worst = _pairing_bound(A, NU)
     if worst < 2**53:
         out = np.empty((len(A), len(NU)), dtype=np.int64)

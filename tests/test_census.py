@@ -700,8 +700,8 @@ def test_cubic_cap_census_is_pinned_and_does_not_depend_on_grouping(monkeypatch)
         "no": {"bernstein-exclusion": 63},
         "unknown": {},
     }
-    for group in (1, 2):  # forms per chart group at the census's budget of 4000, 64 coefficients a box
-        monkeypatch.setattr(localsolve, "_CELLS", group * 4000 * 64)
+    for scale in (1, 2):  # a chart frontier of a few hundred boxes, which splits by forms as it grows
+        monkeypatch.setattr(localsolve, "_CELLS", scale * 4000 * 64)
         assert local_census(3, 3, Fraction(3, 2), 2, cap) == report
 
 

@@ -95,6 +95,7 @@ ENTRY_POINTS = (
     ("census", "count_rational_points", "N_V of one form, a summand of the first moment"),
     ("localsolve", "local_density", "the p-adic density factor of that prediction"),
     ("padic", "verify_certificate", "re-verifies a yes certificate independently"),
+    ("localsolve", "verify_real_certificate", "re-verifies a real yes certificate independently"),
     ("veronese", "parse_form", "reads back the text str(form) writes"),
     ("veronese", "height", "the paper's height H(x) = |x|^(n+1-d), which height_bound_norm2 inverts"),
     ("veronese", "height_squared", "H(x)^2 exactly, to compare a point with a height bound"),

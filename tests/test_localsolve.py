@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -393,7 +394,7 @@ def _exact_chart_decide(form, xi, sigma, budget):
         if len(corners) == 2:
             return TriState.yes({"kind": "sign-change", "positive": corners[True], "negative": corners[False]})
         j = max(range(n), key=lambda a: (Fraction(T[a], 2 ** depth[a]), -a))
-        halves = (localsolve._halves(fb, d, j), localsolve._halves(qb, 2, j))
+        halves = (localsolve._halves(fb.T, d, j).T, localsolve._halves(qb.T, 2, j).T)  # one box a column
         for side in (0, 1):
             child_lo = [a + Fraction(side, 2 ** (e + 1)) if i == j else a for i, (a, e) in enumerate(zip(lo, depth))]
             child_depth = [e + (i == j) for i, e in enumerate(depth)]
@@ -462,13 +463,14 @@ def test_decide_real_matches_the_exact_chart_oracle(case):
 
 
 @st.composite
-def _decider_blocks(draw):
-    """1..6 forms on one basis: mixed term counts, quadrics leaning definite
-    (so the block mixes yes, no and unknown), one axis, aperture and budget."""
+def _decider_blocks(draw, fewest=1):
+    """fewest..6 forms on one basis: mixed term counts, quadrics leaning
+    definite (so the block mixes yes, no and unknown), one axis, aperture
+    and budget."""
     d, n = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2, 3]))
     basis = monomial_basis(d, n)
     forms = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(fewest, 6))):
         coeffs = draw(st.lists(st.integers(-5, 5), min_size=basis.size, max_size=basis.size))
         keep = draw(st.sets(st.integers(0, basis.size - 1), min_size=1, max_size=basis.size))
         coeffs = [a if m in keep else 0 for m, a in enumerate(coeffs)]
@@ -477,7 +479,7 @@ def _decider_blocks(draw):
             coeffs = [a + shift * (max(e) == 2) for a, e in zip(coeffs, basis.monomials)]
         if any(coeffs):
             forms.append(make_form(d, n, coeffs, primitive=False))
-    assume(forms)
+    assume(len(forms) >= fewest)
     xi = tuple(draw(st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1).filter(any)))
     sigma = draw(st.sampled_from(_SIGMAS + [0.6]))
     return forms, xi, sigma, draw(st.sampled_from([1, 40, 300]))
@@ -507,6 +509,29 @@ def test_decide_real_batch_equals_one_form_calls_and_the_oracle(case):
         _agrees_with_the_oracle(form, xi, sigma, budget, res)
 
 
+@settings(max_examples=50, deadline=None)
+@given(_decider_blocks(fewest=2))
+@example(([make_form(2, 1, c, primitive=False) for c in _EVERY_KIND], (1, 0), Fraction(1, 2), 20))
+@example(
+    ([make_form(3, 1, _TANGENT_CUBIC, primitive=False), make_form(3, 1, (1, 0, -2, 0), primitive=False)], (1, 0), Fraction(1, 2), 300)
+)
+def test_chart_verdicts_do_not_depend_on_the_batch(case):
+    # each form's chart verdict and whole certificate (kind, points, cells,
+    # pending) alone equal those it gets in a batch: on one shared frontier,
+    # and with _CELLS so tight that the batch starts as one frontier and
+    # splits by forms whenever it grows (a level keeps 10 coefficients a
+    # box in hand), down to one form a frontier
+    forms, xi, sigma, budget = case
+    d, n = forms[0].basis.d, forms[0].basis.n
+    sigma = Fraction(1, 2) if sigma == 1 and d % 2 else Fraction(sigma)  # the chart serves odd degrees only in a cap
+    alone = [localsolve._chart_verdicts([form], xi, sigma, budget)[0] for form in forms]
+    patches = len(localsolve._chart(forms[0].basis, xi, sigma)[0])
+    width = (d + 1) ** n + 3**n
+    for cells in (localsolve._CELLS, 10 * width * patches * len(forms), 10 * width * patches * 2):
+        with mock.patch.object(localsolve, "_CELLS", cells):
+            assert localsolve._chart_verdicts(forms, xi, sigma, budget) == alone, cells
+
+
 def test_every_kind_of_the_batch_example_is_met():
     forms = [make_form(2, 1, c, primitive=False) for c in _EVERY_KIND]
     kinds = [res.certificate.get("kind", res.certificate.get("reason")) for res in decide_real_batch(forms, (1, 0), Fraction(1, 2), 20)]
@@ -532,8 +557,8 @@ def test_decide_real_batch_keeps_a_budget_overrun_to_its_form(monkeypatch):
     alone = [decide_real_batch([f], xi, sigma, budget)[0] for f in definite + [sign]]
     assert [r.verdict for r in alone] == ["no", "no", "yes"]
     assert max(r.certificate["cells"] for r in alone[:2]) < budget
-    for group in (1, 2, 4):  # forms per chart group: 16 Bernstein coefficients per box of a cubic in P^2
-        monkeypatch.setattr(localsolve, "_CELLS", group * budget * 16)
+    for scale in (1, 2, 4):  # chart frontiers that split by forms as they grow: 25 coefficients a box of a cubic in P^2
+        monkeypatch.setattr(localsolve, "_CELLS", scale * budget * 16)
         first, *rest = decide_real_batch([cone] + definite + [sign], xi, sigma, budget)
         assert first == decide_real_batch([cone], xi, sigma, budget)[0]
         assert first.certificate["reason"] == "subdivision budget"
@@ -666,7 +691,7 @@ def test_chart_tensors_are_the_bernstein_forms_of_f_and_q(case, data):
     for p, patch in enumerate(patches):
         ft, qt, box = f[p : p + 1], _fractions(Q[p : p + 1]), [(Fraction(0), Fraction(1))] * n
         for axis, right in steps:
-            ft, qt = (localsolve._halves(A, k, axis)[right : right + 1] for A, k in ((ft, d), (qt, 2)))
+            ft, qt = (localsolve._halves(A.T, k, axis).T[right : right + 1] for A, k in ((ft, d), (qt, 2)))
             a, b = box[axis]
             box[axis] = (a + right * (b - a) / 2, a + (right + 1) * (b - a) / 2)
         for _ in range(3):
@@ -687,6 +712,19 @@ def test_chart_tensors_are_the_bernstein_forms_of_f_and_q(case, data):
 @settings(max_examples=40)
 @given(_chart_cases([Fraction(1, 10), Fraction(1, 2), 0.6], halvings=14))
 @example((make_form(3, 3, [2**53 + 1] + [1] * 19, primitive=False), (3, -1, 2, 1), Fraction(1, 2), [(0, 1), (2, 0)] * 5))
+# 14 halvings at degrees 2, 3 and 4, coefficients near 2^53 of both signs
+@example(
+    (make_form(2, 2, [2**53 - 1, 3, -(2**53 + 1), 1, 2**52 + 1, -5], primitive=False), (1, -2, 3), Fraction(1, 10), [(0, 1), (1, 0)] * 7)
+)
+@example(
+    (
+        make_form(3, 3, [2**53 + 1, -(2**53 - 1)] + [1, -1] * 9, primitive=False),
+        (3, -1, 2, 1),
+        Fraction(1, 2),
+        [(0, 1), (1, 0), (2, 1)] * 4 + [(0, 0), (1, 1)],
+    )
+)
+@example((make_form(4, 1, [2**53 - 1, -4, -(2**53 + 1), 3, 2**53], primitive=False), (1, 2), Fraction(3, 5), [(0, 1), (0, 0)] * 7))
 def test_banded_float_signs_agree_with_fraction_de_casteljau(case):
     # wherever float64 de Casteljau after S halvings puts a coefficient
     # beyond the band, the Fraction one of the same exact tensor has that sign
@@ -698,11 +736,42 @@ def test_banded_float_signs_agree_with_fraction_de_casteljau(case):
         top = float(max(abs(int(v)) for v in T.ravel()))
         fl, fr = np.asarray(T, dtype=np.float64), _fractions(T)
         for axis, right in steps:
-            fl, fr = (localsolve._halves(A, k, axis)[right : right + 1] for A in (fl, fr))
+            fl, fr = (localsolve._halves(A.T, k, axis).T[right : right + 1] for A in (fl, fr))
         band = localsolve._band(top, k * len(steps))
         for x, y in zip(fl.ravel().tolist(), fr.ravel().tolist()):
             assert (x <= band or y > 0) and (x >= -band or y < 0), (x, y, band)
             assert abs(Fraction(x) - y) <= band  # the band bounds the rounding error itself
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_float_halves_of_a_box_do_not_depend_on_the_other_boxes(k):
+    # bit for bit, alone and among 2..600 boxes, on every axis: one box's
+    # column alone takes a matrix-vector product unless it goes in twice
+    rng = np.random.default_rng(k)
+    for n in (1, 2, 3):
+        T = rng.standard_normal(((k + 1) ** n, 600)) * 10.0 ** rng.integers(-3, 16, ((k + 1) ** n, 600))
+        for axis in range(n):
+            for boxes in (1, 2, 3, 7, 600):
+                H = localsolve._halves(T[:, :boxes], k, axis)
+                for c in {0, boxes // 2, boxes - 1}:
+                    alone = localsolve._halves(T[:, c : c + 1], k, axis)
+                    assert np.array_equal(alone, H[:, [c, boxes + c]]), (n, axis, boxes, c)
+
+
+def _tamperings(cert) -> list:
+    """Broken copies of the sign-change certificate of X1 X3 - X2^2 around
+    (3, -1, 2, 1) at sigma = 1/2 (`test_verify_real_certificate_rejects_tampering`)."""
+    pos, neg = cert["positive"], cert["negative"]
+    return [
+        {**cert, "positive": neg, "negative": pos},  # signs swapped
+        {**cert, "positive": (1, 0, 0, 0)},  # moved out of the cap
+        {**cert, "negative": tuple(-c for c in neg)},  # the cap's other side
+        {"kind": "exact-zero", "point": pos},  # f(pos) != 0
+        {"kind": "exact-zero", "point": (1, 0, 0, 0)},  # a zero, outside the cap
+        {"kind": "exact-zero", "point": tuple(float(c) for c in pos)},  # not integers
+        {"kind": "odd-degree"},  # an even degree
+        {"kind": "newton-line", "point": pos},  # no such certificate
+    ]
 
 
 def test_verify_real_certificate_rejects_tampering():
@@ -714,19 +783,8 @@ def test_verify_real_certificate_rejects_tampering():
     assert res.verdict == "yes" and res.certificate["kind"] == "sign-change"
     cert = res.certificate
     verify_real_certificate(f, xi, sigma, cert)
-    pos, neg = cert["positive"], cert["negative"]
     assert evaluate_form(f, (1, 0, 0, 0)) == 0 and not cone_oracle(xi, sigma, (1, 0, 0, 0))
-    tampered = [
-        {**cert, "positive": neg, "negative": pos},  # signs swapped
-        {**cert, "positive": (1, 0, 0, 0)},  # moved out of the cap
-        {**cert, "negative": tuple(-c for c in neg)},  # the cap's other side
-        {"kind": "exact-zero", "point": pos},  # f(pos) != 0
-        {"kind": "exact-zero", "point": (1, 0, 0, 0)},  # a zero, outside the cap
-        {"kind": "exact-zero", "point": tuple(float(c) for c in pos)},  # not integers
-        {"kind": "odd-degree"},  # an even degree
-        {"kind": "newton-line", "point": pos},  # no such certificate
-    ]
-    for bad in tampered:
+    for bad in _tamperings(cert):
         with pytest.raises(HypothesisFailed):
             verify_real_certificate(f, xi, sigma, bad)
     # at sigma = 1 an odd degree suffices, and antiparallel points prove nothing
@@ -737,6 +795,41 @@ def test_verify_real_certificate_rejects_tampering():
     with pytest.raises(HypothesisFailed):
         verify_real_certificate(cubic, (1, 0), 1, {"kind": "sign-change", "positive": (1, 0), "negative": (-1, 0)})
     verify_real_certificate(cubic, (1, 0), 1, {"kind": "sign-change", "positive": (1, 0), "negative": (-2, 1)})
+
+
+def test_batched_re_check_rejects_every_tampering_among_good_certificates():
+    # the one exact array pass finds each tampering of the test above, and
+    # only those, in batches that interleave them with good certificates
+    xi, sigma = (3, -1, 2, 1), Fraction(1, 2)
+    f, g = mkform(2, 3, m_0101=1, m_0020=-1), mkform(2, 3, m_2000=1, m_0200=-9)
+    good = [res.certificate for res in decide_real_batch([f, g], xi, sigma, 4000)]
+    assert [cert["kind"] for cert in good] == ["sign-change", "exact-zero"]
+    batch = [(f, good[0]), (g, good[1])]
+    for bad in _tamperings(good[0]):
+        batch += [(f, bad), (f, good[0]), (g, good[1])]
+    faults = localsolve._real_certificate_faults([form for form, _ in batch], xi, sigma, [cert for _, cert in batch])
+    assert [fault is None for fault in faults] == [cert in good for _, cert in batch]
+    cubic = mkform(3, 1, m_30=1, m_03=1)
+    certs = [
+        {"kind": "odd-degree"},
+        {"kind": "sign-change", "positive": (1, 0), "negative": (-1, 0)},  # antiparallel
+        {"kind": "sign-change", "positive": (1, 0), "negative": (-2, 1)},
+        {"kind": "exact-zero", "point": (1, -1)},
+        {"kind": "exact-zero", "point": (2, -1)},  # f = 7
+    ]
+    faults = localsolve._real_certificate_faults([cubic] * 5, (1, 0), 1, certs)
+    assert [fault is None for fault in faults] == [True, False, True, True, False]
+    # in a cap an odd degree proves nothing: X0^3 - 8 X1^3 vanishes at (2, 1)
+    # and changes sign between (1, 0) and (7, 4), all within 1/2 of (1, 0)
+    cubic = mkform(3, 1, m_30=1, m_03=-8)
+    certs = [
+        {"kind": "odd-degree"},
+        {"kind": "exact-zero", "point": (2, 1)},
+        {"kind": "sign-change", "positive": (1, 0), "negative": (7, 4)},
+        {"kind": "sign-change", "positive": (1, 0), "negative": (-7, -4)},  # the cap's other side
+    ]
+    faults = localsolve._real_certificate_faults([cubic] * 4, (1, 0), Fraction(1, 2), certs)
+    assert [fault is None for fault in faults] == [False, True, True, False]
 
 
 def test_classify_balls_matches_congruence_set_at_v_equals_e():

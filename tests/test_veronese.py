@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanostat.veronese import (
+    coefficient_matrix,
     dimension,
     evaluate_form,
     gradient_form,
@@ -258,6 +259,16 @@ def test_pairing_tiers_match_python_integers():
         rows = row_pairings(A[:k], NU[:k])
         assert rows.dtype == row_dtype, (A, NU)
         assert rows.tolist() == [sum(int(a) * int(v) for a, v in zip(r, s)) for r, s in zip(A.tolist(), NU.tolist())]
+
+
+def test_pairings_of_no_forms_is_an_empty_int64_array():
+    # coefficient_matrix([]) is 1-D, shape (0,): no rows, whatever the tier
+    # the Veronese rows alone would take
+    basis = monomial_basis(2, 3)
+    for V in (veronese_batch(basis, np.array([[1, 0, 2, -1], [3, 1, 1, 1]])), np.full((2, 10), 2**70, dtype=object)):
+        for A in (coefficient_matrix([]), np.zeros((0, 10), dtype=np.int64)):
+            out = pairings(A, V)
+            assert out.shape == (0, 2) and out.dtype == np.int64
 
 
 def test_pairings_refuse_float_rows():
