@@ -9,8 +9,8 @@ exact integer. The predicted side is the main term
 
 where the volume factor W is the cone integral of 1/|nu| over the unit
 ball, estimated by Monte Carlo from Gaussian draws in row blocks, never
-normalised (h_d is homogeneous). `census.predicted_first_moment` uses the
-same W; `Prediction` and `VolumeEstimate` carry a value with its error bar.
+normalised (h_d is homogeneous); `census.predicted_first_moment` scales this
+main term. `Prediction` and `VolumeEstimate` carry a value with its error bar.
 
 Both sides need only |nu(x)|^2, never nu(x) itself. The Veronese basis is
 the plain monomials, so |nu(x)|^2 = sum_{|e|=d} prod x_i^(2 e_i) =

@@ -731,15 +731,16 @@ def _band(top, rounds: int):
 
 @lru_cache(maxsize=None)
 def _split_matrix(k: int, dtype) -> np.ndarray:
-    """De Casteljau at the midpoint, degree k, as one (2k + 2, k + 1) matrix:
-    row i gives the i-th Bernstein coefficient of the left half, C(i, j) / 2^i
-    times coefficient j <= i, row k + 1 + i that of the right half,
-    C(k - i, j - i) / 2^(k - i) times coefficient j >= i. Built from
-    Fractions and cast to `dtype`: Fractions for object arrays, the same
-    dyadic rationals as floats for float64 ones. Read-only, since cached."""
-    left = [[Fraction(math.comb(i, j), 2**i) for j in range(k + 1)] for i in range(k + 1)]
-    right = [[Fraction(math.comb(k - i, j - i) if j >= i else 0, 2 ** (k - i)) for j in range(k + 1)] for i in range(k + 1)]
-    S = np.array(left + right, dtype=object).astype(dtype)
+    """De Casteljau at the midpoint, degree k, as one (2k + 2, k + 1) matrix
+    times 2^k: row i gives the i-th Bernstein coefficient of the left half,
+    C(i, j) 2^(k - i) times coefficient j <= i, row k + 1 + i that of the
+    right half, C(k - i, j - i) 2^i times coefficient j >= i. Python integers
+    for object arrays, so an exact split scales by 2^k and keeps signs; over
+    2^k, exactly, for float64 ones. Read-only, since cached."""
+    left = [[math.comb(i, j) << (k - i) for j in range(k + 1)] for i in range(k + 1)]
+    right = [[math.comb(k - i, j - i) << i if j >= i else 0 for j in range(k + 1)] for i in range(k + 1)]
+    S = np.array(left + right, dtype=object)
+    S = S if dtype == object else S.astype(dtype) / 2**k
     S.flags.writeable = False
     return S
 
@@ -749,7 +750,7 @@ def _halves(T: np.ndarray, k: int, axis: int) -> np.ndarray:
     of T (one box a column, flat, the last axis fastest) on the two halves
     of their boxes along `axis`: one matrix product of `_split_matrix`
     against that axis. Every left half, then every right one. Exact on
-    Fractions, within `_band` on floats.
+    Python integers, times 2^k (`_split_matrix`), within `_band` on floats.
 
     numpy hands a product with one column to a matrix-vector kernel, whose
     roundings differ from those of the matrix-matrix one, so a lone column

@@ -18,18 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import HypothesisFailed
 from .veronese import Form, evaluate_form, gradient_form
 
 
 def valuation(x, p: int):
-    """v_p(x) for an integer or Fraction; math.inf at 0."""
+    """v_p(x) for an integer; math.inf at 0."""
     if x == 0:
         return math.inf
-    if isinstance(x, Fraction):
-        return valuation(x.numerator, p) - valuation(x.denominator, p)
     x = abs(int(x))
     v = 0
     while x % p == 0:

@@ -187,7 +187,10 @@ def coefficient_matrix(forms) -> np.ndarray:
 
 def row_pairings(A: np.ndarray, NU: np.ndarray) -> np.ndarray:
     """<A[r], NU[r]> for each row r, exactly: int64 when the bound of
-    `pairings` is below 2^63, else Python integers."""
+    `pairings` is below 2^63, else Python integers. No rows,
+    `coefficient_matrix([])` included, give an empty int64 array."""
+    if not len(A):
+        return np.zeros(0, dtype=np.int64)
     dtype = np.int64 if _pairing_bound(A, NU) < 2**63 else object
     return (A.astype(dtype, copy=False) * NU.astype(dtype, copy=False)).sum(axis=1)
 
@@ -208,10 +211,6 @@ class Form:
             raise ValueError("coefficient count does not match the basis")
         if all(c == 0 for c in self.coeffs):
             raise ValueError("the zero form does not define a hypersurface")
-
-    @property
-    def is_primitive(self) -> bool:
-        return math.gcd(*[abs(c) for c in self.coeffs]) == 1
 
     def __str__(self):
         coeffs = " ".join(str(c) for c in self.coeffs)

@@ -15,7 +15,6 @@ from fanostat.veronese import make_form
 
 def test_traced_names_exist():
     for module, name in [
-        (census, "make_form"),
         (intlinalg, "integer_ball"),
         (localsolve, "canonical_projective_residues"),
         # the benchmark's lattice.self_s is the time spent in this function

@@ -27,6 +27,7 @@ from fanostat.census import (
     quadric_real_soluble,
     real_density_interval,
 )
+from fanostat.counting import veronese_reciprocal_volume
 from fanostat.geom import cap_matrix
 from fanostat.intlinalg import bareiss_det, integer_ball
 from fanostat.localsolve import (
@@ -252,7 +253,22 @@ def test_predicted_first_moment_domain():
     t3 = AdelicTarget.trivial(3)
     pred = predicted_first_moment(2, 3, 2, 2, t3, mc_samples=50000)
     assert pred.value > 0
-    assert pred.inputs["coefficient_over_magnitude_scale"] > 0
+    assert pred.inputs["reciprocal_sum"].value > 0
+
+
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 5)])
+def test_predicted_first_moment_is_linear_in_B_and_of_degree_N_minus_1_in_A(d, n):
+    # one shared volume factor, so only the closed form moves: a slip in the
+    # exponent of X = B^(1/(n+1-d)) or of A^(N-1) breaks a ratio
+    t = AdelicTarget.trivial(n)
+    w = veronese_reciprocal_volume(d, n, t.xi_inf, t.sigma_inf, mc_samples=2000)
+    N = dimension(d, n)
+    base = predicted_first_moment(d, n, 2, 2, t, volume=w)
+    for A, B in [(2, 5), (2, Fraction(7, 2)), (3, 2), (Fraction(5, 2), 3)]:
+        pred = predicted_first_moment(d, n, A, B, t, volume=w)
+        expected = float((Fraction(A) / 2) ** (N - 1) * Fraction(B) / 2)
+        assert math.isclose(pred.value / base.value, expected, rel_tol=1e-12), (A, B)
+        assert math.isclose(pred.err / base.err, expected, rel_tol=1e-12), (A, B)
 
 
 def test_predicted_first_moment_runs_in_the_cubic_range():

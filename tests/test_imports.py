@@ -109,7 +109,6 @@ ENTRY_POINTS = (
     ("veronese", "veronese_batch", TRACED),
     ("veronese", "evaluate_form", TRACED),
     ("veronese", "gradient_form", TRACED),
-    ("veronese", "make_form", "the benchmark contract checks that census binds it"),
     ("localsolve", "canonical_projective_residues", TRACED),
     ("localsolve", "decide_real_batch", "the census decides its forms at the real place with it"),
     ("localsolve", "classify_balls", TRACED),
@@ -130,7 +129,6 @@ ENTRY_POINTS = (
     ("localsolve", "count_projective_points", "point counts across streamed residue tables"),
     ("census", "quadric_real_soluble", "the classical real verdict of a quadric"),
     ("counting", "veronese_reciprocal_sum", "the only exact check of the W of the first moment"),
-    ("counting", "predicted_reciprocal_sum", "the main term that check compares against"),
     # methods that no package code calls, each with who does
     ("localsolve", "AdelicTarget.trivial", "the workloads build their trivial targets with it"),
     ("localsolve", "BallClassification.boundary_upper", "the boundary-ball count the paper bounds"),

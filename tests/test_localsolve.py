@@ -328,9 +328,6 @@ def test_direction_grid_matches_the_set_construction(n):
         decide_real_batch([make_form(2, n, [1] * dimension(2, n))], (0,) * (n + 1), Fraction(1, 2))
 
 
-_fractions = np.vectorize(Fraction, otypes=[object])
-
-
 def _bernstein_value(T, k, s):
     """The polynomial with tensor Bernstein coefficients T (flat, degree k
     per axis) at the point s of [0, 1]^n, exactly."""
@@ -353,7 +350,9 @@ def _exact_chart_decide(form, xi, sigma, budget):
     """The real decider one grid point and one box at a time, in exact
     rationals: the grid's yes paths in grid order, odd degree at sigma = 1,
     then the chart search on a first-in first-out queue of boxes, each with
-    its Fraction Bernstein tensors of f and q, strict signs and no band."""
+    its exact Bernstein tensors of f and q in Python integers (positive
+    multiples of the true ones, so every sign is exact), strict signs and no
+    band."""
     pos, neg = [], []
     for v in _old_direction_grid(form.basis.n, xi):
         if not cone_oracle(xi, sigma, v):
@@ -371,8 +370,8 @@ def _exact_chart_decide(form, xi, sigma, budget):
     if Fraction(sigma) == 1 and d % 2 == 1:
         return TriState.yes({"kind": "odd-degree"})
     patches, T, F, Q = localsolve._chart(form.basis, tuple(xi), Fraction(sigma))
-    f = _fractions((np.array(form.coeffs, dtype=object) @ F.astype(object)).reshape(len(patches), -1))
-    queue = [(p, f[p : p + 1], _fractions(Q[p : p + 1]), [Fraction(0)] * n, [0] * n) for p in range(len(patches))]
+    f = (np.array(form.coeffs, dtype=object) @ F.astype(object)).reshape(len(patches), -1)
+    queue = [(p, f[p : p + 1], Q.astype(object)[p : p + 1], [Fraction(0)] * n, [0] * n) for p in range(len(patches))]
     examined = 0
     while queue:
         p, fb, qb, lo, depth = queue.pop(0)
@@ -686,10 +685,10 @@ def test_chart_tensors_are_the_bernstein_forms_of_f_and_q(case, data):
         sigma = Fraction(1, 2)  # the chart serves odd degrees only in a cap
     patches, T, F, Q = localsolve._chart(form.basis, xi, sigma)
     scale = math.lcm(*(math.comb(d, a) for a in range(d + 1))) ** n
-    f = _fractions((np.array(form.coeffs, dtype=object) @ F.astype(object)).reshape(len(patches), -1))
+    f = (np.array(form.coeffs, dtype=object) @ F.astype(object)).reshape(len(patches), -1)
     rationals = st.fractions(0, 1, max_denominator=12)
     for p, patch in enumerate(patches):
-        ft, qt, box = f[p : p + 1], _fractions(Q[p : p + 1]), [(Fraction(0), Fraction(1))] * n
+        ft, qt, box = f[p : p + 1], Q.astype(object)[p : p + 1], [(Fraction(0), Fraction(1))] * n
         for axis, right in steps:
             ft, qt = (localsolve._halves(A.T, k, axis).T[right : right + 1] for A, k in ((ft, d), (qt, 2)))
             a, b = box[axis]
@@ -697,7 +696,8 @@ def test_chart_tensors_are_the_bernstein_forms_of_f_and_q(case, data):
         for _ in range(3):
             s = [data.draw(rationals) for _ in range(n)]
             x = _chart_point(patch, [a + v * (b - a) for v, (a, b) in zip(s, box)])
-            assert _bernstein_value(ft[0], d, s) == scale * evaluate_form(form, x)
+            # an exact split scales the tensor by 2^d (`_split_matrix`)
+            assert _bernstein_value(ft[0], d, s) / 2 ** (d * len(steps)) == scale * evaluate_form(form, x)
             in_cap = cone_oracle(xi, sigma, x)
             assert (_bernstein_value(qt[0], 2, s) <= 0) == in_cap
     if sigma < 1:
@@ -727,18 +727,19 @@ def test_chart_tensors_are_the_bernstein_forms_of_f_and_q(case, data):
 @example((make_form(4, 1, [2**53 - 1, -4, -(2**53 + 1), 3, 2**53], primitive=False), (1, 2), Fraction(3, 5), [(0, 1), (0, 0)] * 7))
 def test_banded_float_signs_agree_with_fraction_de_casteljau(case):
     # wherever float64 de Casteljau after S halvings puts a coefficient
-    # beyond the band, the Fraction one of the same exact tensor has that sign
+    # beyond the band, the exact one of the same tensor has that sign
     form, xi, sigma, steps = case
     _, _, F, Q = localsolve._chart(form.basis, xi, sigma)
     exact_f = (np.array(form.coeffs, dtype=object) @ F.astype(object)).reshape(1, -1)
     assert max(abs(int(v)) for v in exact_f.ravel()) > 2**53 or max(map(abs, form.coeffs)) <= 5
     for T, k in ((exact_f, form.basis.d), (Q.astype(object), 2)):
         top = float(max(abs(int(v)) for v in T.ravel()))
-        fl, fr = np.asarray(T, dtype=np.float64), _fractions(T)
+        fl, fr = np.asarray(T, dtype=np.float64), T
         for axis, right in steps:
             fl, fr = (localsolve._halves(A.T, k, axis).T[right : right + 1] for A in (fl, fr))
         band = localsolve._band(top, k * len(steps))
-        for x, y in zip(fl.ravel().tolist(), fr.ravel().tolist()):
+        # the exact split in integers scales by 2^k a halving (`_split_matrix`)
+        for x, y in zip(fl.ravel().tolist(), (Fraction(v, 2 ** (k * len(steps))) for v in fr.ravel().tolist())):
             assert (x <= band or y > 0) and (x >= -band or y < 0), (x, y, band)
             assert abs(Fraction(x) - y) <= band  # the band bounds the rounding error itself
 

@@ -271,6 +271,15 @@ def test_pairings_of_no_forms_is_an_empty_int64_array():
             assert out.shape == (0, 2) and out.dtype == np.int64
 
 
+def test_row_pairings_of_no_rows_is_an_empty_int64_array():
+    # no rows on either side, whatever the tier their dtypes alone would take
+    basis = monomial_basis(2, 3)
+    for V in (veronese_batch(basis, np.zeros((0, 4), dtype=np.int64)), np.zeros((0, 10), dtype=object)):
+        for A in (coefficient_matrix([]), np.zeros((0, 10), dtype=np.int64)):
+            out = row_pairings(A, V)
+            assert out.shape == (0,) and out.dtype == np.int64
+
+
 def test_pairings_refuse_float_rows():
     A, NU = np.array([[1.5, 2.0]]), np.array([[1, 1]])
     for fn in (pairings, row_pairings):
