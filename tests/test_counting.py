@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -166,10 +167,14 @@ def test_reciprocal_volume_matches_the_dense_veronese_reference(d, n, sigma):
 
 
 @pytest.mark.parametrize("samples", [2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
-@pytest.mark.parametrize("d, n, sigma", [(2, 3, Fraction(1)), (2, 3, Fraction(1, 2)), (3, 5, Fraction(3, 4))])
+@pytest.mark.parametrize("d, n, sigma", [
+    (2, 3, Fraction(1)), (2, 3, Fraction(1, 2)), (3, 5, Fraction(3, 4)), (2, 3, Fraction(1, 20)),
+])
 def test_blocked_draws_are_one_draw(samples, d, n, sigma):
     # the volume draws its samples in blocks of _CHUNK rows: the same values,
-    # and the same generator state after, as one (samples, n + 1) draw
+    # and the same generator state after, as one (samples, n + 1) draw; at
+    # sigma = 1/20 most blocks hold a handful of nonzero values, so the merged
+    # block moments meet blocks of nearly all zeros
     xi = (3, -1, 2, 1) + (1,) * (n - 3)
     rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
     w = veronese_reciprocal_volume(d, n, xi, sigma, samples, rng)
@@ -189,3 +194,35 @@ def test_reciprocal_volume_refuses_a_zero_axis_and_a_single_sample():
         predicted_reciprocal_sum(2, 3, (1, 0, 0, 0), 1, (0, 0, 0, 0), 1, 10, mc_samples=1000)
     # two samples give a finite error bar
     assert math.isfinite(veronese_reciprocal_volume(2, 3, (1, 0, 0, 0), 1, 2).err)
+
+
+def test_reciprocal_volume_refuses_an_aperture_outside_the_unit_interval():
+    # sigma enters only squared, so -1/2 would read as 1/2, and 3/2 as 1
+    for sigma in (Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(ValueError, match="aperture"):
+            veronese_reciprocal_volume(2, 3, (3, -1, 2, 1), sigma, 1000)
+    # the cap of aperture 0 is the axis alone, which no sample hits
+    w = veronese_reciprocal_volume(2, 3, (3, -1, 2, 1), 0, 1000)
+    assert (w.value, w.err) == (0.0, 0.0)
+
+
+def _traced_peak(d, n, sigma, samples):
+    xi = (3, -1, 2, 1) + (1,) * (n - 3)
+    tracemalloc.start()
+    try:
+        veronese_reciprocal_volume(d, n, xi, sigma, samples, np.random.default_rng(3))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d, n, sigma", [(2, 3, Fraction(1)), (3, 5, Fraction(1, 2))])
+def test_reciprocal_volume_memory_does_not_grow_with_the_samples(d, n, sigma):
+    # running block moments: no array of mc_samples values, so the peak is a
+    # few _CHUNK-row blocks at any sample count. A first call in a process
+    # also traces numpy's one-time set-up (0.7 MiB), so both peaks are taken
+    # after one untraced call
+    veronese_reciprocal_volume(d, n, (3, -1, 2, 1) + (1,) * (n - 3), sigma, 2)
+    peak = _traced_peak(d, n, sigma, 10**6)
+    assert peak < 6 * 2**20
+    assert _traced_peak(d, n, sigma, 2 * 10**6) < 1.1 * peak
